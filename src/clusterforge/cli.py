@@ -79,11 +79,23 @@ def load_quiver(args) -> GeneralizedQuiver:
             raise ParseError(f"cannot read quiver file: {exc}") from exc
         if "b" not in data:
             raise ParseError('quiver file needs a "b" matrix')
-        return make_quiver(data["b"], data.get("d"))
+        try:
+            return make_quiver(data["b"], data.get("d"))
+        except TypeError as exc:
+            raise ParseError(f"bad quiver file: {exc}") from exc
     if getattr(args, "family", None):
         spec = FamilySpec.of(args.family, **parse_params(args.params or ""))
         return build_family(spec)
     raise UsageError("provide --quiver FILE or --family NAME")
+
+
+def vertex_sequence(text: str, q: GeneralizedQuiver) -> tuple[int, ...]:
+    """parse_sequence, with every vertex checked against the quiver."""
+    seq = parse_sequence(text)
+    for k in seq:
+        if not 1 <= k <= q.v:
+            raise UsageError(f"vertex {k} out of range 1..{q.v}")
+    return seq
 
 
 def _print_poly(poly: LaurentPolynomial, fmt: str) -> None:
@@ -157,7 +169,7 @@ def build_parser() -> _Parser:
 def _cmd_mutate(args) -> int:
     q = load_quiver(args)
     state = framed_state(q)
-    for k in parse_sequence(args.seq):
+    for k in vertex_sequence(args.seq, q):
         state = mutate(state, k)
     _print_matrix("B", state.quiver.b, args.format)
     _print_matrix("C", state.c, args.format)
@@ -171,7 +183,7 @@ def _cmd_mutate(args) -> int:
 
 def _cmd_fpoly(args) -> int:
     q = load_quiver(args)
-    seq = parse_sequence(args.seq)
+    seq = vertex_sequence(args.seq, q)
     n = len(seq)
     if args.method == "recurrence":
         from .quiver import fpoly_recurrence
@@ -191,7 +203,7 @@ def _cmd_fpoly(args) -> int:
 
 def _cmd_cmatrix(args) -> int:
     q = load_quiver(args)
-    tr = trace(q, parse_sequence(args.seq))
+    tr = trace(q, vertex_sequence(args.seq, q))
     if args.between:
         m, n = args.between
         _print_matrix(f"C_{m},{n}", c_between(tr, m, n, "c"), args.format)
@@ -230,7 +242,7 @@ def _cmd_family(args) -> int:
 
 def _cmd_stabilize(args) -> int:
     q = load_quiver(args)
-    report = stabilization_run(q, parse_sequence(args.period), args.count, args.cutoff)
+    report = stabilization_run(q, vertex_sequence(args.period, q), args.count, args.cutoff)
     if args.format == "json":
         print(json.dumps({
             "indices": list(report.indices),
@@ -274,7 +286,7 @@ def _cmd_limit(args) -> int:
 
 def _cmd_verify(args) -> int:
     q = load_quiver(args)
-    seq = parse_sequence(args.seq)
+    seq = vertex_sequence(args.seq, q)
     results = run_verification(q, seq)
     width = max(len(name) for name in results)
     failed = False

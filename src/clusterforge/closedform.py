@@ -20,11 +20,12 @@ to integers in every final coefficient.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import count
 
 from . import intmat
 from .cmatrix import MutationTrace, coeff_a, coeff_b
 from .errors import NonIntegerCoefficient, SignCoherenceViolation
-from .laurent import LaurentPolynomial
+from .laurent import LaurentPolynomial, mul_truncated, truncate
 from .quiver import _degree_bounds_from_trace
 
 
@@ -188,48 +189,26 @@ def coefficient_of(tr: MutationTrace, n: int, monomial) -> int:
 
 
 def _power_truncated(p: LaurentPolynomial, e: int, bound) -> LaurentPolynomial:
-    """p**e truncated componentwise, for any integer e; p must have unit term."""
-    if e < 0:
-        p = _invert_truncated(p, bound)
-        e = -e
-    result = LaurentPolynomial.one(p.nvars)
-    base = p
-    while e:
-        if e & 1:
-            result = _truncate(result * base, bound)
-        e >>= 1
-        if e:
-            base = _truncate(base * base, bound)
-    return result
+    """p**e truncated componentwise, for any integer e and p = 1 + x.
 
-
-def _truncate(p: LaurentPolynomial, bound) -> LaurentPolynomial:
-    terms = {
-        exps: c
-        for exps, c in p.terms.items()
-        if all(a <= b for a, b in zip(exps, bound))
-    }
-    return LaurentPolynomial(p.nvars, terms)
-
-
-def _invert_truncated(p: LaurentPolynomial, bound) -> LaurentPolynomial:
-    """Series inverse of 1 + x (x with strictly positive exponents)."""
-    nvars = p.nvars
+    One binomial series sum_k C(e, k) x^k, one bounded multiply per power of
+    x.  For e < 0 it ends once x^k has no term under the bound, which comes
+    because x is a polynomial without constant term.
+    """
+    if p.constant_term != 1 or not p.is_polynomial():
+        raise ValueError("binomial series needs a polynomial with constant term 1")
     x = p - 1
-    if p.constant_term != 1 or any(
-        all(e == 0 for e in exps) for exps in x.terms
-    ):
-        raise ValueError("series inversion needs constant term exactly 1")
-    result = LaurentPolynomial.one(nvars)
-    power = LaurentPolynomial.one(nvars)
-    sign = 1
-    while True:
-        power = _truncate(power * x, bound)
+    acc = {(0,) * p.nvars: 1}
+    power = LaurentPolynomial.one(p.nvars)
+    binom = 1
+    for k in range(e) if e >= 0 else count():
+        binom = binom * (e - k) // (k + 1)
+        power = mul_truncated(power, x, bound)
         if not power:
             break
-        sign = -sign
-        result = result + sign * power
-    return result
+        for exps, c in power.terms.items():
+            acc[exps] = acc.get(exps, 0) + binom * c
+    return LaurentPolynomial(p.nvars, acc)
 
 
 def fpoly_product_form(tr: MutationTrace, n: int) -> LaurentPolynomial:
@@ -238,7 +217,8 @@ def fpoly_product_form(tr: MutationTrace, n: int) -> LaurentPolynomial:
     L_j = 1 + r_j * prod_{i<j} L_i^{-a(i,j)+b(i,j)}, expanded as power series
     in the y-variables and truncated at the degree bound of F_n.  Exponents
     only ever add, so truncating every intermediate at the final bound is
-    lossless for the in-bound terms.
+    lossless for the in-bound terms.  Each power L_i^e is one binomial
+    series, built once per (i, e) within the call.
     """
     if not 0 <= n <= tr.n:
         raise ValueError("n out of trace range")
@@ -247,16 +227,25 @@ def fpoly_product_form(tr: MutationTrace, n: int) -> LaurentPolynomial:
     tables = _PairTables(tr, n)
     bound = _degree_bounds_from_trace(tr, n)
     ells: list[LaurentPolynomial] = []
+    powers: dict[tuple[int, int], LaurentPolynomial] = {}
+
+    def times_power(poly: LaurentPolynomial, i: int, e: int) -> LaurentPolynomial:
+        if not e:
+            return poly
+        if (i, e) not in powers:
+            powers[(i, e)] = _power_truncated(ells[i - 1], e, bound)
+        return mul_truncated(poly, powers[(i, e)], bound)
+
     for j in range(1, n + 1):
-        term = _truncate(LaurentPolynomial.monomial(tr.r(j)), bound)
+        term = truncate(LaurentPolynomial.monomial(tr.r(j)), bound)
         for i in range(1, j):
             if not term:
                 break
-            term = _truncate(term * _power_truncated(ells[i - 1], tables.pair(i, j), bound), bound)
+            term = times_power(term, i, tables.pair(i, j))
         ells.append(LaurentPolynomial.one(tr.v) + term)
     result = LaurentPolynomial.one(tr.v)
     for j in range(1, n + 1):
-        result = _truncate(result * _power_truncated(ells[j - 1], tables.tail(j), bound), bound)
+        result = times_power(result, j, tables.tail(j))
     return result
 
 

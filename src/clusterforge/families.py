@@ -161,20 +161,23 @@ class SSequence:
     """Memoized scalar sequence s_i (zero for i < 0) with companion s'_i.
 
     Built either from the vertex-1 row of a symmetric quiver (linear
-    recurrence) or from an explicit family rule.
+    recurrence) or from an explicit family rule.  A rule for s_i may read
+    only s_j with j < i: the memo is filled in ascending order, so every
+    such read is a lookup and no index costs stack depth.
     """
 
     def __init__(self, s_rule, sp_rule):
         self._s_rule = s_rule
         self._sp_rule = sp_rule
-        self._s_cache: dict[int, int] = {}
+        self._s_memo: list[int] = []
 
     def s(self, i: int) -> int:
         if i < 0:
             return 0
-        if i not in self._s_cache:
-            self._s_cache[i] = self._s_rule(i, self.s)
-        return self._s_cache[i]
+        memo = self._s_memo
+        while len(memo) <= i:
+            memo.append(self._s_rule(len(memo), self.s))
+        return memo[i]
 
     def sp(self, i: int) -> int:
         return self._sp_rule(i, self.s)

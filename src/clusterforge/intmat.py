@@ -12,8 +12,15 @@ from fractions import Fraction
 Matrix = tuple[tuple[int, ...], ...]
 
 
+def exact_int(x) -> int:
+    """x itself when it is an int; anything else, bool included, is a TypeError."""
+    if isinstance(x, bool) or not isinstance(x, int):
+        raise TypeError(f"entry {x!r} is not an integer")
+    return x
+
+
 def freeze(rows) -> Matrix:
-    return tuple(tuple(int(x) for x in row) for row in rows)
+    return tuple(tuple(exact_int(x) for x in row) for row in rows)
 
 
 def identity(n: int) -> Matrix:

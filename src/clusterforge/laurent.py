@@ -12,6 +12,7 @@ lexicographic order so output is byte-stable across runs.
 
 from __future__ import annotations
 
+from operator import add, gt, itemgetter
 from typing import Iterable, Mapping
 
 from .errors import InexactDivision, ParseError
@@ -22,6 +23,14 @@ Exponents = tuple[int, ...]
 def _grlex_key(exps: Exponents):
     # ascending total degree, then descending lexicographic within a degree
     return (sum(exps), tuple(-e for e in exps))
+
+
+def _from_clean(nvars: int, terms: dict[Exponents, int]) -> "LaurentPolynomial":
+    """Wrap a dict of int exponent tuples to nonzero ints without re-checking it."""
+    poly = object.__new__(LaurentPolynomial)
+    object.__setattr__(poly, "nvars", nvars)
+    object.__setattr__(poly, "terms", terms)
+    return poly
 
 
 class LaurentPolynomial:
@@ -229,6 +238,65 @@ class LaurentPolynomial:
 
     def __repr__(self) -> str:
         return f"LaurentPolynomial({self.to_text()!r})"
+
+
+def truncate(p: LaurentPolynomial, bound) -> LaurentPolynomial:
+    """The terms of p whose exponent vectors lie componentwise within bound."""
+    bound = tuple(bound)
+    return _from_clean(
+        p.nvars, {e: c for e, c in p.terms.items() if not any(map(gt, e, bound))}
+    )
+
+
+def mul_truncated(p: LaurentPolynomial, q: LaurentPolynomial, bound) -> LaurentPolynomial:
+    """truncate(p * q, bound), forming only pairs that can land within bound.
+
+    Unless one operand is a single term, both must have nonnegative
+    exponents: then a term outside the bound stays outside in any product
+    and is skipped, and q is scanned in ascending total degree up to the
+    degree the p term leaves over (Johnson, "Sparse polynomial arithmetic",
+    SIGSAM Bull. 1974).  Exponent vectors are packed into ints, one slot per
+    variable with one bit more than the largest bound b needs: a sum x of two
+    in-bound exponents (x <= 2b) never carries, and the top (guard) bit of
+    each slot of (2^(w-1) + b) - x is set exactly when x <= b.
+    """
+    if p.nvars != q.nvars:
+        raise ValueError("variable counts differ")
+    bound = tuple(bound)
+    if len(p.terms) == 1:
+        p, q = q, p
+    if len(q.terms) == 1:
+        # a shift by one monomial is injective, so no two terms collide
+        ((e2, c2),) = q.terms.items()
+        shifted = {tuple(map(add, e1, e2)): c1 * c2 for e1, c1 in p.terms.items()}
+        return truncate(_from_clean(p.nvars, shifted), bound)
+    if not (p.is_polynomial() and q.is_polynomial()):
+        raise ValueError("bounded multiply needs nonnegative exponents")
+    width = max(bound, default=0).bit_length() + 1
+    shifts = range(0, width * p.nvars, width)
+    guards = sum(1 << (s + width - 1) for s in shifts)
+    limit = guards + sum(b << s for b, s in zip(bound, shifts))
+
+    def pack(poly):
+        return [(sum(e), sum(x << s for x, s in zip(e, shifts)), c)
+                for e, c in poly.terms.items() if not any(map(gt, e, bound))]
+
+    inner = sorted(pack(q), key=itemgetter(0))
+    total = sum(bound)
+    terms: dict[int, int] = {}
+    for d1, k1, c1 in pack(p):
+        budget = total - d1
+        for d2, k2, c2 in inner:
+            if d2 > budget:
+                break
+            k = k1 + k2
+            if (limit - k) & guards == guards:
+                terms[k] = terms.get(k, 0) + c1 * c2
+    mask = (1 << width) - 1
+    return _from_clean(
+        p.nvars,
+        {tuple((k >> s) & mask for s in shifts): c for k, c in terms.items() if c},
+    )
 
 
 def exact_divide(p: LaurentPolynomial, q: LaurentPolynomial) -> LaurentPolynomial:

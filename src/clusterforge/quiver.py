@@ -94,7 +94,7 @@ def make_quiver(b, d=None) -> GeneralizedQuiver:
     if any(b[i][i] != 0 for i in range(n)):
         raise ValueError("exchange matrix must have zero diagonal")
     if d is not None:
-        d = tuple(int(x) for x in d)
+        d = tuple(intmat.exact_int(x) for x in d)
         if len(d) != n or any(x <= 0 for x in d):
             raise ValueError("symmetrizer must be a positive vector of length v")
         _check_symmetrizer(b, d)

@@ -90,10 +90,12 @@ def _decomposable(target, parts) -> bool:
 def fundamentals(tr: MutationTrace, n: int, verify: bool = True) -> FundamentalSet:
     """Fundamental flags and color counts for the distinct r-monomials.
 
-    A monomial is fundamental when it is not a sum of two or more earlier
-    r-monomials.  With verify=True the coefficient identity is checked: for
-    each fundamental m the coefficients of m across all vertex labels after
-    n steps must equal -(green - red) * C_n^{-1}(m).  The identity is a
+    A monomial is fundamental when it is not a sum of two or more of the
+    r-monomials r_1..r_n (the closed formula sums over every nondecreasing
+    sequence in 1..n, so a later r-monomial decomposes an earlier one too).
+    With verify=True the coefficient identity is checked: for each
+    fundamental m the coefficients of m across all vertex labels after n
+    steps must equal -(green - red) * C_n^{-1}(m).  The identity is a
     skew-symmetric statement (it needs C = D), so the check is skipped for
     genuinely skew-symmetrizable quivers.
     """
@@ -104,11 +106,10 @@ def fundamentals(tr: MutationTrace, n: int, verify: bool = True) -> FundamentalS
     greens: dict[tuple[int, ...], int] = {}
     reds: dict[tuple[int, ...], int] = {}
     flags: dict[tuple[int, ...], bool] = {}
-    for i in range(1, n + 1):
-        m = tr.r(i)
+    rmonos = [tr.r(j) for j in range(1, n + 1)]
+    for i, m in enumerate(rmonos, start=1):
         if m not in first_seen:
-            earlier = [tr.r(j) for j in range(1, i)]
-            flags[m] = not _decomposable(m, earlier)
+            flags[m] = not _decomposable(m, rmonos)
             first_seen[m] = i
             greens[m] = reds[m] = 0
         if tr.color(i) == "green":

@@ -167,6 +167,7 @@ def test_criterion_4_structural_invariants(suite_results):
         "step matrices are involutions",
         "recurrence yields positive unit-constant polynomials",
         "support within degree bounds",
+        "fundamental coefficient identity",
     )
     for name, q, seq, checks in results:
         for key in structural:

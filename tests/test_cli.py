@@ -149,13 +149,42 @@ def test_verify_pass(capsys):
 def test_exit_codes(capsys, tmp_path):
     code, _, err = run(capsys, "fpoly", "--seq", "1")
     assert code == 1  # no quiver source
-    code, _, err = run(capsys, "fpoly", "--family", "kr", "--params", "r=2",
-                       "--seq", "5")
-    assert code == 2  # vertex out of range -> computation error
+    for seq in ("5", "0,1"):
+        code, _, err = run(capsys, "fpoly", "--family", "kr", "--params", "r=2",
+                           "--seq", seq)
+        assert code == 1  # vertex out of range -> usage error
+        assert "out of range 1..2" in err
+    code, _, err = run(capsys, "fpoly", "--family", "kr", "--params", "r=1",
+                       "--seq", "1")
+    assert code == 2  # BadParameters -> computation error
     bad = tmp_path / "bad.json"
     bad.write_text("{}")
     code, _, err = run(capsys, "fpoly", "--quiver", str(bad), "--seq", "1")
     assert code == 1
+
+
+def test_verify_a2_fundamentals_pass(tmp_path, capsys):
+    # r_2 = (1, 1) is r_1 + r_3, so it is not fundamental among r_1..r_3
+    path = tmp_path / "a2.json"
+    path.write_text(json.dumps({"b": [[0, 1], [-1, 0]]}))
+    code, out, _ = run(capsys, "verify", "--quiver", str(path), "--seq", "1,2,1")
+    assert code == 0
+    assert "FAIL" not in out
+
+
+@pytest.mark.parametrize("data", [
+    {"b": [[0, 2.5], [-2.5, 0]]},
+    {"b": [[0, True], [-1, 0]]},
+    {"b": [[0, "2"], [-2, 0]]},
+    {"b": [[0, 1], [-2, 0]], "d": [2.0, 1]},
+])
+def test_non_integer_quiver_entries_rejected(tmp_path, capsys, data):
+    path = tmp_path / "q.json"
+    path.write_text(json.dumps(data))
+    code, out, err = run(capsys, "fpoly", "--quiver", str(path), "--seq", "1,2")
+    assert code == 1
+    assert out == ""
+    assert "is not an integer" in err
 
 
 def test_verify_reports_failures(capsys, monkeypatch):

@@ -2,11 +2,15 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from clusterforge import (LaurentPolynomial, coefficient_of, deform,
                           deformed_formula, degree_bounds, enumerate_sequences,
                           fpoly_formula, fpoly_product_form, fpoly_recurrence,
                           phi, trace, w_value)
+from clusterforge.closedform import _power_truncated
+from clusterforge.laurent import truncate
 from conftest import random_sequence, random_skew_symmetric
 
 GOLDEN_F3 = {(0, 0): 1, (1, 0): 3, (2, 0): 3, (3, 0): 1, (2, 1): 2, (3, 1): 2,
@@ -111,6 +115,51 @@ def test_product_form_dp1(dp1):
     seq = (1, 2, 3, 4)
     tr = trace(dp1, seq)
     assert fpoly_product_form(tr, 4) == fpoly_recurrence(dp1, seq)[-1]
+
+
+def test_product_form_k3_n5(k3):
+    tr = trace(k3, (1, 2, 1, 2, 1))
+    assert fpoly_product_form(tr, 5) == fpoly_formula(tr, 5)
+
+
+def _invert_then_power(p, e, bound):
+    """Reference: series inverse of 1 + x for e < 0, then repeated multiply."""
+    one = LaurentPolynomial.one(p.nvars)
+    if e < 0:
+        x, inverse, power, sign = p - 1, one, one, 1
+        while True:
+            power = truncate(power * x, bound)
+            if not power:
+                break
+            sign = -sign
+            inverse = inverse + sign * power
+        p, e = inverse, -e
+    result = one
+    for _ in range(e):
+        result = truncate(result * p, bound)
+    return result
+
+
+@st.composite
+def unit_series(draw):
+    nvars = draw(st.integers(1, 3))
+    exps = st.tuples(*[st.integers(0, 3)] * nvars).filter(any)
+    x = draw(st.dictionaries(exps, st.integers(-4, 4).filter(bool),
+                             min_size=1, max_size=5))
+    bound = draw(st.tuples(*[st.integers(0, 8)] * nvars))
+    return LaurentPolynomial(nvars, x) + 1, bound
+
+
+@given(unit_series(), st.integers(-6, 6))
+def test_binomial_series_equals_invert_then_power(series, e):
+    p, bound = series
+    assert _power_truncated(p, e, bound) == _invert_then_power(p, e, bound)
+
+
+def test_binomial_series_needs_unit_constant():
+    y = LaurentPolynomial.variable(2, 1)
+    with pytest.raises(ValueError):
+        _power_truncated(2 + y, -1, (3, 3))
 
 
 def test_three_methods_agree_on_random_cases():

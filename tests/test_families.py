@@ -87,6 +87,12 @@ def test_s_values_gale_robinson():
     assert [s for s, _ in s_values(spec7, range(0, 8))] == [1, 0, 1, 0, 1, 1, 1, 1]
 
 
+def test_sseq_deep_index_within_default_recursion_limit(k2):
+    # the memo fills in ascending order, so a deep index adds no stack depth
+    assert SSequence.kronecker(2).s(5000) == 5001
+    assert SSequence.from_quiver(k2).s(5000) == 5001
+
+
 def test_s_values_a1r():
     spec = FamilySpec.of("a1r", r=2)
     assert [s for s, _ in s_values(spec, range(0, 7))] == [0, 1, 1, 2, 2, 3, 3]

@@ -1,9 +1,12 @@
 import random
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from clusterforge import LaurentPolynomial, exact_divide, parse_monomial
 from clusterforge.errors import InexactDivision, ParseError
+from clusterforge.laurent import mul_truncated, truncate
 
 
 def P(nvars, terms):
@@ -111,3 +114,38 @@ def test_degree_helpers():
     assert p.coefficient((1, 2)) == 4
     assert p.is_polynomial()
     assert not P(2, {(-1, 0): 1}).is_polynomial()
+
+
+@st.composite
+def bounded_operands(draw):
+    nvars = draw(st.integers(1, 3))
+    exps = st.tuples(*[st.integers(0, 6)] * nvars)
+    coeffs = st.integers(-9, 9) | st.integers(-10 ** 30, 10 ** 30)
+    polys = st.dictionaries(exps, coeffs, max_size=12).map(lambda t: P(nvars, t))
+    bound = draw(st.tuples(*[st.integers(0, 12)] * nvars))
+    return draw(polys), draw(polys), bound
+
+
+@given(bounded_operands())
+def test_mul_truncated_equals_truncated_product(case):
+    p, q, bound = case
+    expected = truncate(p * q, bound)
+    assert mul_truncated(p, q, bound) == expected
+    assert mul_truncated(q, p, bound) == expected
+
+
+def test_truncate_keeps_in_bound_terms():
+    p = P(2, {(0, 0): 1, (2, 1): 5, (1, 3): -2, (3, 0): 7})
+    assert truncate(p, (2, 2)) == P(2, {(0, 0): 1, (2, 1): 5})
+    assert truncate(p, (0, 0)) == LaurentPolynomial.one(2)
+
+
+def test_mul_truncated_exponent_sign():
+    # a single-term operand is a plain shift, exact for any exponents
+    m = P(2, {(-1, 2): 3})
+    q = P(2, {(1, 0): 1, (2, 0): 1, (0, 1): 4})
+    assert mul_truncated(m, q, (0, 3)) == truncate(m * q, (0, 3))
+    assert mul_truncated(q, m, (0, 3)) == truncate(m * q, (0, 3))
+    # otherwise skipping out-of-bound terms needs nonnegative exponents
+    with pytest.raises(ValueError):
+        mul_truncated(P(2, {(-1, 0): 1, (1, 0): 1}), q, (3, 3))
