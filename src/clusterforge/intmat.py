@@ -12,9 +12,14 @@ from fractions import Fraction
 Matrix = tuple[tuple[int, ...], ...]
 
 
+def is_int(x) -> bool:
+    """True for an int; False for anything else, bool included."""
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
 def exact_int(x) -> int:
     """x itself when it is an int; anything else, bool included, is a TypeError."""
-    if isinstance(x, bool) or not isinstance(x, int):
+    if not is_int(x):
         raise TypeError(f"entry {x!r} is not an integer")
     return x
 

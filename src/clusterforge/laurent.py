@@ -12,10 +12,12 @@ lexicographic order so output is byte-stable across runs.
 
 from __future__ import annotations
 
-from operator import add, gt, itemgetter
+from heapq import heapify, heappop, heappush
+from operator import add, gt, mul, sub
 from typing import Iterable, Mapping
 
 from .errors import InexactDivision, ParseError
+from .intmat import exact_int, is_int
 
 Exponents = tuple[int, ...]
 
@@ -33,6 +35,56 @@ def _from_clean(nvars: int, terms: dict[Exponents, int]) -> "LaurentPolynomial":
     return poly
 
 
+def _span(terms) -> tuple[Exponents, Exponents]:
+    """Componentwise minimum and maximum exponent vectors of nonempty terms."""
+    columns = tuple(zip(*terms))
+    return tuple(map(min, columns)), tuple(map(max, columns))
+
+
+def _shift(nvars: int, terms, exps: Exponents, coeff: int) -> "LaurentPolynomial":
+    """terms times the single term coeff*y^exps; a shift, so nothing collides."""
+    return _from_clean(nvars, {tuple(map(add, e, exps)): c * coeff for e, c in terms.items()})
+
+
+class _Packing:
+    """Exponent vectors as ints: one fixed-width slot per variable, degree on top.
+
+    pack(e) is the sum of e_i << shift_i plus the total degree of e above
+    the last slot.  It is linear, so pack(e) - pack(low) is the key of
+    e - low, and such keys are well formed while 0 <= e - low <= span, the
+    span the layout was made for.  Each slot has one bit more than the
+    largest span needs, so well-formed keys whose slots stay below twice
+    the span add componentwise without carries, and comparing keys is a
+    graded monomial order, one that multiplication preserves.  The top bit
+    of a slot is its guard bit: within(x, y) tests x <= y in every slot with
+    one subtraction, since each slot of guards + y - x keeps its guard bit
+    exactly when x_i <= y_i, provided that slot's value 2^(width-1) + y_i -
+    x_i lies in 0 .. 2^width - 1, so that no borrow crosses slots.
+    """
+
+    __slots__ = ("shifts", "top", "weights", "mask", "guards")
+
+    def __init__(self, span):
+        width = max(span, default=0).bit_length() + 1
+        self.shifts = range(0, width * len(span), width)
+        self.top = width * len(span)  # the bit where the degree starts
+        self.weights = tuple((1 << s) + (1 << self.top) for s in self.shifts)
+        self.mask = (1 << width) - 1
+        self.guards = sum(1 << (s + width - 1) for s in self.shifts)
+
+    def pack(self, exps) -> int:
+        return sum(map(mul, exps, self.weights))
+
+    def unpack(self, key: int, low) -> Exponents:
+        """The exponent vector low + e of the key of e."""
+        mask = self.mask
+        return tuple([((key >> s) & mask) + x for s, x in zip(self.shifts, low)])
+
+    def within(self, key: int, ceiling: int) -> bool:
+        guards = self.guards
+        return (guards + ceiling - key) & guards == guards
+
+
 class LaurentPolynomial:
     """Immutable sparse Laurent polynomial over the integers."""
 
@@ -43,9 +95,8 @@ class LaurentPolynomial:
         for exps, coeff in (terms or {}).items():
             if len(exps) != nvars:
                 raise ValueError(f"exponent vector {exps} has wrong length")
-            coeff = int(coeff)
-            if coeff:
-                clean[tuple(int(e) for e in exps)] = coeff
+            if exact_int(coeff):
+                clean[tuple(map(exact_int, exps))] = coeff
         object.__setattr__(self, "nvars", nvars)
         object.__setattr__(self, "terms", clean)
 
@@ -64,11 +115,11 @@ class LaurentPolynomial:
 
     @classmethod
     def constant(cls, nvars: int, value: int) -> "LaurentPolynomial":
-        return cls(nvars, {(0,) * nvars: int(value)})
+        return cls(nvars, {(0,) * nvars: value})
 
     @classmethod
     def monomial(cls, exps: Iterable[int], coeff: int = 1) -> "LaurentPolynomial":
-        exps = tuple(int(e) for e in exps)
+        exps = tuple(exps)
         return cls(len(exps), {exps: coeff})
 
     @classmethod
@@ -85,7 +136,7 @@ class LaurentPolynomial:
         return bool(self.terms)
 
     def __eq__(self, other) -> bool:
-        if isinstance(other, int):
+        if is_int(other):
             other = LaurentPolynomial.constant(self.nvars, other)
         if not isinstance(other, LaurentPolynomial):
             return NotImplemented
@@ -105,14 +156,10 @@ class LaurentPolynomial:
 
     def degree_vector(self) -> Exponents:
         """Componentwise maximum exponent over all terms (zero if empty)."""
-        if not self.terms:
-            return (0,) * self.nvars
-        return tuple(max(e[i] for e in self.terms) for i in range(self.nvars))
+        return _span(self.terms)[1] if self.terms else (0,) * self.nvars
 
     def min_exponent_vector(self) -> Exponents:
-        if not self.terms:
-            return (0,) * self.nvars
-        return tuple(min(e[i] for e in self.terms) for i in range(self.nvars))
+        return _span(self.terms)[0] if self.terms else (0,) * self.nvars
 
     def is_polynomial(self) -> bool:
         """True when no exponent is negative."""
@@ -128,7 +175,7 @@ class LaurentPolynomial:
             if other.nvars != self.nvars:
                 raise ValueError("variable counts differ")
             return other
-        if isinstance(other, int):
+        if is_int(other):
             return LaurentPolynomial.constant(self.nvars, other)
         return NotImplemented
 
@@ -143,12 +190,12 @@ class LaurentPolynomial:
                 terms[exps] = new
             else:
                 terms.pop(exps, None)
-        return LaurentPolynomial(self.nvars, terms)
+        return _from_clean(self.nvars, terms)
 
     __radd__ = __add__
 
     def __neg__(self) -> "LaurentPolynomial":
-        return LaurentPolynomial(self.nvars, {e: -c for e, c in self.terms.items()})
+        return _from_clean(self.nvars, {e: -c for e, c in self.terms.items()})
 
     def __sub__(self, other) -> "LaurentPolynomial":
         other = self._coerce(other)
@@ -163,16 +210,32 @@ class LaurentPolynomial:
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        terms: dict[Exponents, int] = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                exps = tuple(a + b for a, b in zip(e1, e2))
-                new = terms.get(exps, 0) + c1 * c2
-                if new:
-                    terms[exps] = new
-                else:
-                    terms.pop(exps, None)
-        return LaurentPolynomial(self.nvars, terms)
+        a, b = self.terms, other.terms
+        if len(a) < len(b):
+            a, b = b, a
+        if len(b) <= 1:
+            if not b:
+                return LaurentPolynomial.zero(self.nvars)
+            ((exps, coeff),) = b.items()
+            return _shift(self.nvars, a, exps, coeff)
+        low_a, high_a = _span(a)
+        low_b, high_b = _span(b)
+        layout = _Packing(tuple(ha - la + hb - lb for la, ha, lb, hb in
+                                zip(low_a, high_a, low_b, high_b)))
+        pack = layout.pack
+        base = pack(low_a) + pack(low_b)
+        packed_b = [(pack(e), c) for e, c in b.items()]
+        terms: dict[int, int] = {}
+        get = terms.get
+        for e, c1 in a.items():
+            k1 = pack(e) - base
+            for k2, c2 in packed_b:
+                k = k1 + k2
+                terms[k] = get(k, 0) + c1 * c2
+        low = tuple(map(add, low_a, low_b))
+        return _from_clean(
+            self.nvars, {layout.unpack(k, low): c for k, c in terms.items() if c}
+        )
 
     __rmul__ = __mul__
 
@@ -192,7 +255,7 @@ class LaurentPolynomial:
         """Apply fn to every exponent vector; colliding images are summed."""
         terms: dict[Exponents, int] = {}
         for exps, coeff in self.terms.items():
-            image = tuple(int(x) for x in fn(exps))
+            image = tuple(fn(exps))
             new = terms.get(image, 0) + coeff
             if new:
                 terms[image] = new
@@ -255,10 +318,9 @@ def mul_truncated(p: LaurentPolynomial, q: LaurentPolynomial, bound) -> LaurentP
     exponents: then a term outside the bound stays outside in any product
     and is skipped, and q is scanned in ascending total degree up to the
     degree the p term leaves over (Johnson, "Sparse polynomial arithmetic",
-    SIGSAM Bull. 1974).  Exponent vectors are packed into ints, one slot per
-    variable with one bit more than the largest bound b needs: a sum x of two
-    in-bound exponents (x <= 2b) never carries, and the top (guard) bit of
-    each slot of (2^(w-1) + b) - x is set exactly when x <= b.
+    SIGSAM Bull. 1974).  Keys are packed with slots sized for the bound b,
+    so a sum x of two in-bound exponents (x <= 2b) never carries, and one
+    guard-bit subtraction per pair tests x <= b.
     """
     if p.nvars != q.nvars:
         raise ValueError("variable counts differ")
@@ -266,45 +328,57 @@ def mul_truncated(p: LaurentPolynomial, q: LaurentPolynomial, bound) -> LaurentP
     if len(p.terms) == 1:
         p, q = q, p
     if len(q.terms) == 1:
-        # a shift by one monomial is injective, so no two terms collide
-        ((e2, c2),) = q.terms.items()
-        shifted = {tuple(map(add, e1, e2)): c1 * c2 for e1, c1 in p.terms.items()}
-        return truncate(_from_clean(p.nvars, shifted), bound)
+        ((exps, coeff),) = q.terms.items()
+        return truncate(_shift(p.nvars, p.terms, exps, coeff), bound)
     if not (p.is_polynomial() and q.is_polynomial()):
         raise ValueError("bounded multiply needs nonnegative exponents")
-    width = max(bound, default=0).bit_length() + 1
-    shifts = range(0, width * p.nvars, width)
-    guards = sum(1 << (s + width - 1) for s in shifts)
-    limit = guards + sum(b << s for b, s in zip(bound, shifts))
+    layout = _Packing(bound)
+    guards, top = layout.guards, layout.top
 
     def pack(poly):
-        return [(sum(e), sum(x << s for x, s in zip(e, shifts)), c)
+        return [(layout.pack(e), c)
                 for e, c in poly.terms.items() if not any(map(gt, e, bound))]
 
-    inner = sorted(pack(q), key=itemgetter(0))
+    inner = sorted(pack(q))  # keys order by total degree first
+    limit = guards + layout.pack(bound)
     total = sum(bound)
     terms: dict[int, int] = {}
-    for d1, k1, c1 in pack(p):
-        budget = total - d1
-        for d2, k2, c2 in inner:
-            if d2 > budget:
+    for k1, c1 in pack(p):
+        stop = (total - (k1 >> top) + 1) << top
+        for k2, c2 in inner:
+            if k2 >= stop:
                 break
             k = k1 + k2
-            if (limit - k) & guards == guards:
+            if (limit - k) & guards == guards:  # layout.within(k, limit), inlined
                 terms[k] = terms.get(k, 0) + c1 * c2
-    mask = (1 << width) - 1
-    return _from_clean(
-        p.nvars,
-        {tuple((k >> s) & mask for s in shifts): c for k, c in terms.items() if c},
-    )
+    low = (0,) * p.nvars
+    return _from_clean(p.nvars, {layout.unpack(k, low): c for k, c in terms.items() if c})
 
 
 def exact_divide(p: LaurentPolynomial, q: LaurentPolynomial) -> LaurentPolynomial:
     """Return p/q when q divides p exactly over the integers.
 
-    Works in the Laurent ring: both operands are shifted to nonnegative
-    exponents, divided by leading-term elimination in graded-lex order, and
-    the quotient is shifted back.  Raises InexactDivision otherwise.
+    Works in the Laurent ring: both operands are shifted by their minimum
+    exponent vectors to polynomials p', q' with some exponent 0 in every
+    variable, divided there, and the quotient is shifted back.  Raises
+    InexactDivision otherwise.
+
+    Heap-ordered division (Johnson, "Sparse polynomial arithmetic", SIGSAM
+    Bull. 1974; Monagan and Pearce, "Sparse polynomial division using a
+    heap", J. Symb. Comp. 2011): the remainder is a dict of packed keys, and
+    a min-heap of negated keys yields its leading term in the keys' graded
+    order; cancelled terms stay in the heap until they surface and are
+    skipped (lazy deletion).  The order is multiplicative, so every term a
+    step adds lies below the term it cancels, and each key enters the heap
+    once.
+
+    Box check: in an integral domain deg_i(AB) = deg_i(A) + deg_i(B), and
+    likewise for minimum exponents, so every term m of an exact quotient
+    lies in the box 0 <= m <= deg(p') - deg(q').  Two guard-bit
+    subtractions check each quotient term against it, which also keeps
+    every remainder key within deg(p') and so inside its slots.  The three
+    rejections are a slot below the divisor's leading term, a slot past the
+    box, and a coefficient that does not divide.
     """
     if p.nvars != q.nvars:
         raise ValueError("variable counts differ")
@@ -312,34 +386,45 @@ def exact_divide(p: LaurentPolynomial, q: LaurentPolynomial) -> LaurentPolynomia
         raise ZeroDivisionError("division by the zero polynomial")
     if not p:
         return LaurentPolynomial.zero(p.nvars)
-    p_shift = p.min_exponent_vector()
-    q_shift = q.min_exponent_vector()
-    rem = {tuple(e - s for e, s in zip(exps, p_shift)): c for exps, c in p.terms.items()}
-    div = {tuple(e - s for e, s in zip(exps, q_shift)): c for exps, c in q.terms.items()}
-    lead_q = max(div, key=_grlex_key)
-    lead_q_coeff = div[lead_q]
-    quotient: dict[Exponents, int] = {}
-    while rem:
-        lead_r = max(rem, key=_grlex_key)
-        exps = tuple(a - b for a, b in zip(lead_r, lead_q))
-        if any(e < 0 for e in exps):
+    p_low, p_high = _span(p.terms)
+    q_low, q_high = _span(q.terms)
+    p_deg = tuple(map(sub, p_high, p_low))
+    q_deg = tuple(map(sub, q_high, q_low))
+    layout = _Packing(tuple(map(max, p_deg, q_deg)))
+    pack = layout.pack
+    box = pack(p_deg) - pack(q_deg)
+    p_base, q_base = pack(p_low), pack(q_low)
+    rem = {pack(e) - p_base: c for e, c in p.terms.items()}
+    div = {pack(e) - q_base: c for e, c in q.terms.items()}
+    lead = max(div)
+    lead_coeff = div.pop(lead)
+    heap = [-k for k in rem]
+    heapify(heap)
+    quotient: dict[int, int] = {}
+    while heap:
+        key = -heappop(heap)
+        coeff = rem.pop(key)
+        if not coeff:
+            continue
+        if not layout.within(lead, key):
             raise InexactDivision("leading monomial is not divisible")
-        coeff, remainder = divmod(rem[lead_r], lead_q_coeff)
+        m = key - lead
+        if not layout.within(m, box):
+            raise InexactDivision("quotient term lies outside the degree box")
+        coeff, remainder = divmod(coeff, lead_coeff)
         if remainder:
             raise InexactDivision("leading coefficient is not divisible")
-        quotient[exps] = coeff
-        for d_exps, d_coeff in div.items():
-            target = tuple(a + b for a, b in zip(exps, d_exps))
-            new = rem.get(target, 0) - coeff * d_coeff
-            if new:
-                rem[target] = new
+        quotient[m] = coeff
+        for k, c in div.items():
+            target = m + k
+            old = rem.get(target)
+            if old is None:
+                rem[target] = -coeff * c
+                heappush(heap, -target)
             else:
-                rem.pop(target, None)
-    out_shift = tuple(a - b for a, b in zip(p_shift, q_shift))
-    return LaurentPolynomial(
-        p.nvars,
-        {tuple(e + s for e, s in zip(exps, out_shift)): c for exps, c in quotient.items()},
-    )
+                rem[target] = old - coeff * c
+    out_low = tuple(map(sub, p_low, q_low))
+    return _from_clean(p.nvars, {layout.unpack(k, out_low): c for k, c in quotient.items()})
 
 
 def parse_monomial(text: str, nvars: int, var: str = "y") -> Exponents:

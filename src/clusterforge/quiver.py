@@ -227,23 +227,17 @@ def degree_bounds(q: GeneralizedQuiver, seq) -> tuple[int, ...]:
 def _degree_bounds_from_trace(tr, n: int) -> tuple[int, ...]:
     v = tr.v
     bounds = [(0,) * v for _ in range(v)]
-    current = (0,) * v
-    for step in range(1, n + 1):
-        kk = tr.seq[step - 1] - 1
-        b = tr.b_mats[step - 1]
-        deg_in = [0] * v
-        deg_out = [0] * v
-        for j in range(v):
-            if b[kk][j] > 0:
-                deg_out = [x + b[kk][j] * y for x, y in zip(deg_out, bounds[j])]
-            elif b[kk][j] < 0:
-                deg_in = [x - b[kk][j] * y for x, y in zip(deg_in, bounds[j])]
-        r_side = deg_in if tr.colors[step - 1] == "green" else deg_out
-        for i in range(v):
-            r_side[i] += tr.r_monomials[step - 1][i]
-        new = tuple(
-            max(a, b) - c for a, b, c in zip(deg_in, deg_out, bounds[kk])
-        )
-        bounds[kk] = new
-        current = new
-    return current
+    for step in range(n):
+        kk = tr.seq[step] - 1
+        # the r-monomial (frozen y-variables) joins S_in at a green step, S_out at a red one
+        r = list(tr.r_monomials[step])
+        green = tr.colors[step] == "green"
+        deg_in = r if green else [0] * v
+        deg_out = [0] * v if green else r
+        for j, b in enumerate(tr.b_mats[step][kk]):
+            if b > 0:
+                deg_out = [x + b * y for x, y in zip(deg_out, bounds[j])]
+            elif b < 0:
+                deg_in = [x - b * y for x, y in zip(deg_in, bounds[j])]
+        bounds[kk] = tuple(max(a, b) - c for a, b, c in zip(deg_in, deg_out, bounds[kk]))
+    return bounds[tr.seq[n - 1] - 1] if n else (0,) * v

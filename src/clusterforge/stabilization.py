@@ -11,8 +11,6 @@ in exact arithmetic, never floats.
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -185,14 +183,6 @@ class StabilizationReport:
         }
 
 
-def _worker_count() -> int:
-    raw = os.environ.get("CLUSTER_FORGE_THREADS", "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
-
-
 def stabilization_run(q: GeneralizedQuiver, seq_period, count: int,
                       cutoff: int) -> StabilizationReport:
     """Observe S_p, S_2p, ..., S_(count*p) coefficientwise under a cutoff.
@@ -200,10 +190,11 @@ def stabilization_run(q: GeneralizedQuiver, seq_period, count: int,
     Every step must be green (RedStepEncountered otherwise).  A monomial is
     declared stabilized at the first inspected index from which its
     coefficient history is constant; the verdict is None while the last two
-    inspected values still differ.  Independent indices may be evaluated by
-    a small thread pool capped by CLUSTER_FORGE_THREADS.
+    inspected values still differ.
     """
-    seq_period = tuple(int(k) for k in seq_period)
+    seq_period = tuple(seq_period)
+    if not all(intmat.is_int(k) for k in seq_period):
+        raise BadParameters(f"period {seq_period} has an entry that is not an integer")
     if not seq_period or count < 1:
         raise BadParameters("need a nonempty period and count >= 1")
     p = len(seq_period)
@@ -215,15 +206,7 @@ def stabilization_run(q: GeneralizedQuiver, seq_period, count: int,
 
     indices = tuple(p * (k + 1) for k in range(count))
 
-    def coeffs_at(n):
-        return deformed_coefficients(tr, n, cutoff)
-
-    workers = min(_worker_count(), len(indices))
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            per_index = list(pool.map(coeffs_at, indices))
-    else:
-        per_index = [coeffs_at(n) for n in indices]
+    per_index = [deformed_coefficients(tr, n, cutoff) for n in indices]
 
     monomials = sorted(
         {m for coeffs in per_index for m in coeffs},

@@ -1,10 +1,13 @@
 import random
+from fractions import Fraction
 
 import pytest
-from hypothesis import given
+import sympy
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from clusterforge import LaurentPolynomial, exact_divide, parse_monomial
+from clusterforge import (LaurentPolynomial, exact_divide, fpoly_formula,
+                          fpoly_recurrence, parse_monomial, trace)
 from clusterforge.errors import InexactDivision, ParseError
 from clusterforge.laurent import mul_truncated, truncate
 
@@ -27,6 +30,12 @@ def test_arithmetic_basics():
     assert (1 + y1) ** 3 == P(2, {(0, 0): 1, (1, 0): 3, (2, 0): 3, (3, 0): 1})
 
 
+def test_product_drops_cancelled_terms():
+    y1 = LaurentPolynomial.variable(2, 1)
+    y2 = LaurentPolynomial.variable(2, 2)
+    assert ((y1 + y2) * (y1 - y2)).terms == {(2, 0): 1, (0, 2): -1}
+
+
 def test_divide_perfect_square():
     y1 = LaurentPolynomial.variable(1, 1)
     num = P(1, {(0,): 1, (1,): 2, (2,): 1})
@@ -44,12 +53,32 @@ def test_multiply_then_divide_roundtrip():
     assert exact_divide((1 + y1) * (1 + y2), 1 + y2) == 1 + y1
 
 
+def test_non_integer_terms_rejected():
+    # nothing is coerced: 1/2 used to become 0 and an exponent 1.7 became 1
+    for terms in ({(0,): Fraction(1, 2)}, {(0,): 2.0}, {(1.7,): 1},
+                  {(0,): True}, {(True,): 1}, {(0,): "3"}):
+        with pytest.raises(TypeError):
+            LaurentPolynomial(1, terms)
+    with pytest.raises(TypeError):
+        LaurentPolynomial.constant(2, 2.0)
+    with pytest.raises(TypeError):
+        LaurentPolynomial.monomial((1, 0.5))
+    with pytest.raises(TypeError):
+        LaurentPolynomial.one(1) * True
+
+
 def test_inexact_division_raises():
     y1 = LaurentPolynomial.variable(1, 1)
     with pytest.raises(InexactDivision):
         exact_divide(1 + y1, P(1, {(1,): 1}) + 2)
-    with pytest.raises(InexactDivision):
+    with pytest.raises(InexactDivision, match="coefficient"):
         exact_divide(P(1, {(1,): 3}), P(1, {(1,): 2}))
+    # (1 + y1^2) - (y1 - 1)(1 + y1) leaves 2, below the divisor's leading y1
+    with pytest.raises(InexactDivision, match="leading monomial"):
+        exact_divide(1 + y1 ** 2, 1 + y1)
+    # the second quotient term y1 lies past deg p - deg q = (0, 1) in y1
+    with pytest.raises(InexactDivision, match="degree box"):
+        exact_divide(P(2, {(1, 0): 1, (0, 2): 1}), P(2, {(1, 0): 2, (0, 1): 1}))
 
 
 def test_laurent_division_with_negative_exponents():
@@ -114,6 +143,55 @@ def test_degree_helpers():
     assert p.coefficient((1, 2)) == 4
     assert p.is_polynomial()
     assert not P(2, {(-1, 0): 1}).is_polynomial()
+
+
+@st.composite
+def laurent_operands(draw):
+    nvars = draw(st.integers(1, 3))
+    exps = st.tuples(*[st.integers(-4, 4)] * nvars)
+    coeffs = st.integers(-9, 9) | st.integers(-10 ** 30, 10 ** 30)
+    polys = st.dictionaries(exps, coeffs, max_size=8).map(lambda t: P(nvars, t))
+    return draw(polys), draw(polys)
+
+
+@given(laurent_operands())
+def test_exact_divide_inverts_multiply(case):
+    p, q = case
+    if not q:
+        with pytest.raises(ZeroDivisionError):
+            exact_divide(p * q, q)
+        return
+    assert exact_divide(p * q, q) == p
+    # a monomial is a unit, and a divisor of two or more terms is not
+    if len(q.terms) > 1:
+        with pytest.raises(InexactDivision):
+            exact_divide(LaurentPolynomial.monomial((1,) * q.nvars, 7), q)
+
+
+def _sympy_terms(p, names):
+    """{sympy monomial: coefficient} of p."""
+    return {sympy.Mul(*(x ** e for x, e in zip(names, exps))): c
+            for exps, c in p.terms.items()}
+
+
+@settings(max_examples=60, deadline=None)
+@given(laurent_operands())
+def test_mul_matches_sympy(case):
+    p, q = case
+    names = sympy.symbols(f"y1:{p.nvars + 1}")
+
+    def expression(poly):
+        return sympy.Add(*(m * c for m, c in _sympy_terms(poly, names).items()))
+
+    product = sympy.expand(expression(p) * expression(q))
+    expected = {m: c for m, c in product.as_coefficients_dict().items() if c}
+    assert _sympy_terms(p * q, names) == expected
+
+
+def test_recurrence_matches_formula_k3_n6(k3):
+    # about 4,000 terms: the heap division's size, not a toy
+    seq = (1, 2, 1, 2, 1, 2)
+    assert fpoly_recurrence(k3, seq)[-1] == fpoly_formula(trace(k3, seq), 6)
 
 
 @st.composite

@@ -117,12 +117,11 @@ def test_stabilization_a12_matches_limit(a12):
     assert limits_match_up_to_cycle(report, limit_a1r(2, 6)) is not None
 
 
-def test_stabilization_threads_consistent(a12, monkeypatch):
-    base = stabilization_run(a12, (1, 2, 3), 4, 5)
-    monkeypatch.setenv("CLUSTER_FORGE_THREADS", "3")
-    threaded = stabilization_run(a12, (1, 2, 3), 4, 5)
-    assert base.histories == threaded.histories
-    assert base.verdicts == threaded.verdicts
+@pytest.mark.parametrize("period", [(1.9, 2.2, 3.0), (1, 2, "3"), (True, 2, 3)])
+def test_stabilization_rejects_non_integer_period(a12, period):
+    # no entry is coerced: (1.9, 2.2, 3.0) must not run as the period (1, 2, 3)
+    with pytest.raises(BadParameters):
+        stabilization_run(a12, period, 2, 3)
 
 
 def test_quadratic_number_arithmetic():
