@@ -2,10 +2,15 @@
 
 The C-matrix after n steps is the product A_1*...*A_n of elementary step
 matrices, each differing from the identity only in the row of the mutated
-vertex; the D-matrix is the analogous product of E-kind matrices.  Colors
-are read off the sign of the mutated column of the previous C-matrix, which
-sign coherence keeps well-defined.  Every trace is cross-checked entrywise
-against the direct frozen-arrow simulation from the quiver module.
+vertex; the D-matrix is the analogous product of E-kind matrices.  So
+`trace` applies each step as a row or column update, O(v^2) instead of a
+generic O(v^3) product: right multiplication by a step matrix changes only
+column k, left multiplication only row k.  Each pair coefficient is one
+entry of a product of these matrices, so it is one row-column dot product.
+Colors are read off the sign of the mutated column of the previous
+C-matrix, which sign coherence keeps well-defined.  Every trace is
+cross-checked entrywise against the direct frozen-arrow simulation from the
+quiver module.
 """
 
 from __future__ import annotations
@@ -18,29 +23,58 @@ from .intmat import Matrix
 from .quiver import FramedState, GeneralizedQuiver, mutate_b, mutate_c
 
 
-def _step_matrix_from_b(b: Matrix, k: int, kind: str, variant: str) -> Matrix:
-    """Elementary matrix for a mutation at 0-based vertex k on state b.
+def _step_row(b: Matrix, k: int, kind: str, variant: str) -> tuple[int, ...]:
+    """Row k of the elementary matrix for a mutation at 0-based vertex k.
 
     E-kind counts arrows attached to the mutated vertex, A-kind arrows
     attached to the far endpoint; green uses the arrows opposing the frozen
-    ones (outgoing), red the incoming ones.
+    ones (outgoing), red the incoming ones.  The diagonal entry is -1.
     """
-    n = len(b)
     if kind not in ("a", "e"):
         raise ValueError("kind must be 'a' or 'e'")
     if variant not in ("green", "red"):
         raise ValueError("variant must be 'green' or 'red'")
-    row = []
-    for u in range(n):
-        if u == k:
-            row.append(-1)
-        elif kind == "e":
-            row.append(max(b[k][u], 0) if variant == "green" else max(-b[k][u], 0))
-        else:
-            row.append(max(-b[u][k], 0) if variant == "green" else max(b[u][k], 0))
-    return tuple(
-        tuple(row[j] if i == k else int(i == j) for j in range(n)) for i in range(n)
-    )
+    sign = 1 if variant == "green" else -1
+    if kind == "e":
+        row = [max(sign * x, 0) for x in b[k]]
+    else:
+        row = [max(-sign * r[k], 0) for r in b]
+    row[k] = -1
+    return tuple(row)
+
+
+def _step_matrix(row: tuple[int, ...], k: int) -> Matrix:
+    """The identity with row k replaced by `row`."""
+    n = len(row)
+    return tuple(row if i == k else tuple(int(i == j) for j in range(n))
+                 for i in range(n))
+
+
+def _times_step(m: Matrix, row: tuple[int, ...], k: int) -> Matrix:
+    """m * S for the step matrix S with row k equal to `row`.
+
+    Column k of m is negated (S[k][k] = -1 is the only nonzero entry of
+    column k of S), and every other column j gains m[.][k] * row[j].
+    """
+    out = []
+    for r in m:
+        x = r[k]
+        if x:
+            new = [a + x * s for a, s in zip(r, row)]
+            new[k] = -x
+            r = tuple(new)
+        out.append(r)
+    return tuple(out)
+
+
+def _row_times(row, m: Matrix) -> tuple[int, ...]:
+    """The row vector row * m."""
+    return tuple(sum([s * x for s, x in zip(row, col)]) for col in zip(*m))
+
+
+def _step_times(row: tuple[int, ...], k: int, m: Matrix) -> Matrix:
+    """S * m for the step matrix S with row k equal to `row`: only row k changes."""
+    return m[:k] + (_row_times(row, m),) + m[k + 1:]
 
 
 @dataclass(frozen=True)
@@ -58,7 +92,8 @@ def step_matrix(state: FramedState, vertex: int, kind: str, variant: str,
     v = state.quiver.v
     if not 1 <= vertex <= v:
         raise ValueError(f"vertex {vertex} out of range 1..{v}")
-    m = _step_matrix_from_b(state.quiver.b, vertex - 1, kind, variant)
+    k = vertex - 1
+    m = _step_matrix(_step_row(state.quiver.b, k, kind, variant), k)
     return StepMatrix(m, kind, variant, step, vertex)
 
 
@@ -125,11 +160,15 @@ def trace(q: GeneralizedQuiver, seq) -> MutationTrace:
 
     The C-matrix is accumulated as a product of A-kind step matrices and,
     independently, by the direct frozen-arrow rule; the two must agree
-    entrywise, otherwise a ConsistencyError is raised.
+    entrywise, otherwise a ConsistencyError is raised.  Each step is applied
+    as a column update (C*A_i, D*E_i) or a row update (A_i*C^{-1},
+    E_i*D^{-1}).  A vertex that is not an int, bool included, is a TypeError.
     """
-    seq = tuple(int(k) for k in seq)
+    seq = tuple(seq)
     v = q.v
     for k in seq:
+        if not intmat.is_int(k):
+            raise TypeError(f"vertex {k!r} is not an integer")
         if not 1 <= k <= v:
             raise ValueError(f"vertex {k} out of range 1..{v}")
     b = q.b
@@ -147,13 +186,15 @@ def trace(q: GeneralizedQuiver, seq) -> MutationTrace:
         kk = k - 1
         color = _column_color(c, kk)
         other = "red" if color == "green" else "green"
-        a_i = _step_matrix_from_b(b, kk, "a", color)
-        e_i = _step_matrix_from_b(b, kk, "e", color)
-        estar_i = _step_matrix_from_b(b, kk, "e", other)
-        c = intmat.mat_mul(c, a_i)
-        d = intmat.mat_mul(d, e_i)
-        cinv = intmat.mat_mul(a_i, cinv)
-        dinv = intmat.mat_mul(e_i, dinv)
+        a_row = _step_row(b, kk, "a", color)
+        e_row = _step_row(b, kk, "e", color)
+        a_steps.append(_step_matrix(a_row, kk))
+        e_steps.append(_step_matrix(e_row, kk))
+        estar_steps.append(_step_matrix(_step_row(b, kk, "e", other), kk))
+        c = _times_step(c, a_row, kk)
+        d = _times_step(d, e_row, kk)
+        cinv = _step_times(a_row, kk, cinv)
+        dinv = _step_times(e_row, kk, dinv)
         c_sim = mutate_c(c_sim, b, kk)
         if c_sim != c:
             raise ConsistencyError(
@@ -168,9 +209,6 @@ def trace(q: GeneralizedQuiver, seq) -> MutationTrace:
         d_mats.append(d)
         cinv_mats.append(cinv)
         dinv_mats.append(dinv)
-        a_steps.append(a_i)
-        e_steps.append(e_i)
-        estar_steps.append(estar_i)
 
     return MutationTrace(
         quiver=q,
@@ -203,28 +241,43 @@ def c_between(tr: MutationTrace, m: int, n: int, kind: str = "c") -> Matrix:
     raise ValueError("kind must be 'c' or 'd'")
 
 
-def coeff_a(tr: MutationTrace, i: int, j: int) -> int:
-    """Pair coefficient a(i,j) = D_{i,j}^{-1}[v_j, v_i], for 1 <= i <= j."""
+def _check_pair(tr: MutationTrace, i: int, j: int) -> None:
     if i > j:
         raise IndexOrder(f"need i <= j, got ({i}, {j})")
     if not 1 <= i or not j <= tr.n:
         raise ValueError("indices out of trace range")
-    m = intmat.mat_mul(tr.dinv_mats[j], tr.d_mats[i])
-    return m[tr.vertex(j) - 1][tr.vertex(i) - 1]
+
+
+def _dot_column(row, m: Matrix, k: int) -> int:
+    """row . (column k of m)."""
+    return sum([x * r[k] for x, r in zip(row, m)])
+
+
+def coeff_a(tr: MutationTrace, i: int, j: int) -> int:
+    """Pair coefficient a(i,j) = D_{i,j}^{-1}[v_j, v_i], for 1 <= i <= j.
+
+    D_{i,j}^{-1} = D_j^{-1} D_i, so the entry is one dot product: row v_j of
+    D_j^{-1} times column v_i of D_i, O(v).
+    """
+    _check_pair(tr, i, j)
+    row = tr.dinv_mats[j][tr.vertex(j) - 1]
+    return _dot_column(row, tr.d_mats[i], tr.vertex(i) - 1)
 
 
 def coeff_b(tr: MutationTrace, i: int, j: int) -> int:
-    """Pair coefficient b(i,j) = (E*_j E_j D_{i,j}^{-1})[v_j, v_i]; 0 when i=j."""
-    if i > j:
-        raise IndexOrder(f"need i <= j, got ({i}, {j})")
-    if not 1 <= i or not j <= tr.n:
-        raise ValueError("indices out of trace range")
+    """Pair coefficient b(i,j) = (E*_j E_j D_{i,j}^{-1})[v_j, v_i]; 0 when i=j.
+
+    Row v_j of E*_j E_j D_j^{-1} is formed first, O(v^2): E_j is an
+    involution, so E_j D_j^{-1} = D_{j-1}^{-1}, and E*_j differs from the
+    identity only in row v_j.  The entry is then that row times column v_i
+    of D_i, as for coeff_a.
+    """
+    _check_pair(tr, i, j)
     if i == j:
         return 0
-    m = intmat.mat_mul(tr.dinv_mats[j], tr.d_mats[i])
-    m = intmat.mat_mul(tr.e_steps[j - 1], m)
-    m = intmat.mat_mul(tr.estar_steps[j - 1], m)
-    return m[tr.vertex(j) - 1][tr.vertex(i) - 1]
+    estar_row = tr.estar_steps[j - 1][tr.vertex(j) - 1]
+    row = _row_times(estar_row, tr.dinv_mats[j - 1])
+    return _dot_column(row, tr.d_mats[i], tr.vertex(i) - 1)
 
 
 @dataclass(frozen=True)

@@ -157,10 +157,13 @@ def mutate(state: FramedState, k: int) -> FramedState:
     The label at k becomes (S1 + S2)/V_k where S1 collects the inward edges
     attached to k (base labels and frozen y-variables alike) and S2 the
     outward ones.  The division is exact by the Laurent phenomenon; an
-    InexactDivision here means the implementation is broken.
+    InexactDivision here means the implementation is broken.  A vertex that
+    is not an int, bool included, is a TypeError.
     """
     q = state.quiver
     v = q.v
+    if not intmat.is_int(k):
+        raise TypeError(f"vertex {k!r} is not an integer")
     if not 1 <= k <= v:
         raise ValueError(f"vertex {k} out of range 1..{v}")
     kk = k - 1

@@ -392,28 +392,26 @@ def limit_gale_robinson(v: int, r: int, t: int, cutoff: int) -> LaurentPolynomia
     if cutoff < 0:
         raise BadParameters("cutoff must be nonnegative")
     ss = SSequence.gale_robinson(v, r, t)
-
-    def rho(w):
-        return tuple(ss.s(w - v + i) for i in range(1, v + 1))
-
     # deg rho(w) >= floor(w/r) / (v-r), so entries beyond w_max cannot fit
     w_max = r * (cutoff * (v - r) + 1) + v
+    rhos = [tuple(ss.s(w - v + i) for i in range(1, v + 1)) for w in range(w_max + 1)]
+    rho_degrees = [sum(vec) for vec in rhos]
 
     acc: dict[tuple[int, ...], Fraction] = {}
 
     def visit(start, exps, degree, w_prod, phi_den, seen):
         acc[exps] = acc.get(exps, Fraction(0)) + Fraction(w_prod, phi_den)
         for w in range(start, w_max + 1):
-            vec = rho(w)
-            if degree + sum(vec) > cutoff:
+            new_degree = degree + rho_degrees[w]
+            if new_degree > cutoff:
                 continue
             factor = ss.s(w) + sum(
                 -ss.s(w - e) - ss.s(w - e - v) + ss.s(w - e - t) + ss.s(w - e - v + t)
                 for e in seen
             )
             if factor != 0:
-                visit(w, tuple(a + b for a, b in zip(exps, vec)),
-                      degree + sum(vec), w_prod * factor,
+                visit(w, tuple(a + b for a, b in zip(exps, rhos[w])),
+                      new_degree, w_prod * factor,
                       phi_den * (seen.count(w) + 1), seen + [w])
 
     visit(0, (0,) * v, 0, 1, 1, [])

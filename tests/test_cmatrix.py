@@ -1,9 +1,12 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from clusterforge import (c_between, check_sign_coherence, coeff_a, coeff_b,
-                          framed_state, make_quiver, mutate, step_matrix, trace)
+                          fpoly_recurrence, framed_state, make_quiver, mutate,
+                          step_matrix, trace)
 from clusterforge.errors import IndexOrder
 from clusterforge.intmat import identity, mat_mul
 from conftest import random_sequence, random_skew_symmetric
@@ -131,3 +134,82 @@ def test_trace_generalized_case(b21):
     assert check_sign_coherence(tr).ok
     # E and A genuinely differ here
     assert tr.a_steps[0] != tr.e_steps[0]
+
+
+def test_non_integer_vertices_rejected(k2):
+    # nothing is coerced: (1.9, 2.2) used to trace as (1, 2)
+    for seq in ((1.9, 2.2), (1.0, 2), (True, 2)):
+        with pytest.raises(TypeError):
+            trace(k2, seq)
+    with pytest.raises(TypeError):
+        fpoly_recurrence(k2, (1.0, 2))
+    with pytest.raises(TypeError):
+        mutate(framed_state(k2), True)
+
+
+def _reference_step_matrix(b, k, kind, variant):
+    """The step matrix written entry by entry, as the definition reads."""
+    n = len(b)
+    row = []
+    for u in range(n):
+        if u == k:
+            row.append(-1)
+        elif kind == "e":
+            row.append(max(b[k][u], 0) if variant == "green" else max(-b[k][u], 0))
+        else:
+            row.append(max(-b[u][k], 0) if variant == "green" else max(b[u][k], 0))
+    return tuple(
+        tuple(row[j] if i == k else int(i == j) for j in range(n)) for i in range(n)
+    )
+
+
+def _reference_coeff_a(tr, i, j):
+    m = mat_mul(tr.dinv_mats[j], tr.d_mats[i])
+    return m[tr.vertex(j) - 1][tr.vertex(i) - 1]
+
+
+def _reference_coeff_b(tr, i, j):
+    if i == j:
+        return 0
+    m = mat_mul(tr.dinv_mats[j], tr.d_mats[i])
+    m = mat_mul(tr.e_steps[j - 1], m)
+    m = mat_mul(tr.estar_steps[j - 1], m)
+    return m[tr.vertex(j) - 1][tr.vertex(i) - 1]
+
+
+@st.composite
+def symmetrizable_traces(draw):
+    """A random skew-symmetrizable quiver B = S*diag(d) and a mutation sequence."""
+    v = draw(st.integers(2, 5))
+    d = draw(st.lists(st.integers(1, 3), min_size=v, max_size=v))
+    s = [[0] * v for _ in range(v)]
+    for i in range(v):
+        for j in range(i + 1, v):
+            s[i][j] = draw(st.integers(-2, 2))
+            s[j][i] = -s[i][j]
+    b = [[s[i][j] * d[j] for j in range(v)] for i in range(v)]
+    seq = draw(st.lists(st.integers(1, v), max_size=9))
+    return make_quiver(b, d), tuple(seq)
+
+
+@settings(max_examples=150, deadline=None)
+@given(symmetrizable_traces())
+def test_trace_and_pair_coefficients_match_matrix_products(case):
+    q, seq = case
+    tr = trace(q, seq)
+    for i, k in enumerate(seq, start=1):
+        b = tr.b_mats[i - 1]
+        color = tr.color(i)
+        other = "red" if color == "green" else "green"
+        assert tr.a_steps[i - 1] == _reference_step_matrix(b, k - 1, "a", color)
+        assert tr.e_steps[i - 1] == _reference_step_matrix(b, k - 1, "e", color)
+        assert tr.estar_steps[i - 1] == _reference_step_matrix(b, k - 1, "e", other)
+        a_i, e_i = tr.a_steps[i - 1], tr.e_steps[i - 1]
+        assert tr.c_mats[i] == mat_mul(tr.c_mats[i - 1], a_i)
+        assert tr.d_mats[i] == mat_mul(tr.d_mats[i - 1], e_i)
+        assert tr.cinv_mats[i] == mat_mul(a_i, tr.cinv_mats[i - 1])
+        assert tr.dinv_mats[i] == mat_mul(e_i, tr.dinv_mats[i - 1])
+    for j in range(1, tr.n + 1):
+        for i in range(1, j + 1):
+            assert coeff_a(tr, i, j) == _reference_coeff_a(tr, i, j)
+            assert coeff_b(tr, i, j) == _reference_coeff_b(tr, i, j)

@@ -186,6 +186,21 @@ def test_limit_gale_robinson_golden(dp1):
     })
 
 
+@pytest.mark.parametrize("params, n_terms, total, pins", [
+    ((4, 2, 1, 14), 53, 363, {(0, 5, 0, 6): 6, (1, 3, 2, 5): 7, (4, 2, 5, 3): 15,
+                              (5, 0, 7, 1): 35, (6, 0, 7, 1): 13}),
+    ((7, 2, 3, 10), 42, 61, {(0, 0, 0, 0, 1, 0, 1): 1, (1, 0, 1, 1, 1, 2, 2): 2,
+                             (1, 1, 1, 2, 1, 2, 2): 4, (1, 1, 2, 1, 2, 1, 2): 2}),
+])
+def test_limit_gale_robinson_regression(params, n_terms, total, pins):
+    # pinned term count, coefficient sum and coefficients: a change to how
+    # the enumeration is organised must not move any of them
+    lim = limit_gale_robinson(*params)
+    assert len(lim.terms) == n_terms
+    assert sum(lim.terms.values()) == total
+    assert {m: lim.terms.get(m) for m in pins} == pins
+
+
 def test_limit_gale_robinson_matches_dp1_run(dp1):
     report = stabilization_run(dp1, (1, 2, 3, 4), 5, 4)
     assert report.all_stabilized
