@@ -14,13 +14,14 @@ import json
 import re
 import sys
 
-from .closedform import fpoly_formula, fpoly_product_form
+from .closedform import coefficient_of, fpoly_formula, fpoly_product_form
 from .cmatrix import c_between, trace
 from .errors import ClusterForgeError, ParseError
 from .families import (FamilySpec, build_family, fpoly_gale_robinson,
                        fpoly_kr, fpoly_symmetric)
 from .laurent import LaurentPolynomial, parse_monomial
-from .quiver import GeneralizedQuiver, framed_state, make_quiver, mutate
+from .quiver import (GeneralizedQuiver, _degree_bounds_from_trace, framed_state,
+                     make_quiver, mutate)
 from .stabilization import (limit_a1r, limit_gale_robinson, limit_kr,
                             stabilization_run)
 from .verify import run_verification
@@ -185,6 +186,13 @@ def _cmd_fpoly(args) -> int:
     q = load_quiver(args)
     seq = vertex_sequence(args.seq, q)
     n = len(seq)
+    if args.coeff is not None and args.method == "formula":
+        # a point query; F_n has no term off the box 0 <= m <= degree bound
+        exps = parse_monomial(args.coeff, q.v)
+        tr = trace(q, seq)
+        inside = all(0 <= e <= b for e, b in zip(exps, _degree_bounds_from_trace(tr, n)))
+        print(coefficient_of(tr, n, exps) if inside else 0)
+        return 0
     if args.method == "recurrence":
         from .quiver import fpoly_recurrence
 

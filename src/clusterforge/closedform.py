@@ -13,6 +13,12 @@ Three evaluation routes live here:
   deformed exponent space under a total-degree cutoff, which stays cheap
   even when F_n itself would be astronomically large.
 
+One iterative kernel, `_sequence_sum`, evaluates every sum over
+nondecreasing index sequences: `fpoly_formula`, the point query
+`coefficient_of`, the family formulas, `deformed_coefficients`, `limit_kr`
+and `limit_gale_robinson`, each supplying its step vectors, tail and pair
+terms, bound and cap.
+
 All arithmetic is exact; rationals appear only through phi and must cancel
 to integers in every final coefficient.
 """
@@ -20,12 +26,14 @@ to integers in every final coefficient.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import count
+from itertools import count, islice
+from math import factorial
+from operator import add, le
 
 from . import intmat
 from .cmatrix import MutationTrace, coeff_a, coeff_b
 from .errors import NonIntegerCoefficient, SignCoherenceViolation
-from .laurent import LaurentPolynomial, mul_truncated, truncate
+from .laurent import LaurentPolynomial, _from_clean, _Packing, mul_truncated, truncate
 from .quiver import _degree_bounds_from_trace
 
 
@@ -63,96 +71,134 @@ def w_value(tr: MutationTrace, n: int, w) -> int:
 
 
 class _PairTables:
-    """Memoized a(i, n) tails and -a(i,j)+b(i,j) pair terms for one trace."""
+    """Memoized tail and pair terms of one trace, in candidate order c = n - w.
+
+    tail(c) = a(n-c, n) and pair(c, e) = -a(n-c, n-e) + b(n-c, n-e) for
+    e <= c (equal candidates give -1); each pair term is computed on first use.
+    """
 
     def __init__(self, tr: MutationTrace, n: int):
         self.tr = tr
         self.n = n
-        self._tail: dict[int, int] = {}
         self._pair: dict[tuple[int, int], int] = {}
 
-    def tail(self, i: int) -> int:
-        if i not in self._tail:
-            self._tail[i] = coeff_a(self.tr, i, self.n)
-        return self._tail[i]
+    def tail(self, c: int) -> int:
+        return coeff_a(self.tr, self.n - c, self.n)
 
-    def pair(self, i: int, j: int) -> int:
-        """-a(i,j) + b(i,j) for i <= j (equal indices give -1)."""
-        key = (i, j)
-        if key not in self._pair:
-            self._pair[key] = -coeff_a(self.tr, i, j) + coeff_b(self.tr, i, j)
-        return self._pair[key]
+    def pair(self, c: int, e: int) -> int:
+        value = self._pair.get((c, e))
+        if value is None:
+            i, j = self.n - c, self.n - e
+            value = self._pair[(c, e)] = -coeff_a(self.tr, i, j) + coeff_b(self.tr, i, j)
+        return value
 
 
 def enumerate_sequences(tr: MutationTrace, n: int, bound):
     """Yield the nondecreasing sequences whose r-monomial stays within bound.
 
-    Depth-first extension: a sequence is yielded, then extended by every
-    index >= its last entry whose r-monomial still fits componentwise.
-    Every r-monomial is a nonzero nonnegative vector, so the tree is finite.
+    Depth-first extension with an explicit stack: a sequence is yielded,
+    then extended by every index >= its last entry whose r-monomial still
+    fits componentwise, smallest index first.  Every r-monomial is a nonzero
+    nonnegative vector, so the tree is finite.
     """
     bound = tuple(bound)
     if any(x < 0 for x in bound):
         raise ValueError("bound must be componentwise nonnegative")
     rvecs = [tr.r(i) for i in range(1, n + 1)]
-
-    def extend(prefix: tuple[int, ...], total: tuple[int, ...]):
+    stack = [((), (0,) * tr.v)]
+    while stack:
+        prefix, total = stack.pop()
         yield prefix
-        start = prefix[-1] if prefix else 1
-        for w in range(start, n + 1):
-            new_total = tuple(a + b for a, b in zip(total, rvecs[w - 1]))
-            if all(a <= b for a, b in zip(new_total, bound)):
-                yield from extend(prefix + (w,), new_total)
-
-    yield from extend((), (0,) * tr.v)
+        for w in range(n, prefix[-1] - 1 if prefix else 0, -1):
+            new_total = tuple(map(add, total, rvecs[w - 1]))
+            if all(map(le, new_total, bound)):
+                stack.append((prefix + (w,), new_total))
 
 
-def _formula_sum(n, rvecs, tail, pair, bound, nvars):
-    """Accumulate phi * W * prod(r) over all in-bound sequences.
+def _sequence_sum(steps, tail, pair, bound, cap=None, target=None, admit=None):
+    """Sum phi(c) * prod_i f_i over nondecreasing sequences c of candidates.
 
-    Sequences are built by appending entries in descending order; appending
-    a new smallest entry fixes its W-factor (the sum over its later, larger
-    partners), so the running product never has to be revisited.  Subtrees
-    with a zero running product contribute nothing and are pruned.
+    The candidates are the indices 0..m-1 of steps.  The entry c_i of a
+    sequence has the factor f_i = tail(c_i) + sum_{j<i} pair(c_i, c_j) and the
+    sequence lands on the monomial sum_i steps[c_i]; the empty sequence gives
+    1 on the zero monomial.  Only sequences whose monomial stays within bound
+    componentwise and within cap (default sum(bound)) in total degree are
+    visited, and a subtree whose running product is zero is skipped.  If
+    admit is given it is a monotone test: admit(state, c) is the state after
+    appending c to a sequence with that state (None for the empty sequence),
+    or None to drop the sequence with all its extensions.
+
+    Returns the polynomial of the sums, or with a target monomial (pass it
+    as the bound too) only the sum on that monomial, building no dict.
+
+    The walk keeps an explicit stack, so length meets no recursion limit.
+    Monomials are packed keys in the laurent._Packing layout of bound: a
+    child's key is one add, the bound one guard-bit subtraction, the cap one
+    comparison.  Each node carries its live list, the candidates that still
+    fit with the factor each would get; a child's list is a suffix of its
+    parent's plus one pair term per entry, so pair terms are looked up only
+    for candidates that fit.  Weights are integers over K = k_max!, k_max =
+    cap // least step degree: phi's denominator divides k! at length k, so
+    a child's val * f // run is exact.  Each sum is divided by K once; a
+    remainder raises NonIntegerCoefficient.
     """
-    acc: dict[tuple[int, ...], Fraction] = {}
-
-    def visit(max_next, exps, w_prod, phi_den, last, run):
-        acc[exps] = acc.get(exps, Fraction(0)) + Fraction(w_prod, phi_den)
-        for w in range(max_next, 0, -1):
-            rv = rvecs[w - 1]
-            new_exps = tuple(a + b for a, b in zip(exps, rv))
-            if any(a > b for a, b in zip(new_exps, bound)):
+    bound = tuple(bound)
+    nvars = len(bound)
+    cap = sum(bound) if cap is None else cap
+    layout = _Packing(bound)
+    pack, guards = layout.pack, layout.guards
+    limit = guards + pack(bound)
+    over = (cap + 1) << layout.top  # keys from here on exceed the cap
+    root = []
+    degrees = []
+    for c, step in enumerate(steps):
+        if min(step) < 0 or not any(step):
+            raise ValueError(f"step {c} is {tuple(step)}; steps must be nonnegative and nonzero")
+        if sum(step) <= cap and all(map(le, step, bound)):
+            root.append((c, pack(step), tail(c)))
+            degrees.append(sum(step))
+    scale = factorial(cap // min(degrees) if degrees else 0)
+    tkey = None if target is None else pack(target)
+    acc = {0: scale} if tkey is None else None
+    total = scale if tkey == 0 else 0
+    stack = [(key, scale * f, pos, 1, root, None)
+             for pos, (_, key, f) in enumerate(root) if f]
+    push, pop = stack.append, stack.pop
+    while stack:
+        key, val, pos, run, parent, state = pop()
+        c0 = parent[pos][0]
+        if admit is not None:
+            state = admit(state, c0)
+            if state is None:
                 continue
-            elements, counts = run
-            factor = tail(w) + sum(
-                c * pair(w, e) for e, c in zip(elements, counts)
-            )
-            new_w = w_prod * factor
-            if new_w == 0:
-                continue
-            if w == last:
-                new_run = (elements, counts[:-1] + [counts[-1] + 1])
-                new_den = phi_den * new_run[1][-1]
-            else:
-                new_run = (elements + [w], counts + [1])
-                new_den = phi_den
-            visit(w, new_exps, new_w, new_den, w, new_run)
+        if acc is not None:
+            acc[key] = acc.get(key, 0) + val
+        elif key == tkey:
+            total += val
+        live = []
+        for c, sk, f in islice(parent, pos, None):
+            k = key + sk
+            if k < over and (limit - k) & guards == guards:
+                f += pair(c, c0)
+                if f:
+                    if c == c0:
+                        push((k, val * f // (run + 1), len(live), run + 1, live, state))
+                    else:
+                        push((k, val * f, len(live), 1, live, state))
+                live.append((c, sk, f))
 
-    visit(n, (0,) * nvars, 1, 1, 0, ([], []))
-    return acc
-
-
-def _integerize(acc, nvars) -> LaurentPolynomial:
+    low = (0,) * nvars
     terms = {}
-    for exps, value in acc.items():
-        if value.denominator != 1:
+    for key, value in ({tkey: total} if acc is None else acc).items():
+        coeff, rem = divmod(value, scale)
+        if rem:
             raise NonIntegerCoefficient(
-                f"coefficient of {exps} is {value}; rationals failed to cancel"
+                f"coefficient of {layout.unpack(key, low)} is "
+                f"{Fraction(value, scale)}; rationals failed to cancel"
             )
-        if value:
-            terms[exps] = int(value)
-    return LaurentPolynomial(nvars, terms)
+        if coeff:
+            terms[layout.unpack(key, low)] = coeff
+    return _from_clean(nvars, terms) if acc is not None else terms.get(tuple(target), 0)
 
 
 def fpoly_formula(tr: MutationTrace, n: int) -> LaurentPolynomial:
@@ -167,9 +213,8 @@ def fpoly_formula(tr: MutationTrace, n: int) -> LaurentPolynomial:
         return LaurentPolynomial.one(tr.v)
     tables = _PairTables(tr, n)
     bound = _degree_bounds_from_trace(tr, n)
-    rvecs = [tr.r(i) for i in range(1, n + 1)]
-    acc = _formula_sum(n, rvecs, tables.tail, tables.pair, bound, tr.v)
-    return _integerize(acc, tr.v)
+    steps = [tr.r(n - c) for c in range(n)]
+    return _sequence_sum(steps, tables.tail, tables.pair, bound)
 
 
 def coefficient_of(tr: MutationTrace, n: int, monomial) -> int:
@@ -180,12 +225,8 @@ def coefficient_of(tr: MutationTrace, n: int, monomial) -> int:
     if n == 0:
         return 1 if not any(monomial) else 0
     tables = _PairTables(tr, n)
-    rvecs = [tr.r(i) for i in range(1, n + 1)]
-    acc = _formula_sum(n, rvecs, tables.tail, tables.pair, monomial, tr.v)
-    value = acc.get(monomial, Fraction(0))
-    if value.denominator != 1:
-        raise NonIntegerCoefficient(f"coefficient of {monomial} is {value}")
-    return int(value)
+    steps = [tr.r(n - c) for c in range(n)]
+    return _sequence_sum(steps, tables.tail, tables.pair, monomial, target=monomial)
 
 
 def _power_truncated(p: LaurentPolynomial, e: int, bound) -> LaurentPolynomial:
@@ -224,7 +265,6 @@ def fpoly_product_form(tr: MutationTrace, n: int) -> LaurentPolynomial:
         raise ValueError("n out of trace range")
     if n == 0:
         return LaurentPolynomial.one(tr.v)
-    tables = _PairTables(tr, n)
     bound = _degree_bounds_from_trace(tr, n)
     ells: list[LaurentPolynomial] = []
     powers: dict[tuple[int, int], LaurentPolynomial] = {}
@@ -241,11 +281,11 @@ def fpoly_product_form(tr: MutationTrace, n: int) -> LaurentPolynomial:
         for i in range(1, j):
             if not term:
                 break
-            term = times_power(term, i, tables.pair(i, j))
+            term = times_power(term, i, -coeff_a(tr, i, j) + coeff_b(tr, i, j))
         ells.append(LaurentPolynomial.one(tr.v) + term)
     result = LaurentPolynomial.one(tr.v)
     for j in range(1, n + 1):
-        result = times_power(result, j, tables.tail(j))
+        result = times_power(result, j, coeff_a(tr, j, n))
     return result
 
 
@@ -285,26 +325,5 @@ def deformed_coefficients(tr: MutationTrace, n: int, cutoff: int) -> dict:
                 f"deformed r-monomial at offset {w} is not positive: {rho}"
             )
         rhos.append(rho)
-
-    acc: dict[tuple[int, ...], Fraction] = {}
-
-    def visit(start, exps, degree, w_prod, phi_den, seen):
-        acc[exps] = acc.get(exps, Fraction(0)) + Fraction(w_prod, phi_den)
-        for w in range(start, n):
-            rho = rhos[w]
-            new_degree = degree + sum(rho)
-            if new_degree > cutoff:
-                continue
-            factor = tables.tail(n - w) + sum(
-                tables.pair(n - w, n - e) for e in seen
-            )
-            new_w = w_prod * factor
-            if new_w == 0:
-                continue
-            new_den = phi_den * (seen.count(w) + 1)
-            visit(w, tuple(a + b for a, b in zip(exps, rho)), new_degree,
-                  new_w, new_den, seen + [w])
-
-    visit(0, (0,) * tr.v, 0, 1, 1, [])
-    poly = _integerize(acc, tr.v)
+    poly = _sequence_sum(rhos, tables.tail, tables.pair, (cutoff,) * tr.v, cutoff)
     return dict(poly.terms)

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .closedform import _formula_sum, _integerize
+from .closedform import _sequence_sum
 from .errors import BadParameters, ConsistencyError, NotSymmetric
 from .laurent import LaurentPolynomial
 from .quiver import GeneralizedQuiver, degree_bounds, make_quiver, mutate_b
@@ -260,22 +260,19 @@ def s_values(spec: FamilySpec, indices) -> list[tuple[int, int]]:
 
 
 def _family_formula(ss: SSequence, v: int, n: int, bound) -> LaurentPolynomial:
-    """Shared evaluator: a(i,k) = s_{k-i}, b(i,k) = s'_{k-i}, r_w = prod y_i^{s_{w-i}}."""
+    """Shared evaluator: a(i,k) = s_{k-i}, b(i,k) = s'_{k-i}, r_w = prod y_i^{s_{w-i}}.
+
+    In the candidate order c = n - w of the sequence sum the tail is s_c and
+    the pair term -s_d + s'_d depends on d = c - e only.
+    """
     rvecs = []
     for w in range(1, n + 1):
         rv = tuple(ss.s(w - i) for i in range(1, v + 1))
         if not any(rv):
             raise ConsistencyError(f"family r-monomial at step {w} vanished")
         rvecs.append(rv)
-
-    def tail(w):
-        return ss.s(n - w)
-
-    def pair(i, j):
-        return -ss.s(j - i) + ss.sp(j - i)
-
-    acc = _formula_sum(n, rvecs, tail, pair, bound, v)
-    return _integerize(acc, v)
+    pairs = [-ss.s(d) + ss.sp(d) for d in range(n)]
+    return _sequence_sum(rvecs[::-1], ss.s, lambda c, e: pairs[c - e], bound)
 
 
 def fpoly_symmetric(q: GeneralizedQuiver, n: int, force: bool = False) -> LaurentPolynomial:

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import intmat
-from .closedform import _integerize, deformed_coefficients, phi
+from .closedform import _sequence_sum, deformed_coefficients, phi
 from .cmatrix import MutationTrace, trace
 from .errors import BadParameters, ConsistencyError, RedStepEncountered
 from .families import SSequence
@@ -351,31 +351,20 @@ def limit_kr(r: int, cutoff: int) -> LaurentPolynomial:
     inv_p = QuadraticNumber.of(Fraction(r, 2), Fraction(-1, 2), disc)  # 1/p
     one = QuadraticNumber.of(1, 0, disc)
     ss = SSequence.kronecker(r)
+    # s is strictly increasing, so the entries that fit the cutoff are 0..m-1
+    m = 0
+    while ss.s(m) + ss.s(m - 1) <= cutoff:
+        m += 1
+    rhos = [(ss.s(w), ss.s(w - 1)) for w in range(m)]
+    powers = [inv_p ** w for w in range(m)]
+    pairs = [-ss.s(d) - ss.s(d - 2) for d in range(m)]
 
-    acc: dict[tuple[int, int], Fraction] = {}
+    def admit(norm, w):
+        norm = powers[w] if norm is None else norm + powers[w]
+        return None if one < norm else norm
 
-    def visit(start, exps, norm, w_prod, phi_den, seen):
-        acc[exps] = acc.get(exps, Fraction(0)) + Fraction(w_prod, phi_den)
-        w = start
-        while True:
-            rho = (ss.s(w), ss.s(w - 1))
-            # s is strictly increasing, so once the degree overflows no
-            # larger entry can fit either
-            if exps[0] + rho[0] + exps[1] + rho[1] > cutoff:
-                break
-            new_norm = norm + inv_p ** w
-            if not (one < new_norm):
-                factor = ss.s(w) - sum(
-                    ss.s(w - e) + ss.s(w - e - 2) for e in seen
-                )
-                if factor != 0:
-                    visit(w, (exps[0] + rho[0], exps[1] + rho[1]), new_norm,
-                          w_prod * factor, phi_den * (seen.count(w) + 1),
-                          seen + [w])
-            w += 1
-
-    visit(0, (0, 0), QuadraticNumber.of(0, 0, disc), 1, 1, [])
-    return _integerize(acc, 2)
+    return _sequence_sum(rhos, ss.s, lambda c, e: pairs[c - e], (cutoff, cutoff),
+                         cutoff, admit=admit)
 
 
 def limit_gale_robinson(v: int, r: int, t: int, cutoff: int) -> LaurentPolynomial:
@@ -395,27 +384,9 @@ def limit_gale_robinson(v: int, r: int, t: int, cutoff: int) -> LaurentPolynomia
     # deg rho(w) >= floor(w/r) / (v-r), so entries beyond w_max cannot fit
     w_max = r * (cutoff * (v - r) + 1) + v
     rhos = [tuple(ss.s(w - v + i) for i in range(1, v + 1)) for w in range(w_max + 1)]
-    rho_degrees = [sum(vec) for vec in rhos]
-
-    acc: dict[tuple[int, ...], Fraction] = {}
-
-    def visit(start, exps, degree, w_prod, phi_den, seen):
-        acc[exps] = acc.get(exps, Fraction(0)) + Fraction(w_prod, phi_den)
-        for w in range(start, w_max + 1):
-            new_degree = degree + rho_degrees[w]
-            if new_degree > cutoff:
-                continue
-            factor = ss.s(w) + sum(
-                -ss.s(w - e) - ss.s(w - e - v) + ss.s(w - e - t) + ss.s(w - e - v + t)
-                for e in seen
-            )
-            if factor != 0:
-                visit(w, tuple(a + b for a, b in zip(exps, rhos[w])),
-                      new_degree, w_prod * factor,
-                      phi_den * (seen.count(w) + 1), seen + [w])
-
-    visit(0, (0,) * v, 0, 1, 1, [])
-    return _integerize(acc, v)
+    pairs = [-ss.s(d) - ss.s(d - v) + ss.s(d - t) + ss.s(d - v + t)
+             for d in range(w_max + 1)]
+    return _sequence_sum(rhos, ss.s, lambda c, e: pairs[c - e], (cutoff,) * v, cutoff)
 
 
 def dp1_coefficient(a: int, b: int, c: int, d: int) -> int:

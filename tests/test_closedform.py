@@ -1,15 +1,20 @@
 import random
 from fractions import Fraction
 
+from itertools import product
+from math import prod
+
 import pytest
-from hypothesis import given
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from clusterforge import (LaurentPolynomial, coefficient_of, deform,
-                          deformed_formula, degree_bounds, enumerate_sequences,
-                          fpoly_formula, fpoly_product_form, fpoly_recurrence,
-                          phi, trace, w_value)
-from clusterforge.closedform import _power_truncated
+from clusterforge import (LaurentPolynomial, coeff_a, coeff_b, coefficient_of,
+                          deform, deformed_formula, degree_bounds,
+                          enumerate_sequences, fpoly_formula, fpoly_product_form,
+                          fpoly_recurrence, make_quiver, phi, trace, w_value)
+from clusterforge.closedform import (_power_truncated, _sequence_sum,
+                                     deformed_coefficients)
+from clusterforge.errors import NonIntegerCoefficient
 from clusterforge.laurent import truncate
 from conftest import random_sequence, random_skew_symmetric
 
@@ -43,8 +48,9 @@ def test_w_value_validates(k2):
 
 def test_enumerate_sequences_k2(k2):
     tr = trace(k2, (1, 2, 1))
-    seqs = set(enumerate_sequences(tr, 3, (3, 2)))
-    assert seqs == {(), (1,), (1, 1), (1, 1, 1), (1, 2), (2,), (3,)}
+    # depth first, each sequence before its extensions, smallest index first
+    assert list(enumerate_sequences(tr, 3, (3, 2))) == [
+        (), (1,), (1, 1), (1, 1, 1), (1, 2), (2,), (3,)]
     assert set(enumerate_sequences(tr, 3, (0, 0))) == {()}
 
 
@@ -67,6 +73,54 @@ def test_enumerate_matches_unpruned_bruteforce(k2):
 
     rec([], 1)
     assert set(enumerate_sequences(tr, 3, bound)) == brute
+
+
+def test_enumerate_sequences_has_no_depth_limit(k2):
+    # 1,500 copies of r_1 = y1 fit the bound; a recursive walk hit the
+    # interpreter's recursion limit here
+    tr = trace(k2, (1,))
+    seqs = list(enumerate_sequences(tr, 1, (1500, 0)))
+    assert len(seqs) == 1501
+    assert seqs[-1] == (1,) * 1500
+
+
+def test_sequence_sum_rejects_zero_or_negative_step():
+    one = lambda c: 1  # noqa: E731
+    with pytest.raises(ValueError):
+        _sequence_sum([(1, 0), (0, 0)], one, lambda c, e: 0, (3, 3))
+    with pytest.raises(ValueError):
+        _sequence_sum([(2, -1)], one, lambda c, e: 0, (3, 3))
+
+
+def test_sequence_sum_counts_multisets():
+    # the k-th copy of an index has the factor k, so phi * W = 1 for every
+    # multiset and each monomial that passes the bound, cap and test gets 1
+    steps, tail, pair = [(1, 0), (0, 1)], lambda c: 1, lambda c, e: int(c == e)
+
+    def box(cap):
+        return {(a, b): 1 for a in range(2) for b in range(4) if a + b <= cap}
+
+    def at_most_two(length, c):
+        length = (length or 0) + 1
+        return length if length <= 2 else None
+
+    assert _sequence_sum(steps, tail, pair, (1, 3)).terms == box(4)
+    assert _sequence_sum(steps, tail, pair, (1, 3), cap=2).terms == box(2)
+    assert _sequence_sum(steps, tail, pair, (1, 3), admit=at_most_two).terms == box(2)
+    assert _sequence_sum(steps, tail, pair, (1, 3), target=(1, 2)) == 1
+    assert _sequence_sum(steps, tail, pair, (0, 0), target=(0, 0)) == 1
+
+
+def test_sequence_sum_raises_when_weights_do_not_cancel():
+    # one candidate with factor 1 at every position: the sequence (0, 0)
+    # carries phi = 1/2 alone on y^2
+    steps, tail, pair = [(1,)], lambda c: 1, lambda c, e: 0
+    assert _sequence_sum(steps, tail, pair, (1,)) == LaurentPolynomial(1, {(0,): 1, (1,): 1})
+    with pytest.raises(NonIntegerCoefficient):
+        _sequence_sum(steps, tail, pair, (2,))
+    with pytest.raises(NonIntegerCoefficient):
+        _sequence_sum(steps, tail, pair, (2,), target=(2,))
+    assert _sequence_sum(steps, tail, pair, (2,), target=(1,)) == 1
 
 
 def test_formula_golden(k2):
@@ -216,4 +270,76 @@ def test_deformed_coefficients_match_full_deformation(a12, dp1):
         tr = trace(q, seq)
         full = deformed_formula(tr, n)
         within = {e: c for e, c in full.terms.items() if sum(e) <= cutoff}
+        assert deformed_coefficients(tr, n, cutoff) == within
+
+
+def _reference_formula_sum(n, rvecs, tail, pair, bound, nvars):
+    """The recursive Fraction sum that the sequence-sum kernel replaced."""
+    acc: dict[tuple[int, ...], Fraction] = {}
+
+    def visit(max_next, exps, w_prod, phi_den, last, run):
+        acc[exps] = acc.get(exps, Fraction(0)) + Fraction(w_prod, phi_den)
+        for w in range(max_next, 0, -1):
+            rv = rvecs[w - 1]
+            new_exps = tuple(a + b for a, b in zip(exps, rv))
+            if any(a > b for a, b in zip(new_exps, bound)):
+                continue
+            elements, counts = run
+            factor = tail(w) + sum(
+                c * pair(w, e) for e, c in zip(elements, counts)
+            )
+            new_w = w_prod * factor
+            if new_w == 0:
+                continue
+            if w == last:
+                new_run = (elements, counts[:-1] + [counts[-1] + 1])
+                new_den = phi_den * new_run[1][-1]
+            else:
+                new_run = (elements + [w], counts + [1])
+                new_den = phi_den
+            visit(w, new_exps, new_w, new_den, w, new_run)
+
+    visit(n, (0,) * nvars, 1, 1, 0, ([], []))
+    assert all(value.denominator == 1 for value in acc.values())
+    return LaurentPolynomial(nvars, {e: int(x) for e, x in acc.items()})
+
+
+def _reference_fpoly(tr, n, bound):
+    return _reference_formula_sum(
+        n, [tr.r(i) for i in range(1, n + 1)], lambda w: coeff_a(tr, w, n),
+        lambda i, j: -coeff_a(tr, i, j) + coeff_b(tr, i, j), bound, tr.v)
+
+
+@st.composite
+def traced_quivers(draw):
+    """A skew-symmetric quiver, v <= 4, and a sequence of length <= 7."""
+    v = draw(st.integers(2, 4))
+    b = [[0] * v for _ in range(v)]
+    for i in range(v):
+        for j in range(i + 1, v):
+            b[i][j] = draw(st.sampled_from((-2, -1, 1, 2, 0)))
+            b[j][i] = -b[i][j]
+    # no vertex twice in a row: a repeated step undoes itself
+    seq = [draw(st.integers(1, v))]
+    for _ in range(draw(st.integers(1, 6))):
+        seq.append((seq[-1] + draw(st.integers(1, v - 1)) - 1) % v + 1)
+    seq = tuple(seq)
+    q = make_quiver(b)
+    bound = degree_bounds(q, seq)
+    assume(sum(bound) <= 30 and prod(x + 1 for x in bound) <= 1000)
+    return trace(q, seq), bound
+
+
+@settings(max_examples=150, deadline=None)
+@given(traced_quivers(), st.integers(0, 12))
+def test_sequence_sum_matches_recursive_reference(case, cutoff):
+    tr, bound = case
+    n = tr.n
+    expected = _reference_fpoly(tr, n, bound)
+    assert fpoly_formula(tr, n) == expected
+    for m in product(*(range(x + 1) for x in bound)):
+        assert coefficient_of(tr, n, m) == expected.coefficient(m)
+    if all(color == "green" for color in tr.colors):
+        deformed = deform(expected, tr.c_mats[n])
+        within = {e: c for e, c in deformed.terms.items() if sum(e) <= cutoff}
         assert deformed_coefficients(tr, n, cutoff) == within

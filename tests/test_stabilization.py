@@ -201,6 +201,20 @@ def test_limit_gale_robinson_regression(params, n_terms, total, pins):
     assert {m: lim.terms.get(m) for m in pins} == pins
 
 
+@pytest.mark.parametrize("params, n_terms, total, pins", [
+    ((3, 20), 7, 37, {(0, 0): 1, (1, 0): 1, (3, 1): 3, (8, 3): 8, (11, 4): 15,
+                      (14, 5): 6}),
+    ((4, 14), 4, 12, {(1, 0): 1, (4, 1): 4, (8, 2): 6}),
+])
+def test_limit_kr_regression(params, n_terms, total, pins):
+    # pinned like test_limit_gale_robinson_regression: moving limit_kr onto
+    # another enumeration must not change any of these
+    lim = limit_kr(*params)
+    assert len(lim.terms) == n_terms
+    assert sum(lim.terms.values()) == total
+    assert {m: lim.terms.get(m) for m in pins} == pins
+
+
 def test_limit_gale_robinson_matches_dp1_run(dp1):
     report = stabilization_run(dp1, (1, 2, 3, 4), 5, 4)
     assert report.all_stabilized
