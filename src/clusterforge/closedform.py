@@ -115,7 +115,7 @@ def enumerate_sequences(tr: MutationTrace, n: int, bound):
                 stack.append((prefix + (w,), new_total))
 
 
-def _sequence_sum(steps, tail, pair, bound, cap=None, target=None, admit=None):
+def _sequence_sum(steps, tail, pair, bound, cap=None, target=None):
     """Sum phi(c) * prod_i f_i over nondecreasing sequences c of candidates.
 
     The candidates are the indices 0..m-1 of steps.  The entry c_i of a
@@ -123,10 +123,7 @@ def _sequence_sum(steps, tail, pair, bound, cap=None, target=None, admit=None):
     sequence lands on the monomial sum_i steps[c_i]; the empty sequence gives
     1 on the zero monomial.  Only sequences whose monomial stays within bound
     componentwise and within cap (default sum(bound)) in total degree are
-    visited, and a subtree whose running product is zero is skipped.  If
-    admit is given it is a monotone test: admit(state, c) is the state after
-    appending c to a sequence with that state (None for the empty sequence),
-    or None to drop the sequence with all its extensions.
+    visited, and a subtree whose running product is zero is skipped.
 
     Returns the polynomial of the sums, or with a target monomial (pass it
     as the bound too) only the sum on that monomial, building no dict.
@@ -161,16 +158,12 @@ def _sequence_sum(steps, tail, pair, bound, cap=None, target=None, admit=None):
     tkey = None if target is None else pack(target)
     acc = {0: scale} if tkey is None else None
     total = scale if tkey == 0 else 0
-    stack = [(key, scale * f, pos, 1, root, None)
+    stack = [(key, scale * f, pos, 1, root)
              for pos, (_, key, f) in enumerate(root) if f]
     push, pop = stack.append, stack.pop
     while stack:
-        key, val, pos, run, parent, state = pop()
+        key, val, pos, run, parent = pop()
         c0 = parent[pos][0]
-        if admit is not None:
-            state = admit(state, c0)
-            if state is None:
-                continue
         if acc is not None:
             acc[key] = acc.get(key, 0) + val
         elif key == tkey:
@@ -182,9 +175,9 @@ def _sequence_sum(steps, tail, pair, bound, cap=None, target=None, admit=None):
                 f += pair(c, c0)
                 if f:
                     if c == c0:
-                        push((k, val * f // (run + 1), len(live), run + 1, live, state))
+                        push((k, val * f // (run + 1), len(live), run + 1, live))
                     else:
-                        push((k, val * f, len(live), 1, live, state))
+                        push((k, val * f, len(live), 1, live))
                 live.append((c, sk, f))
 
     low = (0,) * nvars
@@ -229,27 +222,34 @@ def coefficient_of(tr: MutationTrace, n: int, monomial) -> int:
     return _sequence_sum(steps, tables.tail, tables.pair, monomial, target=monomial)
 
 
-def _power_truncated(p: LaurentPolynomial, e: int, bound) -> LaurentPolynomial:
+def _power_truncated(p: LaurentPolynomial, e: int, bound,
+                     powers: list | None = None) -> LaurentPolynomial:
     """p**e truncated componentwise, for any integer e and p = 1 + x.
 
-    One binomial series sum_k C(e, k) x^k, one bounded multiply per power of
-    x.  For e < 0 it ends once x^k has no term under the bound, which comes
-    because x is a polynomial without constant term.
+    One binomial series sum_k C(e, k) x^k over the truncated powers
+    powers[k-1] = x^k.  Calls on the same p and bound may share the list
+    powers, which each call extends, one bounded multiply per new power,
+    only past what earlier calls built.  For e < 0 the series ends at the
+    first power with no term under the bound, which comes because x is a
+    polynomial without constant term.
     """
     if p.constant_term != 1 or not p.is_polynomial():
         raise ValueError("binomial series needs a polynomial with constant term 1")
-    x = p - 1
+    powers = [] if powers is None else powers
+    if not powers:
+        powers.append(truncate(p - 1, bound))
     acc = {(0,) * p.nvars: 1}
-    power = LaurentPolynomial.one(p.nvars)
     binom = 1
     for k in range(e) if e >= 0 else count():
         binom = binom * (e - k) // (k + 1)
-        power = mul_truncated(power, x, bound)
+        if k == len(powers):
+            powers.append(mul_truncated(powers[-1], powers[0], bound))
+        power = powers[k]
         if not power:
             break
         for exps, c in power.terms.items():
             acc[exps] = acc.get(exps, 0) + binom * c
-    return LaurentPolynomial(p.nvars, acc)
+    return _from_clean(p.nvars, {exps: c for exps, c in acc.items() if c})
 
 
 def fpoly_product_form(tr: MutationTrace, n: int) -> LaurentPolynomial:
@@ -259,7 +259,8 @@ def fpoly_product_form(tr: MutationTrace, n: int) -> LaurentPolynomial:
     in the y-variables and truncated at the degree bound of F_n.  Exponents
     only ever add, so truncating every intermediate at the final bound is
     lossless for the in-bound terms.  Each power L_i^e is one binomial
-    series, built once per (i, e) within the call.
+    series over the powers of L_i - 1, one list per i within the call,
+    shared by every exponent e.
     """
     if not 0 <= n <= tr.n:
         raise ValueError("n out of trace range")
@@ -267,14 +268,13 @@ def fpoly_product_form(tr: MutationTrace, n: int) -> LaurentPolynomial:
         return LaurentPolynomial.one(tr.v)
     bound = _degree_bounds_from_trace(tr, n)
     ells: list[LaurentPolynomial] = []
-    powers: dict[tuple[int, int], LaurentPolynomial] = {}
+    xpowers: list[list[LaurentPolynomial]] = []
 
     def times_power(poly: LaurentPolynomial, i: int, e: int) -> LaurentPolynomial:
         if not e:
             return poly
-        if (i, e) not in powers:
-            powers[(i, e)] = _power_truncated(ells[i - 1], e, bound)
-        return mul_truncated(poly, powers[(i, e)], bound)
+        power = _power_truncated(ells[i - 1], e, bound, xpowers[i - 1])
+        return mul_truncated(poly, power, bound)
 
     for j in range(1, n + 1):
         term = truncate(LaurentPolynomial.monomial(tr.r(j)), bound)
@@ -283,6 +283,7 @@ def fpoly_product_form(tr: MutationTrace, n: int) -> LaurentPolynomial:
                 break
             term = times_power(term, i, -coeff_a(tr, i, j) + coeff_b(tr, i, j))
         ells.append(LaurentPolynomial.one(tr.v) + term)
+        xpowers.append([])
     result = LaurentPolynomial.one(tr.v)
     for j in range(1, n + 1):
         result = times_power(result, j, coeff_a(tr, j, n))

@@ -40,28 +40,43 @@ def canonical_sequence(v: int, n: int) -> tuple[int, ...]:
     return tuple(i % v + 1 for i in range(n))
 
 
+def _family_params(spec: FamilySpec) -> tuple[int, ...]:
+    """The family's parameters in order, checked: the one home of these rules."""
+    if spec.family in ("kr", "a1r"):
+        r = spec.param("r")
+        least = 2 if spec.family == "kr" else 1
+        if r < least:
+            raise BadParameters(f"{spec.family} needs r >= {least}")
+        return (r,)
+    if spec.family == "gr":
+        params = spec.param("v"), spec.param("r"), spec.param("t")
+        _check_gale_robinson(*params)
+        return params
+    raise BadParameters(f"unknown family {spec.family!r}")
+
+
+def _check_gale_robinson(v: int, r: int, t: int) -> None:
+    if not (1 <= r < v and 1 <= t < v):
+        raise BadParameters("gr needs 1 <= r < v and 1 <= t < v")
+    if r == t or r == v - t:
+        raise BadParameters("gr needs {r, v-r} disjoint from {t, v-t}")
+
+
 def build_family(spec: FamilySpec) -> GeneralizedQuiver:
     """Construct the family's exchange matrix; raises BadParameters."""
-    if spec.family == "kr":
-        r = spec.param("r")
-        if r < 2:
-            raise BadParameters("kr needs r >= 2")
-        return make_quiver([[0, r], [-r, 0]])
-    if spec.family == "a1r":
-        r = spec.param("r")
-        if r < 1:
-            raise BadParameters("a1r needs r >= 1")
-        # r arrows the long way around the cycle plus one short arrow 1 -> r+1;
-        # r = 1 degenerates to the double arrow on two vertices.  Vertex 1 is a
-        # source, and the cyclic sequence 1, 2, ... always mutates a source, so
-        # every step is green.
-        v = r + 1
-        arrows = [(i, i + 1) for i in range(1, r + 1)] + [(1, v)]
-        return _quiver_from_arrows(v, arrows)
+    params = _family_params(spec)
     if spec.family == "gr":
-        v, r, t = spec.param("v"), spec.param("r"), spec.param("t")
-        return build_gale_robinson(v, r, t)
-    raise BadParameters(f"unknown family {spec.family!r}")
+        return build_gale_robinson(*params)
+    (r,) = params
+    if spec.family == "kr":
+        return make_quiver([[0, r], [-r, 0]])
+    # a1r: r arrows the long way around the cycle plus one short arrow 1 -> r+1;
+    # r = 1 degenerates to the double arrow on two vertices.  Vertex 1 is a
+    # source, and the cyclic sequence 1, 2, ... always mutates a source, so
+    # every step is green.
+    v = r + 1
+    arrows = [(i, i + 1) for i in range(1, r + 1)] + [(1, v)]
+    return _quiver_from_arrows(v, arrows)
 
 
 def build_gale_robinson(v: int, r: int, t: int) -> GeneralizedQuiver:
@@ -74,10 +89,7 @@ def build_gale_robinson(v: int, r: int, t: int) -> GeneralizedQuiver:
     exactly the condition that mutation at vertex 1 followed by the cyclic
     relabeling returns the same quiver.
     """
-    if not (1 <= r < v and 1 <= t < v):
-        raise BadParameters("gr needs 1 <= r < v and 1 <= t < v")
-    if r == t or r == v - t:
-        raise BadParameters("gr needs {r, v-r} disjoint from {t, v-t}")
+    _check_gale_robinson(v, r, t)
     m = [0] * (v + 1)  # m[j] = signed arrows 1 -> j, 1-based
     m[1 + r] += 1
     m[v + 1 - r] += 1
@@ -235,22 +247,10 @@ class SSequence:
 
 
 def family_sequence(spec: FamilySpec) -> SSequence:
-    if spec.family == "kr":
-        r = spec.param("r")
-        if r < 2:
-            raise BadParameters("kr needs r >= 2")
-        return SSequence.kronecker(r)
-    if spec.family == "gr":
-        v, r, t = spec.param("v"), spec.param("r"), spec.param("t")
-        if not (1 <= r < v and 1 <= t < v):
-            raise BadParameters("gr needs 1 <= r < v and 1 <= t < v")
-        return SSequence.gale_robinson(v, r, t)
-    if spec.family == "a1r":
-        r = spec.param("r")
-        if r < 1:
-            raise BadParameters("a1r needs r >= 1")
-        return SSequence.a1r(r)
-    raise BadParameters(f"unknown family {spec.family!r}")
+    """The family's scalar sequence; accepts exactly the specs `build_family` does."""
+    params = _family_params(spec)
+    rule = {"kr": SSequence.kronecker, "gr": SSequence.gale_robinson, "a1r": SSequence.a1r}
+    return rule[spec.family](*params)
 
 
 def s_values(spec: FamilySpec, indices) -> list[tuple[int, int]]:

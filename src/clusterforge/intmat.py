@@ -1,13 +1,12 @@
 """Small exact integer-matrix helpers.
 
 Matrices are immutable tuples of tuples of Python ints, so all arithmetic
-is arbitrary precision.  Sizes here are tiny (the vertex count of a quiver),
-so the plain O(n^3) algorithms are the right tool.
+is arbitrary precision and exact: elimination is fraction-free, on integers
+only.  Sizes here are tiny (the vertex count of a quiver), so the plain
+O(n^3) algorithms are the right tool.
 """
 
 from __future__ import annotations
-
-from fractions import Fraction
 
 Matrix = tuple[tuple[int, ...], ...]
 
@@ -54,54 +53,50 @@ def neg(a: Matrix) -> Matrix:
 
 
 def det(a: Matrix) -> int:
-    """Exact determinant via fraction-free Gaussian elimination."""
+    """Exact determinant by Bareiss's fraction-free elimination, on integers only.
+
+    Bareiss (Math. Comp. 22, 1968): each entry below row k is then a minor of
+    the matrix, so every division by the previous pivot is exact.
+    """
     n = len(a)
-    m = [[Fraction(x) for x in row] for row in a]
-    sign = 1
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if m[r][col] != 0), None)
-        if pivot is None:
-            return 0
-        if pivot != col:
-            m[col], m[pivot] = m[pivot], m[col]
+    m = [list(row) for row in a]
+    sign = prev = 1
+    for k in range(n - 1):
+        if not m[k][k]:
+            pivot = next((r for r in range(k + 1, n) if m[r][k]), None)
+            if pivot is None:
+                return 0
+            m[k], m[pivot] = m[pivot], m[k]
             sign = -sign
-        for r in range(col + 1, n):
-            factor = m[r][col] / m[col][col]
-            for c in range(col, n):
-                m[r][c] -= factor * m[col][c]
-    result = Fraction(sign)
-    for i in range(n):
-        result *= m[i][i]
-    if result.denominator != 1:
-        raise ArithmeticError("determinant of an integer matrix must be integral")
-    return int(result)
+        top, lead = m[k], m[k][k]
+        for row in m[k + 1:]:
+            for j in range(k + 1, n):  # row[k] is not written in this loop
+                row[j] = (lead * row[j] - row[k] * top[j]) // prev
+        prev = lead
+    return sign * m[-1][-1] if n else 1
 
 
 def inverse_unimodular(a: Matrix) -> Matrix:
     """Exact inverse of an integer matrix with determinant +-1.
 
+    Fraction-free Gauss-Jordan on [a | I], dividing exactly as in `det`,
+    ends with d*I on the left (d = +-det(a)) and d * a^{-1} on the right.
     Raises ValueError when the matrix is singular or the inverse is not
     integral (i.e. det is not a unit).
     """
     n = len(a)
-    m = [[Fraction(x) for x in row] + [Fraction(int(i == j)) for j in range(n)]
-         for i, row in enumerate(a)]
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if m[r][col] != 0), None)
+    m = [list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(a)]
+    prev = 1
+    for k in range(n):
+        pivot = next((r for r in range(k, n) if m[r][k]), None)
         if pivot is None:
             raise ValueError("matrix is singular")
-        if pivot != col:
-            m[col], m[pivot] = m[pivot], m[col]
-        inv = 1 / m[col][col]
-        m[col] = [x * inv for x in m[col]]
-        for r in range(n):
-            if r != col and m[r][col] != 0:
-                factor = m[r][col]
-                m[r] = [x - factor * y for x, y in zip(m[r], m[col])]
-    out = []
-    for i in range(n):
-        row = m[i][n:]
-        if any(x.denominator != 1 for x in row):
-            raise ValueError("matrix is not unimodular")
-        out.append(tuple(int(x) for x in row))
-    return tuple(out)
+        m[k], m[pivot] = m[pivot], m[k]
+        top, lead = m[k], m[k][k]
+        for i, row in enumerate(m):
+            if i != k:
+                m[i] = [(lead * y - row[k] * t) // prev for y, t in zip(row, top)]
+        prev = lead
+    if prev not in (1, -1):
+        raise ValueError("matrix is not unimodular")
+    return tuple(tuple(prev * x for x in row[n:]) for row in m)

@@ -111,7 +111,7 @@ class LaurentPolynomial:
 
     @classmethod
     def one(cls, nvars: int) -> "LaurentPolynomial":
-        return cls(nvars, {(0,) * nvars: 1})
+        return _from_clean(nvars, {(0,) * nvars: 1})
 
     @classmethod
     def constant(cls, nvars: int, value: int) -> "LaurentPolynomial":
@@ -128,7 +128,7 @@ class LaurentPolynomial:
         if not 1 <= index <= nvars:
             raise ValueError(f"variable index {index} out of range 1..{nvars}")
         exps = tuple(1 if i == index - 1 else 0 for i in range(nvars))
-        return cls(nvars, {exps: 1})
+        return _from_clean(nvars, {exps: 1})
 
     # -- queries -----------------------------------------------------------
 

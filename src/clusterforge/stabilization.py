@@ -20,8 +20,8 @@ from .cmatrix import MutationTrace, trace
 from .errors import BadParameters, ConsistencyError, RedStepEncountered
 from .families import SSequence
 from .intmat import Matrix
-from .laurent import LaurentPolynomial
-from .quiver import GeneralizedQuiver, framed_state, mutate
+from .laurent import LaurentPolynomial, _from_clean
+from .quiver import GeneralizedQuiver, fpoly_recurrence
 
 
 def deform(f: LaurentPolynomial, c: Matrix) -> LaurentPolynomial:
@@ -85,7 +85,16 @@ def _decomposable(target, parts) -> bool:
     return explore(tuple(target), 0)
 
 
-def fundamentals(tr: MutationTrace, n: int, verify: bool = True) -> FundamentalSet:
+def _labels_after(seq, fs, v: int) -> list[LaurentPolynomial]:
+    """Labels after mutating along seq: at k, F_i of the last step i at k, else 1."""
+    labels = [LaurentPolynomial.one(v)] * v
+    for k, f in zip(seq, fs):
+        labels[k - 1] = f
+    return labels
+
+
+def fundamentals(tr: MutationTrace, n: int, verify: bool = True,
+                 fs: list[LaurentPolynomial] | None = None) -> FundamentalSet:
     """Fundamental flags and color counts for the distinct r-monomials.
 
     A monomial is fundamental when it is not a sum of two or more of the
@@ -95,7 +104,9 @@ def fundamentals(tr: MutationTrace, n: int, verify: bool = True) -> FundamentalS
     fundamental m the coefficients of m across all vertex labels after n
     steps must equal -(green - red) * C_n^{-1}(m).  The identity is a
     skew-symmetric statement (it needs C = D), so the check is skipped for
-    genuinely skew-symmetrizable quivers.
+    genuinely skew-symmetrizable quivers.  The labels come from fs, the
+    F-polynomials F_1..F_n of the recurrence along tr.seq, which it computes
+    only when fs is not given.
     """
     if not 0 <= n <= tr.n:
         raise ValueError("n out of trace range")
@@ -116,20 +127,17 @@ def fundamentals(tr: MutationTrace, n: int, verify: bool = True) -> FundamentalS
             reds[m] += 1
 
     labels = None
-    cinv = None
     if verify and n > 0:
-        state = framed_state(tr.quiver)
-        for k in tr.seq[:n]:
-            state = mutate(state, k)
-        labels = state.labels
-        cinv = tr.cinv_mats[n]
+        if fs is None:
+            fs = fpoly_recurrence(tr.quiver, tr.seq[:n])
+        labels = _labels_after(tr.seq[:n], fs, tr.v)
 
     entries = []
     for m, step in sorted(first_seen.items(), key=lambda kv: kv[1]):
         check = None
         if labels is not None and flags[m]:
             expected = tuple(
-                -(greens[m] - reds[m]) * x for x in intmat.mat_vec(cinv, m)
+                -(greens[m] - reds[m]) * x for x in intmat.mat_vec(tr.cinv_mats[n], m)
             )
             actual = tuple(label.coefficient(m) for label in labels)
             check = expected == actual
@@ -187,7 +195,8 @@ def stabilization_run(q: GeneralizedQuiver, seq_period, count: int,
                       cutoff: int) -> StabilizationReport:
     """Observe S_p, S_2p, ..., S_(count*p) coefficientwise under a cutoff.
 
-    Every step must be green (RedStepEncountered otherwise).  A monomial is
+    Every step must be green (RedStepEncountered otherwise), and a negative
+    cutoff is BadParameters, as for the limit_* functions.  A monomial is
     declared stabilized at the first inspected index from which its
     coefficient history is constant; the verdict is None while the last two
     inspected values still differ.
@@ -197,6 +206,8 @@ def stabilization_run(q: GeneralizedQuiver, seq_period, count: int,
         raise BadParameters(f"period {seq_period} has an entry that is not an integer")
     if not seq_period or count < 1:
         raise BadParameters("need a nonempty period and count >= 1")
+    if cutoff < 0:
+        raise BadParameters("cutoff must be nonnegative")
     p = len(seq_period)
     full_seq = seq_period * count
     tr = trace(q, full_seq)
@@ -239,26 +250,23 @@ class QuadraticNumber:
     def of(cls, a, b, disc: int) -> "QuadraticNumber":
         return cls(Fraction(a), Fraction(b), int(disc))
 
-    def _check(self, other: "QuadraticNumber"):
-        if self.disc != other.disc:
-            raise ValueError("mixed discriminants")
-
-    def __add__(self, other):
+    def _coerce(self, other) -> "QuadraticNumber":
         if isinstance(other, int):
             other = QuadraticNumber.of(other, 0, self.disc)
-        self._check(other)
+        if self.disc != other.disc:
+            raise ValueError("mixed discriminants")
+        return other
+
+    def __add__(self, other):
+        other = self._coerce(other)
         return QuadraticNumber(self.a + other.a, self.b + other.b, self.disc)
 
     def __sub__(self, other):
-        if isinstance(other, int):
-            other = QuadraticNumber.of(other, 0, self.disc)
-        self._check(other)
+        other = self._coerce(other)
         return QuadraticNumber(self.a - other.a, self.b - other.b, self.disc)
 
     def __mul__(self, other):
-        if isinstance(other, int):
-            other = QuadraticNumber.of(other, 0, self.disc)
-        self._check(other)
+        other = self._coerce(other)
         return QuadraticNumber(
             self.a * other.a + self.b * other.b * self.disc,
             self.a * other.b + self.b * other.a,
@@ -293,13 +301,9 @@ class QuadraticNumber:
         return 1 if lead < 0 else -1
 
     def __le__(self, other) -> bool:
-        if isinstance(other, int):
-            other = QuadraticNumber.of(other, 0, self.disc)
         return (self - other).sign() <= 0
 
     def __lt__(self, other) -> bool:
-        if isinstance(other, int):
-            other = QuadraticNumber.of(other, 0, self.disc)
         return (self - other).sign() < 0
 
 
@@ -337,9 +341,11 @@ def limit_kr(r: int, cutoff: int) -> LaurentPolynomial:
 
     Sums phi(w) * prod_i (s_{w_i} - sum_{j<i} (s_{w_i-w_j} + s_{w_i-w_j-2}))
     over nondecreasing sequences w >= 0 whose norm sum_i (1/p)^{w_i} is at
-    most 1 (exact quadratic comparison), on the monomial
-    y1^{sum s_{w_i}} y2^{sum s_{w_i-1}}.  r = 2 degenerates (sqrt(0)) and is
-    routed to limit_a1r(1).
+    most 1, on the monomial y1^e1 y2^e2, e1 = sum s_{w_i}, e2 = sum s_{w_i-1}.
+    As q = 1/p has q^w = s_{w-1}*q - s_{w-2} (s_{-2} = -1), the norm is
+    e1 - p*e2, so the test is an exact integer filter on the result's keys:
+    2(e1-1) - r*e2 <= 0, or its square is at most e2^2 (r^2-4).  r = 2
+    degenerates (sqrt(0)) and is routed to limit_a1r(1).
     """
     if r < 2:
         raise BadParameters("kr limit needs r >= 2")
@@ -347,24 +353,20 @@ def limit_kr(r: int, cutoff: int) -> LaurentPolynomial:
         raise BadParameters("cutoff must be nonnegative")
     if r == 2:
         return limit_a1r(1, cutoff)
-    disc = r * r - 4
-    inv_p = QuadraticNumber.of(Fraction(r, 2), Fraction(-1, 2), disc)  # 1/p
-    one = QuadraticNumber.of(1, 0, disc)
     ss = SSequence.kronecker(r)
     # s is strictly increasing, so the entries that fit the cutoff are 0..m-1
     m = 0
     while ss.s(m) + ss.s(m - 1) <= cutoff:
         m += 1
     rhos = [(ss.s(w), ss.s(w - 1)) for w in range(m)]
-    powers = [inv_p ** w for w in range(m)]
     pairs = [-ss.s(d) - ss.s(d - 2) for d in range(m)]
+    poly = _sequence_sum(rhos, ss.s, lambda c, e: pairs[c - e], (cutoff, cutoff), cutoff)
 
-    def admit(norm, w):
-        norm = powers[w] if norm is None else norm + powers[w]
-        return None if one < norm else norm
+    def within_norm(e1, e2):
+        x = 2 * (e1 - 1) - r * e2
+        return x <= 0 or x * x <= e2 * e2 * (r * r - 4)
 
-    return _sequence_sum(rhos, ss.s, lambda c, e: pairs[c - e], (cutoff, cutoff),
-                         cutoff, admit=admit)
+    return _from_clean(2, {e: c for e, c in poly.terms.items() if within_norm(*e)})
 
 
 def limit_gale_robinson(v: int, r: int, t: int, cutoff: int) -> LaurentPolynomial:
@@ -404,19 +406,16 @@ def dp1_coefficient(a: int, b: int, c: int, d: int) -> int:
 
     def partitions(total, parts):
         """Nondecreasing tuples of `parts` nonnegative ints summing to total."""
-        if parts == 0:
-            return [()] if total == 0 else []
-        out = []
-
-        def rec(prefix, remaining, slots, minimum):
-            if slots == 0:
-                if remaining == 0:
-                    out.append(tuple(prefix))
-                return
-            for q in range(minimum, remaining + 1):
-                rec(prefix + [q], remaining - q, slots - 1, q)
-
-        rec([], total, parts, 0)
+        out, stack = [], [((), total)]
+        while stack:  # explicit stack: any number of parts, no recursion limit
+            prefix, left = stack.pop()
+            slots = parts - len(prefix)
+            if not slots:
+                if not left:
+                    out.append(prefix)
+                continue
+            low = prefix[-1] if prefix else 0  # every later part is >= q
+            stack += [(prefix + (q,), left - q) for q in range(low, left // slots + 1)]
         return out
 
     total = Fraction(0)

@@ -94,19 +94,14 @@ def test_sequence_sum_rejects_zero_or_negative_step():
 
 def test_sequence_sum_counts_multisets():
     # the k-th copy of an index has the factor k, so phi * W = 1 for every
-    # multiset and each monomial that passes the bound, cap and test gets 1
+    # multiset and each monomial that passes the bound and cap gets 1
     steps, tail, pair = [(1, 0), (0, 1)], lambda c: 1, lambda c, e: int(c == e)
 
     def box(cap):
         return {(a, b): 1 for a in range(2) for b in range(4) if a + b <= cap}
 
-    def at_most_two(length, c):
-        length = (length or 0) + 1
-        return length if length <= 2 else None
-
     assert _sequence_sum(steps, tail, pair, (1, 3)).terms == box(4)
     assert _sequence_sum(steps, tail, pair, (1, 3), cap=2).terms == box(2)
-    assert _sequence_sum(steps, tail, pair, (1, 3), admit=at_most_two).terms == box(2)
     assert _sequence_sum(steps, tail, pair, (1, 3), target=(1, 2)) == 1
     assert _sequence_sum(steps, tail, pair, (0, 0), target=(0, 0)) == 1
 
@@ -208,6 +203,25 @@ def unit_series(draw):
 def test_binomial_series_equals_invert_then_power(series, e):
     p, bound = series
     assert _power_truncated(p, e, bound) == _invert_then_power(p, e, bound)
+
+
+def test_binomial_series_shares_powers():
+    # one list of powers of x on one base serves every exponent, in any order,
+    # and each result equals a fresh series
+    y1, y2 = LaurentPolynomial.variable(2, 1), LaurentPolynomial.variable(2, 2)
+    p = 1 + 2 * y1 + y1 * y2 - y2 * y2
+    bound = (5, 4)
+    powers = []
+    sizes = []
+    for e in (3, -2, 5, -4):
+        assert _power_truncated(p, e, bound, powers) == _power_truncated(p, e, bound)
+        sizes.append(len(powers))
+    x = truncate(p - 1, bound)
+    for k, power in enumerate(powers, start=1):
+        assert power == truncate(x ** k, bound)
+    # 3 and 5 need x^3 and x^5; a negative exponent runs to the first empty power
+    assert sizes[0] == 3
+    assert sizes == sorted(sizes) and not powers[-1]
 
 
 def test_binomial_series_needs_unit_constant():

@@ -3,7 +3,7 @@ import pytest
 from clusterforge import (FamilySpec, LaurentPolynomial, SSequence, build_family,
                           build_gale_robinson, canonical_sequence, check_symmetric,
                           fpoly_gale_robinson, fpoly_kr, fpoly_recurrence,
-                          fpoly_symmetric, s_values, trace)
+                          family_sequence, fpoly_symmetric, s_values, trace)
 from clusterforge.errors import BadParameters, NotSymmetric
 
 G723_B = (
@@ -47,6 +47,23 @@ def test_build_gr_validates():
         build_gale_robinson(4, 0, 1)
     with pytest.raises(BadParameters):
         build_gale_robinson(4, 2, 2)  # r = t degenerates
+
+
+def test_family_sequence_accepts_what_build_family_accepts():
+    # one set of parameter rules: G_{4,1,1} has r = t and is rejected by both
+    with pytest.raises(BadParameters, match="disjoint"):
+        s_values(FamilySpec.of("gr", v=4, r=1, t=1), range(3))
+    specs = [FamilySpec.of("gr", v=v, r=r, t=t)
+             for v in range(1, 7) for r in range(-1, 8) for t in range(-1, 8)]
+    specs += [FamilySpec.of(f, r=r) for f in ("kr", "a1r", "xx") for r in range(-1, 4)]
+    for spec in specs:
+        try:
+            build_family(spec)
+        except BadParameters:
+            with pytest.raises(BadParameters):
+                family_sequence(spec)
+        else:
+            family_sequence(spec)
 
 
 def test_check_symmetric_passes(k3, g723, dp1):

@@ -53,8 +53,6 @@ CASES = {
                        "--cutoff", "6"],
     "stabilize-g723": ["stabilize", *G723, "--period", "1..7", "--count", "4",
                        "--cutoff", "8"],
-    "stabilize-kr3-negative-cutoff": ["stabilize", *KR3, "--period", "1,2", "--count", "3",
-                                      "--cutoff", "-1"],
     "stabilize-kr3-json": ["stabilize", *KR3, "--period", "1,2", "--count", "6",
                            "--cutoff", "10", *JSON],
     "limit-kr3": ["limit", "--family", "kr", "--params", "r=3", "--cutoff", "30"],
@@ -71,3 +69,14 @@ def test_cli_output_matches_golden(name, capsys):
     assert main(CASES[name]) == 0
     expected = (GOLDEN / f"{name}.out").read_text(encoding="utf-8")
     assert capsys.readouterr().out == expected
+
+
+def test_stabilize_negative_cutoff_is_bad_parameters(capsys):
+    # a negative cutoff is BadParameters (exit 2) for stabilize as for limit
+    for argv in (["stabilize", *KR3, "--period", "1,2", "--count", "3", "--cutoff", "-1"],
+                 ["stabilize", *A1R2, "--period", "1,2,3", "--count", "2", "--cutoff", "-5"],
+                 ["limit", *KR3, "--cutoff", "-1"]):
+        assert main(argv) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert "cutoff must be nonnegative" in err

@@ -1,0 +1,101 @@
+from fractions import Fraction
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from clusterforge.intmat import det, identity, inverse_unimodular, mat_mul
+
+
+def fraction_det(a):
+    """Reference determinant: Gaussian elimination on Fractions."""
+    n = len(a)
+    m = [[Fraction(x) for x in row] for row in a]
+    result = Fraction(1)
+    for col in range(n):
+        pivot = next((r for r in range(col, n) if m[r][col] != 0), None)
+        if pivot is None:
+            return 0
+        if pivot != col:
+            m[col], m[pivot] = m[pivot], m[col]
+            result = -result
+        for r in range(col + 1, n):
+            factor = m[r][col] / m[col][col]
+            for c in range(col, n):
+                m[r][c] -= factor * m[col][c]
+        result *= m[col][col]
+    assert result.denominator == 1
+    return int(result)
+
+
+def fraction_inverse(a):
+    """Reference inverse: Gauss-Jordan on Fractions, or None when not integral."""
+    n = len(a)
+    m = [[Fraction(x) for x in row] + [Fraction(int(i == j)) for j in range(n)]
+         for i, row in enumerate(a)]
+    for col in range(n):
+        pivot = next((r for r in range(col, n) if m[r][col] != 0), None)
+        if pivot is None:
+            return None
+        m[col], m[pivot] = m[pivot], m[col]
+        m[col] = [x / m[col][col] for x in m[col]]
+        for r in range(n):
+            if r != col:
+                m[r] = [x - m[r][col] * y for x, y in zip(m[r], m[col])]
+    if any(x.denominator != 1 for row in m for x in row[n:]):
+        return None
+    return tuple(tuple(int(x) for x in row[n:]) for row in m)
+
+
+@st.composite
+def square_matrices(draw):
+    """Random, unimodular and singular integer matrices from 1x1 to 6x6."""
+    n = draw(st.integers(1, 6))
+    kind = draw(st.sampled_from(["random", "unimodular", "singular"]))
+    if kind == "unimodular":
+        # elementary row operations and sign flips keep det = +-1
+        m = [list(row) for row in identity(n)]
+        for _ in range(draw(st.integers(0, 10))):
+            i, j = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
+            if i != j:
+                c = draw(st.integers(-3, 3))
+                m[i] = [x + c * y for x, y in zip(m[i], m[j])]
+            elif draw(st.booleans()):
+                m[i] = [-x for x in m[i]]
+        return tuple(map(tuple, m))
+    rows = draw(st.lists(st.lists(st.integers(-5, 5), min_size=n, max_size=n),
+                         min_size=n, max_size=n))
+    if kind == "singular" and n > 1:
+        # one row a combination of two others (or a repeat of one)
+        i, j, k = (draw(st.integers(0, n - 1)) for _ in range(3))
+        c = draw(st.integers(-2, 2))
+        rows[i] = [x + c * y for x, y in zip(rows[j], rows[k])] if i not in (j, k) \
+            else [0] * n
+    return tuple(map(tuple, rows))
+
+
+@settings(max_examples=400, deadline=None)
+@given(square_matrices())
+def test_integer_elimination_matches_fractions(a):
+    d = det(a)
+    assert d == fraction_det(a)
+    expected = fraction_inverse(a)
+    if expected is None:
+        with pytest.raises(ValueError):
+            inverse_unimodular(a)
+        assert d not in (1, -1)
+    else:
+        assert inverse_unimodular(a) == expected
+        assert mat_mul(a, expected) == identity(len(a))
+        assert d in (1, -1)
+
+
+def test_integer_elimination_edge_cases():
+    assert det(()) == 1
+    assert det(((0, 1), (1, 0))) == -1  # needs a row swap
+    assert det(((2, 4), (1, 2))) == 0
+    assert inverse_unimodular(((0, 1), (1, 0))) == ((0, 1), (1, 0))
+    with pytest.raises(ValueError, match="singular"):
+        inverse_unimodular(((2, 4), (1, 2)))
+    with pytest.raises(ValueError, match="not unimodular"):
+        inverse_unimodular(((2, 0), (0, 1)))

@@ -3,14 +3,15 @@ from fractions import Fraction
 
 import pytest
 
-from clusterforge import (LaurentPolynomial, QuadraticNumber, deform,
+from clusterforge import (LaurentPolynomial, QuadraticNumber, SSequence, deform,
                           deformed_formula, dp1_coefficient, fpoly_recurrence,
                           fundamentals, green_excess_probe, is_polynomial,
                           limit_a1r, limit_gale_robinson, limit_kr,
-                          limits_match_up_to_cycle, make_quiver,
-                          stabilization_run, trace)
+                          framed_state, limits_match_up_to_cycle, make_quiver,
+                          mutate, stabilization_run, trace)
 from clusterforge.errors import BadParameters, RedStepEncountered
 from clusterforge.intmat import identity
+from clusterforge.stabilization import _labels_after
 from conftest import random_sequence, random_skew_symmetric
 
 
@@ -65,6 +66,22 @@ def test_fundamentals_detects_products(a2):
     # color counts aggregate per distinct monomial
     by_monomial = {e.monomial: e for e in fset.entries}
     assert (by_monomial[(0, 1)].green, by_monomial[(0, 1)].red) == (1, 1)
+
+
+def test_labels_from_recurrence_match_framed_mutation():
+    # the label of vertex k after the sequence is F_i for the last step i at k
+    rng = random.Random(37)
+    for _ in range(40):
+        q = random_skew_symmetric(rng, 3, max_entry=1)
+        seq = random_sequence(rng, 3, rng.randint(0, 7))
+        state = framed_state(q)
+        for k in seq:
+            state = mutate(state, k)
+        fs = fpoly_recurrence(q, seq)
+        assert _labels_after(seq, fs, q.v) == list(state.labels)
+        tr = trace(q, seq)
+        for n in range(len(seq) + 1):
+            assert fundamentals(tr, n, fs=fs) == fundamentals(tr, n)
 
 
 def test_green_excess_probe_green_trace(k2):
@@ -215,6 +232,45 @@ def test_limit_kr_regression(params, n_terms, total, pins):
     assert {m: lim.terms.get(m) for m in pins} == pins
 
 
+def norm_limit_kr(r, cutoff):
+    """Reference limit_kr: sum only the sequences whose norm stays <= 1.
+
+    The norm sum_i (1/p)^{w_i} is compared in exact quadratic arithmetic at
+    every sequence, and a sequence over 1 is dropped with its extensions.
+    """
+    disc = r * r - 4
+    inv_p = QuadraticNumber.of(Fraction(r, 2), Fraction(-1, 2), disc)
+    one = QuadraticNumber.of(1, 0, disc)
+    ss = SSequence.kronecker(r)
+    terms = {}
+    stack = [((), QuadraticNumber.of(0, 0, disc), (0, 0), Fraction(1))]
+    while stack:
+        w, norm, (e1, e2), value = stack.pop()
+        terms[(e1, e2)] = terms.get((e1, e2), 0) + value
+        x = w[-1] if w else 0
+        while ss.s(x) + ss.s(x - 1) + e1 + e2 <= cutoff:
+            child = norm + inv_p ** x
+            if not one < child:
+                f = ss.s(x) - sum(ss.s(x - y) + ss.s(x - y - 2) for y in w)
+                run = 1 + sum(1 for y in w if y == x)
+                stack.append((w + (x,), child, (e1 + ss.s(x), e2 + ss.s(x - 1)),
+                              value * f / run))
+            x += 1
+    assert all(c.denominator == 1 for c in terms.values())
+    return {m: int(c) for m, c in terms.items() if c}
+
+
+@pytest.mark.parametrize("r", range(3, 8))
+def test_limit_kr_key_filter_matches_norm_test(r):
+    # the integer filter on the result's keys gives what the per-sequence
+    # norm test gave; the sum is taken once at cutoff 40 and restricted,
+    # since a sequence's total degree is that of its monomial
+    full = norm_limit_kr(r, 40)
+    for cutoff in range(41):
+        expected = {m: c for m, c in full.items() if sum(m) <= cutoff}
+        assert limit_kr(r, cutoff).terms == expected
+
+
 def test_limit_gale_robinson_matches_dp1_run(dp1):
     report = stabilization_run(dp1, (1, 2, 3, 4), 5, 4)
     assert report.all_stabilized
@@ -227,6 +283,14 @@ def test_dp1_coefficient_basics():
     assert dp1_coefficient(0, 1, 0, 0) == 0
     assert dp1_coefficient(1, 2, 0, 1) == 3
     assert dp1_coefficient(0, 0, 1, 0) == 0  # needs a-c >= 0
+
+
+def test_dp1_coefficient_many_parts():
+    # 1,200 parts: the partitions are walked with an explicit stack, not
+    # recursion; the 0-based entry i of w = (0, ..., 0) has the factor 1 - i,
+    # so only w = () and w = (0,) are nonzero
+    assert dp1_coefficient(1200, 0, 0, 0) == 0
+    assert dp1_coefficient(2, 0, 0, 0) == 0
 
 
 def test_dp1_coefficient_matches_limit():
