@@ -31,8 +31,8 @@ from math import factorial
 from operator import add, le
 
 from . import intmat
-from .cmatrix import MutationTrace, coeff_a, coeff_b
-from .errors import NonIntegerCoefficient, SignCoherenceViolation
+from .cmatrix import MutationTrace, _dot_column, coeff_a, pair_term
+from .errors import BadParameters, NonIntegerCoefficient, SignCoherenceViolation
 from .laurent import LaurentPolynomial, _from_clean, _Packing, mul_truncated, truncate
 from .quiver import _degree_bounds_from_trace
 
@@ -63,34 +63,32 @@ def w_value(tr: MutationTrace, n: int, w) -> int:
         raise ValueError("index sequence out of range")
     total = 1
     for i, wi in enumerate(w):
-        factor = coeff_a(tr, wi, n)
-        for wj in w[i + 1:]:
-            factor += -coeff_a(tr, wi, wj) + coeff_b(tr, wi, wj)
-        total *= factor
+        total *= coeff_a(tr, wi, n) + sum(pair_term(tr, wi, wj) for wj in w[i + 1:])
     return total
 
 
-class _PairTables:
-    """Memoized tail and pair terms of one trace, in candidate order c = n - w.
+def _tail_and_pair(tr: MutationTrace, n: int):
+    """The tail and pair terms of F_n's sequence sum, in candidate order c = n - w.
 
-    tail(c) = a(n-c, n) and pair(c, e) = -a(n-c, n-e) + b(n-c, n-e) for
-    e <= c (equal candidates give -1); each pair term is computed on first use.
+    tail(c) = a(n-c, n) and pair(c, e) = -a(n-c, n-e) + b(n-c, n-e), the
+    cmatrix pair_term.  The kernel asks only for 0 <= e <= c < n, so lookups
+    are not validated; each pair term is memoized within the call.
     """
+    rows, d_mats, seq = tr.pair_rows, tr.d_mats, tr.seq
+    memo: dict[tuple[int, int], int] = {}
 
-    def __init__(self, tr: MutationTrace, n: int):
-        self.tr = tr
-        self.n = n
-        self._pair: dict[tuple[int, int], int] = {}
+    def tail(c: int) -> int:
+        return coeff_a(tr, n - c, n)
 
-    def tail(self, c: int) -> int:
-        return coeff_a(self.tr, self.n - c, self.n)
-
-    def pair(self, c: int, e: int) -> int:
-        value = self._pair.get((c, e))
+    def pair(c: int, e: int) -> int:
+        value = memo.get((c, e))
         if value is None:
-            i, j = self.n - c, self.n - e
-            value = self._pair[(c, e)] = -coeff_a(self.tr, i, j) + coeff_b(self.tr, i, j)
+            i = n - c
+            value = memo[c, e] = (
+                -1 if c == e else _dot_column(rows[n - e - 1], d_mats[i], seq[i - 1] - 1))
         return value
+
+    return tail, pair
 
 
 def enumerate_sequences(tr: MutationTrace, n: int, bound):
@@ -204,22 +202,22 @@ def fpoly_formula(tr: MutationTrace, n: int) -> LaurentPolynomial:
         raise ValueError("n out of trace range")
     if n == 0:
         return LaurentPolynomial.one(tr.v)
-    tables = _PairTables(tr, n)
     bound = _degree_bounds_from_trace(tr, n)
     steps = [tr.r(n - c) for c in range(n)]
-    return _sequence_sum(steps, tables.tail, tables.pair, bound)
+    return _sequence_sum(steps, *_tail_and_pair(tr, n), bound)
 
 
 def coefficient_of(tr: MutationTrace, n: int, monomial) -> int:
     """Coefficient of one monomial of F_n, summing only its own sequences."""
+    if not 0 <= n <= tr.n:
+        raise ValueError("n out of trace range")
     monomial = tuple(monomial)
     if any(x < 0 for x in monomial):
         raise ValueError("monomial exponents must be nonnegative")
     if n == 0:
         return 1 if not any(monomial) else 0
-    tables = _PairTables(tr, n)
     steps = [tr.r(n - c) for c in range(n)]
-    return _sequence_sum(steps, tables.tail, tables.pair, monomial, target=monomial)
+    return _sequence_sum(steps, *_tail_and_pair(tr, n), monomial, target=monomial)
 
 
 def _power_truncated(p: LaurentPolynomial, e: int, bound,
@@ -281,7 +279,7 @@ def fpoly_product_form(tr: MutationTrace, n: int) -> LaurentPolynomial:
         for i in range(1, j):
             if not term:
                 break
-            term = times_power(term, i, -coeff_a(tr, i, j) + coeff_b(tr, i, j))
+            term = times_power(term, i, pair_term(tr, i, j))
         ells.append(LaurentPolynomial.one(tr.v) + term)
         xpowers.append([])
     result = LaurentPolynomial.one(tr.v)
@@ -314,9 +312,10 @@ def deformed_coefficients(tr: MutationTrace, n: int, cutoff: int) -> dict:
     """
     if not 1 <= n <= tr.n:
         raise ValueError("n out of trace range")
+    if cutoff < 0:
+        raise BadParameters("cutoff must be nonnegative")
     if any(color == "red" for color in tr.colors[:n]):
         raise ValueError("deformed cutoff evaluation requires an all-green prefix")
-    tables = _PairTables(tr, n)
     deform = deform_matrix(tr, n)
     rhos = []
     for w in range(n):
@@ -326,5 +325,5 @@ def deformed_coefficients(tr: MutationTrace, n: int, cutoff: int) -> dict:
                 f"deformed r-monomial at offset {w} is not positive: {rho}"
             )
         rhos.append(rho)
-    poly = _sequence_sum(rhos, tables.tail, tables.pair, (cutoff,) * tr.v, cutoff)
+    poly = _sequence_sum(rhos, *_tail_and_pair(tr, n), (cutoff,) * tr.v, cutoff)
     return dict(poly.terms)

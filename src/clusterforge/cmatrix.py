@@ -7,6 +7,8 @@ vertex; the D-matrix is the analogous product of E-kind matrices.  So
 generic O(v^3) product: right multiplication by a step matrix changes only
 column k, left multiplication only row k.  Each pair coefficient is one
 entry of a product of these matrices, so it is one row-column dot product.
+The trace also records, once per step j, the row of
+E*_j D_{j-1}^{-1} - D_j^{-1} that every pair term -a(i,j) + b(i,j) reads.
 Colors are read off the sign of the mutated column of the previous
 C-matrix, which sign coherence keeps well-defined.  Every trace is
 cross-checked entrywise against the direct frozen-arrow simulation from the
@@ -16,6 +18,7 @@ quiver module.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from operator import sub
 
 from . import intmat
 from .errors import ConsistencyError, IndexOrder, SignCoherenceViolation
@@ -129,6 +132,7 @@ class MutationTrace:
     a_steps: tuple[Matrix, ...] = field(repr=False, default=())
     e_steps: tuple[Matrix, ...] = field(repr=False, default=())
     estar_steps: tuple[Matrix, ...] = field(repr=False, default=())
+    pair_rows: tuple[tuple[int, ...], ...] = field(repr=False, default=())
 
     @property
     def n(self) -> int:
@@ -162,7 +166,9 @@ def trace(q: GeneralizedQuiver, seq) -> MutationTrace:
     independently, by the direct frozen-arrow rule; the two must agree
     entrywise, otherwise a ConsistencyError is raised.  Each step is applied
     as a column update (C*A_i, D*E_i) or a row update (A_i*C^{-1},
-    E_i*D^{-1}).  A vertex that is not an int, bool included, is a TypeError.
+    E_i*D^{-1}).  The pair row of step j is row v_j of E*_j D_{j-1}^{-1} -
+    D_j^{-1} = (E*_j - E_j) D_{j-1}^{-1}, from the D^{-1} the loop carries.
+    A vertex that is not an int, bool included, is a TypeError.
     """
     seq = tuple(seq)
     v = q.v
@@ -174,26 +180,22 @@ def trace(q: GeneralizedQuiver, seq) -> MutationTrace:
     b = q.b
     c = d = cinv = dinv = intmat.identity(v)
     c_sim = intmat.identity(v)
-    b_mats, c_mats, d_mats = [b], [c], [d]
-    cinv_mats, dinv_mats = [cinv], [dinv]
-    colors: list[str] = []
-    r_monomials: list[tuple[int, ...]] = []
-    a_steps: list[Matrix] = []
-    e_steps: list[Matrix] = []
-    estar_steps: list[Matrix] = []
+    b_mats, c_mats, d_mats, cinv_mats, dinv_mats = [b], [c], [d], [cinv], [dinv]
+    colors, r_monomials, a_steps, e_steps, estar_steps, pair_rows = [], [], [], [], [], []
 
     for k in seq:
         kk = k - 1
         color = _column_color(c, kk)
-        other = "red" if color == "green" else "green"
         a_row = _step_row(b, kk, "a", color)
         e_row = _step_row(b, kk, "e", color)
         a_steps.append(_step_matrix(a_row, kk))
         e_steps.append(_step_matrix(e_row, kk))
-        estar_steps.append(_step_matrix(_step_row(b, kk, "e", other), kk))
+        estar_row = _step_row(b, kk, "e", "red" if color == "green" else "green")
+        estar_steps.append(_step_matrix(estar_row, kk))
         c = _times_step(c, a_row, kk)
         d = _times_step(d, e_row, kk)
         cinv = _step_times(a_row, kk, cinv)
+        pair_rows.append(_row_times(tuple(map(sub, estar_row, e_row)), dinv))
         dinv = _step_times(e_row, kk, dinv)
         c_sim = mutate_c(c_sim, b, kk)
         if c_sim != c:
@@ -210,20 +212,9 @@ def trace(q: GeneralizedQuiver, seq) -> MutationTrace:
         cinv_mats.append(cinv)
         dinv_mats.append(dinv)
 
-    return MutationTrace(
-        quiver=q,
-        seq=seq,
-        b_mats=tuple(b_mats),
-        c_mats=tuple(c_mats),
-        d_mats=tuple(d_mats),
-        cinv_mats=tuple(cinv_mats),
-        dinv_mats=tuple(dinv_mats),
-        colors=tuple(colors),
-        r_monomials=tuple(r_monomials),
-        a_steps=tuple(a_steps),
-        e_steps=tuple(e_steps),
-        estar_steps=tuple(estar_steps),
-    )
+    return MutationTrace(q, seq, *map(tuple, (  # the fields in declaration order
+        b_mats, c_mats, d_mats, cinv_mats, dinv_mats, colors, r_monomials,
+        a_steps, e_steps, estar_steps, pair_rows)))
 
 
 def c_between(tr: MutationTrace, m: int, n: int, kind: str = "c") -> Matrix:
@@ -264,20 +255,24 @@ def coeff_a(tr: MutationTrace, i: int, j: int) -> int:
     return _dot_column(row, tr.d_mats[i], tr.vertex(i) - 1)
 
 
-def coeff_b(tr: MutationTrace, i: int, j: int) -> int:
-    """Pair coefficient b(i,j) = (E*_j E_j D_{i,j}^{-1})[v_j, v_i]; 0 when i=j.
+def pair_term(tr: MutationTrace, i: int, j: int) -> int:
+    """The pair term -a(i,j) + b(i,j), for 1 <= i <= j; -1 when i = j.
 
-    Row v_j of E*_j E_j D_j^{-1} is formed first, O(v^2): E_j is an
-    involution, so E_j D_j^{-1} = D_{j-1}^{-1}, and E*_j differs from the
-    identity only in row v_j.  The entry is then that row times column v_i
-    of D_i, as for coeff_a.
+    E_j is an involution, so E*_j E_j D_j^{-1} = E*_j D_{j-1}^{-1}, and the
+    term is the trace's pair row of step j times column v_i of D_i, O(v).
     """
     _check_pair(tr, i, j)
     if i == j:
-        return 0
-    estar_row = tr.estar_steps[j - 1][tr.vertex(j) - 1]
-    row = _row_times(estar_row, tr.dinv_mats[j - 1])
-    return _dot_column(row, tr.d_mats[i], tr.vertex(i) - 1)
+        return -1
+    return _dot_column(tr.pair_rows[j - 1], tr.d_mats[i], tr.vertex(i) - 1)
+
+
+def coeff_b(tr: MutationTrace, i: int, j: int) -> int:
+    """Pair coefficient b(i,j) = (E*_j E_j D_{i,j}^{-1})[v_j, v_i]; 0 when i=j.
+
+    It is pair_term + a(i,j), which at i = j is -1 + 1 = 0.
+    """
+    return pair_term(tr, i, j) + coeff_a(tr, i, j)
 
 
 @dataclass(frozen=True)

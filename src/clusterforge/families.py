@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from . import intmat
 from .closedform import _sequence_sum
 from .errors import BadParameters, ConsistencyError, NotSymmetric
 from .laurent import LaurentPolynomial
@@ -26,7 +27,11 @@ class FamilySpec:
 
     @classmethod
     def of(cls, family: str, **params) -> "FamilySpec":
-        return cls(family, tuple(sorted((k, int(v)) for k, v in params.items())))
+        """A spec from keyword parameters; a value that is not an int is BadParameters."""
+        for key, value in params.items():
+            if not intmat.is_int(value):
+                raise BadParameters(f"parameter {key}={value!r} is not an integer")
+        return cls(family, tuple(sorted(params.items())))
 
     def param(self, name: str) -> int:
         for key, value in self.params:

@@ -18,7 +18,7 @@ from . import intmat
 from .closedform import _sequence_sum, deformed_coefficients, phi
 from .cmatrix import MutationTrace, trace
 from .errors import BadParameters, ConsistencyError, RedStepEncountered
-from .families import SSequence
+from .families import SSequence, _check_gale_robinson
 from .intmat import Matrix
 from .laurent import LaurentPolynomial, _from_clean
 from .quiver import GeneralizedQuiver, fpoly_recurrence
@@ -378,8 +378,7 @@ def limit_gale_robinson(v: int, r: int, t: int, cutoff: int) -> LaurentPolynomia
     framed so the result matches stabilization runs inspected at indices
     divisible by v directly; dp1_coefficient uses the reversed frame.
     """
-    if not (1 <= r < v and 1 <= t < v):
-        raise BadParameters("gr needs 1 <= r < v and 1 <= t < v")
+    _check_gale_robinson(v, r, t)
     if cutoff < 0:
         raise BadParameters("cutoff must be nonnegative")
     ss = SSequence.gale_robinson(v, r, t)

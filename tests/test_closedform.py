@@ -14,7 +14,7 @@ from clusterforge import (LaurentPolynomial, coeff_a, coeff_b, coefficient_of,
                           fpoly_recurrence, make_quiver, phi, trace, w_value)
 from clusterforge.closedform import (_power_truncated, _sequence_sum,
                                      deformed_coefficients)
-from clusterforge.errors import NonIntegerCoefficient
+from clusterforge.errors import BadParameters, NonIntegerCoefficient
 from clusterforge.laurent import truncate
 from conftest import random_sequence, random_skew_symmetric
 
@@ -136,6 +136,19 @@ def test_coefficient_of(k2):
     # beyond the degree bound the sequence contributions cancel exactly
     assert coefficient_of(tr, 3, (4, 2)) == 0
     assert coefficient_of(tr, 3, (5, 3)) == 0
+
+
+def test_coefficient_of_validates_n(k2):
+    tr = trace(k2, (1, 2, 1))
+    for n in (-3, -1, 4):
+        with pytest.raises(ValueError, match="n out of trace range"):
+            coefficient_of(tr, n, (0, 0))
+
+
+def test_deformed_coefficients_rejects_negative_cutoff(k2):
+    tr = trace(k2, (1, 2, 1))
+    with pytest.raises(BadParameters, match="cutoff must be nonnegative"):
+        deformed_coefficients(tr, 3, -1)
 
 
 def test_coefficient_of_fundamentals_matches_lemma(k2):

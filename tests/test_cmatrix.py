@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from clusterforge import (c_between, check_sign_coherence, coeff_a, coeff_b,
                           fpoly_recurrence, framed_state, make_quiver, mutate,
                           step_matrix, trace)
+from clusterforge.cmatrix import pair_term
 from clusterforge.errors import IndexOrder
 from clusterforge.intmat import identity, mat_mul
 from conftest import random_sequence, random_skew_symmetric
@@ -213,3 +214,6 @@ def test_trace_and_pair_coefficients_match_matrix_products(case):
         for i in range(1, j + 1):
             assert coeff_a(tr, i, j) == _reference_coeff_a(tr, i, j)
             assert coeff_b(tr, i, j) == _reference_coeff_b(tr, i, j)
+            expected = -_reference_coeff_a(tr, i, j) + _reference_coeff_b(tr, i, j)
+            assert pair_term(tr, i, j) == expected
+        assert pair_term(tr, j, j) == -1

@@ -66,6 +66,13 @@ def test_family_sequence_accepts_what_build_family_accepts():
             family_sequence(spec)
 
 
+@pytest.mark.parametrize("value", [2.9, True, "2", 2.0, None])
+def test_family_spec_rejects_non_integer_parameters(value):
+    # no silent int() coercion: r=2.9 must not build the r = 2 quiver
+    with pytest.raises(BadParameters, match="not an integer"):
+        build_family(FamilySpec.of("kr", r=value))
+
+
 def test_check_symmetric_passes(k3, g723, dp1):
     for q in (k3, g723, dp1):
         report = check_symmetric(q, prefix_len=20)

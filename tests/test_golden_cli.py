@@ -2,8 +2,9 @@
 
 Each case is one `clusterforge` invocation; its exact stdout is stored as
 tests/golden/<name>.out.  The files were captured before the closed-form
-sums moved onto the shared sequence-sum kernel, so a diff here means the
-kernel changed an answer or its printing.
+sums moved onto the shared sequence-sum kernel, and the product-form,
+`cmatrix` and `verify` cases before the trace recorded the pair rows, so a
+diff here means a kernel changed an answer or its printing.
 """
 
 from pathlib import Path
@@ -61,6 +62,13 @@ CASES = {
     "limit-g723": ["limit", "--family", "gr", "--params", "v=7,r=2,t=3",
                    "--cutoff", "10"],
     "limit-dp1": ["limit", "--family", "dp1", "--cutoff", "8"],
+    "fpoly-product-kr3-n5": ["fpoly", *KR3, "--seq", "1,2,1,2,1", "--method", "product"],
+    "fpoly-product-g723-n9": ["fpoly", *G723, "--seq", "1,2,3,4,5,6,7,1,2",
+                              "--method", "product"],
+    "cmatrix-g723": ["cmatrix", *G723, "--seq", "1..7"],
+    "cmatrix-g723-between-json": ["cmatrix", *G723, "--seq", "1..7", *JSON,
+                                  "--between", "2", "7"],
+    "verify-g723": ["verify", *G723, "--seq", "1..7"],
 }
 
 
@@ -80,3 +88,11 @@ def test_stabilize_negative_cutoff_is_bad_parameters(capsys):
         out, err = capsys.readouterr()
         assert out == ""
         assert "cutoff must be nonnegative" in err
+
+
+def test_limit_gale_robinson_rejects_what_family_rejects(capsys):
+    # G_{4,1,1} has r = t: `family` refuses it, and so does `limit`
+    assert main(["limit", "--family", "gr", "--params", "v=4,r=1,t=1", "--cutoff", "4"]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "disjoint" in err

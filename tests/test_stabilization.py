@@ -3,7 +3,8 @@ from fractions import Fraction
 
 import pytest
 
-from clusterforge import (LaurentPolynomial, QuadraticNumber, SSequence, deform,
+from clusterforge import (LaurentPolynomial, QuadraticNumber, SSequence,
+                          build_gale_robinson, deform,
                           deformed_formula, dp1_coefficient, fpoly_recurrence,
                           fundamentals, green_excess_probe, is_polynomial,
                           limit_a1r, limit_gale_robinson, limit_kr,
@@ -192,6 +193,14 @@ def test_limit_kr_matches_k3_run(k3):
     report = stabilization_run(k3, (1, 2), 8, 6)
     assert report.all_stabilized
     assert limits_match_up_to_cycle(report, limit_kr(3, 6)) is not None
+
+
+def test_limit_gale_robinson_checks_parameters_like_build():
+    for params in ((4, 1, 1), (4, 1, 3), (6, 2, 2), (4, 0, 1), (4, 2, 4)):
+        with pytest.raises(BadParameters):
+            build_gale_robinson(*params)
+        with pytest.raises(BadParameters):
+            limit_gale_robinson(*params, 4)
 
 
 def test_limit_gale_robinson_golden(dp1):
