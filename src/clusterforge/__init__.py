@@ -8,8 +8,8 @@ and closed-form stabilized limits for specific quiver families.
 from . import errors
 from .closedform import (coefficient_of, deformed_formula, enumerate_sequences,
                          fpoly_formula, fpoly_product_form, phi, w_value)
-from .cmatrix import (MutationTrace, SignCoherenceReport, StepMatrix, c_between,
-                      check_sign_coherence, coeff_a, coeff_b, step_matrix, trace)
+from .cmatrix import (MutationTrace, SignCoherenceReport, c_between, check_sign_coherence,
+                      coeff_a, coeff_b, step_matrix, trace)
 from .families import (FamilySpec, SSequence, SymmetryReport, build_family,
                        build_gale_robinson, canonical_sequence, check_symmetric,
                        family_sequence, fpoly_gale_robinson, fpoly_kr,
@@ -31,7 +31,7 @@ __all__ = [
     "LaurentPolynomial", "exact_divide", "parse_monomial",
     "GeneralizedQuiver", "FramedState", "make_quiver", "framed_state",
     "mutate", "fpoly_recurrence", "degree_bounds",
-    "MutationTrace", "StepMatrix", "SignCoherenceReport", "trace",
+    "MutationTrace", "SignCoherenceReport", "trace",
     "step_matrix", "c_between", "coeff_a", "coeff_b", "check_sign_coherence",
     "phi", "w_value", "enumerate_sequences", "fpoly_formula",
     "coefficient_of", "fpoly_product_form", "deformed_formula",

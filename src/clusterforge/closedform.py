@@ -32,7 +32,7 @@ from operator import add, le
 
 from . import intmat
 from .cmatrix import MutationTrace, _dot_column, coeff_a, pair_term
-from .errors import BadParameters, NonIntegerCoefficient, SignCoherenceViolation
+from .errors import NonIntegerCoefficient, SignCoherenceViolation
 from .laurent import LaurentPolynomial, _from_clean, _Packing, mul_truncated, truncate
 from .quiver import _degree_bounds_from_trace
 
@@ -59,7 +59,9 @@ def w_value(tr: MutationTrace, n: int, w) -> int:
     w = tuple(w)
     if any(a > b for a, b in zip(w, w[1:])):
         raise ValueError("index sequence must be nondecreasing")
-    if w and not (1 <= w[0] and w[-1] <= n <= tr.n):
+    if not 0 <= n <= tr.n:
+        raise ValueError("n out of trace range")
+    if w and not (1 <= w[0] and w[-1] <= n):
         raise ValueError("index sequence out of range")
     total = 1
     for i, wi in enumerate(w):
@@ -212,6 +214,8 @@ def coefficient_of(tr: MutationTrace, n: int, monomial) -> int:
     if not 0 <= n <= tr.n:
         raise ValueError("n out of trace range")
     monomial = tuple(monomial)
+    if len(monomial) != tr.v:
+        raise ValueError(f"monomial {monomial} needs {tr.v} exponents")
     if any(x < 0 for x in monomial):
         raise ValueError("monomial exponents must be nonnegative")
     if n == 0:
@@ -312,8 +316,7 @@ def deformed_coefficients(tr: MutationTrace, n: int, cutoff: int) -> dict:
     """
     if not 1 <= n <= tr.n:
         raise ValueError("n out of trace range")
-    if cutoff < 0:
-        raise BadParameters("cutoff must be nonnegative")
+    intmat.check_count(cutoff, "cutoff")
     if any(color == "red" for color in tr.colors[:n]):
         raise ValueError("deformed cutoff evaluation requires an all-green prefix")
     deform = deform_matrix(tr, n)

@@ -5,7 +5,8 @@ matrices, each differing from the identity only in the row of the mutated
 vertex; the D-matrix is the analogous product of E-kind matrices.  So
 `trace` applies each step as a row or column update, O(v^2) instead of a
 generic O(v^3) product: right multiplication by a step matrix changes only
-column k, left multiplication only row k.  Each pair coefficient is one
+column k, left multiplication only row k; no step matrix is built or kept
+(`step_matrix` builds one for checks).  Each pair coefficient is one
 entry of a product of these matrices, so it is one row-column dot product.
 The trace also records, once per step j, the row of
 E*_j D_{j-1}^{-1} - D_j^{-1} that every pair term -a(i,j) + b(i,j) reads.
@@ -23,7 +24,7 @@ from operator import sub
 from . import intmat
 from .errors import ConsistencyError, IndexOrder, SignCoherenceViolation
 from .intmat import Matrix
-from .quiver import FramedState, GeneralizedQuiver, mutate_b, mutate_c
+from .quiver import GeneralizedQuiver, mutate_b, mutate_c
 
 
 def _step_row(b: Matrix, k: int, kind: str, variant: str) -> tuple[int, ...]:
@@ -44,13 +45,6 @@ def _step_row(b: Matrix, k: int, kind: str, variant: str) -> tuple[int, ...]:
         row = [max(-sign * r[k], 0) for r in b]
     row[k] = -1
     return tuple(row)
-
-
-def _step_matrix(row: tuple[int, ...], k: int) -> Matrix:
-    """The identity with row k replaced by `row`."""
-    n = len(row)
-    return tuple(row if i == k else tuple(int(i == j) for j in range(n))
-                 for i in range(n))
 
 
 def _times_step(m: Matrix, row: tuple[int, ...], k: int) -> Matrix:
@@ -80,24 +74,17 @@ def _step_times(row: tuple[int, ...], k: int, m: Matrix) -> Matrix:
     return m[:k] + (_row_times(row, m),) + m[k + 1:]
 
 
-@dataclass(frozen=True)
-class StepMatrix:
-    m: Matrix
-    kind: str      # 'a' or 'e'
-    variant: str   # 'green' or 'red'
-    step: int      # 1-based step index
-    vertex: int    # 1-based mutated vertex
+def step_matrix(b: Matrix, vertex: int, kind: str, variant: str) -> Matrix:
+    """Step matrix for mutating exchange matrix b at a 1-based vertex.
 
-
-def step_matrix(state: FramedState, vertex: int, kind: str, variant: str,
-                step: int = 0) -> StepMatrix:
-    """Step matrix for mutating `state` at a 1-based vertex."""
-    v = state.quiver.v
+    It is the identity with row k = vertex - 1 replaced by `_step_row`.
+    """
+    v = len(b)
     if not 1 <= vertex <= v:
         raise ValueError(f"vertex {vertex} out of range 1..{v}")
     k = vertex - 1
-    m = _step_matrix(_step_row(state.quiver.b, k, kind, variant), k)
-    return StepMatrix(m, kind, variant, step, vertex)
+    row = _step_row(b, k, kind, variant)
+    return tuple(row if i == k else tuple(int(i == j) for j in range(v)) for i in range(v))
 
 
 def _column_color(c: Matrix, k: int) -> str:
@@ -129,9 +116,6 @@ class MutationTrace:
     dinv_mats: tuple[Matrix, ...]
     colors: tuple[str, ...]
     r_monomials: tuple[tuple[int, ...], ...]
-    a_steps: tuple[Matrix, ...] = field(repr=False, default=())
-    e_steps: tuple[Matrix, ...] = field(repr=False, default=())
-    estar_steps: tuple[Matrix, ...] = field(repr=False, default=())
     pair_rows: tuple[tuple[int, ...], ...] = field(repr=False, default=())
 
     @property
@@ -181,17 +165,14 @@ def trace(q: GeneralizedQuiver, seq) -> MutationTrace:
     c = d = cinv = dinv = intmat.identity(v)
     c_sim = intmat.identity(v)
     b_mats, c_mats, d_mats, cinv_mats, dinv_mats = [b], [c], [d], [cinv], [dinv]
-    colors, r_monomials, a_steps, e_steps, estar_steps, pair_rows = [], [], [], [], [], []
+    colors, r_monomials, pair_rows = [], [], []
 
     for k in seq:
         kk = k - 1
         color = _column_color(c, kk)
         a_row = _step_row(b, kk, "a", color)
         e_row = _step_row(b, kk, "e", color)
-        a_steps.append(_step_matrix(a_row, kk))
-        e_steps.append(_step_matrix(e_row, kk))
         estar_row = _step_row(b, kk, "e", "red" if color == "green" else "green")
-        estar_steps.append(_step_matrix(estar_row, kk))
         c = _times_step(c, a_row, kk)
         d = _times_step(d, e_row, kk)
         cinv = _step_times(a_row, kk, cinv)
@@ -213,8 +194,7 @@ def trace(q: GeneralizedQuiver, seq) -> MutationTrace:
         dinv_mats.append(dinv)
 
     return MutationTrace(q, seq, *map(tuple, (  # the fields in declaration order
-        b_mats, c_mats, d_mats, cinv_mats, dinv_mats, colors, r_monomials,
-        a_steps, e_steps, estar_steps, pair_rows)))
+        b_mats, c_mats, d_mats, cinv_mats, dinv_mats, colors, r_monomials, pair_rows)))
 
 
 def c_between(tr: MutationTrace, m: int, n: int, kind: str = "c") -> Matrix:

@@ -54,17 +54,13 @@ def _family_params(spec: FamilySpec) -> tuple[int, ...]:
             raise BadParameters(f"{spec.family} needs r >= {least}")
         return (r,)
     if spec.family == "gr":
-        params = spec.param("v"), spec.param("r"), spec.param("t")
-        _check_gale_robinson(*params)
-        return params
+        v, r, t = spec.param("v"), spec.param("r"), spec.param("t")
+        if not (1 <= r < v and 1 <= t < v):
+            raise BadParameters("gr needs 1 <= r < v and 1 <= t < v")
+        if r == t or r == v - t:
+            raise BadParameters("gr needs {r, v-r} disjoint from {t, v-t}")
+        return v, r, t
     raise BadParameters(f"unknown family {spec.family!r}")
-
-
-def _check_gale_robinson(v: int, r: int, t: int) -> None:
-    if not (1 <= r < v and 1 <= t < v):
-        raise BadParameters("gr needs 1 <= r < v and 1 <= t < v")
-    if r == t or r == v - t:
-        raise BadParameters("gr needs {r, v-r} disjoint from {t, v-t}")
 
 
 def build_family(spec: FamilySpec) -> GeneralizedQuiver:
@@ -94,7 +90,7 @@ def build_gale_robinson(v: int, r: int, t: int) -> GeneralizedQuiver:
     exactly the condition that mutation at vertex 1 followed by the cyclic
     relabeling returns the same quiver.
     """
-    _check_gale_robinson(v, r, t)
+    v, r, t = _family_params(FamilySpec.of("gr", v=v, r=r, t=t))
     m = [0] * (v + 1)  # m[j] = signed arrows 1 -> j, 1-based
     m[1 + r] += 1
     m[v + 1 - r] += 1
@@ -264,11 +260,20 @@ def s_values(spec: FamilySpec, indices) -> list[tuple[int, int]]:
     return [(seq.s(i), seq.sp(i)) for i in indices]
 
 
+def _family_sum(ss: SSequence, steps, bound, cap=None) -> LaurentPolynomial:
+    """The sequence sum with tail s_c and pair term -s_d + s'_d, d = c - e.
+
+    Every family sum has this shape: the finite formulas below and the
+    stabilized limits of `limit_kr` and `limit_gale_robinson`.
+    """
+    pairs = [-ss.s(d) + ss.sp(d) for d in range(len(steps))]
+    return _sequence_sum(steps, ss.s, lambda c, e: pairs[c - e], bound, cap)
+
+
 def _family_formula(ss: SSequence, v: int, n: int, bound) -> LaurentPolynomial:
     """Shared evaluator: a(i,k) = s_{k-i}, b(i,k) = s'_{k-i}, r_w = prod y_i^{s_{w-i}}.
 
-    In the candidate order c = n - w of the sequence sum the tail is s_c and
-    the pair term -s_d + s'_d depends on d = c - e only.
+    In the candidate order c = n - w the steps are the r_w, reversed.
     """
     rvecs = []
     for w in range(1, n + 1):
@@ -276,22 +281,21 @@ def _family_formula(ss: SSequence, v: int, n: int, bound) -> LaurentPolynomial:
         if not any(rv):
             raise ConsistencyError(f"family r-monomial at step {w} vanished")
         rvecs.append(rv)
-    pairs = [-ss.s(d) + ss.sp(d) for d in range(n)]
-    return _sequence_sum(rvecs[::-1], ss.s, lambda c, e: pairs[c - e], bound)
+    return _family_sum(ss, rvecs[::-1], bound)
 
 
-def fpoly_symmetric(q: GeneralizedQuiver, n: int, force: bool = False) -> LaurentPolynomial:
+def fpoly_symmetric(q: GeneralizedQuiver, n: int) -> LaurentPolynomial:
     """F_n for a symmetric quiver under the cyclic sequence 1..v,1..
 
-    Refuses to run unless check_symmetric certifies the prefix of length n
-    (pass force=True to override the greenness certification).
+    Refuses to run unless check_symmetric certifies the prefix of length n.
     """
+    intmat.check_count(n, "n")
     if n == 0:
         return LaurentPolynomial.one(q.v)
     report = check_symmetric(q, prefix_len=n)
     if not (report.reversible and report.cyclic and report.vertex1_balanced):
         raise NotSymmetric(f"quiver failed symmetry checks: {report}")
-    if report.green_prefix < n and not force:
+    if report.green_prefix < n:
         raise NotSymmetric(
             f"greenness certified only for {report.green_prefix} steps < n={n}"
         )
@@ -304,12 +308,8 @@ def fpoly_kr(r: int, n: int) -> LaurentPolynomial:
 
     The sum is pruned by the exact y1-degree s_{n-1}.
     """
-    if r < 2:
-        raise BadParameters("kr needs r >= 2")
-    if n < 0:
-        raise BadParameters("n must be nonnegative")
-    if n == 0:
-        return LaurentPolynomial.one(2)
+    (r,) = _family_params(FamilySpec.of("kr", r=r))
+    intmat.check_count(n, "n")
     ss = SSequence.kronecker(r)
     bound = (ss.s(n - 1), ss.s(n - 2))
     return _family_formula(ss, 2, n, bound)
@@ -318,7 +318,6 @@ def fpoly_kr(r: int, n: int) -> LaurentPolynomial:
 def fpoly_gale_robinson(v: int, r: int, t: int, n: int) -> LaurentPolynomial:
     """F_n for G_{v,r,t} under the cyclic sequence, via partition counts."""
     q = build_gale_robinson(v, r, t)
-    if n == 0:
-        return LaurentPolynomial.one(v)
+    intmat.check_count(n, "n")
     bound = degree_bounds(q, canonical_sequence(v, n))
     return _family_formula(SSequence.gale_robinson(v, r, t), v, n, bound)

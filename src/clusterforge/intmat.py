@@ -8,12 +8,23 @@ O(n^3) algorithms are the right tool.
 
 from __future__ import annotations
 
+from .errors import BadParameters
+
 Matrix = tuple[tuple[int, ...], ...]
 
 
 def is_int(x) -> bool:
     """True for an int; False for anything else, bool included."""
     return isinstance(x, int) and not isinstance(x, bool)
+
+
+def check_count(x, name: str) -> int:
+    """x itself when it is a nonnegative int; anything else is BadParameters."""
+    if not is_int(x):
+        raise BadParameters(f"{name} {x!r} is not an integer")
+    if x < 0:
+        raise BadParameters(f"{name} must be nonnegative")
+    return x
 
 
 def exact_int(x) -> int:

@@ -15,10 +15,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import intmat
-from .closedform import _sequence_sum, deformed_coefficients, phi
+from .closedform import deformed_coefficients, phi
 from .cmatrix import MutationTrace, trace
 from .errors import BadParameters, ConsistencyError, RedStepEncountered
-from .families import SSequence, _check_gale_robinson
+from .families import FamilySpec, SSequence, _family_params, _family_sum
 from .intmat import Matrix
 from .laurent import LaurentPolynomial, _from_clean
 from .quiver import GeneralizedQuiver, fpoly_recurrence
@@ -204,10 +204,9 @@ def stabilization_run(q: GeneralizedQuiver, seq_period, count: int,
     seq_period = tuple(seq_period)
     if not all(intmat.is_int(k) for k in seq_period):
         raise BadParameters(f"period {seq_period} has an entry that is not an integer")
-    if not seq_period or count < 1:
-        raise BadParameters("need a nonempty period and count >= 1")
-    if cutoff < 0:
-        raise BadParameters("cutoff must be nonnegative")
+    if not seq_period or not intmat.is_int(count) or count < 1:
+        raise BadParameters("need a nonempty period and an integer count >= 1")
+    intmat.check_count(cutoff, "cutoff")
     p = len(seq_period)
     full_seq = seq_period * count
     tr = trace(q, full_seq)
@@ -317,10 +316,8 @@ def limit_a1r(r: int, cutoff: int) -> LaurentPolynomial:
     expanded by the geometric series to total degree <= cutoff.  For r = 1
     this is 1 + y_2 / (1 - y_1 y_2)^2.
     """
-    if r < 1:
-        raise BadParameters("a1r needs r >= 1")
-    if cutoff < 0:
-        raise BadParameters("cutoff must be nonnegative")
+    (r,) = _family_params(FamilySpec.of("a1r", r=r))
+    intmat.check_count(cutoff, "cutoff")
     v = r + 1
     terms = {(0,) * v: 1}
     heads = []
@@ -347,10 +344,8 @@ def limit_kr(r: int, cutoff: int) -> LaurentPolynomial:
     2(e1-1) - r*e2 <= 0, or its square is at most e2^2 (r^2-4).  r = 2
     degenerates (sqrt(0)) and is routed to limit_a1r(1).
     """
-    if r < 2:
-        raise BadParameters("kr limit needs r >= 2")
-    if cutoff < 0:
-        raise BadParameters("cutoff must be nonnegative")
+    (r,) = _family_params(FamilySpec.of("kr", r=r))
+    intmat.check_count(cutoff, "cutoff")
     if r == 2:
         return limit_a1r(1, cutoff)
     ss = SSequence.kronecker(r)
@@ -359,8 +354,7 @@ def limit_kr(r: int, cutoff: int) -> LaurentPolynomial:
     while ss.s(m) + ss.s(m - 1) <= cutoff:
         m += 1
     rhos = [(ss.s(w), ss.s(w - 1)) for w in range(m)]
-    pairs = [-ss.s(d) - ss.s(d - 2) for d in range(m)]
-    poly = _sequence_sum(rhos, ss.s, lambda c, e: pairs[c - e], (cutoff, cutoff), cutoff)
+    poly = _family_sum(ss, rhos, (cutoff, cutoff), cutoff)
 
     def within_norm(e1, e2):
         x = 2 * (e1 - 1) - r * e2
@@ -378,16 +372,13 @@ def limit_gale_robinson(v: int, r: int, t: int, cutoff: int) -> LaurentPolynomia
     framed so the result matches stabilization runs inspected at indices
     divisible by v directly; dp1_coefficient uses the reversed frame.
     """
-    _check_gale_robinson(v, r, t)
-    if cutoff < 0:
-        raise BadParameters("cutoff must be nonnegative")
+    v, r, t = _family_params(FamilySpec.of("gr", v=v, r=r, t=t))
+    intmat.check_count(cutoff, "cutoff")
     ss = SSequence.gale_robinson(v, r, t)
     # deg rho(w) >= floor(w/r) / (v-r), so entries beyond w_max cannot fit
     w_max = r * (cutoff * (v - r) + 1) + v
     rhos = [tuple(ss.s(w - v + i) for i in range(1, v + 1)) for w in range(w_max + 1)]
-    pairs = [-ss.s(d) - ss.s(d - v) + ss.s(d - t) + ss.s(d - v + t)
-             for d in range(w_max + 1)]
-    return _sequence_sum(rhos, ss.s, lambda c, e: pairs[c - e], (cutoff,) * v, cutoff)
+    return _family_sum(ss, rhos, (cutoff,) * v, cutoff)
 
 
 def dp1_coefficient(a: int, b: int, c: int, d: int) -> int:

@@ -8,7 +8,7 @@ from __future__ import annotations
 
 from . import intmat
 from .closedform import fpoly_formula, fpoly_product_form
-from .cmatrix import _step_times, check_sign_coherence, trace
+from .cmatrix import _step_times, check_sign_coherence, step_matrix, trace
 from .errors import ConsistencyError
 from .quiver import GeneralizedQuiver, _degree_bounds_from_trace, fpoly_recurrence
 from .stabilization import deform, fundamentals, is_polynomial
@@ -37,12 +37,16 @@ def run_verification(q: GeneralizedQuiver, seq) -> dict[str, bool]:
     report = check_sign_coherence(tr)
     results["sign coherence and unit determinants"] = report.ok
 
-    # a step matrix S is the identity outside row k, so S*S is one row update
     ident = intmat.identity(tr.v)
+
+    def involution(m, k):  # S is the identity outside row k, so S*S is one row update
+        return m[:k] + m[k + 1:] == ident[:k] + ident[k + 1:] and _step_times(m[k], k, m) == ident
+
+    # A_i is the A-kind of step i's color; E_i and E*_i are the E-kind of both colors
     results["step matrices are involutions"] = all(
-        m[:k] + m[k + 1:] == ident[:k] + ident[k + 1:] and _step_times(m[k], k, m) == ident
-        for steps in (tr.a_steps, tr.e_steps, tr.estar_steps)
-        for m, k in zip(steps, [x - 1 for x in seq])
+        involution(step_matrix(b, vertex, kind, variant), vertex - 1)
+        for b, vertex, color in zip(tr.b_mats, seq, tr.colors)
+        for kind, variant in (("a", color), ("e", "green"), ("e", "red"))
     )
 
     results["symmetrizer preserved"] = all(

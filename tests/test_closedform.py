@@ -44,6 +44,11 @@ def test_w_value_validates(k2):
         w_value(tr, 3, (2, 1))
     with pytest.raises(ValueError):
         w_value(tr, 3, (0,))
+    # n is checked against the trace even for the empty sequence
+    for n in (99, 4, -2):
+        with pytest.raises(ValueError, match="n out of trace range"):
+            w_value(tr, n, ())
+    assert w_value(tr, 0, ()) == 1
 
 
 def test_enumerate_sequences_k2(k2):
@@ -143,6 +148,15 @@ def test_coefficient_of_validates_n(k2):
     for n in (-3, -1, 4):
         with pytest.raises(ValueError, match="n out of trace range"):
             coefficient_of(tr, n, (0, 0))
+
+
+def test_coefficient_of_rejects_wrong_length_monomial(k2):
+    # (1,) and (1, 0, 0) used to read as y1 through a packing sized from the monomial
+    tr = trace(k2, (1, 2, 1))
+    for monomial in ((1,), (1, 0, 0), ()):
+        with pytest.raises(ValueError, match="needs 2 exponents"):
+            coefficient_of(tr, 3, monomial)
+    assert coefficient_of(tr, 3, (1, 0)) == 3
 
 
 def test_deformed_coefficients_rejects_negative_cutoff(k2):

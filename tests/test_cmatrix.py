@@ -14,40 +14,38 @@ from conftest import random_sequence, random_skew_symmetric
 
 
 def test_step_matrix_green_odd(k2):
-    sm = step_matrix(framed_state(k2), 1, "a", "green")
-    assert sm.m == ((-1, 2), (0, 1))
+    assert step_matrix(k2.b, 1, "a", "green") == ((-1, 2), (0, 1))
 
 
 def test_step_matrix_even_state(k2):
-    state = mutate(framed_state(k2), 1)
-    assert step_matrix(state, 2, "a", "green").m == ((1, 0), (2, -1))
+    b = mutate(framed_state(k2), 1).quiver.b
+    assert step_matrix(b, 2, "a", "green") == ((1, 0), (2, -1))
     # the red matrix differs from the identity only in row 2; with no
     # incoming arrows at vertex 2 its off-diagonal row is zero
-    assert step_matrix(state, 2, "a", "red").m == ((1, 0), (0, -1))
+    assert step_matrix(b, 2, "a", "red") == ((1, 0), (0, -1))
 
 
 def test_step_matrix_isolated_vertex():
     q = make_quiver([[0, 0], [0, 0]])
-    sm = step_matrix(framed_state(q), 2, "e", "green")
-    assert sm.m == ((1, 0), (0, -1))
+    assert step_matrix(q.b, 2, "e", "green") == ((1, 0), (0, -1))
 
 
 def test_step_matrices_are_involutions():
     rng = random.Random(5)
     for _ in range(20):
         q = random_skew_symmetric(rng, 3)
-        state = framed_state(q)
         for k in range(1, 4):
             for kind in ("a", "e"):
                 for variant in ("green", "red"):
-                    m = step_matrix(state, k, kind, variant).m
+                    m = step_matrix(q.b, k, kind, variant)
                     assert mat_mul(m, m) == identity(3)
 
 
 def test_a_equals_e_for_skew_symmetric(k2, a3_path):
     for q in (k2, a3_path):
         tr = trace(q, tuple(1 + (i % q.v) for i in range(6)))
-        assert tr.a_steps == tr.e_steps
+        for b, k, color in zip(tr.b_mats, tr.seq, tr.colors):
+            assert step_matrix(b, k, "a", color) == step_matrix(b, k, "e", color)
         assert tr.c_mats == tr.d_mats
 
 
@@ -76,7 +74,8 @@ def test_c_between(k2):
 def test_c_between_d_kind(b21):
     tr = trace(b21, (1, 2, 1))
     # D_{1,3} = E_2 E_3, and the (m, n) and (n, m) matrices invert each other
-    assert c_between(tr, 1, 3, "d") == mat_mul(tr.e_steps[1], tr.e_steps[2])
+    e2, e3 = (step_matrix(tr.b_mats[i - 1], tr.vertex(i), "e", tr.color(i)) for i in (2, 3))
+    assert c_between(tr, 1, 3, "d") == mat_mul(e2, e3)
     assert mat_mul(c_between(tr, 1, 3, "d"), c_between(tr, 3, 1, "d")) == identity(2)
 
 
@@ -134,7 +133,7 @@ def test_trace_generalized_case(b21):
     tr = trace(b21, (1, 2, 1, 2))
     assert check_sign_coherence(tr).ok
     # E and A genuinely differ here
-    assert tr.a_steps[0] != tr.e_steps[0]
+    assert step_matrix(b21.b, 1, "a", tr.color(1)) != step_matrix(b21.b, 1, "e", tr.color(1))
 
 
 def test_non_integer_vertices_rejected(k2):
@@ -172,10 +171,12 @@ def _reference_coeff_a(tr, i, j):
 def _reference_coeff_b(tr, i, j):
     if i == j:
         return 0
+    b, k = tr.b_mats[j - 1], tr.vertex(j) - 1
+    other = "red" if tr.color(j) == "green" else "green"
     m = mat_mul(tr.dinv_mats[j], tr.d_mats[i])
-    m = mat_mul(tr.e_steps[j - 1], m)
-    m = mat_mul(tr.estar_steps[j - 1], m)
-    return m[tr.vertex(j) - 1][tr.vertex(i) - 1]
+    m = mat_mul(_reference_step_matrix(b, k, "e", tr.color(j)), m)
+    m = mat_mul(_reference_step_matrix(b, k, "e", other), m)
+    return m[k][tr.vertex(i) - 1]
 
 
 @st.composite
@@ -202,10 +203,11 @@ def test_trace_and_pair_coefficients_match_matrix_products(case):
         b = tr.b_mats[i - 1]
         color = tr.color(i)
         other = "red" if color == "green" else "green"
-        assert tr.a_steps[i - 1] == _reference_step_matrix(b, k - 1, "a", color)
-        assert tr.e_steps[i - 1] == _reference_step_matrix(b, k - 1, "e", color)
-        assert tr.estar_steps[i - 1] == _reference_step_matrix(b, k - 1, "e", other)
-        a_i, e_i = tr.a_steps[i - 1], tr.e_steps[i - 1]
+        a_i = _reference_step_matrix(b, k - 1, "a", color)
+        e_i = _reference_step_matrix(b, k - 1, "e", color)
+        assert step_matrix(b, k, "a", color) == a_i
+        assert step_matrix(b, k, "e", color) == e_i
+        assert step_matrix(b, k, "e", other) == _reference_step_matrix(b, k - 1, "e", other)
         assert tr.c_mats[i] == mat_mul(tr.c_mats[i - 1], a_i)
         assert tr.d_mats[i] == mat_mul(tr.d_mats[i - 1], e_i)
         assert tr.cinv_mats[i] == mat_mul(a_i, tr.cinv_mats[i - 1])

@@ -50,6 +50,10 @@ CASES = {
     "family-kr3-n5": ["family", *KR3, "--n", "5"],
     "family-g723-n11": ["family", *G723, "--n", "11"],
     "family-a1r2-n12": ["family", *A1R2, "--n", "12"],
+    "family-kr2-n0": ["family", "--family", "kr", "--params", "r=2", "--n", "0"],
+    "family-gr421-n0": ["family", "--family", "gr", "--params", "v=4,r=2,t=1",
+                        "--n", "0"],
+    "family-a1r2-n0": ["family", *A1R2, "--n", "0"],
     "stabilize-a1r2": ["stabilize", *A1R2, "--period", "1,2,3", "--count", "6",
                        "--cutoff", "6"],
     "stabilize-g723": ["stabilize", *G723, "--period", "1..7", "--count", "4",
@@ -62,6 +66,7 @@ CASES = {
     "limit-g723": ["limit", "--family", "gr", "--params", "v=7,r=2,t=3",
                    "--cutoff", "10"],
     "limit-dp1": ["limit", "--family", "dp1", "--cutoff", "8"],
+    "limit-a1r2": ["limit", *A1R2, "--cutoff", "10"],
     "fpoly-product-kr3-n5": ["fpoly", *KR3, "--seq", "1,2,1,2,1", "--method", "product"],
     "fpoly-product-g723-n9": ["fpoly", *G723, "--seq", "1,2,3,4,5,6,7,1,2",
                               "--method", "product"],
@@ -88,6 +93,14 @@ def test_stabilize_negative_cutoff_is_bad_parameters(capsys):
         out, err = capsys.readouterr()
         assert out == ""
         assert "cutoff must be nonnegative" in err
+
+
+def test_family_negative_n_is_bad_parameters(capsys):
+    # gr and a1r used to print 1 and exit 0 for --n -1 while kr exited 2
+    for family in (["--family", "kr", "--params", "r=2"],
+                   ["--family", "gr", "--params", "v=4,r=2,t=1"], A1R2):
+        assert main(["family", *family, "--n", "-1"]) == 2
+        assert "n must be nonnegative" in capsys.readouterr().err
 
 
 def test_limit_gale_robinson_rejects_what_family_rejects(capsys):

@@ -5,11 +5,13 @@ import pytest
 
 from clusterforge import (LaurentPolynomial, QuadraticNumber, SSequence,
                           build_gale_robinson, deform,
-                          deformed_formula, dp1_coefficient, fpoly_recurrence,
+                          deformed_formula, dp1_coefficient, fpoly_gale_robinson,
+                          fpoly_kr, fpoly_recurrence, fpoly_symmetric,
                           fundamentals, green_excess_probe, is_polynomial,
                           limit_a1r, limit_gale_robinson, limit_kr,
                           framed_state, limits_match_up_to_cycle, make_quiver,
                           mutate, stabilization_run, trace)
+from clusterforge.closedform import deformed_coefficients
 from clusterforge.errors import BadParameters, RedStepEncountered
 from clusterforge.intmat import identity
 from clusterforge.stabilization import _labels_after
@@ -324,3 +326,38 @@ def test_green_deformed_polynomials(k2, a12):
             tr = trace(q, seq)
             s_n = deformed_formula(tr, n)
             assert is_polynomial(s_n)[0]
+
+
+K2 = make_quiver([[0, 2], [-2, 0]])
+
+# every entry point that takes a count (n or cutoff), called with that count
+COUNT_GATED = {
+    "fpoly_kr": lambda x: fpoly_kr(2, x),
+    "fpoly_gale_robinson": lambda x: fpoly_gale_robinson(4, 2, 1, x),
+    "fpoly_symmetric": lambda x: fpoly_symmetric(K2, x),
+    "limit_a1r": lambda x: limit_a1r(1, x),
+    "limit_kr": lambda x: limit_kr(3, x),
+    "limit_gale_robinson": lambda x: limit_gale_robinson(4, 2, 1, x),
+    "deformed_coefficients": lambda x: deformed_coefficients(trace(K2, (1, 2, 1)), 3, x),
+    "stabilization_run": lambda x: stabilization_run(K2, (1, 2), 2, x),
+}
+
+
+@pytest.mark.parametrize("value, message", [
+    (2.5, "not an integer"), (2.0, "not an integer"), (True, "not an integer"),
+    (-1, "must be nonnegative")])
+@pytest.mark.parametrize("name", sorted(COUNT_GATED))
+def test_counts_must_be_nonnegative_ints(name, value, message):
+    # limit_a1r(1, 2.5) used to return the cutoff-2 answer; others raised bare errors
+    with pytest.raises(BadParameters, match=message):
+        COUNT_GATED[name](value)
+
+
+@pytest.mark.parametrize("call", [
+    lambda: fpoly_kr(2.0, 3), lambda: limit_kr(3.0, 5), lambda: limit_a1r(1.5, 4),
+    lambda: limit_gale_robinson(4, 2.0, 1, 3), lambda: fpoly_gale_robinson(4, 2, True, 2),
+    lambda: stabilization_run(K2, (1, 2), 2.5, 3)])
+def test_family_parameters_must_be_ints(call):
+    # fpoly_kr(2.0, 3) raised a bare AttributeError, limit_kr(3.0, 5) a TypeError
+    with pytest.raises(BadParameters, match="integer"):
+        call()
