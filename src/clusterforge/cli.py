@@ -230,20 +230,21 @@ def _cmd_family(args) -> int:
         raise UsageError("family subcommand needs --family")
     spec = FamilySpec.of(args.family, **parse_params(args.params or ""))
     q = build_family(spec)
+    if args.n is None:  # F_n comes before any output, so a rejected n writes nothing
+        poly = None
+    elif args.family == "kr":
+        poly = fpoly_kr(spec.param("r"), args.n)
+    elif args.family == "gr":
+        poly = fpoly_gale_robinson(spec.param("v"), spec.param("r"), spec.param("t"), args.n)
+    else:
+        poly = fpoly_symmetric(q, args.n)
     payload = json.dumps({"b": [list(row) for row in q.b], "d": list(q.d)})
     if args.out:
         with open(args.out, "w", encoding="utf-8") as handle:
             handle.write(payload + "\n")
     else:
         print(payload)
-    if args.n is not None:
-        if args.family == "kr":
-            poly = fpoly_kr(spec.param("r"), args.n)
-        elif args.family == "gr":
-            poly = fpoly_gale_robinson(spec.param("v"), spec.param("r"),
-                                       spec.param("t"), args.n)
-        else:
-            poly = fpoly_symmetric(q, args.n)
+    if poly is not None:
         _print_poly(poly, args.format)
     return 0
 

@@ -8,7 +8,9 @@ Three evaluation routes live here:
   the support of F_n, and all sequences producing a given monomial share it,
   so pruning discards only groups that cancel to zero.
 * `fpoly_product_form` expands prod_j L_j^{a(j,n)} for the truncated power
-  series L_j = 1 + r_j * prod_{i<j} L_i^{-a(i,j)+b(i,j)}.
+  series L_j = 1 + r_j * prod_{i<j} L_i^{-a(i,j)+b(i,j)}, on packed keys of
+  one laurent._Packing of the degree bound, every product by the in-box
+  kernel laurent._mul_within.
 * `deformed_coefficients` evaluates the deformed polynomial S_n directly in
   deformed exponent space under a total-degree cutoff, which stays cheap
   even when F_n itself would be astronomically large.
@@ -33,7 +35,7 @@ from operator import add, le
 from . import intmat
 from .cmatrix import MutationTrace, _dot_column, coeff_a, pair_term
 from .errors import NonIntegerCoefficient, SignCoherenceViolation
-from .laurent import LaurentPolynomial, _from_clean, _Packing, mul_truncated, truncate
+from .laurent import LaurentPolynomial, _mul_within, _Packing
 from .quiver import _degree_bounds_from_trace
 
 
@@ -143,8 +145,7 @@ def _sequence_sum(steps, tail, pair, bound, cap=None, target=None):
     nvars = len(bound)
     cap = sum(bound) if cap is None else cap
     layout = _Packing(bound)
-    pack, guards = layout.pack, layout.guards
-    limit = guards + pack(bound)
+    pack, guards, limit = layout.pack, layout.guards, layout.limit
     over = (cap + 1) << layout.top  # keys from here on exceed the cap
     root = []
     degrees = []
@@ -183,15 +184,13 @@ def _sequence_sum(steps, tail, pair, bound, cap=None, target=None):
     low = (0,) * nvars
     terms = {}
     for key, value in ({tkey: total} if acc is None else acc).items():
-        coeff, rem = divmod(value, scale)
+        terms[key], rem = divmod(value, scale)
         if rem:
             raise NonIntegerCoefficient(
                 f"coefficient of {layout.unpack(key, low)} is "
                 f"{Fraction(value, scale)}; rationals failed to cancel"
             )
-        if coeff:
-            terms[layout.unpack(key, low)] = coeff
-    return _from_clean(nvars, terms) if acc is not None else terms.get(tuple(target), 0)
+    return layout.poly(terms, low) if acc is not None else terms[tkey]
 
 
 def fpoly_formula(tr: MutationTrace, n: int) -> LaurentPolynomial:
@@ -224,34 +223,45 @@ def coefficient_of(tr: MutationTrace, n: int, monomial) -> int:
     return _sequence_sum(steps, *_tail_and_pair(tr, n), monomial, target=monomial)
 
 
-def _power_truncated(p: LaurentPolynomial, e: int, bound,
-                     powers: list | None = None) -> LaurentPolynomial:
-    """p**e truncated componentwise, for any integer e and p = 1 + x.
+def _binomial_series(layout: _Packing, powers: list[dict], e: int) -> dict[int, int]:
+    """(1 + x)**e as the binomial series sum_k C(e, k) x^k, on packed keys.
 
-    One binomial series sum_k C(e, k) x^k over the truncated powers
-    powers[k-1] = x^k.  Calls on the same p and bound may share the list
-    powers, which each call extends, one bounded multiply per new power,
-    only past what earlier calls built.  For e < 0 the series ends at the
-    first power with no term under the bound, which comes because x is a
-    polynomial without constant term.
+    powers[k-1] is x^k truncated to the box of layout; it starts as [x] and
+    each call extends it, one _mul_within per new power, only past what
+    earlier calls built.  For e < 0 the series ends at the first power with
+    no term under the bound, which comes because x is a polynomial without
+    constant term.
     """
-    if p.constant_term != 1 or not p.is_polynomial():
-        raise ValueError("binomial series needs a polynomial with constant term 1")
-    powers = [] if powers is None else powers
-    if not powers:
-        powers.append(truncate(p - 1, bound))
-    acc = {(0,) * p.nvars: 1}
+    acc = {0: 1}
     binom = 1
     for k in range(e) if e >= 0 else count():
         binom = binom * (e - k) // (k + 1)
         if k == len(powers):
-            powers.append(mul_truncated(powers[-1], powers[0], bound))
+            powers.append(_mul_within(layout, powers[-1], powers[0]))
         power = powers[k]
         if not power:
             break
-        for exps, c in power.terms.items():
-            acc[exps] = acc.get(exps, 0) + binom * c
-    return _from_clean(p.nvars, {exps: c for exps, c in acc.items() if c})
+        for key, c in power.items():
+            acc[key] = acc.get(key, 0) + binom * c
+    return {key: c for key, c in acc.items() if c}
+
+
+def _power_truncated(p: LaurentPolynomial, e: int, bound,
+                     powers: list | None = None) -> LaurentPolynomial:
+    """p**e truncated componentwise, for any integer e and p = 1 + x.
+
+    _binomial_series on polynomials: calls on the same p and bound may
+    share the list powers, with powers[k-1] = x^k truncated.
+    """
+    if p.constant_term != 1 or not p.is_polynomial():
+        raise ValueError("binomial series needs a polynomial with constant term 1")
+    layout = _Packing(bound)
+    powers = [] if powers is None else powers
+    packed = [layout.pack_within(x.terms) for x in powers or [p - 1]]
+    series = _binomial_series(layout, packed, e)
+    low = (0,) * p.nvars
+    powers.extend(layout.poly(x, low) for x in packed[len(powers):])
+    return layout.poly(series, low)
 
 
 def fpoly_product_form(tr: MutationTrace, n: int) -> LaurentPolynomial:
@@ -261,35 +271,33 @@ def fpoly_product_form(tr: MutationTrace, n: int) -> LaurentPolynomial:
     in the y-variables and truncated at the degree bound of F_n.  Exponents
     only ever add, so truncating every intermediate at the final bound is
     lossless for the in-bound terms.  Each power L_i^e is one binomial
-    series over the powers of L_i - 1, one list per i within the call,
-    shared by every exponent e.
+    series over the powers of x_i = L_i - 1, one list per i within the
+    call, shared by every exponent e.  All of it is packed keys of one
+    _Packing of the bound, unpacked once at the end.
     """
     if not 0 <= n <= tr.n:
         raise ValueError("n out of trace range")
     if n == 0:
         return LaurentPolynomial.one(tr.v)
-    bound = _degree_bounds_from_trace(tr, n)
-    ells: list[LaurentPolynomial] = []
-    xpowers: list[list[LaurentPolynomial]] = []
+    layout = _Packing(_degree_bounds_from_trace(tr, n))
+    xpowers: list[list[dict]] = []  # xpowers[i-1] = [x_i, x_i^2, ...]
 
-    def times_power(poly: LaurentPolynomial, i: int, e: int) -> LaurentPolynomial:
+    def times_power(poly: dict, i: int, e: int) -> dict:
         if not e:
             return poly
-        power = _power_truncated(ells[i - 1], e, bound, xpowers[i - 1])
-        return mul_truncated(poly, power, bound)
+        return _mul_within(layout, poly, _binomial_series(layout, xpowers[i - 1], e))
 
     for j in range(1, n + 1):
-        term = truncate(LaurentPolynomial.monomial(tr.r(j)), bound)
+        term = layout.pack_within({tr.r(j): 1})
         for i in range(1, j):
             if not term:
                 break
             term = times_power(term, i, pair_term(tr, i, j))
-        ells.append(LaurentPolynomial.one(tr.v) + term)
-        xpowers.append([])
-    result = LaurentPolynomial.one(tr.v)
+        xpowers.append([term])
+    result = {0: 1}
     for j in range(1, n + 1):
         result = times_power(result, j, coeff_a(tr, j, n))
-    return result
+    return layout.poly(result, (0,) * tr.v)
 
 
 def deform_matrix(tr: MutationTrace, n: int) -> intmat.Matrix:

@@ -290,8 +290,6 @@ def fpoly_symmetric(q: GeneralizedQuiver, n: int) -> LaurentPolynomial:
     Refuses to run unless check_symmetric certifies the prefix of length n.
     """
     intmat.check_count(n, "n")
-    if n == 0:
-        return LaurentPolynomial.one(q.v)
     report = check_symmetric(q, prefix_len=n)
     if not (report.reversible and report.cyclic and report.vertex1_balanced):
         raise NotSymmetric(f"quiver failed symmetry checks: {report}")

@@ -12,8 +12,9 @@ lexicographic order so output is byte-stable across runs.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from heapq import heapify, heappop, heappush
-from operator import add, gt, mul, sub
+from operator import add, gt, le, mul, sub
 from typing import Iterable, Mapping
 
 from .errors import InexactDivision, ParseError
@@ -47,38 +48,52 @@ def _shift(nvars: int, terms, exps: Exponents, coeff: int) -> "LaurentPolynomial
 
 
 class _Packing:
-    """Exponent vectors as ints: one fixed-width slot per variable, degree on top.
+    """Exponent vectors as ints: one slot per variable, degree on top.
 
     pack(e) is the sum of e_i << shift_i plus the total degree of e above
     the last slot.  It is linear, so pack(e) - pack(low) is the key of
     e - low, and such keys are well formed while 0 <= e - low <= span, the
-    span the layout was made for.  Each slot has one bit more than the
-    largest span needs, so well-formed keys whose slots stay below twice
-    the span add componentwise without carries, and comparing keys is a
-    graded monomial order, one that multiplication preserves.  The top bit
-    of a slot is its guard bit: within(x, y) tests x <= y in every slot with
-    one subtraction, since each slot of guards + y - x keeps its guard bit
-    exactly when x_i <= y_i, provided that slot's value 2^(width-1) + y_i -
-    x_i lies in 0 .. 2^width - 1, so that no borrow crosses slots.
+    span the layout was made for.  Slot i has one bit more than span_i
+    needs (a span of 0 costs one bit), so well-formed keys whose slots stay
+    below twice the span add componentwise without carries, and comparing
+    keys is a graded monomial order, one that multiplication preserves;
+    key & below, the slots alone, orders lexicographically, last variable
+    first.  The top bit of slot i is its guard bit: within(x, y) tests
+    x <= y in every slot with one subtraction, since each slot of
+    guards + y - x keeps its guard bit exactly when x_i <= y_i, provided
+    its value 2^(width_i-1) + y_i - x_i lies in 0 .. 2^width_i - 1, so that
+    no borrow crosses slots.  limit = guards + pack(span) is the box's.
     """
 
-    __slots__ = ("shifts", "top", "weights", "mask", "guards")
+    __slots__ = ("span", "shifts", "masks", "top", "below", "weights", "guards", "limit")
 
     def __init__(self, span):
-        width = max(span, default=0).bit_length() + 1
-        self.shifts = range(0, width * len(span), width)
-        self.top = width * len(span)  # the bit where the degree starts
-        self.weights = tuple((1 << s) + (1 << self.top) for s in self.shifts)
-        self.mask = (1 << width) - 1
-        self.guards = sum(1 << (s + width - 1) for s in self.shifts)
+        self.span = span = tuple(span)
+        self.shifts, self.masks, top, guards = [], [], 0, 0
+        for x in span:
+            width = x.bit_length() + 1
+            self.shifts.append(top)
+            self.masks.append((1 << width) - 1)
+            top += width
+            guards += 1 << (top - 1)
+        self.top, self.below, self.guards = top, (1 << top) - 1, guards  # degree starts at top
+        self.weights = [(1 << s) + (1 << top) for s in self.shifts]
+        self.limit = guards + self.pack(span)
 
     def pack(self, exps) -> int:
         return sum(map(mul, exps, self.weights))
 
+    def pack_within(self, terms) -> dict[int, int]:
+        """The keys of the terms with e <= span, for nonnegative exponents e."""
+        return {self.pack(e): c for e, c in terms.items() if all(map(le, e, self.span))}
+
     def unpack(self, key: int, low) -> Exponents:
         """The exponent vector low + e of the key of e."""
-        mask = self.mask
-        return tuple([((key >> s) & mask) + x for s, x in zip(self.shifts, low)])
+        return tuple([((key >> s) & m) + x for s, m, x in zip(self.shifts, self.masks, low)])
+
+    def poly(self, terms, low) -> "LaurentPolynomial":
+        """The polynomial of keys shifted by low, dropping zero coefficients."""
+        return _from_clean(len(low), {self.unpack(k, low): c for k, c in terms.items() if c})
 
     def within(self, key: int, ceiling: int) -> bool:
         guards = self.guards
@@ -232,10 +247,7 @@ class LaurentPolynomial:
             for k2, c2 in packed_b:
                 k = k1 + k2
                 terms[k] = get(k, 0) + c1 * c2
-        low = tuple(map(add, low_a, low_b))
-        return _from_clean(
-            self.nvars, {layout.unpack(k, low): c for k, c in terms.items() if c}
-        )
+        return layout.poly(terms, tuple(map(add, low_a, low_b)))
 
     __rmul__ = __mul__
 
@@ -312,15 +324,12 @@ def truncate(p: LaurentPolynomial, bound) -> LaurentPolynomial:
 
 
 def mul_truncated(p: LaurentPolynomial, q: LaurentPolynomial, bound) -> LaurentPolynomial:
-    """truncate(p * q, bound), forming only pairs that can land within bound.
+    """truncate(p * q, bound), forming only pairs that land within bound.
 
     Unless one operand is a single term, both must have nonnegative
     exponents: then a term outside the bound stays outside in any product
-    and is skipped, and q is scanned in ascending total degree up to the
-    degree the p term leaves over (Johnson, "Sparse polynomial arithmetic",
-    SIGSAM Bull. 1974).  Keys are packed with slots sized for the bound b,
-    so a sum x of two in-bound exponents (x <= 2b) never carries, and one
-    guard-bit subtraction per pair tests x <= b.
+    and is dropped before multiplying.  Packs both operands in the
+    _Packing of bound, runs the kernel _mul_within and unpacks the result.
     """
     if p.nvars != q.nvars:
         raise ValueError("variable counts differ")
@@ -333,26 +342,39 @@ def mul_truncated(p: LaurentPolynomial, q: LaurentPolynomial, bound) -> LaurentP
     if not (p.is_polynomial() and q.is_polynomial()):
         raise ValueError("bounded multiply needs nonnegative exponents")
     layout = _Packing(bound)
-    guards, top = layout.guards, layout.top
+    product = _mul_within(layout, layout.pack_within(p.terms), layout.pack_within(q.terms))
+    return layout.poly(product, (0,) * p.nvars)
 
-    def pack(poly):
-        return [(layout.pack(e), c)
-                for e, c in poly.terms.items() if not any(map(gt, e, bound))]
 
-    inner = sorted(pack(q))  # keys order by total degree first
-    limit = guards + layout.pack(bound)
-    total = sum(bound)
+def _mul_within(layout: _Packing, outer: dict, inner: dict) -> dict[int, int]:
+    """The in-box part of the product of two dicts of in-box keys of layout.
+
+    The inner operand is sorted by its slots.  A pair (k1, k2) is in the
+    box when limit - k1 - k2 keeps every guard bit; otherwise the highest
+    failing guard names a slot j, and every later inner key that shares
+    k2's slots above j has slot j at least k2's, so it fails too: one
+    bisect jumps past all of them.  Only one failing pair is formed per run.
+    """
+    guards, limit, below = layout.guards, layout.limit, layout.below
+    pairs = sorted(inner.items(), key=lambda kc: kc[0] & below)
+    slots = [k & below for k, _ in pairs]
+    size = len(pairs)
     terms: dict[int, int] = {}
-    for k1, c1 in pack(p):
-        stop = (total - (k1 >> top) + 1) << top
-        for k2, c2 in inner:
-            if k2 >= stop:
-                break
-            k = k1 + k2
-            if (limit - k) & guards == guards:  # layout.within(k, limit), inlined
-                terms[k] = terms.get(k, 0) + c1 * c2
-    low = (0,) * p.nvars
-    return _from_clean(p.nvars, {layout.unpack(k, low): c for k, c in terms.items() if c})
+    get = terms.get
+    for k1, c1 in outer.items():
+        room = limit - k1
+        i = 0
+        while i < size:
+            k2, c2 = pairs[i]
+            fail = guards & ~(room - k2)
+            if fail:
+                h = fail.bit_length()  # slots from bit h on lie above the failing one
+                i = bisect_left(slots, ((slots[i] >> h) + 1) << h, i + 1)
+            else:
+                k = k1 + k2
+                terms[k] = get(k, 0) + c1 * c2
+                i += 1
+    return {k: c for k, c in terms.items() if c}
 
 
 def exact_divide(p: LaurentPolynomial, q: LaurentPolynomial) -> LaurentPolynomial:
@@ -423,8 +445,7 @@ def exact_divide(p: LaurentPolynomial, q: LaurentPolynomial) -> LaurentPolynomia
                 heappush(heap, -target)
             else:
                 rem[target] = old - coeff * c
-    out_low = tuple(map(sub, p_low, q_low))
-    return _from_clean(p.nvars, {layout.unpack(k, out_low): c for k, c in quotient.items()})
+    return layout.poly(quotient, tuple(map(sub, p_low, q_low)))
 
 
 def parse_monomial(text: str, nvars: int, var: str = "y") -> Exponents:

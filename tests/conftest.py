@@ -1,4 +1,9 @@
 import pytest
+from hypothesis import settings
+
+# CI runs the algebra properties with `--hypothesis-profile=ci`: a fixed
+# example sequence, no per-example deadline on a slow runner, more examples.
+settings.register_profile("ci", derandomize=True, deadline=None, max_examples=400)
 
 from clusterforge import (LaurentPolynomial, build_family, build_gale_robinson,
                           FamilySpec, make_quiver)

@@ -190,6 +190,7 @@ def test_fpoly_symmetric_matches_recurrence(k2, dp1):
 
 
 def test_fpoly_symmetric_a12_matches_recurrence(a12):
+    assert fpoly_symmetric(a12, 0) == LaurentPolynomial.one(3)
     for n in (3, 6, 7):
         seq = canonical_sequence(3, n)
         assert fpoly_symmetric(a12, n) == fpoly_recurrence(a12, seq)[-1]
@@ -198,6 +199,9 @@ def test_fpoly_symmetric_a12_matches_recurrence(a12):
 def test_fpoly_symmetric_rejects_asymmetric(a2, a3_path):
     with pytest.raises(NotSymmetric):
         fpoly_symmetric(a3_path, 3)
+    # the symmetry checks run for n = 0 too, where F_0 = 1 would need none
+    with pytest.raises(NotSymmetric):
+        fpoly_symmetric(a3_path, 0)
     # A2 passes the structural checks but loses greenness at step 4
     with pytest.raises(NotSymmetric):
         fpoly_symmetric(a2, 6)

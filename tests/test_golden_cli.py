@@ -95,12 +95,19 @@ def test_stabilize_negative_cutoff_is_bad_parameters(capsys):
         assert "cutoff must be nonnegative" in err
 
 
-def test_family_negative_n_is_bad_parameters(capsys):
+def test_family_negative_n_is_bad_parameters(capsys, tmp_path):
     # gr and a1r used to print 1 and exit 0 for --n -1 while kr exited 2
     for family in (["--family", "kr", "--params", "r=2"],
                    ["--family", "gr", "--params", "v=4,r=2,t=1"], A1R2):
         assert main(["family", *family, "--n", "-1"]) == 2
-        assert "n must be nonnegative" in capsys.readouterr().err
+        out, err = capsys.readouterr()
+        assert "n must be nonnegative" in err
+        # F_n is computed before the quiver JSON is written anywhere
+        assert out == ""
+        out_file = tmp_path / "quiver.json"
+        assert main(["family", *family, "--n", "-1", "--out", str(out_file)]) == 2
+        assert capsys.readouterr().out == ""
+        assert not out_file.exists()
 
 
 def test_limit_gale_robinson_rejects_what_family_rejects(capsys):

@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from operator import add, le
 
 import pytest
 import sympy
@@ -9,7 +10,7 @@ from hypothesis import strategies as st
 from clusterforge import (LaurentPolynomial, exact_divide, fpoly_formula,
                           fpoly_recurrence, parse_monomial, trace)
 from clusterforge.errors import InexactDivision, ParseError
-from clusterforge.laurent import mul_truncated, truncate
+from clusterforge.laurent import _Packing, mul_truncated, truncate
 
 
 def P(nvars, terms):
@@ -194,13 +195,18 @@ def test_recurrence_matches_formula_k3_n6(k3):
     assert fpoly_recurrence(k3, seq)[-1] == fpoly_formula(trace(k3, seq), 6)
 
 
+# 0 and the spans where a slot of the packed layout gains a bit
+EDGE_SPANS = (0, 1, 2, 3, 4, 7, 8, 15, 16)
+
+
 @st.composite
 def bounded_operands(draw):
-    nvars = draw(st.integers(1, 3))
-    exps = st.tuples(*[st.integers(0, 6)] * nvars)
+    nvars = draw(st.integers(1, 5))
+    bound = draw(st.tuples(*[st.sampled_from(EDGE_SPANS)] * nvars))
+    # up to twice the bound, so some terms and many pairs fall outside it
+    exps = st.tuples(*[st.integers(0, max(2 * b, 1)) for b in bound])
     coeffs = st.integers(-9, 9) | st.integers(-10 ** 30, 10 ** 30)
     polys = st.dictionaries(exps, coeffs, max_size=12).map(lambda t: P(nvars, t))
-    bound = draw(st.tuples(*[st.integers(0, 12)] * nvars))
     return draw(polys), draw(polys), bound
 
 
@@ -210,6 +216,50 @@ def test_mul_truncated_equals_truncated_product(case):
     expected = truncate(p * q, bound)
     assert mul_truncated(p, q, bound) == expected
     assert mul_truncated(q, p, bound) == expected
+
+
+@st.composite
+def packing_cases(draw):
+    span = draw(st.lists(st.sampled_from(EDGE_SPANS) | st.integers(0, 1000),
+                         min_size=1, max_size=5))
+    low = draw(st.tuples(*[st.integers(-50, 50)] * len(span)))
+    within_span = st.tuples(*[st.integers(0, x) for x in span])
+    return span, low, draw(within_span), draw(within_span)
+
+
+@given(packing_cases())
+def test_packing_roundtrip_and_within(case):
+    span, low, x, y = case
+    layout = _Packing(span)
+    # each slot sized to its own span, one bit over: a span of 0 takes one bit
+    assert layout.top == sum(s.bit_length() + 1 for s in span)
+    shifted = tuple(map(add, x, low))
+    assert layout.unpack(layout.pack(shifted) - layout.pack(low), low) == shifted
+    assert layout.within(layout.pack(x), layout.pack(y)) == all(map(le, x, y))
+    assert layout.within(layout.pack(x), layout.limit - layout.guards)
+    assert layout.pack_within({x: 1, y: 2}) == {layout.pack(x): 1, layout.pack(y): 2}
+
+
+@st.composite
+def lopsided_operands(draw):
+    # each operand gets its own spans, from 0 to hundreds, and offsets
+    nvars = draw(st.integers(1, 4))
+    coeffs = (st.integers(-9, 9) | st.integers(-10 ** 30, 10 ** 30)).filter(bool)
+
+    def poly():
+        spans = draw(st.tuples(*[st.sampled_from((0, 1, 3, 40, 300))] * nvars))
+        low = draw(st.tuples(*[st.integers(-5, 5)] * nvars))
+        exps = st.tuples(*[st.integers(a, a + x) for a, x in zip(low, spans)])
+        return P(nvars, draw(st.dictionaries(exps, coeffs, min_size=1, max_size=6)))
+
+    return poly(), poly()
+
+
+@given(lopsided_operands())
+def test_exact_divide_inverts_multiply_across_spans(case):
+    p, q = case
+    assert exact_divide(p * q, q) == p
+    assert exact_divide(p * q, p) == q
 
 
 def test_truncate_keeps_in_bound_terms():
