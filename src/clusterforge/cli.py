@@ -17,8 +17,8 @@ import sys
 from .closedform import coefficient_of, fpoly_formula, fpoly_product_form
 from .cmatrix import c_between, trace
 from .errors import ClusterForgeError, ParseError
-from .families import (FamilySpec, build_family, fpoly_gale_robinson,
-                       fpoly_kr, fpoly_symmetric)
+from .families import (FamilySpec, _family_params, build_family,
+                       fpoly_gale_robinson, fpoly_kr, fpoly_symmetric)
 from .laurent import LaurentPolynomial, parse_monomial
 from .quiver import (GeneralizedQuiver, _degree_bounds_from_trace, framed_state,
                      make_quiver, mutate)
@@ -62,8 +62,11 @@ def parse_params(text: str) -> dict[str, int]:
         key, _, value = item.partition("=")
         if not _:
             raise ParseError(f"bad parameter {item!r}, expected key=value")
+        key = key.strip()
+        if key in params:
+            raise ParseError(f"parameter {key!r} given twice")
         try:
-            params[key.strip()] = int(value)
+            params[key] = int(value)
         except ValueError as exc:
             raise ParseError(f"bad parameter value {item!r}") from exc
     return params
@@ -117,7 +120,7 @@ def _print_matrix(name: str, m, fmt: str) -> None:
 
 def _add_quiver_args(parser) -> None:
     parser.add_argument("--quiver", help="JSON quiver file")
-    parser.add_argument("--family", help="family name: kr | gr | a1r")
+    parser.add_argument("--family", help="family name: kr | gr | a1r | dp1")
     parser.add_argument("--params", help="family parameters, e.g. r=2 or v=7,r=2,t=3")
     parser.add_argument("--format", choices=("text", "json"), default="text")
 
@@ -275,21 +278,9 @@ def _cmd_stabilize(args) -> int:
 
 
 def _cmd_limit(args) -> int:
-    params = parse_params(args.params)
-    needed = {"a1r": ("r",), "kr": ("r",), "gr": ("v", "r", "t"), "dp1": ()}
-    missing = [key for key in needed[args.family] if key not in params]
-    if missing:
-        raise UsageError(f"limit --family {args.family} needs --params "
-                         + ",".join(f"{k}=..." for k in missing))
-    if args.family == "a1r":
-        poly = limit_a1r(params["r"], args.cutoff)
-    elif args.family == "kr":
-        poly = limit_kr(params["r"], args.cutoff)
-    elif args.family == "gr":
-        poly = limit_gale_robinson(params["v"], params["r"], params["t"], args.cutoff)
-    else:
-        poly = limit_gale_robinson(4, 2, 1, args.cutoff)
-    _print_poly(poly, args.format)
+    params = _family_params(FamilySpec.of(args.family, **parse_params(args.params)))
+    limit = {"a1r": limit_a1r, "kr": limit_kr}.get(args.family, limit_gale_robinson)
+    _print_poly(limit(*params, args.cutoff), args.format)
     return 0
 
 

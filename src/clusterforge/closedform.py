@@ -201,8 +201,6 @@ def fpoly_formula(tr: MutationTrace, n: int) -> LaurentPolynomial:
     """
     if not 0 <= n <= tr.n:
         raise ValueError("n out of trace range")
-    if n == 0:
-        return LaurentPolynomial.one(tr.v)
     bound = _degree_bounds_from_trace(tr, n)
     steps = [tr.r(n - c) for c in range(n)]
     return _sequence_sum(steps, *_tail_and_pair(tr, n), bound)
@@ -217,8 +215,6 @@ def coefficient_of(tr: MutationTrace, n: int, monomial) -> int:
         raise ValueError(f"monomial {monomial} needs {tr.v} exponents")
     if any(x < 0 for x in monomial):
         raise ValueError("monomial exponents must be nonnegative")
-    if n == 0:
-        return 1 if not any(monomial) else 0
     steps = [tr.r(n - c) for c in range(n)]
     return _sequence_sum(steps, *_tail_and_pair(tr, n), monomial, target=monomial)
 
@@ -246,24 +242,6 @@ def _binomial_series(layout: _Packing, powers: list[dict], e: int) -> dict[int, 
     return {key: c for key, c in acc.items() if c}
 
 
-def _power_truncated(p: LaurentPolynomial, e: int, bound,
-                     powers: list | None = None) -> LaurentPolynomial:
-    """p**e truncated componentwise, for any integer e and p = 1 + x.
-
-    _binomial_series on polynomials: calls on the same p and bound may
-    share the list powers, with powers[k-1] = x^k truncated.
-    """
-    if p.constant_term != 1 or not p.is_polynomial():
-        raise ValueError("binomial series needs a polynomial with constant term 1")
-    layout = _Packing(bound)
-    powers = [] if powers is None else powers
-    packed = [layout.pack_within(x.terms) for x in powers or [p - 1]]
-    series = _binomial_series(layout, packed, e)
-    low = (0,) * p.nvars
-    powers.extend(layout.poly(x, low) for x in packed[len(powers):])
-    return layout.poly(series, low)
-
-
 def fpoly_product_form(tr: MutationTrace, n: int) -> LaurentPolynomial:
     """F_n as the truncated product prod_j L_j^{a(j,n)}.
 
@@ -277,8 +255,6 @@ def fpoly_product_form(tr: MutationTrace, n: int) -> LaurentPolynomial:
     """
     if not 0 <= n <= tr.n:
         raise ValueError("n out of trace range")
-    if n == 0:
-        return LaurentPolynomial.one(tr.v)
     layout = _Packing(_degree_bounds_from_trace(tr, n))
     xpowers: list[list[dict]] = []  # xpowers[i-1] = [x_i, x_i^2, ...]
 

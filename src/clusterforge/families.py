@@ -22,7 +22,7 @@ from .quiver import GeneralizedQuiver, degree_bounds, make_quiver, mutate_b
 class FamilySpec:
     """A family tag with parameters; the mutation sequence is 1..v cyclic."""
 
-    family: str  # 'kr' | 'gr' | 'a1r'
+    family: str  # 'kr' | 'gr' | 'a1r' | 'dp1'
     params: tuple[tuple[str, int], ...]
 
     @classmethod
@@ -45,28 +45,38 @@ def canonical_sequence(v: int, n: int) -> tuple[int, ...]:
     return tuple(i % v + 1 for i in range(n))
 
 
+# the parameter names each family takes; dp1 is G_{4,2,1} and takes none
+_PARAMETERS = {"kr": ("r",), "a1r": ("r",), "gr": ("v", "r", "t"), "dp1": ()}
+
+
 def _family_params(spec: FamilySpec) -> tuple[int, ...]:
     """The family's parameters in order, checked: the one home of these rules."""
+    names = _PARAMETERS.get(spec.family)
+    if names is None:
+        raise BadParameters(f"unknown family {spec.family!r}")
+    for key, _ in spec.params:
+        if key not in names:
+            raise BadParameters(f"family {spec.family!r} takes no parameter {key!r}")
+    if spec.family == "dp1":
+        return 4, 2, 1
     if spec.family in ("kr", "a1r"):
         r = spec.param("r")
         least = 2 if spec.family == "kr" else 1
         if r < least:
             raise BadParameters(f"{spec.family} needs r >= {least}")
         return (r,)
-    if spec.family == "gr":
-        v, r, t = spec.param("v"), spec.param("r"), spec.param("t")
-        if not (1 <= r < v and 1 <= t < v):
-            raise BadParameters("gr needs 1 <= r < v and 1 <= t < v")
-        if r == t or r == v - t:
-            raise BadParameters("gr needs {r, v-r} disjoint from {t, v-t}")
-        return v, r, t
-    raise BadParameters(f"unknown family {spec.family!r}")
+    v, r, t = spec.param("v"), spec.param("r"), spec.param("t")
+    if not (1 <= r < v and 1 <= t < v):
+        raise BadParameters("gr needs 1 <= r < v and 1 <= t < v")
+    if r == t or r == v - t:
+        raise BadParameters("gr needs {r, v-r} disjoint from {t, v-t}")
+    return v, r, t
 
 
 def build_family(spec: FamilySpec) -> GeneralizedQuiver:
     """Construct the family's exchange matrix; raises BadParameters."""
     params = _family_params(spec)
-    if spec.family == "gr":
+    if len(params) == 3:  # gr, and dp1
         return build_gale_robinson(*params)
     (r,) = params
     if spec.family == "kr":
@@ -250,7 +260,8 @@ class SSequence:
 def family_sequence(spec: FamilySpec) -> SSequence:
     """The family's scalar sequence; accepts exactly the specs `build_family` does."""
     params = _family_params(spec)
-    rule = {"kr": SSequence.kronecker, "gr": SSequence.gale_robinson, "a1r": SSequence.a1r}
+    rule = {"kr": SSequence.kronecker, "gr": SSequence.gale_robinson,
+            "dp1": SSequence.gale_robinson, "a1r": SSequence.a1r}
     return rule[spec.family](*params)
 
 

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from heapq import heapify, heappop, heappush
-from operator import add, gt, le, mul, sub
+from operator import add, le, mul, sub
 from typing import Iterable, Mapping
 
 from .errors import InexactDivision, ParseError
@@ -275,9 +275,6 @@ class LaurentPolynomial:
                 terms.pop(image, None)
         return LaurentPolynomial(self.nvars, terms)
 
-    def exact_div(self, divisor: "LaurentPolynomial") -> "LaurentPolynomial":
-        return exact_divide(self, divisor)
-
     # -- formatting ----------------------------------------------------------
 
     def to_text(self, var: str = "y") -> str:
@@ -313,37 +310,6 @@ class LaurentPolynomial:
 
     def __repr__(self) -> str:
         return f"LaurentPolynomial({self.to_text()!r})"
-
-
-def truncate(p: LaurentPolynomial, bound) -> LaurentPolynomial:
-    """The terms of p whose exponent vectors lie componentwise within bound."""
-    bound = tuple(bound)
-    return _from_clean(
-        p.nvars, {e: c for e, c in p.terms.items() if not any(map(gt, e, bound))}
-    )
-
-
-def mul_truncated(p: LaurentPolynomial, q: LaurentPolynomial, bound) -> LaurentPolynomial:
-    """truncate(p * q, bound), forming only pairs that land within bound.
-
-    Unless one operand is a single term, both must have nonnegative
-    exponents: then a term outside the bound stays outside in any product
-    and is dropped before multiplying.  Packs both operands in the
-    _Packing of bound, runs the kernel _mul_within and unpacks the result.
-    """
-    if p.nvars != q.nvars:
-        raise ValueError("variable counts differ")
-    bound = tuple(bound)
-    if len(p.terms) == 1:
-        p, q = q, p
-    if len(q.terms) == 1:
-        ((exps, coeff),) = q.terms.items()
-        return truncate(_shift(p.nvars, p.terms, exps, coeff), bound)
-    if not (p.is_polynomial() and q.is_polynomial()):
-        raise ValueError("bounded multiply needs nonnegative exponents")
-    layout = _Packing(bound)
-    product = _mul_within(layout, layout.pack_within(p.terms), layout.pack_within(q.terms))
-    return layout.poly(product, (0,) * p.nvars)
 
 
 def _mul_within(layout: _Packing, outer: dict, inner: dict) -> dict[int, int]:

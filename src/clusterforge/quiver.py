@@ -155,10 +155,12 @@ def mutate(state: FramedState, k: int) -> FramedState:
     """Mutate a framed state at 1-based vertex k; pure, returns a new state.
 
     The label at k becomes (S1 + S2)/V_k where S1 collects the inward edges
-    attached to k (base labels and frozen y-variables alike) and S2 the
-    outward ones.  The division is exact by the Laurent phenomenon; an
-    InexactDivision here means the implementation is broken.  A vertex that
-    is not an int, bool included, is a TypeError.
+    attached to k and S2 the outward ones.  Each starts from its frozen
+    factor, one y-monomial: prod_i y_i^max(c[i][k], 0) for S1 and
+    prod_i y_i^max(-c[i][k], 0) for S2, then takes the base labels.  The
+    division is exact by the Laurent phenomenon; an InexactDivision here
+    means the implementation is broken.  A vertex that is not an int, bool
+    included, is a TypeError.
     """
     q = state.quiver
     v = q.v
@@ -169,18 +171,13 @@ def mutate(state: FramedState, k: int) -> FramedState:
     kk = k - 1
     b, c = q.b, state.c
 
-    s_in = LaurentPolynomial.one(v)
-    s_out = LaurentPolynomial.one(v)
+    s_in = LaurentPolynomial.monomial(max(row[kk], 0) for row in c)
+    s_out = LaurentPolynomial.monomial(max(-row[kk], 0) for row in c)
     for j in range(v):
         if b[kk][j] > 0:
             s_out = s_out * state.labels[j] ** b[kk][j]
         elif b[kk][j] < 0:
             s_in = s_in * state.labels[j] ** (-b[kk][j])
-    for i in range(v):
-        if c[i][kk] > 0:
-            s_in = s_in * LaurentPolynomial.variable(v, i + 1) ** c[i][kk]
-        elif c[i][kk] < 0:
-            s_out = s_out * LaurentPolynomial.variable(v, i + 1) ** (-c[i][kk])
 
     try:
         new_label = exact_divide(s_in + s_out, state.labels[kk])

@@ -62,27 +62,25 @@ class FundamentalSet:
 def _decomposable(target, parts) -> bool:
     """Can target be a sum of >= 2 vectors from parts (with repetition)?
 
-    Bounded dynamic program over the exponent box below target.
+    Depth-first walk over the exponent box below target with an explicit
+    stack, so no recursion limit caps the number of parts.  A remainder is
+    expanded only when reached with fewer parts than before.
     """
     parts = [p for p in set(parts) if any(p) and all(a <= b for a, b in zip(p, target))]
-    if not parts:
-        return False
-    reachable = {}  # vector -> min number of parts used
-
-    def explore(vec, count):
+    fewest = {}  # remainder -> fewest parts used to reach it
+    stack = [(tuple(target), 0)]
+    while stack:
+        vec, count = stack.pop()
         if count >= 2 and not any(vec):
             return True
-        seen = reachable.get(vec)
-        if seen is not None and seen <= count:
-            return False
-        reachable[vec] = count
+        if fewest.get(vec, count + 1) <= count:
+            continue
+        fewest[vec] = count
         for p in parts:
             rest = tuple(a - b for a, b in zip(vec, p))
-            if all(x >= 0 for x in rest) and explore(rest, count + 1):
-                return True
-        return False
-
-    return explore(tuple(target), 0)
+            if min(rest) >= 0:
+                stack.append((rest, count + 1))
+    return False
 
 
 def _labels_after(seq, fs, v: int) -> list[LaurentPolynomial]:

@@ -13,6 +13,12 @@ def poly(nvars, terms):
     return LaurentPolynomial(nvars, terms)
 
 
+def truncate(p, bound):
+    """Reference truncation: the terms of p within bound componentwise."""
+    return LaurentPolynomial(p.nvars, {e: c for e, c in p.terms.items()
+                                       if all(x <= b for x, b in zip(e, bound))})
+
+
 @pytest.fixture(scope="session")
 def k2():
     return make_quiver([[0, 2], [-2, 0]])

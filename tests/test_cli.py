@@ -163,6 +163,25 @@ def test_exit_codes(capsys, tmp_path):
     assert code == 1
 
 
+def test_family_parameters_are_checked(capsys):
+    # a parameter the family does not take, or a missing one, is BadParameters
+    for argv in (["fpoly", "--family", "kr", "--params", "r=2,x=9", "--seq", "1"],
+                 ["family", "--family", "a1r", "--params", "r=2,v=3"],
+                 ["limit", "--family", "dp1", "--params", "r=7", "--cutoff", "4"],
+                 ["limit", "--family", "gr", "--params", "v=7,r=2", "--cutoff", "4"],
+                 ["limit", "--family", "kr", "--cutoff", "4"]):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert "BadParameters" in err
+    # a repeated key is a usage error, never the last value silently
+    for argv in (["fpoly", "--family", "kr", "--params", "r=2,r=3", "--seq", "1"],
+                 ["family", "--family", "kr", "--params", "r=3, r=2"],
+                 ["limit", "--family", "kr", "--params", "r=2,r=3", "--cutoff", "4"]):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (1, "")
+        assert "given twice" in err
+
+
 def test_verify_a2_fundamentals_pass(tmp_path, capsys):
     # r_2 = (1, 1) is r_1 + r_3, so it is not fundamental among r_1..r_3
     path = tmp_path / "a2.json"

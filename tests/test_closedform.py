@@ -12,11 +12,11 @@ from clusterforge import (LaurentPolynomial, coeff_a, coeff_b, coefficient_of,
                           deform, deformed_formula, degree_bounds,
                           enumerate_sequences, fpoly_formula, fpoly_product_form,
                           fpoly_recurrence, make_quiver, phi, trace, w_value)
-from clusterforge.closedform import (_power_truncated, _sequence_sum,
+from clusterforge.closedform import (_binomial_series, _sequence_sum,
                                      deformed_coefficients)
 from clusterforge.errors import BadParameters, NonIntegerCoefficient
-from clusterforge.laurent import truncate
-from conftest import random_sequence, random_skew_symmetric
+from clusterforge.laurent import _Packing
+from conftest import random_sequence, random_skew_symmetric, truncate
 
 GOLDEN_F3 = {(0, 0): 1, (1, 0): 3, (2, 0): 3, (3, 0): 1, (2, 1): 2, (3, 1): 2,
              (3, 2): 1}
@@ -138,6 +138,9 @@ def test_coefficient_of(k2):
     tr = trace(k2, (1, 2, 1))
     assert coefficient_of(tr, 3, (3, 1)) == 2
     assert coefficient_of(tr, 3, (0, 0)) == 1
+    # F_0 = 1: no steps, only the empty sequence
+    assert coefficient_of(tr, 0, (0, 0)) == 1
+    assert coefficient_of(tr, 0, (1, 0)) == 0
     # beyond the degree bound the sequence contributions cancel exactly
     assert coefficient_of(tr, 3, (4, 2)) == 0
     assert coefficient_of(tr, 3, (5, 3)) == 0
@@ -177,6 +180,8 @@ def test_coefficient_of_fundamentals_matches_lemma(k2):
 
 
 def test_product_form_golden(k2):
+    tr = trace(k2, (1, 2, 1))
+    assert fpoly_product_form(tr, 0) == LaurentPolynomial.one(2)
     tr = trace(k2, (1, 2, 1, 2))
     assert fpoly_product_form(tr, 3) == LaurentPolynomial(2, GOLDEN_F3)
     assert fpoly_product_form(tr, 4) == fpoly_recurrence(k2, (1, 2, 1, 2))[-1]
@@ -229,32 +234,32 @@ def unit_series(draw):
 @given(unit_series(), st.integers(-6, 6))
 def test_binomial_series_equals_invert_then_power(series, e):
     p, bound = series
-    assert _power_truncated(p, e, bound) == _invert_then_power(p, e, bound)
+    layout = _Packing(bound)
+    result = _binomial_series(layout, [layout.pack_within((p - 1).terms)], e)
+    assert all(result.values())
+    assert layout.poly(result, (0,) * p.nvars) == _invert_then_power(p, e, bound)
 
 
 def test_binomial_series_shares_powers():
     # one list of powers of x on one base serves every exponent, in any order,
-    # and each result equals a fresh series
+    # and each result equals the series from a fresh list
     y1, y2 = LaurentPolynomial.variable(2, 1), LaurentPolynomial.variable(2, 2)
     p = 1 + 2 * y1 + y1 * y2 - y2 * y2
     bound = (5, 4)
-    powers = []
+    layout = _Packing(bound)
+    x = layout.pack_within((p - 1).terms)
+    powers = [x]
     sizes = []
     for e in (3, -2, 5, -4):
-        assert _power_truncated(p, e, bound, powers) == _power_truncated(p, e, bound)
+        shared = _binomial_series(layout, powers, e)
+        assert shared == _binomial_series(layout, [x], e)
+        assert layout.poly(shared, (0, 0)) == _invert_then_power(p, e, bound)
         sizes.append(len(powers))
-    x = truncate(p - 1, bound)
     for k, power in enumerate(powers, start=1):
-        assert power == truncate(x ** k, bound)
+        assert layout.poly(power, (0, 0)) == truncate((p - 1) ** k, bound)
     # 3 and 5 need x^3 and x^5; a negative exponent runs to the first empty power
     assert sizes[0] == 3
     assert sizes == sorted(sizes) and not powers[-1]
-
-
-def test_binomial_series_needs_unit_constant():
-    y = LaurentPolynomial.variable(2, 1)
-    with pytest.raises(ValueError):
-        _power_truncated(2 + y, -1, (3, 3))
 
 
 def test_three_methods_agree_on_random_cases():

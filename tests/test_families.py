@@ -55,7 +55,8 @@ def test_family_sequence_accepts_what_build_family_accepts():
         s_values(FamilySpec.of("gr", v=4, r=1, t=1), range(3))
     specs = [FamilySpec.of("gr", v=v, r=r, t=t)
              for v in range(1, 7) for r in range(-1, 8) for t in range(-1, 8)]
-    specs += [FamilySpec.of(f, r=r) for f in ("kr", "a1r", "xx") for r in range(-1, 4)]
+    specs += [FamilySpec.of(f, r=r) for f in ("kr", "a1r", "xx", "dp1") for r in range(-1, 4)]
+    specs += [FamilySpec.of("dp1"), FamilySpec.of("kr", r=2, t=1)]
     for spec in specs:
         try:
             build_family(spec)

@@ -10,7 +10,8 @@ from hypothesis import strategies as st
 from clusterforge import (LaurentPolynomial, exact_divide, fpoly_formula,
                           fpoly_recurrence, parse_monomial, trace)
 from clusterforge.errors import InexactDivision, ParseError
-from clusterforge.laurent import _Packing, mul_truncated, truncate
+from clusterforge.laurent import _mul_within, _Packing
+from conftest import truncate
 
 
 def P(nvars, terms):
@@ -212,10 +213,15 @@ def bounded_operands(draw):
 
 @given(bounded_operands())
 def test_mul_truncated_equals_truncated_product(case):
+    # the in-box kernel on packed keys, in either operand order
     p, q, bound = case
+    layout = _Packing(bound)
     expected = truncate(p * q, bound)
-    assert mul_truncated(p, q, bound) == expected
-    assert mul_truncated(q, p, bound) == expected
+    a, b = layout.pack_within(p.terms), layout.pack_within(q.terms)
+    for outer, inner in ((a, b), (b, a)):
+        product = _mul_within(layout, outer, inner)
+        assert all(product.values())
+        assert layout.poly(product, (0,) * p.nvars) == expected
 
 
 @st.composite
@@ -260,20 +266,3 @@ def test_exact_divide_inverts_multiply_across_spans(case):
     p, q = case
     assert exact_divide(p * q, q) == p
     assert exact_divide(p * q, p) == q
-
-
-def test_truncate_keeps_in_bound_terms():
-    p = P(2, {(0, 0): 1, (2, 1): 5, (1, 3): -2, (3, 0): 7})
-    assert truncate(p, (2, 2)) == P(2, {(0, 0): 1, (2, 1): 5})
-    assert truncate(p, (0, 0)) == LaurentPolynomial.one(2)
-
-
-def test_mul_truncated_exponent_sign():
-    # a single-term operand is a plain shift, exact for any exponents
-    m = P(2, {(-1, 2): 3})
-    q = P(2, {(1, 0): 1, (2, 0): 1, (0, 1): 4})
-    assert mul_truncated(m, q, (0, 3)) == truncate(m * q, (0, 3))
-    assert mul_truncated(q, m, (0, 3)) == truncate(m * q, (0, 3))
-    # otherwise skipping out-of-bound terms needs nonnegative exponents
-    with pytest.raises(ValueError):
-        mul_truncated(P(2, {(-1, 0): 1, (1, 0): 1}), q, (3, 3))

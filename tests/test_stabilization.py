@@ -2,6 +2,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from clusterforge import (LaurentPolynomial, QuadraticNumber, SSequence,
                           build_gale_robinson, deform,
@@ -14,7 +16,7 @@ from clusterforge import (LaurentPolynomial, QuadraticNumber, SSequence,
 from clusterforge.closedform import deformed_coefficients
 from clusterforge.errors import BadParameters, RedStepEncountered
 from clusterforge.intmat import identity
-from clusterforge.stabilization import _labels_after
+from clusterforge.stabilization import _decomposable, _labels_after
 from conftest import random_sequence, random_skew_symmetric
 
 
@@ -69,6 +71,49 @@ def test_fundamentals_detects_products(a2):
     # color counts aggregate per distinct monomial
     by_monomial = {e.monomial: e for e in fset.entries}
     assert (by_monomial[(0, 1)].green, by_monomial[(0, 1)].red) == (1, 1)
+
+
+def _decomposable_recursive(target, parts) -> bool:
+    """Reference: the former recursive walk, one frame per part subtracted."""
+    parts = [p for p in set(parts) if any(p) and all(a <= b for a, b in zip(p, target))]
+    if not parts:
+        return False
+    reachable = {}
+
+    def explore(vec, count):
+        if count >= 2 and not any(vec):
+            return True
+        seen = reachable.get(vec)
+        if seen is not None and seen <= count:
+            return False
+        reachable[vec] = count
+        for p in parts:
+            rest = tuple(a - b for a, b in zip(vec, p))
+            if all(x >= 0 for x in rest) and explore(rest, count + 1):
+                return True
+        return False
+
+    return explore(tuple(target), 0)
+
+
+@st.composite
+def decomposition_cases(draw):
+    v = draw(st.integers(1, 3))
+    vectors = st.tuples(*[st.integers(0, 9)] * v)
+    return draw(vectors), draw(st.lists(vectors, max_size=5))
+
+
+@given(decomposition_cases())
+def test_decomposable_matches_recursive_walk(case):
+    target, parts = case
+    assert _decomposable(target, parts) == _decomposable_recursive(target, parts)
+
+
+def test_decomposable_many_parts():
+    # thousands of parts in one decomposition: no recursion limit applies
+    assert _decomposable((3000, 0), [(1, 0)])
+    assert not _decomposable((3001, 0), [(3, 0)])
+    assert _decomposable((3001, 1), [(3, 0), (1, 1)])
 
 
 def test_labels_from_recurrence_match_framed_mutation():
