@@ -33,7 +33,7 @@ from math import factorial
 from operator import add, le
 
 from . import intmat
-from .cmatrix import MutationTrace, _dot_column, coeff_a, pair_term
+from .cmatrix import MutationTrace, _check_step, _dot_column, coeff_a, pair_term
 from .errors import NonIntegerCoefficient, SignCoherenceViolation
 from .laurent import LaurentPolynomial, _mul_within, _Packing
 from .quiver import _degree_bounds_from_trace
@@ -61,8 +61,7 @@ def w_value(tr: MutationTrace, n: int, w) -> int:
     w = tuple(w)
     if any(a > b for a, b in zip(w, w[1:])):
         raise ValueError("index sequence must be nondecreasing")
-    if not 0 <= n <= tr.n:
-        raise ValueError("n out of trace range")
+    _check_step(tr, n)
     if w and not (1 <= w[0] and w[-1] <= n):
         raise ValueError("index sequence out of range")
     total = 1
@@ -103,6 +102,7 @@ def enumerate_sequences(tr: MutationTrace, n: int, bound):
     fits componentwise, smallest index first.  Every r-monomial is a nonzero
     nonnegative vector, so the tree is finite.
     """
+    _check_step(tr, n)
     bound = tuple(bound)
     if any(x < 0 for x in bound):
         raise ValueError("bound must be componentwise nonnegative")
@@ -199,18 +199,16 @@ def fpoly_formula(tr: MutationTrace, n: int) -> LaurentPolynomial:
     Agrees exactly with the mutation recurrence; the empty sequence
     contributes the constant term 1.
     """
-    if not 0 <= n <= tr.n:
-        raise ValueError("n out of trace range")
+    _check_step(tr, n)
     bound = _degree_bounds_from_trace(tr, n)
     steps = [tr.r(n - c) for c in range(n)]
     return _sequence_sum(steps, *_tail_and_pair(tr, n), bound)
 
 
 def coefficient_of(tr: MutationTrace, n: int, monomial) -> int:
-    """Coefficient of one monomial of F_n, summing only its own sequences."""
-    if not 0 <= n <= tr.n:
-        raise ValueError("n out of trace range")
-    monomial = tuple(monomial)
+    """Coefficient of one monomial of F_n, summing only its own sequences; int exponents only."""
+    _check_step(tr, n)
+    monomial = tuple(map(intmat.exact_int, monomial))
     if len(monomial) != tr.v:
         raise ValueError(f"monomial {monomial} needs {tr.v} exponents")
     if any(x < 0 for x in monomial):
@@ -253,8 +251,7 @@ def fpoly_product_form(tr: MutationTrace, n: int) -> LaurentPolynomial:
     call, shared by every exponent e.  All of it is packed keys of one
     _Packing of the bound, unpacked once at the end.
     """
-    if not 0 <= n <= tr.n:
-        raise ValueError("n out of trace range")
+    _check_step(tr, n)
     layout = _Packing(_degree_bounds_from_trace(tr, n))
     xpowers: list[list[dict]] = []  # xpowers[i-1] = [x_i, x_i^2, ...]
 
@@ -278,6 +275,7 @@ def fpoly_product_form(tr: MutationTrace, n: int) -> LaurentPolynomial:
 
 def deform_matrix(tr: MutationTrace, n: int) -> intmat.Matrix:
     """The exponent action of the deformation at step n: e -> -C_n^{-1} e."""
+    _check_step(tr, n)
     return intmat.neg(tr.cinv_mats[n])
 
 
@@ -298,19 +296,15 @@ def deformed_coefficients(tr: MutationTrace, n: int, cutoff: int) -> dict:
     prefix so every deformed r-monomial has nonnegative positive-degree
     exponents, which makes the cutoff prune exhaustive.
     """
-    if not 1 <= n <= tr.n:
-        raise ValueError("n out of trace range")
+    _check_step(tr, n, 1)
     intmat.check_count(cutoff, "cutoff")
     if any(color == "red" for color in tr.colors[:n]):
         raise ValueError("deformed cutoff evaluation requires an all-green prefix")
     deform = deform_matrix(tr, n)
-    rhos = []
-    for w in range(n):
-        rho = intmat.mat_vec(deform, tr.r(n - w))
-        if any(x < 0 for x in rho) or not any(rho):
-            raise SignCoherenceViolation(
-                f"deformed r-monomial at offset {w} is not positive: {rho}"
-            )
-        rhos.append(rho)
+    rhos = [intmat.mat_vec(deform, tr.r(i)) for i in range(n, 0, -1)]
+    for w, rho in enumerate(rhos):
+        if min(rho) < 0 or not any(rho):
+            raise SignCoherenceViolation(f"deformed r-monomial of step {n - w} (vertex "
+                                         f"{tr.vertex(n - w)}) is not positive: {rho}")
     poly = _sequence_sum(rhos, *_tail_and_pair(tr, n), (cutoff,) * tr.v, cutoff)
     return dict(poly.terms)

@@ -2,12 +2,13 @@
 
 The C-matrix after n steps is the product A_1*...*A_n of elementary step
 matrices, each differing from the identity only in the row of the mutated
-vertex; the D-matrix is the analogous product of E-kind matrices.  So
-`trace` applies each step as a row or column update, O(v^2) instead of a
-generic O(v^3) product: right multiplication by a step matrix changes only
-column k, left multiplication only row k; no step matrix is built or kept
-(`step_matrix` builds one for checks).  Each pair coefficient is one
-entry of a product of these matrices, so it is one row-column dot product.
+vertex k, whose nonzeros are the arrows at k.  So `trace` applies a step
+in work proportional to them, not O(v^2): right multiplication by a step
+matrix changes only the rows with a nonzero in column k, at the step row's
+nonzeros, and left multiplication only row k, a sum over the rows the step
+row selects.  No step matrix is built or kept (`step_matrix` builds one
+for checks).  Each pair coefficient is one entry of a product of these
+matrices, so it is one row-column dot product.
 The trace also records, once per step j, the row of
 E*_j D_{j-1}^{-1} - D_j^{-1} that every pair term -a(i,j) + b(i,j) reads.
 Colors are read off the sign of the mutated column of the previous
@@ -19,7 +20,6 @@ quiver module.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from operator import sub
 
 from . import intmat
 from .errors import ConsistencyError, IndexOrder, SignCoherenceViolation
@@ -27,49 +27,57 @@ from .intmat import Matrix
 from .quiver import GeneralizedQuiver, mutate_b, mutate_c
 
 
-def _step_row(b: Matrix, k: int, kind: str, variant: str) -> tuple[int, ...]:
-    """Row k of the elementary matrix for a mutation at 0-based vertex k.
+def _step_rows(b: Matrix, k: int, sign: int) -> tuple[list[int], list[int], list[int]]:
+    """Row k of the A-kind and E-kind step matrices and of E* - E, in one pass.
 
+    The mutation at 0-based vertex k is green for sign 1, red for sign -1.
     E-kind counts arrows attached to the mutated vertex, A-kind arrows
     attached to the far endpoint; green uses the arrows opposing the frozen
-    ones (outgoing), red the incoming ones.  The diagonal entry is -1.
+    ones (outgoing), red the incoming ones.  The diagonal entry is -1.  E*
+    is the E-kind of the other color, so E* - E is -sign * b[k].
     """
-    if kind not in ("a", "e"):
-        raise ValueError("kind must be 'a' or 'e'")
-    if variant not in ("green", "red"):
-        raise ValueError("variant must be 'green' or 'red'")
-    sign = 1 if variant == "green" else -1
-    if kind == "e":
-        row = [max(sign * x, 0) for x in b[k]]
-    else:
-        row = [max(-sign * r[k], 0) for r in b]
-    row[k] = -1
-    return tuple(row)
+    a_row, e_row, pair_row = [], [], []
+    for r, x in zip(b, b[k]):
+        y = -sign * r[k]
+        a_row.append(y if y > 0 else 0)
+        x *= sign
+        e_row.append(x if x > 0 else 0)
+        pair_row.append(-x)
+    a_row[k] = e_row[k] = -1
+    return a_row, e_row, pair_row
 
 
-def _times_step(m: Matrix, row: tuple[int, ...], k: int) -> Matrix:
+def _times_step(m: Matrix, row, k: int) -> Matrix:
     """m * S for the step matrix S with row k equal to `row`.
 
     Column k of m is negated (S[k][k] = -1 is the only nonzero entry of
-    column k of S), and every other column j gains m[.][k] * row[j].
+    column k of S), and every other column j gains m[.][k] * row[j]: only
+    the rows of m with a nonzero in column k change, at the nonzeros of row.
     """
+    nonzero = [(j, s) for j, s in enumerate(row) if s and j != k]
     out = []
     for r in m:
         x = r[k]
         if x:
-            new = [a + x * s for a, s in zip(r, row)]
+            new = list(r)
             new[k] = -x
+            for j, s in nonzero:
+                new[j] += x * s
             r = tuple(new)
         out.append(r)
     return tuple(out)
 
 
 def _row_times(row, m: Matrix) -> tuple[int, ...]:
-    """The row vector row * m."""
-    return tuple(sum([s * x for s, x in zip(row, col)]) for col in zip(*m))
+    """The row vector row * m, summed over only the rows of m that row selects."""
+    acc = [0] * len(m)
+    for s, r in zip(row, m):
+        if s:
+            acc = [a + s * x for a, x in zip(acc, r)]
+    return tuple(acc)
 
 
-def _step_times(row: tuple[int, ...], k: int, m: Matrix) -> Matrix:
+def _step_times(row, k: int, m: Matrix) -> Matrix:
     """S * m for the step matrix S with row k equal to `row`: only row k changes."""
     return m[:k] + (_row_times(row, m),) + m[k + 1:]
 
@@ -77,21 +85,25 @@ def _step_times(row: tuple[int, ...], k: int, m: Matrix) -> Matrix:
 def step_matrix(b: Matrix, vertex: int, kind: str, variant: str) -> Matrix:
     """Step matrix for mutating exchange matrix b at a 1-based vertex.
 
-    It is the identity with row k = vertex - 1 replaced by `_step_row`.
+    It is the identity with row k = vertex - 1 replaced by its `_step_rows` row.
     """
     v = len(b)
     if not 1 <= vertex <= v:
         raise ValueError(f"vertex {vertex} out of range 1..{v}")
+    if kind not in ("a", "e"):
+        raise ValueError("kind must be 'a' or 'e'")
+    if variant not in ("green", "red"):
+        raise ValueError("variant must be 'green' or 'red'")
     k = vertex - 1
-    row = _step_row(b, k, kind, variant)
+    row = tuple(_step_rows(b, k, 1 if variant == "green" else -1)[kind == "e"])
     return tuple(row if i == k else tuple(int(i == j) for j in range(v)) for i in range(v))
 
 
-def _column_color(c: Matrix, k: int) -> str:
-    col = [row[k] for row in c]
-    if all(x >= 0 for x in col) and any(x > 0 for x in col):
+def _column_color(col: list[int], k: int) -> str:
+    low, high = min(col), max(col)
+    if low >= 0 and high > 0:
         return "green"
-    if all(x <= 0 for x in col) and any(x < 0 for x in col):
+    if high <= 0 and low < 0:
         return "red"
     raise SignCoherenceViolation(
         f"column {k + 1} is mixed-sign or zero: {col}; this indicates a bug"
@@ -148,10 +160,11 @@ def trace(q: GeneralizedQuiver, seq) -> MutationTrace:
 
     The C-matrix is accumulated as a product of A-kind step matrices and,
     independently, by the direct frozen-arrow rule; the two must agree
-    entrywise, otherwise a ConsistencyError is raised.  Each step is applied
-    as a column update (C*A_i, D*E_i) or a row update (A_i*C^{-1},
-    E_i*D^{-1}).  The pair row of step j is row v_j of E*_j D_{j-1}^{-1} -
-    D_j^{-1} = (E*_j - E_j) D_{j-1}^{-1}, from the D^{-1} the loop carries.
+    entrywise, otherwise a ConsistencyError is raised.  A step applies its
+    step rows as column updates (C*A_i, D*E_i) or row updates (A_i*C^{-1},
+    E_i*D^{-1}) in work proportional to their nonzeros, not O(v^2).  The
+    pair row of step j is row v_j of E*_j D_{j-1}^{-1} - D_j^{-1} =
+    (E*_j - E_j) D_{j-1}^{-1}, with E*_j - E_j = -b[v_j] green, +b[v_j] red.
     A vertex that is not an int, bool included, is a TypeError.
     """
     seq = tuple(seq)
@@ -169,14 +182,13 @@ def trace(q: GeneralizedQuiver, seq) -> MutationTrace:
 
     for k in seq:
         kk = k - 1
-        color = _column_color(c, kk)
-        a_row = _step_row(b, kk, "a", color)
-        e_row = _step_row(b, kk, "e", color)
-        estar_row = _step_row(b, kk, "e", "red" if color == "green" else "green")
+        col = [row[kk] for row in c]  # C_i's column kk is -col
+        color = _column_color(col, kk)
+        a_row, e_row, estar_minus_e = _step_rows(b, kk, 1 if color == "green" else -1)
         c = _times_step(c, a_row, kk)
         d = _times_step(d, e_row, kk)
         cinv = _step_times(a_row, kk, cinv)
-        pair_rows.append(_row_times(tuple(map(sub, estar_row, e_row)), dinv))
+        pair_rows.append(_row_times(estar_minus_e, dinv))
         dinv = _step_times(e_row, kk, dinv)
         c_sim = mutate_c(c_sim, b, kk)
         if c_sim != c:
@@ -186,7 +198,7 @@ def trace(q: GeneralizedQuiver, seq) -> MutationTrace:
             )
         b = mutate_b(b, kk)
         colors.append(color)
-        r_monomials.append(tuple(abs(row[kk]) for row in c))
+        r_monomials.append(tuple(map(abs, col)))
         b_mats.append(b)
         c_mats.append(c)
         d_mats.append(d)
@@ -210,6 +222,15 @@ def c_between(tr: MutationTrace, m: int, n: int, kind: str = "c") -> Matrix:
     if kind == "d":
         return intmat.mat_mul(tr.dinv_mats[m], tr.d_mats[n])
     raise ValueError("kind must be 'c' or 'd'")
+
+
+def _check_step(tr: MutationTrace, n, first: int = 0) -> None:
+    """A step n that is not an int, bool included, is a TypeError, as a
+    vertex is in `trace`; one outside first..tr.n is a ValueError."""
+    if not intmat.is_int(n):
+        raise TypeError(f"n {n!r} is not an integer")
+    if not first <= n <= tr.n:
+        raise ValueError(f"n out of trace range: {n} is not in {first}..{tr.n}")
 
 
 def _check_pair(tr: MutationTrace, i: int, j: int) -> None:

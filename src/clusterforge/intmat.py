@@ -8,6 +8,8 @@ O(n^3) algorithms are the right tool.
 
 from __future__ import annotations
 
+from operator import mul
+
 from .errors import BadParameters
 
 Matrix = tuple[tuple[int, ...], ...]
@@ -52,7 +54,7 @@ def mat_mul(a: Matrix, b: Matrix) -> Matrix:
 
 
 def mat_vec(a: Matrix, v) -> tuple[int, ...]:
-    return tuple(sum(a[i][j] * v[j] for j in range(len(v))) for i in range(len(a)))
+    return tuple(sum(map(mul, row, v)) for row in a)
 
 
 def transpose(a: Matrix) -> Matrix:

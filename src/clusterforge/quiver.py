@@ -103,38 +103,42 @@ def make_quiver(b, d=None) -> GeneralizedQuiver:
     return GeneralizedQuiver(b, d)
 
 
-def mutate_b(b: Matrix, k: int) -> Matrix:
-    """Standard exchange-matrix mutation at 0-based vertex k."""
-    n = len(b)
+def _add_to_rows(m: Matrix, k: int, pos, neg) -> Matrix:
+    """m with each row r that has x = r[k] != 0 replaced by r + x * (pos if
+    x > 0 else neg), then r[k] by -x; every other row is the same tuple."""
     out = []
-    for i in range(n):
-        row = []
-        for j in range(n):
-            if i == k or j == k:
-                row.append(-b[i][j])
-            else:
-                row.append(b[i][j] + _sign(b[i][k]) * max(b[i][k] * b[k][j], 0))
-        out.append(tuple(row))
+    for row in m:
+        x = row[k]
+        if x:
+            new = [y + x * p for y, p in zip(row, pos if x > 0 else neg)]
+            new[k] = -x
+            row = tuple(new)
+        out.append(row)
     return tuple(out)
+
+
+def mutate_b(b: Matrix, k: int) -> Matrix:
+    """Standard exchange-matrix mutation at 0-based vertex k.
+
+    Row k is negated; a row i with x = b[i][k] != 0 has b[i][k] negated and
+    gains x * max(sign(x) b[k][j], 0) in each other column j; every other
+    row comes back unchanged, as the same tuple.
+    """
+    bk = b[k]
+    out = _add_to_rows(b, k, [x if x > 0 else 0 for x in bk], [-x if x < 0 else 0 for x in bk])
+    return out[:k] + (tuple(-x for x in bk),) + out[k + 1:]
 
 
 def mutate_c(c: Matrix, b: Matrix, k: int) -> Matrix:
     """Frozen-arrow block update for a mutation at 0-based vertex k.
 
     This is the standard rule applied to the frozen rows of the extended
-    matrix, written directly on c; it makes no use of sign coherence.
+    matrix, written directly on c; it makes no use of sign coherence.  Only
+    a row i with x = c[i][k] != 0 changes: c[i][k] is negated and each other
+    column j gains x * max(-sign(x) b[j][k], 0); the rest are the same tuples.
     """
-    n = len(b)
-    out = []
-    for i in range(n):
-        row = []
-        for j in range(n):
-            if j == k:
-                row.append(-c[i][j])
-            else:
-                row.append(c[i][j] + _sign(c[i][k]) * max(-c[i][k] * b[j][k], 0))
-        out.append(tuple(row))
-    return tuple(out)
+    col = [r[k] for r in b]
+    return _add_to_rows(c, k, [-x if x < 0 else 0 for x in col], [x if x > 0 else 0 for x in col])
 
 
 @dataclass(frozen=True)

@@ -16,7 +16,7 @@ from fractions import Fraction
 
 from . import intmat
 from .closedform import deformed_coefficients, phi
-from .cmatrix import MutationTrace, trace
+from .cmatrix import MutationTrace, _check_step, trace
 from .errors import BadParameters, ConsistencyError, RedStepEncountered
 from .families import FamilySpec, SSequence, _family_params, _family_sum
 from .intmat import Matrix
@@ -106,8 +106,7 @@ def fundamentals(tr: MutationTrace, n: int, verify: bool = True,
     F-polynomials F_1..F_n of the recurrence along tr.seq, which it computes
     only when fs is not given.
     """
-    if not 0 <= n <= tr.n:
-        raise ValueError("n out of trace range")
+    _check_step(tr, n)
     verify = verify and tr.quiver.is_skew_symmetric
     first_seen: dict[tuple[int, ...], int] = {}
     greens: dict[tuple[int, ...], int] = {}

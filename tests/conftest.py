@@ -60,6 +60,28 @@ def b21():
     return make_quiver([[0, 1], [-2, 0]])
 
 
+def _sign(x):
+    return (x > 0) - (x < 0)
+
+
+def reference_mutate_b(b, k):
+    """Exchange-matrix mutation at 0-based vertex k, entry by entry as defined."""
+    n = len(b)
+    return tuple(
+        tuple(-b[i][j] if k in (i, j) else b[i][j] + _sign(b[i][k]) * max(b[i][k] * b[k][j], 0)
+              for j in range(n))
+        for i in range(n))
+
+
+def reference_mutate_c(c, b, k):
+    """Frozen-block mutation at 0-based vertex k, entry by entry as defined."""
+    n = len(b)
+    return tuple(
+        tuple(-c[i][j] if j == k else c[i][j] + _sign(c[i][k]) * max(-c[i][k] * b[j][k], 0)
+              for j in range(n))
+        for i in range(n))
+
+
 def random_skew_symmetric(rng, v, max_entry=2):
     b = [[0] * v for _ in range(v)]
     for i in range(v):

@@ -1,4 +1,5 @@
 import random
+from dataclasses import replace
 from fractions import Fraction
 
 from itertools import product
@@ -12,9 +13,9 @@ from clusterforge import (LaurentPolynomial, coeff_a, coeff_b, coefficient_of,
                           deform, deformed_formula, degree_bounds,
                           enumerate_sequences, fpoly_formula, fpoly_product_form,
                           fpoly_recurrence, make_quiver, phi, trace, w_value)
-from clusterforge.closedform import (_binomial_series, _sequence_sum,
+from clusterforge.closedform import (_binomial_series, _sequence_sum, deform_matrix,
                                      deformed_coefficients)
-from clusterforge.errors import BadParameters, NonIntegerCoefficient
+from clusterforge.errors import BadParameters, NonIntegerCoefficient, SignCoherenceViolation
 from clusterforge.laurent import _Packing
 from conftest import random_sequence, random_skew_symmetric, truncate
 
@@ -151,6 +152,48 @@ def test_coefficient_of_validates_n(k2):
     for n in (-3, -1, 4):
         with pytest.raises(ValueError, match="n out of trace range"):
             coefficient_of(tr, n, (0, 0))
+
+
+def test_step_index_is_checked_by_every_caller(k2):
+    # a bool n used to be read as 0 or 1, and deform_matrix(tr, -1) gave -C_3^{-1}
+    tr = trace(k2, (1, 2, 1))
+    callers = {
+        "fpoly_formula": lambda n: fpoly_formula(tr, n),
+        "fpoly_product_form": lambda n: fpoly_product_form(tr, n),
+        "coefficient_of": lambda n: coefficient_of(tr, n, (1, 0)),
+        "w_value": lambda n: w_value(tr, n, ()),
+        "enumerate_sequences": lambda n: list(enumerate_sequences(tr, n, (1, 1))),
+        "deform_matrix": lambda n: deform_matrix(tr, n),
+        "deformed_formula": lambda n: deformed_formula(tr, n),
+        "deformed_coefficients": lambda n: deformed_coefficients(tr, n, 2),
+    }
+    for call in callers.values():
+        for n in (True, False, 1.0, 2.5, "1"):
+            with pytest.raises(TypeError, match="is not an integer"):
+                call(n)
+        for n in (-1, 4):
+            with pytest.raises(ValueError, match="n out of trace range"):
+                call(n)
+    with pytest.raises(ValueError, match="n out of trace range"):
+        deformed_coefficients(tr, 0, 2)
+    assert deform_matrix(tr, 0) == ((-1, 0), (0, -1))
+
+
+def test_coefficient_of_rejects_non_integer_exponents(k2):
+    # a float exponent used to fail with AttributeError, and True read as 1
+    tr = trace(k2, (1, 2, 1))
+    for monomial in ((1.0, 0), (True, 0), (0, 2.5)):
+        with pytest.raises(TypeError, match="is not an integer"):
+            coefficient_of(tr, 3, monomial)
+
+
+def test_deformed_coefficients_failure_names_the_step(k2):
+    # with C_3^{-1} replaced by I, -C_3^{-1} sends each r-monomial to its negative
+    tr = trace(k2, (1, 2, 1))
+    broken = replace(tr, cinv_mats=tr.cinv_mats[:3] + (((1, 0), (0, 1)),))
+    with pytest.raises(SignCoherenceViolation,
+                       match=r"r-monomial of step 3 \(vertex 1\) is not positive: \(-3, -2\)"):
+        deformed_coefficients(broken, 3, 4)
 
 
 def test_coefficient_of_rejects_wrong_length_monomial(k2):

@@ -10,7 +10,8 @@ from clusterforge import (c_between, check_sign_coherence, coeff_a, coeff_b,
 from clusterforge.cmatrix import pair_term
 from clusterforge.errors import IndexOrder
 from clusterforge.intmat import identity, mat_mul
-from conftest import random_sequence, random_skew_symmetric
+from conftest import (random_sequence, random_skew_symmetric, reference_mutate_b,
+                      reference_mutate_c)
 
 
 def test_step_matrix_green_odd(k2):
@@ -205,9 +206,16 @@ def test_trace_and_pair_coefficients_match_matrix_products(case):
         other = "red" if color == "green" else "green"
         a_i = _reference_step_matrix(b, k - 1, "a", color)
         e_i = _reference_step_matrix(b, k - 1, "e", color)
+        estar_i = _reference_step_matrix(b, k - 1, "e", other)
         assert step_matrix(b, k, "a", color) == a_i
         assert step_matrix(b, k, "e", color) == e_i
-        assert step_matrix(b, k, "e", other) == _reference_step_matrix(b, k - 1, "e", other)
+        assert step_matrix(b, k, "e", other) == estar_i
+        assert tr.b_mats[i] == reference_mutate_b(b, k - 1)
+        c_i = reference_mutate_c(tr.c_mats[i - 1], b, k - 1)
+        assert tr.r(i) == tuple(abs(row[k - 1]) for row in c_i)
+        # row v_i of (E*_i - E_i) D_{i-1}^{-1}
+        diff = tuple(x - y for x, y in zip(estar_i[k - 1], e_i[k - 1]))
+        assert tr.pair_rows[i - 1] == mat_mul((diff,), tr.dinv_mats[i - 1])[0]
         assert tr.c_mats[i] == mat_mul(tr.c_mats[i - 1], a_i)
         assert tr.d_mats[i] == mat_mul(tr.d_mats[i - 1], e_i)
         assert tr.cinv_mats[i] == mat_mul(a_i, tr.cinv_mats[i - 1])

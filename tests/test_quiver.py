@@ -1,11 +1,15 @@
 import random
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from clusterforge import (LaurentPolynomial, degree_bounds, fpoly_recurrence,
                           framed_state, make_quiver, mutate)
 from clusterforge.errors import NotSkewSymmetrizable
-from conftest import random_sequence, random_skew_symmetric
+from clusterforge.quiver import mutate_b, mutate_c
+from conftest import (random_sequence, random_skew_symmetric, reference_mutate_b,
+                      reference_mutate_c)
 
 GOLDEN_F = {
     1: {(0, 0): 1, (1, 0): 1},
@@ -127,3 +131,38 @@ def test_labels_positive_with_unit_constant(k3):
         assert f.is_polynomial()
         assert f.constant_term == 1
         assert all(c > 0 for c in f.terms.values())
+
+
+@st.composite
+def mutation_cases(draw):
+    """B = S*diag(d) with some isolated vertices, a frozen block C, a vertex k.
+
+    Isolated vertices give B zero rows and columns.  Each column of C is
+    green (nonnegative) or red (nonpositive), as sign coherence has it.
+    """
+    v = draw(st.integers(1, 5))
+    d = draw(st.lists(st.integers(1, 3), min_size=v, max_size=v))
+    isolated = draw(st.sets(st.integers(0, v - 1)))
+    s = [[0] * v for _ in range(v)]
+    for i in range(v):
+        for j in range(i + 1, v):
+            if i not in isolated and j not in isolated:
+                s[i][j] = draw(st.integers(-3, 3))
+                s[j][i] = -s[i][j]
+    b = make_quiver([[s[i][j] * d[j] for j in range(v)] for i in range(v)], d).b
+    columns = [[sign * x for x in draw(st.lists(st.integers(0, 3), min_size=v, max_size=v))]
+               for sign in draw(st.lists(st.sampled_from((1, -1)), min_size=v, max_size=v))]
+    c = tuple(zip(*columns))
+    return b, c, draw(st.integers(0, v - 1))
+
+
+@given(mutation_cases())
+def test_mutate_b_and_c_match_entrywise_definitions(case):
+    b, c, k = case
+    new_b, new_c = mutate_b(b, k), mutate_c(c, b, k)
+    assert new_b == reference_mutate_b(b, k)
+    assert new_c == reference_mutate_c(c, b, k)
+    # a row with a zero in column k (other than row k of B) comes back as
+    # the same tuple
+    assert all(new is row for i, (row, new) in enumerate(zip(b, new_b)) if i != k and not row[k])
+    assert all(new is row for row, new in zip(c, new_c) if not row[k])

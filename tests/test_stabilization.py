@@ -140,6 +140,18 @@ def test_green_excess_probe_green_trace(k2):
     assert not report.failed_coefficient_checks
 
 
+def test_fundamentals_and_probe_check_the_step_index(k2):
+    # a bool n used to be read as 1
+    tr = trace(k2, (1, 2, 1))
+    for call in (lambda n: fundamentals(tr, n), lambda n: green_excess_probe(tr, n)):
+        for n in (True, 1.0):
+            with pytest.raises(TypeError, match="is not an integer"):
+                call(n)
+        for n in (-1, 4):
+            with pytest.raises(ValueError, match="n out of trace range"):
+                call(n)
+
+
 def test_green_excess_probe_empty(k2):
     report = green_excess_probe(trace(k2, ()))
     assert report.entries == ()
