@@ -15,25 +15,22 @@ Three evaluation routes live here:
   deformed exponent space under a total-degree cutoff, which stays cheap
   even when F_n itself would be astronomically large.
 
-One iterative kernel, `_sequence_sum`, evaluates every sum over
+One stagewise kernel, `_sequence_sum`, evaluates every sum over
 nondecreasing index sequences: `fpoly_formula`, the point query
 `coefficient_of`, the family formulas, `deformed_coefficients`, `limit_kr`
-and `limit_gale_robinson`, each supplying its step vectors, tail and pair
-terms, bound and cap.
-
-All arithmetic is exact; rationals appear only through phi and must cancel
-to integers in every final coefficient.
+and `limit_gale_robinson`, each supplying its step vectors, the factors of
+its pair terms (off the trace here, off a recurrence in `families`), bound
+and cap.  All arithmetic is in integers: phi enters as binomials.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import count, islice
-from math import factorial
-from operator import add, le
+from itertools import accumulate, count
+from operator import add, le, mul
 
 from . import intmat
-from .cmatrix import MutationTrace, _check_step, _dot_column, coeff_a, pair_term
+from .cmatrix import MutationTrace, _check_step, coeff_a, pair_term
 from .errors import NonIntegerCoefficient, SignCoherenceViolation
 from .laurent import LaurentPolynomial, _mul_within, _Packing
 from .quiver import _degree_bounds_from_trace
@@ -70,28 +67,17 @@ def w_value(tr: MutationTrace, n: int, w) -> int:
     return total
 
 
-def _tail_and_pair(tr: MutationTrace, n: int):
-    """The tail and pair terms of F_n's sequence sum, in candidate order c = n - w.
+def _trace_factors(tr: MutationTrace, n: int):
+    """F_n's factor(c) for _sequence_sum, c = n - i in 0..n-1 (not validated).
 
-    tail(c) = a(n-c, n) and pair(c, e) = -a(n-c, n-e) + b(n-c, n-e), the
-    cmatrix pair_term.  The kernel asks only for 0 <= e <= c < n, so lookups
-    are not validated; each pair term is memoized within the call.
+    pair_term(i, n - e) is u_e . w_c, with u_e the trace's pair row of step
+    n - e and w_c column v_i of D_i; the tail a(i, n) is row v_n of D_n^{-1} . w_c.
     """
-    rows, d_mats, seq = tr.pair_rows, tr.d_mats, tr.seq
-    memo: dict[tuple[int, int], int] = {}
+    def factor(c: int):
+        w = [row[tr.seq[n - c - 1] - 1] for row in tr.d_mats[n - c]]
+        return sum(map(mul, tr.dinv_mats[n][tr.seq[n - 1] - 1], w)), tr.pair_rows[n - c - 1], w
 
-    def tail(c: int) -> int:
-        return coeff_a(tr, n - c, n)
-
-    def pair(c: int, e: int) -> int:
-        value = memo.get((c, e))
-        if value is None:
-            i = n - c
-            value = memo[c, e] = (
-                -1 if c == e else _dot_column(rows[n - e - 1], d_mats[i], seq[i - 1] - 1))
-        return value
-
-    return tail, pair
+    return factor
 
 
 def enumerate_sequences(tr: MutationTrace, n: int, bound):
@@ -117,80 +103,69 @@ def enumerate_sequences(tr: MutationTrace, n: int, bound):
                 stack.append((prefix + (w,), new_total))
 
 
-def _sequence_sum(steps, tail, pair, bound, cap=None, target=None):
+def _sequence_sum(steps, factor, diag, bound, cap=None, target=None):
     """Sum phi(c) * prod_i f_i over nondecreasing sequences c of candidates.
 
-    The candidates are the indices 0..m-1 of steps.  The entry c_i of a
-    sequence has the factor f_i = tail(c_i) + sum_{j<i} pair(c_i, c_j) and the
-    sequence lands on the monomial sum_i steps[c_i]; the empty sequence gives
-    1 on the zero monomial.  Only sequences whose monomial stays within bound
-    componentwise and within cap (default sum(bound)) in total degree are
-    visited, and a subtree whose running product is zero is skipped.
+    The candidates are the indices of steps; factor(c) gives (tail_c, u_c,
+    w_c).  Entry c_i has f_i = tail(c_i) + sum_{j<i} pair(c_i, c_j), with
+    pair(c, e) = w_c . u_e for e < c and pair(c, c) = diag, and the sequence
+    lands on sum_i steps[c_i].  Only monomials within bound and within cap
+    (default sum(bound)) in total degree count.  With a target, returns
+    only its sum, and the box shrinks to the target's.
 
-    Returns the polynomial of the sums, or with a target monomial (pass it
-    as the bound too) only the sum on that monomial, building no dict.
-
-    The walk keeps an explicit stack, so length meets no recursion limit.
-    Monomials are packed keys in the laurent._Packing layout of bound: a
-    child's key is one add, the bound one guard-bit subtraction, the cap one
-    comparison.  Each node carries its live list, the candidates that still
-    fit with the factor each would get; a child's list is a suffix of its
-    parent's plus one pair term per entry, so pair terms are looked up only
-    for candidates that fit.  Weights are integers over K = k_max!, k_max =
-    cap // least step degree: phi's denominator divides k! at length k, so
-    a child's val * f // run is exact.  Each sum is divided by K once; a
-    remainder raises NonIntegerCoefficient.
+    Stagewise, candidates in order: earlier entries reach later factors
+    only through U = sum of their u_e, so a state (packed key, U) holds one
+    integer weight for a group of sequences.  Taking c m times, with
+    f = tail_c + w_c . U, multiplies it by prod_{j<m} (f + j*diag) / m!, or
+    C(f, m) for diag = -1; a remainder raises NonIntegerCoefficient.
+    factor(c) is called only when a state fits c, and a state with no room
+    left for a later candidate leaves the stages.
     """
-    bound = tuple(bound)
-    nvars = len(bound)
+    bound = tuple(bound if target is None else map(min, bound, target))
     cap = sum(bound) if cap is None else cap
     layout = _Packing(bound)
-    pack, guards, limit = layout.pack, layout.guards, layout.limit
-    over = (cap + 1) << layout.top  # keys from here on exceed the cap
-    root = []
-    degrees = []
+    pack, guards, limit, top = layout.pack, layout.guards, layout.limit, layout.top
+    over = (cap + 1) << top  # keys from here on exceed the cap
+    stages = []
     for c, step in enumerate(steps):
         if min(step) < 0 or not any(step):
             raise ValueError(f"step {c} is {tuple(step)}; steps must be nonnegative and nonzero")
         if sum(step) <= cap and all(map(le, step, bound)):
-            root.append((c, pack(step), tail(c)))
-            degrees.append(sum(step))
-    scale = factorial(cap // min(degrees) if degrees else 0)
-    tkey = None if target is None else pack(target)
-    acc = {0: scale} if tkey is None else None
-    total = scale if tkey == 0 else 0
-    stack = [(key, scale * f, pos, 1, root)
-             for pos, (_, key, f) in enumerate(root) if f]
-    push, pop = stack.append, stack.pop
-    while stack:
-        key, val, pos, run, parent = pop()
-        c0 = parent[pos][0]
-        if acc is not None:
-            acc[key] = acc.get(key, 0) + val
-        elif key == tkey:
-            total += val
-        live = []
-        for c, sk, f in islice(parent, pos, None):
+            stages.append((c, pack(step)))
+    # rooms[s]: keys from here on have no room for the candidates of stage s on
+    least = accumulate([key >> top for _, key in reversed(stages)], min, initial=cap + 1)
+    rooms = [(cap - d + 1) << top for d in least][::-1]
+    done, states = {}, {(0, ()): 1}
+    for (c, sk), room, final in zip(stages, rooms, rooms[1:]):
+        tail = None
+        for state, weight in list(states.items()):
+            key, u_sum = state
+            if key >= room:  # final: this stage merges only below the next room <= room
+                done[key] = done.get(key, 0) + states.pop(state)
+                continue
             k = key + sk
-            if k < over and (limit - k) & guards == guards:
-                f += pair(c, c0)
-                if f:
-                    if c == c0:
-                        push((k, val * f // (run + 1), len(live), run + 1, live))
-                    else:
-                        push((k, val * f, len(live), 1, live))
-                live.append((c, sk, f))
-
-    low = (0,) * nvars
-    terms = {}
-    for key, value in ({tkey: total} if acc is None else acc).items():
-        terms[key], rem = divmod(value, scale)
-        if rem:
-            raise NonIntegerCoefficient(
-                f"coefficient of {layout.unpack(key, low)} is "
-                f"{Fraction(value, scale)}; rationals failed to cancel"
-            )
-    return layout.poly(terms, low) if acc is not None else terms[tkey]
+            if k >= over or (limit - k) & guards != guards:
+                continue
+            if tail is None:
+                tail, u, w = factor(c)
+            u_sum = u_sum or (0,) * len(u)
+            f, m = tail + sum(map(mul, w, u_sum)), 0
+            while k < over and (limit - k) & guards == guards:
+                weight, rem = divmod(weight * (f + m * diag), m + 1)
+                if rem:
+                    raise NonIntegerCoefficient(f"weight {weight * (m + 1) + rem}/{m + 1} on "
+                                                f"{layout.unpack(k, (0,) * len(bound))}")
+                if not weight:
+                    break
+                m, u_sum = m + 1, tuple(map(add, u_sum, u))
+                if k >= final:
+                    done[k] = done.get(k, 0) + weight
+                else:
+                    states[k, u_sum] = states.get((k, u_sum), 0) + weight
+                k += sk
+    for (key, _), weight in states.items():
+        done[key] = done.get(key, 0) + weight
+    return layout.poly(done, (0,) * len(bound)) if target is None else done.get(pack(target), 0)
 
 
 def fpoly_formula(tr: MutationTrace, n: int) -> LaurentPolynomial:
@@ -201,20 +176,19 @@ def fpoly_formula(tr: MutationTrace, n: int) -> LaurentPolynomial:
     """
     _check_step(tr, n)
     bound = _degree_bounds_from_trace(tr, n)
-    steps = [tr.r(n - c) for c in range(n)]
-    return _sequence_sum(steps, *_tail_and_pair(tr, n), bound)
+    return _sequence_sum(tr.r_monomials[:n][::-1], _trace_factors(tr, n), -1, bound)
 
 
 def coefficient_of(tr: MutationTrace, n: int, monomial) -> int:
-    """Coefficient of one monomial of F_n, summing only its own sequences; int exponents only."""
+    """Coefficient of one monomial of F_n, summing only in the box below it; int exponents only."""
     _check_step(tr, n)
     monomial = tuple(map(intmat.exact_int, monomial))
     if len(monomial) != tr.v:
         raise ValueError(f"monomial {monomial} needs {tr.v} exponents")
     if any(x < 0 for x in monomial):
         raise ValueError("monomial exponents must be nonnegative")
-    steps = [tr.r(n - c) for c in range(n)]
-    return _sequence_sum(steps, *_tail_and_pair(tr, n), monomial, target=monomial)
+    steps = tr.r_monomials[:n][::-1]
+    return _sequence_sum(steps, _trace_factors(tr, n), -1, monomial, target=monomial)
 
 
 def _binomial_series(layout: _Packing, powers: list[dict], e: int) -> dict[int, int]:
@@ -306,5 +280,5 @@ def deformed_coefficients(tr: MutationTrace, n: int, cutoff: int) -> dict:
         if min(rho) < 0 or not any(rho):
             raise SignCoherenceViolation(f"deformed r-monomial of step {n - w} (vertex "
                                          f"{tr.vertex(n - w)}) is not positive: {rho}")
-    poly = _sequence_sum(rhos, *_tail_and_pair(tr, n), (cutoff,) * tr.v, cutoff)
+    poly = _sequence_sum(rhos, _trace_factors(tr, n), -1, (cutoff,) * tr.v, cutoff)
     return dict(poly.terms)

@@ -215,8 +215,8 @@ def c_between(tr: MutationTrace, m: int, n: int, kind: str = "c") -> Matrix:
     Valid for any 0 <= m, n <= len(trace); n < m is allowed and simply
     produces the inverse of the (n, m) matrix.
     """
-    if not 0 <= m <= tr.n or not 0 <= n <= tr.n:
-        raise ValueError("indices out of trace range")
+    _check_step(tr, m, name="m")
+    _check_step(tr, n)
     if kind == "c":
         return intmat.mat_mul(tr.cinv_mats[m], tr.c_mats[n])
     if kind == "d":
@@ -224,13 +224,13 @@ def c_between(tr: MutationTrace, m: int, n: int, kind: str = "c") -> Matrix:
     raise ValueError("kind must be 'c' or 'd'")
 
 
-def _check_step(tr: MutationTrace, n, first: int = 0) -> None:
+def _check_step(tr: MutationTrace, n, first: int = 0, name: str = "n") -> None:
     """A step n that is not an int, bool included, is a TypeError, as a
     vertex is in `trace`; one outside first..tr.n is a ValueError."""
     if not intmat.is_int(n):
-        raise TypeError(f"n {n!r} is not an integer")
+        raise TypeError(f"{name} {n!r} is not an integer")
     if not first <= n <= tr.n:
-        raise ValueError(f"n out of trace range: {n} is not in {first}..{tr.n}")
+        raise ValueError(f"{name} out of trace range: {n} is not in {first}..{tr.n}")
 
 
 def _check_pair(tr: MutationTrace, i: int, j: int) -> None:

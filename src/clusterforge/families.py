@@ -5,11 +5,14 @@ Gale-Robinson quivers G_{v,r,t} (gr, with dP1 = G_{4,2,1}), and the
 (r+1)-cycle family a1r.  For quivers passing the symmetry checks the pair
 coefficients collapse to a single scalar sequence s (with companion s'),
 and F_n becomes a sum over index sequences weighted by s-values only.
+Each `SSequence` summed carries its recurrence as data, {lag: coefficient},
+and `_family_sum` factors the pair terms through it for the sum kernel.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import mul
 
 from . import intmat
 from .closedform import _sequence_sum
@@ -189,10 +192,11 @@ class SSequence:
     such read is a lookup and no index costs stack depth.
     """
 
-    def __init__(self, s_rule, sp_rule):
+    def __init__(self, s_rule, sp_rule, recurrence=None):
         self._s_rule = s_rule
         self._sp_rule = sp_rule
         self._s_memo: list[int] = []
+        self.recurrence = recurrence  # {lag: coefficient}, s_i for i >= 1
 
     def s(self, i: int) -> int:
         if i < 0:
@@ -220,7 +224,7 @@ class SSequence:
         def sp_rule(i, s):
             return -s(i - v) + sum(m * s(i - v + j - 1) for j, m in in_edges)
 
-        return cls(s_rule, sp_rule)
+        return cls(s_rule, sp_rule, {v: -1, **{v - j + 1: m for j, m in out_edges}})
 
     @classmethod
     def kronecker(cls, r: int) -> "SSequence":
@@ -230,11 +234,12 @@ class SSequence:
         def sp_rule(i, s):
             return -s(i - 2)
 
-        return cls(s_rule, sp_rule)
+        return cls(s_rule, sp_rule, {1: r, 2: -1})
 
     @classmethod
     def gale_robinson(cls, v: int, r: int, t: int) -> "SSequence":
-        """s_i counts splittings i = a*r + b*(v-r) with a, b >= 0."""
+        """s_i counts splittings i = a*r + b*(v-r) with a, b >= 0, so the
+        generating function 1/((1-x^r)(1-x^(v-r))) gives the recurrence."""
 
         def s_rule(i, s):
             return sum(1 for a in range(i // r + 1) if (i - a * r) % (v - r) == 0)
@@ -242,7 +247,8 @@ class SSequence:
         def sp_rule(i, s):
             return s(i - t) + s(i - v + t) - s(i - v)
 
-        return cls(s_rule, sp_rule)
+        lag_r = 1 + (v == 2 * r)  # the lags r and v - r coincide when v = 2r
+        return cls(s_rule, sp_rule, {r: lag_r, v - r: lag_r, v: -1})
 
     @classmethod
     def a1r(cls, r: int) -> "SSequence":
@@ -272,13 +278,33 @@ def s_values(spec: FamilySpec, indices) -> list[tuple[int, int]]:
 
 
 def _family_sum(ss: SSequence, steps, bound, cap=None) -> LaurentPolynomial:
-    """The sequence sum with tail s_c and pair term -s_d + s'_d, d = c - e.
+    """The sequence sum with tail s_c and pair term p(c - e), p(d) = -s_d + s'_d.
 
     Every family sum has this shape: the finite formulas below and the
-    stabilized limits of `limit_kr` and `limit_gale_robinson`.
+    limits of `limit_kr` and `limit_gale_robinson`.  The last coefficient of
+    ss.recurrence is +-1, so its companion matrix M has an integral inverse.
+    Stepping P_L = (p(L), ..., p(1)) back L times gives P_0; each p(d) used
+    is checked to be e_1 M^d P_0, so p(c - e) = e_1 M^c . M^{-e} P_0 = w_c . u_e.
     """
-    pairs = [-ss.s(d) + ss.sp(d) for d in range(len(steps))]
-    return _sequence_sum(steps, ss.s, lambda c, e: pairs[c - e], bound, cap)
+    width = max(ss.recurrence)
+    coefs = [ss.recurrence.get(lag, 0) for lag in range(1, width + 1)]
+
+    def back(col):  # M^{-1} col
+        return col[1:] + [coefs[-1] * (col[0] - sum(map(mul, coefs, col[1:])))]
+
+    us, ws = [[ss.sp(d) - ss.s(d) for d in range(width, 0, -1)]], [[1] + [0] * (width - 1)]
+    for _ in range(width):
+        us[0] = back(us[0])
+
+    def factor(c: int):
+        for d in range(len(ws), c + 1):
+            ws.append([ws[-1][0] * a + b for a, b in zip(coefs, ws[-1][1:] + [0])])
+            us.append(back(us[-1]))
+            if ss.sp(d) - ss.s(d) != sum(map(mul, ws[d], us[0])):
+                raise ConsistencyError(f"p({d}) is off the recurrence {ss.recurrence}")
+        return ss.s(c), us[c], ws[c]
+
+    return _sequence_sum(steps, factor, ss.sp(0) - ss.s(0), bound, cap)
 
 
 def _family_formula(ss: SSequence, v: int, n: int, bound) -> LaurentPolynomial:

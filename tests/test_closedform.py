@@ -91,37 +91,39 @@ def test_enumerate_sequences_has_no_depth_limit(k2):
 
 
 def test_sequence_sum_rejects_zero_or_negative_step():
-    one = lambda c: 1  # noqa: E731
+    # every factor is 1: tail 1, every pair term (diagonal included) 0
+    one = lambda c: (1, (0,), (0,))  # noqa: E731
     with pytest.raises(ValueError):
-        _sequence_sum([(1, 0), (0, 0)], one, lambda c, e: 0, (3, 3))
+        _sequence_sum([(1, 0), (0, 0)], one, 0, (3, 3))
     with pytest.raises(ValueError):
-        _sequence_sum([(2, -1)], one, lambda c, e: 0, (3, 3))
+        _sequence_sum([(2, -1)], one, 0, (3, 3))
 
 
 def test_sequence_sum_counts_multisets():
-    # the k-th copy of an index has the factor k, so phi * W = 1 for every
-    # multiset and each monomial that passes the bound and cap gets 1
-    steps, tail, pair = [(1, 0), (0, 1)], lambda c: 1, lambda c, e: int(c == e)
+    # the k-th copy of an index has the factor k (diagonal +1, other pair
+    # terms 0), so phi * W = 1 for every multiset and each monomial that
+    # passes the bound and cap gets 1
+    steps, factor = [(1, 0), (0, 1)], lambda c: (1, (0,), (0,))
 
     def box(cap):
         return {(a, b): 1 for a in range(2) for b in range(4) if a + b <= cap}
 
-    assert _sequence_sum(steps, tail, pair, (1, 3)).terms == box(4)
-    assert _sequence_sum(steps, tail, pair, (1, 3), cap=2).terms == box(2)
-    assert _sequence_sum(steps, tail, pair, (1, 3), target=(1, 2)) == 1
-    assert _sequence_sum(steps, tail, pair, (0, 0), target=(0, 0)) == 1
+    assert _sequence_sum(steps, factor, 1, (1, 3)).terms == box(4)
+    assert _sequence_sum(steps, factor, 1, (1, 3), cap=2).terms == box(2)
+    assert _sequence_sum(steps, factor, 1, (1, 3), target=(1, 2)) == 1
+    assert _sequence_sum(steps, factor, 1, (0, 0), target=(0, 0)) == 1
 
 
 def test_sequence_sum_raises_when_weights_do_not_cancel():
     # one candidate with factor 1 at every position: the sequence (0, 0)
     # carries phi = 1/2 alone on y^2
-    steps, tail, pair = [(1,)], lambda c: 1, lambda c, e: 0
-    assert _sequence_sum(steps, tail, pair, (1,)) == LaurentPolynomial(1, {(0,): 1, (1,): 1})
+    steps, factor = [(1,)], lambda c: (1, (0,), (0,))
+    assert _sequence_sum(steps, factor, 0, (1,)) == LaurentPolynomial(1, {(0,): 1, (1,): 1})
     with pytest.raises(NonIntegerCoefficient):
-        _sequence_sum(steps, tail, pair, (2,))
+        _sequence_sum(steps, factor, 0, (2,))
     with pytest.raises(NonIntegerCoefficient):
-        _sequence_sum(steps, tail, pair, (2,), target=(2,))
-    assert _sequence_sum(steps, tail, pair, (2,), target=(1,)) == 1
+        _sequence_sum(steps, factor, 0, (2,), target=(2,))
+    assert _sequence_sum(steps, factor, 0, (2,), target=(1,)) == 1
 
 
 def test_formula_golden(k2):

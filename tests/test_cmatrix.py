@@ -72,6 +72,16 @@ def test_c_between(k2):
     assert c_between(tr, 3, 1) == ((3, -2), (2, -1))
 
 
+def test_c_between_checks_both_indices(k2):
+    tr = trace(k2, (1, 2, 1))
+    for m, n in ((True, 3), (1, False), (1.0, 3), (1, 3.0)):
+        with pytest.raises(TypeError, match="is not an integer"):
+            c_between(tr, m, n)
+    for m, n in ((-1, 3), (0, 4)):
+        with pytest.raises(ValueError, match="out of trace range"):
+            c_between(tr, m, n)
+
+
 def test_c_between_d_kind(b21):
     tr = trace(b21, (1, 2, 1))
     # D_{1,3} = E_2 E_3, and the (m, n) and (n, m) matrices invert each other

@@ -1,10 +1,12 @@
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from clusterforge import (FamilySpec, LaurentPolynomial, SSequence, build_family,
                           build_gale_robinson, canonical_sequence, check_symmetric,
                           fpoly_gale_robinson, fpoly_kr, fpoly_recurrence,
                           family_sequence, fpoly_symmetric, s_values, trace)
-from clusterforge.errors import BadParameters, NotSymmetric
+from clusterforge.errors import BadParameters, ConsistencyError, NotSymmetric
+from clusterforge.families import _family_sum
 
 G723_B = (
     (0, 0, 1, -1, -1, 1, 0),
@@ -134,6 +136,35 @@ def test_sseq_from_quiver_matches_family_rules(k3, dp1, g723):
         for i in range(-3, 15):
             assert generic.s(i) == family.s(i)
             assert generic.sp(i) == family.sp(i)
+
+
+RECURRENT_SEQUENCES = (
+    [(f"kr{r}", SSequence.kronecker(r)) for r in range(2, 7)]
+    + [(f"gr{v}{r}{t}", SSequence.gale_robinson(v, r, t))
+       for v, r, t in ((4, 2, 1), (7, 2, 3), (5, 1, 2), (6, 3, 1))]
+    + [(f"quiver-{name}", SSequence.from_quiver(build_family(spec))) for name, spec in (
+        ("k3", FamilySpec.of("kr", r=3)), ("dp1", FamilySpec.of("dp1")),
+        ("g723", FamilySpec.of("gr", v=7, r=2, t=3)), ("a12", FamilySpec.of("a1r", r=2)))]
+)
+
+
+@pytest.mark.parametrize("name, ss", RECURRENT_SEQUENCES)
+@settings(max_examples=30, deadline=None)
+@given(st.integers(1, 400))
+def test_sseq_recurrence_reproduces_s(name, ss, i):
+    # the recurrence data holds from i = 1 on; s_0 = 1 is its seed
+    assert ss.s(i) == sum(a * ss.s(i - lag) for lag, a in ss.recurrence.items())
+
+
+def test_family_sum_rejects_a_wrong_recurrence():
+    # limit_kr's sum for r = 3 at cutoff 30 reaches d = 3 > 2, where the
+    # pair terms leave the wrong recurrence
+    ss = SSequence.kronecker(3)
+    rhos = [(ss.s(w), ss.s(w - 1)) for w in range(4)]
+    assert (21, 8) in _family_sum(ss, rhos, (30, 30), 30).terms  # candidate 3 is taken
+    ss.recurrence = {1: 2, 2: -1}
+    with pytest.raises(ConsistencyError, match="off the recurrence"):
+        _family_sum(ss, rhos, (30, 30), 30)
 
 
 def test_symmetric_r_monomials_follow_s(k3, dp1):
