@@ -81,6 +81,8 @@ def load_quiver(args) -> GeneralizedQuiver:
                 data = json.load(handle)
         except (OSError, json.JSONDecodeError) as exc:
             raise ParseError(f"cannot read quiver file: {exc}") from exc
+        if not isinstance(data, dict):
+            raise ParseError("quiver file must hold a JSON object")
         if "b" not in data:
             raise ParseError('quiver file needs a "b" matrix')
         try:

@@ -7,8 +7,9 @@ in work proportional to them, not O(v^2): right multiplication by a step
 matrix changes only the rows with a nonzero in column k, at the step row's
 nonzeros, and left multiplication only row k, a sum over the rows the step
 row selects.  No step matrix is built or kept (`step_matrix` builds one
-for checks).  Each pair coefficient is one entry of a product of these
-matrices, so it is one row-column dot product.
+for checks).  D_i and D_i^{-1} are C_i and C_i^{-1} conjugated by diag(d),
+so they equal them on skew-symmetric quivers.  Each pair coefficient is one
+entry of a product of these matrices, so it is one row-column dot product.
 The trace also records, once per step j, the row of
 E*_j D_{j-1}^{-1} - D_j^{-1} that every pair term -a(i,j) + b(i,j) reads.
 Colors are read off the sign of the mutated column of the previous
@@ -24,7 +25,7 @@ from dataclasses import dataclass, field
 from . import intmat
 from .errors import ConsistencyError, IndexOrder, SignCoherenceViolation
 from .intmat import Matrix
-from .quiver import GeneralizedQuiver, mutate_b, mutate_c
+from .quiver import GeneralizedQuiver, _check_symmetrizer, mutate_b, mutate_c
 
 
 def _step_rows(b: Matrix, k: int, sign: int) -> tuple[list[int], list[int], list[int]]:
@@ -88,6 +89,8 @@ def step_matrix(b: Matrix, vertex: int, kind: str, variant: str) -> Matrix:
     It is the identity with row k = vertex - 1 replaced by its `_step_rows` row.
     """
     v = len(b)
+    if not intmat.is_int(vertex):
+        raise TypeError(f"vertex {vertex!r} is not an integer")
     if not 1 <= vertex <= v:
         raise ValueError(f"vertex {vertex} out of range 1..{v}")
     if kind not in ("a", "e"):
@@ -97,6 +100,12 @@ def step_matrix(b: Matrix, vertex: int, kind: str, variant: str) -> Matrix:
     k = vertex - 1
     row = tuple(_step_rows(b, k, 1 if variant == "green" else -1)[kind == "e"])
     return tuple(row if i == k else tuple(int(i == j) for j in range(v)) for i in range(v))
+
+
+def _conjugate(mats: list[Matrix], d) -> list[Matrix]:
+    """diag(d)^{-1} m diag(d) per m, as E_i = diag(d)^{-1} A_i diag(d); mats if d is constant."""
+    return mats if len(set(d)) <= 1 else [
+        tuple(tuple(x * dj // di for x, dj in zip(row, d)) for row, di in zip(m, d)) for m in mats]
 
 
 def _column_color(col: list[int], k: int) -> str:
@@ -156,13 +165,14 @@ class MutationTrace:
 
 
 def trace(q: GeneralizedQuiver, seq) -> MutationTrace:
-    """Run a mutation sequence, accumulating B, C, D and the r-monomials.
+    """Run a mutation sequence, accumulating B, C, C^{-1} and the r-monomials.
 
     The C-matrix is accumulated as a product of A-kind step matrices and,
     independently, by the direct frozen-arrow rule; the two must agree
-    entrywise, otherwise a ConsistencyError is raised.  A step applies its
-    step rows as column updates (C*A_i, D*E_i) or row updates (A_i*C^{-1},
-    E_i*D^{-1}) in work proportional to their nonzeros, not O(v^2).  The
+    entrywise, otherwise a ConsistencyError is raised.  A step is one column
+    update (C*A_i) and one row update (A_i*C^{-1}), in work proportional to
+    the nonzeros of its A-kind row.  D_i and D_i^{-1} are C_i and C_i^{-1}
+    conjugated by diag(d), the same matrices on skew-symmetric quivers.  The
     pair row of step j is row v_j of E*_j D_{j-1}^{-1} - D_j^{-1} =
     (E*_j - E_j) D_{j-1}^{-1}, with E*_j - E_j = -b[v_j] green, +b[v_j] red.
     A vertex that is not an int, bool included, is a TypeError.
@@ -174,22 +184,19 @@ def trace(q: GeneralizedQuiver, seq) -> MutationTrace:
             raise TypeError(f"vertex {k!r} is not an integer")
         if not 1 <= k <= v:
             raise ValueError(f"vertex {k} out of range 1..{v}")
+    _check_symmetrizer(q.b, q.d)
     b = q.b
-    c = d = cinv = dinv = intmat.identity(v)
-    c_sim = intmat.identity(v)
-    b_mats, c_mats, d_mats, cinv_mats, dinv_mats = [b], [c], [d], [cinv], [dinv]
-    colors, r_monomials, pair_rows = [], [], []
+    c = cinv = c_sim = intmat.identity(v)
+    b_mats, c_mats, cinv_mats = [b], [c], [cinv]
+    colors, r_monomials, pair_lhs = [], [], []
 
     for k in seq:
         kk = k - 1
         col = [row[kk] for row in c]  # C_i's column kk is -col
         color = _column_color(col, kk)
-        a_row, e_row, estar_minus_e = _step_rows(b, kk, 1 if color == "green" else -1)
+        a_row, _, estar_minus_e = _step_rows(b, kk, 1 if color == "green" else -1)
         c = _times_step(c, a_row, kk)
-        d = _times_step(d, e_row, kk)
         cinv = _step_times(a_row, kk, cinv)
-        pair_rows.append(_row_times(estar_minus_e, dinv))
-        dinv = _step_times(e_row, kk, dinv)
         c_sim = mutate_c(c_sim, b, kk)
         if c_sim != c:
             raise ConsistencyError(
@@ -199,12 +206,13 @@ def trace(q: GeneralizedQuiver, seq) -> MutationTrace:
         b = mutate_b(b, kk)
         colors.append(color)
         r_monomials.append(tuple(map(abs, col)))
+        pair_lhs.append(estar_minus_e)
         b_mats.append(b)
         c_mats.append(c)
-        d_mats.append(d)
         cinv_mats.append(cinv)
-        dinv_mats.append(dinv)
 
+    d_mats, dinv_mats = _conjugate(c_mats, q.d), _conjugate(cinv_mats, q.d)
+    pair_rows = [_row_times(x, m) for x, m in zip(pair_lhs, dinv_mats)]
     return MutationTrace(q, seq, *map(tuple, (  # the fields in declaration order
         b_mats, c_mats, d_mats, cinv_mats, dinv_mats, colors, r_monomials, pair_rows)))
 
@@ -234,10 +242,10 @@ def _check_step(tr: MutationTrace, n, first: int = 0, name: str = "n") -> None:
 
 
 def _check_pair(tr: MutationTrace, i: int, j: int) -> None:
+    _check_step(tr, i, 1, "i")
+    _check_step(tr, j, 1, "j")
     if i > j:
         raise IndexOrder(f"need i <= j, got ({i}, {j})")
-    if not 1 <= i or not j <= tr.n:
-        raise ValueError("indices out of trace range")
 
 
 def _dot_column(row, m: Matrix, k: int) -> int:

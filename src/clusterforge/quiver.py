@@ -79,6 +79,8 @@ def _find_symmetrizer(b: Matrix) -> tuple[int, ...]:
 
 def _check_symmetrizer(b: Matrix, d) -> None:
     n = len(b)
+    if len(d) != n or not all(intmat.is_int(x) and x > 0 for x in d):
+        raise NotSkewSymmetrizable("the symmetrizer is not a positive int vector of length v")
     for i in range(n):
         for j in range(n):
             if d[i] * b[i][j] != -d[j] * b[j][i]:

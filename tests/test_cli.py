@@ -161,6 +161,12 @@ def test_exit_codes(capsys, tmp_path):
     bad.write_text("{}")
     code, _, err = run(capsys, "fpoly", "--quiver", str(bad), "--seq", "1")
     assert code == 1
+    # a JSON top level that is not an object is a usage error, not a traceback
+    for text in ("5", "null", "true", "[[0, 1], [-1, 0]]", '"b"'):
+        bad.write_text(text)
+        code, out, err = run(capsys, "mutate", "--quiver", str(bad), "--seq", "1")
+        assert (code, out) == (1, "")
+        assert err.startswith("usage error: ")
 
 
 def test_family_parameters_are_checked(capsys):

@@ -8,8 +8,9 @@ from clusterforge import (c_between, check_sign_coherence, coeff_a, coeff_b,
                           fpoly_recurrence, framed_state, make_quiver, mutate,
                           step_matrix, trace)
 from clusterforge.cmatrix import pair_term
-from clusterforge.errors import IndexOrder
+from clusterforge.errors import IndexOrder, NotSkewSymmetrizable
 from clusterforge.intmat import identity, mat_mul
+from clusterforge.quiver import GeneralizedQuiver
 from conftest import (random_sequence, random_skew_symmetric, reference_mutate_b,
                       reference_mutate_c)
 
@@ -103,6 +104,35 @@ def test_coeff_b13_forced_by_vanishing(k2):
     # sequences are (1,3) and (2,2); that forces b(1,3) = -1
     tr = trace(k2, (1, 2, 1))
     assert coeff_b(tr, 1, 3) == -1
+
+
+def test_pair_indices_and_vertices_must_be_ints(k2):
+    # True used to pass as step or vertex 1, and a float failed deep inside a tuple index
+    tr = trace(k2, (1, 2, 1))
+    for f in (coeff_a, coeff_b, pair_term):
+        for i, j in ((True, 2), (1, 2.0), (1.0, 3), (1, False)):
+            with pytest.raises(TypeError, match=r"^[ij] .* is not an integer$"):
+                f(tr, i, j)
+        with pytest.raises(ValueError, match="j out of trace range"):
+            f(tr, 1, 4)
+    for vertex in (True, 1.0):
+        with pytest.raises(TypeError, match="vertex .* is not an integer"):
+            step_matrix(k2.b, vertex, "a", "green")
+
+
+def test_d_matrices_are_the_c_matrices_on_skew_symmetric_quivers(k2, g723):
+    for q in (k2, g723):
+        tr = trace(q, tuple(1 + (i % q.v) for i in range(2 * q.v)))
+        for i in range(tr.n + 1):
+            assert tr.d_mats[i] is tr.c_mats[i]
+            assert tr.dinv_mats[i] is tr.cinv_mats[i]
+
+
+def test_trace_rejects_a_symmetrizer_that_does_not_symmetrize():
+    # D is read off C through d, so a wrong d must not give a wrong D
+    for d in ((1, 1), (1, 2), (2,), (0, 0), (2.0, 1.0)):
+        with pytest.raises(NotSkewSymmetrizable):
+            trace(GeneralizedQuiver(((0, 1), (-2, 0)), d), (1,))
 
 
 def test_coeff_index_order(k2):

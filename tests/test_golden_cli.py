@@ -3,8 +3,10 @@
 Each case is one `clusterforge` invocation; its exact stdout is stored as
 tests/golden/<name>.out.  The files were captured before the closed-form
 sums moved onto the shared sequence-sum kernel, and the product-form,
-`cmatrix` and `verify` cases before the trace recorded the pair rows, so a
-diff here means a kernel changed an answer or its printing.
+`cmatrix` and `verify` cases before the trace recorded the pair rows.  The
+b21 `cmatrix` cases, the only ones where D differs from C, were captured
+while the trace still built D by its own step products.  So a diff here
+means a kernel changed an answer or its printing.
 """
 
 from pathlib import Path
@@ -18,6 +20,8 @@ GOLDEN = Path(__file__).resolve().parent / "golden"
 KR3 = ["--family", "kr", "--params", "r=3"]
 G723 = ["--family", "gr", "--params", "v=7,r=2,t=3"]
 A1R2 = ["--family", "a1r", "--params", "r=2"]
+# B = [[0, 1], [-2, 0]] with d = (2, 1): skew-symmetrizable, so D differs from C
+B21 = ["--quiver", str(GOLDEN / "b21.json")]
 FORMULA = ["--method", "formula"]
 JSON = ["--format", "json"]
 
@@ -74,6 +78,8 @@ CASES = {
     "cmatrix-g723-between-json": ["cmatrix", *G723, "--seq", "1..7", *JSON,
                                   "--between", "2", "7"],
     "verify-g723": ["verify", *G723, "--seq", "1..7"],
+    "cmatrix-b21": ["cmatrix", *B21, "--seq", "1,2,1"],
+    "cmatrix-b21-between": ["cmatrix", *B21, "--seq", "1,2,1", "--between", "1", "3"],
 }
 
 
