@@ -23,11 +23,6 @@ from .intmat import exact_int, is_int
 Exponents = tuple[int, ...]
 
 
-def _grlex_key(exps: Exponents):
-    # ascending total degree, then descending lexicographic within a degree
-    return (sum(exps), tuple(-e for e in exps))
-
-
 def _from_clean(nvars: int, terms: dict[Exponents, int]) -> "LaurentPolynomial":
     """Wrap a dict of int exponent tuples to nonzero ints without re-checking it."""
     poly = object.__new__(LaurentPolynomial)
@@ -45,6 +40,14 @@ def _span(terms) -> tuple[Exponents, Exponents]:
 def _shift(nvars: int, terms, exps: Exponents, coeff: int) -> "LaurentPolynomial":
     """terms times the single term coeff*y^exps; a shift, so nothing collides."""
     return _from_clean(nvars, {tuple(map(add, e, exps)): c * coeff for e, c in terms.items()})
+
+
+class _Powers(dict):
+    """Factor strings of one variable by exponent, from {1: name}, each built on first use."""
+
+    def __missing__(self, e: int) -> str:
+        text = self[e] = f"{self[1]}^{e}"
+        return text
 
 
 class _Packing:
@@ -181,7 +184,10 @@ class LaurentPolynomial:
         return all(e >= 0 for exps in self.terms for e in exps)
 
     def sorted_terms(self) -> list[tuple[Exponents, int]]:
-        return sorted(self.terms.items(), key=lambda item: _grlex_key(item[0]))
+        """Ascending total degree, then descending lexicographic: two stable sorts."""
+        order = sorted(self.terms, reverse=True)
+        order.sort(key=sum)
+        return [(e, self.terms[e]) for e in order]
 
     # -- arithmetic ---------------------------------------------------------
 
@@ -222,6 +228,8 @@ class LaurentPolynomial:
         return (-self) + other
 
     def __mul__(self, other) -> "LaurentPolynomial":
+        """The product; a square (both operands on one terms dict) forms each
+        unordered pair of terms once: c_i^2 at 2*k_i and 2*c_i*c_j at k_i + k_j."""
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
@@ -234,7 +242,7 @@ class LaurentPolynomial:
             ((exps, coeff),) = b.items()
             return _shift(self.nvars, a, exps, coeff)
         low_a, high_a = _span(a)
-        low_b, high_b = _span(b)
+        low_b, high_b = (low_a, high_a) if a is b else _span(b)
         layout = _Packing(tuple(ha - la + hb - lb for la, ha, lb, hb in
                                 zip(low_a, high_a, low_b, high_b)))
         pack = layout.pack
@@ -242,16 +250,28 @@ class LaurentPolynomial:
         packed_b = [(pack(e), c) for e, c in b.items()]
         terms: dict[int, int] = {}
         get = terms.get
-        for e, c1 in a.items():
-            k1 = pack(e) - base
-            for k2, c2 in packed_b:
-                k = k1 + k2
-                terms[k] = get(k, 0) + c1 * c2
+        if a is b:
+            for i, (k1, c1) in enumerate(packed_b):
+                k = k1 + k1 - base
+                terms[k] = get(k, 0) + c1 * c1
+                k1, c1 = k1 - base, c1 + c1
+                for k2, c2 in packed_b[:i]:
+                    k = k1 + k2
+                    terms[k] = get(k, 0) + c1 * c2
+        else:
+            for e, c1 in a.items():
+                k1 = pack(e) - base
+                for k2, c2 in packed_b:
+                    k = k1 + k2
+                    terms[k] = get(k, 0) + c1 * c2
         return layout.poly(terms, tuple(map(add, low_a, low_b)))
 
     __rmul__ = __mul__
 
     def __pow__(self, power: int) -> "LaurentPolynomial":
+        """Repeated squaring; each square forms each unordered pair of terms once."""
+        if not is_int(power):
+            raise TypeError(f"power must be an int, not {power!r}")
         if power < 0:
             raise ValueError("negative powers are not defined on polynomials")
         result = LaurentPolynomial.one(self.nvars)
@@ -278,29 +298,24 @@ class LaurentPolynomial:
     # -- formatting ----------------------------------------------------------
 
     def to_text(self, var: str = "y") -> str:
-        """Canonical text, e.g. '1 + 3*y1 + y1^3*y2^2'."""
+        """Canonical text, e.g. '1 + 3*y1 + y1^3*y2^2'; each factor string
+        is built once per (variable, exponent).
+
+        >>> LaurentPolynomial(2, {(-1, 2): -3, (0, 0): 1, (2, 0): 1}).to_text()
+        '1 - 3*y1^-1*y2^2 + y1^2'
+        """
         if not self.terms:
             return "0"
+        powers = [_Powers({1: f"{var}{i + 1}"}) for i in range(self.nvars)]
         parts = []
         for exps, coeff in self.sorted_terms():
-            factors = [
-                f"{var}{i + 1}" if e == 1 else f"{var}{i + 1}^{e}"
-                for i, e in enumerate(exps)
-                if e != 0
-            ]
+            factors = [p[e] for p, e in zip(powers, exps) if e]
             mag = abs(coeff)
-            if not factors:
-                body = str(mag)
-            elif mag == 1:
-                body = "*".join(factors)
-            else:
-                body = "*".join([str(mag)] + factors)
-            parts.append(("- " if coeff < 0 else "+ ") + body)
-        first = parts[0]
-        text = ("-" + first[2:]) if first.startswith("- ") else first[2:]
-        for part in parts[1:]:
-            text += " " + part
-        return text
+            if mag != 1 or not factors:
+                factors.insert(0, str(mag))
+            parts.append(("- " if coeff < 0 else "+ ") + "*".join(factors))
+        text = " ".join(parts)
+        return "-" + text[2:] if text[0] == "-" else text[2:]
 
     def to_json_terms(self) -> list[dict]:
         return [

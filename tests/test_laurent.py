@@ -1,4 +1,5 @@
 import random
+import re
 from fractions import Fraction
 from operator import add, le
 
@@ -30,6 +31,16 @@ def test_arithmetic_basics():
     assert p == P(2, {(0, 0): 1, (1, 0): 1, (0, 1): 1, (1, 1): 1})
     assert p - p == LaurentPolynomial.zero(2)
     assert (1 + y1) ** 3 == P(2, {(0, 0): 1, (1, 0): 3, (2, 0): 3, (3, 0): 1})
+
+
+def test_pow_rejects_non_int_powers():
+    # a bool or float power is rejected by name, not read as 1 or failed on `&`
+    y1 = LaurentPolynomial.variable(2, 1)
+    for power in (True, False, 2.0, Fraction(2), "2"):
+        with pytest.raises(TypeError, match=re.escape(f"power must be an int, not {power!r}")):
+            (1 + y1) ** power
+    with pytest.raises(ValueError, match="negative"):
+        (1 + y1) ** -1
 
 
 def test_product_drops_cancelled_terms():
@@ -114,6 +125,7 @@ def test_text_constant_zero_and_negatives():
     assert LaurentPolynomial.one(2).to_text() == "1"
     assert LaurentPolynomial.zero(2).to_text() == "0"
     assert P(2, {(-1, 2): -3, (0, 0): 1}).to_text() == "1 - 3*y1^-1*y2^2"
+    assert P(2, {(1, 0): -1, (0, 1): 2}).to_text() == "-y1 + 2*y2"
 
 
 def test_sorted_terms_graded_then_lex():
@@ -176,18 +188,50 @@ def _sympy_terms(p, names):
             for exps, c in p.terms.items()}
 
 
+def _sympy_product_terms(p, q, names):
+    """{sympy monomial: coefficient} of the sympy expansion of p * q."""
+    def expression(poly):
+        return sympy.Add(*(m * c for m, c in _sympy_terms(poly, names).items()))
+
+    product = sympy.expand(expression(p) * expression(q))
+    return {m: c for m, c in product.as_coefficients_dict().items() if c}
+
+
 @settings(max_examples=60, deadline=None)
 @given(laurent_operands())
 def test_mul_matches_sympy(case):
     p, q = case
     names = sympy.symbols(f"y1:{p.nvars + 1}")
+    assert _sympy_terms(p * q, names) == _sympy_product_terms(p, q, names)
 
-    def expression(poly):
-        return sympy.Add(*(m * c for m, c in _sympy_terms(poly, names).items()))
 
-    product = sympy.expand(expression(p) * expression(q))
-    expected = {m: c for m, c in product.as_coefficients_dict().items() if c}
-    assert _sympy_terms(p * q, names) == expected
+# a constant, and a square whose terms all share one exponent of y2 (span 0)
+@example((P(2, {(0, 0): -7}), P(2, {})))
+@example((P(2, {(1, -2): 3, (4, -2): -5, (0, -2): 2}), P(2, {})))
+@settings(max_examples=60, deadline=None)
+@given(laurent_operands())
+def test_square_and_powers_match_generic_products(case):
+    # p * p forms each unordered pair once; a distinct terms dict takes the
+    # generic all-pairs loop, which the square and every power must equal
+    p, _ = case
+    copy = P(p.nvars, dict(p.terms))
+    assert p * p == p * copy
+    names = sympy.symbols(f"y1:{p.nvars + 1}")
+    assert _sympy_terms(p * p, names) == _sympy_product_terms(p, p, names)
+    expected = LaurentPolynomial.one(p.nvars)
+    for e in range(5):
+        assert p ** e == expected
+        expected = expected * copy
+
+
+@given(laurent_operands())
+def test_print_order_matches_reference_key(case):
+    # ascending total degree, then descending lexicographic within a degree
+    p, _ = case
+    order = sorted(p.terms, key=lambda e: (sum(e), tuple(-x for x in e)))
+    assert p.sorted_terms() == [(e, p.terms[e]) for e in order]
+    assert p.to_json_terms() == [{"exponents": list(e), "coeff": str(p.terms[e])}
+                                 for e in order]
 
 
 def test_recurrence_matches_formula_k3_n6(k3):
