@@ -20,8 +20,8 @@ from .errors import ClusterForgeError, ParseError
 from .families import (FamilySpec, _family_params, build_family,
                        fpoly_gale_robinson, fpoly_kr, fpoly_symmetric)
 from .laurent import LaurentPolynomial, parse_monomial
-from .quiver import (GeneralizedQuiver, _degree_bounds_from_trace, framed_state,
-                     make_quiver, mutate)
+from .quiver import (GeneralizedQuiver, _degree_bounds_from_trace, fpoly_recurrence,
+                     framed_state, make_quiver, mutate)
 from .stabilization import (limit_a1r, limit_gale_robinson, limit_kr,
                             stabilization_run)
 from .verify import run_verification
@@ -199,8 +199,6 @@ def _cmd_fpoly(args) -> int:
         print(coefficient_of(tr, n, exps) if inside else 0)
         return 0
     if args.method == "recurrence":
-        from .quiver import fpoly_recurrence
-
         polys = fpoly_recurrence(q, seq)
         poly = polys[-1] if polys else LaurentPolynomial.one(q.v)
     else:

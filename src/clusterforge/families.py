@@ -5,17 +5,19 @@ Gale-Robinson quivers G_{v,r,t} (gr, with dP1 = G_{4,2,1}), and the
 (r+1)-cycle family a1r.  For quivers passing the symmetry checks the pair
 coefficients collapse to a single scalar sequence s (with companion s'),
 and F_n becomes a sum over index sequences weighted by s-values only.
-Each `SSequence` summed carries its recurrence as data, {lag: coefficient},
-and `_family_sum` factors the pair terms through it for the sum kernel.
+An `SSequence` is data, s and s' as {lag: coefficient} plus a closed form
+for s where one exists; `_family_sum` factors the pair terms through it.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from operator import mul
 
 from . import intmat
 from .closedform import _sequence_sum
+from .cmatrix import trace
 from .errors import BadParameters, ConsistencyError, NotSymmetric
 from .laurent import LaurentPolynomial
 from .quiver import GeneralizedQuiver, degree_bounds, make_quiver, mutate_b
@@ -158,8 +160,6 @@ def check_symmetric(q: GeneralizedQuiver, prefix_len: int = 20) -> SymmetryRepor
     Greenness of the infinite sequence is not decidable here, so it is
     verified empirically over prefix_len steps and reported as such.
     """
-    from .cmatrix import trace
-
     b, v = q.b, q.v
     reversible = all(
         b[i][j] == -b[v - 1 - i][v - 1 - j] for i in range(v) for j in range(v)
@@ -184,91 +184,76 @@ def check_symmetric(q: GeneralizedQuiver, prefix_len: int = 20) -> SymmetryRepor
 
 
 class SSequence:
-    """Memoized scalar sequence s_i (zero for i < 0) with companion s'_i.
+    """Memoized scalar sequence s_i with companion s'_i, both given as data.
 
-    Built either from the vertex-1 row of a symmetric quiver (linear
-    recurrence) or from an explicit family rule.  A rule for s_i may read
-    only s_j with j < i: the memo is filled in ascending order, so every
-    such read is a lookup and no index costs stack depth.
+    `recurrence` and `companion` map lags to coefficients, {lag: c}.  s_i is
+    0 for i < 0, rule(i) when the family has a closed form, and otherwise
+    s_0 = 1 and the sum of c * s_{i-lag} over `recurrence` for i >= 1; s'_i is
+    that sum over `companion`.  The memo fills in ascending order, so no index
+    costs stack depth.  `_family_sum` checks a rule against the recurrence.
     """
 
-    def __init__(self, s_rule, sp_rule, recurrence=None):
-        self._s_rule = s_rule
-        self._sp_rule = sp_rule
+    def __init__(self, recurrence, companion, rule=None):
+        self.recurrence = recurrence
+        self.companion = companion
+        self._rule = rule or self._by_recurrence
         self._s_memo: list[int] = []
-        self.recurrence = recurrence  # {lag: coefficient}, s_i for i >= 1
 
     def s(self, i: int) -> int:
         if i < 0:
             return 0
         memo = self._s_memo
         while len(memo) <= i:
-            memo.append(self._s_rule(len(memo), self.s))
+            memo.append(self._rule(len(memo)))
         return memo[i]
 
     def sp(self, i: int) -> int:
-        return self._sp_rule(i, self.s)
+        return self._shifted(self.companion, i)
+
+    def _by_recurrence(self, i: int) -> int:
+        return self._shifted(self.recurrence, i) if i else 1
+
+    def _shifted(self, lags, i: int) -> int:
+        return sum(c * self.s(i - lag) for lag, c in lags.items())
 
     @classmethod
     def from_quiver(cls, q: GeneralizedQuiver) -> "SSequence":
-        """Recurrence s_i = -s_{i-v} + sum over edges 1->j of s_{i-v+j-1}."""
-        v = q.v
-        out_edges = [(j, q.b[0][j - 1]) for j in range(2, v + 1) if q.b[0][j - 1] > 0]
-        in_edges = [(j, q.b[j - 1][0]) for j in range(2, v + 1) if q.b[j - 1][0] > 0]
+        """{v: -1, v-j+1: m} from vertex 1: s over its m edges 1 -> j, s' over j -> 1."""
 
-        def s_rule(i, s):
-            if i == 0:
-                return 1
-            return -s(i - v) + sum(m * s(i - v + j - 1) for j, m in out_edges)
+        def lags(m):  # m[k] edges 1 -> k+1 (or k+1 -> 1) give lag v - k; m[0] = b[0][0] = 0
+            return {q.v: -1, **{q.v - j: mj for j, mj in enumerate(m) if mj > 0}}
 
-        def sp_rule(i, s):
-            return -s(i - v) + sum(m * s(i - v + j - 1) for j, m in in_edges)
-
-        return cls(s_rule, sp_rule, {v: -1, **{v - j + 1: m for j, m in out_edges}})
+        return cls(lags(q.b[0]), lags([row[0] for row in q.b]))
 
     @classmethod
     def kronecker(cls, r: int) -> "SSequence":
-        def s_rule(i, s):
-            return 1 if i == 0 else r * s(i - 1) - s(i - 2)
-
-        def sp_rule(i, s):
-            return -s(i - 2)
-
-        return cls(s_rule, sp_rule, {1: r, 2: -1})
+        return cls({1: r, 2: -1}, {2: -1})
 
     @classmethod
     def gale_robinson(cls, v: int, r: int, t: int) -> "SSequence":
         """s_i counts splittings i = a*r + b*(v-r) with a, b >= 0, so the
         generating function 1/((1-x^r)(1-x^(v-r))) gives the recurrence."""
 
-        def s_rule(i, s):
+        def lags(a):  # the lags a and v - a add up when v = 2a
+            return {**Counter((a, v - a)), v: -1}
+
+        def splittings(i):
             return sum(1 for a in range(i // r + 1) if (i - a * r) % (v - r) == 0)
 
-        def sp_rule(i, s):
-            return s(i - t) + s(i - v + t) - s(i - v)
-
-        lag_r = 1 + (v == 2 * r)  # the lags r and v - r coincide when v = 2r
-        return cls(s_rule, sp_rule, {r: lag_r, v - r: lag_r, v: -1})
+        return cls(lags(r), lags(t), splittings)
 
     @classmethod
     def a1r(cls, r: int) -> "SSequence":
         """Ceiling sequence s_i = ceil(i/r); note s_0 = 0 for this family."""
-
-        def s_rule(i, s):
-            return -(-i // r)
-
-        def sp_rule(i, s):
-            return s(i - 1) - s(i - r - 1)
-
-        return cls(s_rule, sp_rule)
+        return cls(None, {1: 1, r + 1: -1}, lambda i: -(-i // r))
 
 
 def family_sequence(spec: FamilySpec) -> SSequence:
     """The family's scalar sequence; accepts exactly the specs `build_family` does."""
     params = _family_params(spec)
-    rule = {"kr": SSequence.kronecker, "gr": SSequence.gale_robinson,
-            "dp1": SSequence.gale_robinson, "a1r": SSequence.a1r}
-    return rule[spec.family](*params)
+    build = {"kr": SSequence.kronecker, "gr": SSequence.gale_robinson,
+             "dp1": SSequence.gale_robinson, "a1r": SSequence.a1r}
+    return build[spec.family](*params)
 
 
 def s_values(spec: FamilySpec, indices) -> list[tuple[int, int]]:

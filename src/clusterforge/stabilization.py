@@ -4,9 +4,10 @@ The deformed polynomial S_n applies -C_n^{-1} to every exponent vector of
 F_n.  Along an all-green periodic mutation sequence the coefficients of
 S_i, S_{i+p}, ... settle down monomial by monomial; `stabilization_run`
 observes this empirically under a total-degree cutoff, and the `limit_*`
-functions evaluate the closed-form limits for specific families.  All
-comparisons involving the quadratic unit p = (r + sqrt(r^2-4))/2 are done
-in exact arithmetic, never floats.
+functions evaluate the closed-form limits for specific families.  No float
+is used: the norm cut of `limit_kr`, a bound in the quadratic unit
+p = (r + sqrt(r^2-4))/2, is an integer test on exponents, which the tests
+check against exact `QuadraticNumber` arithmetic.
 """
 
 from __future__ import annotations

@@ -136,6 +136,22 @@ def test_sseq_from_quiver_matches_family_rules(k3, dp1, g723):
         for i in range(-3, 15):
             assert generic.s(i) == family.s(i)
             assert generic.sp(i) == family.sp(i)
+    # every valid G_{v,r,t} with v <= 9 (24 of the 136 with v = 2r or v = 2t,
+    # where two lags coincide) reads the same lag dicts off its vertex 1
+    triples = []
+    for v in range(2, 10):
+        for r in range(1, v):
+            for t in range(1, v):
+                try:
+                    triples.append((build_gale_robinson(v, r, t), (v, r, t)))
+                except BadParameters:
+                    pass
+    assert len(triples) == 136
+    assert sum(v == 2 * r or v == 2 * t for _, (v, r, t) in triples) == 24
+    for q, params in triples:
+        family, generic = SSequence.gale_robinson(*params), SSequence.from_quiver(q)
+        assert family.recurrence == generic.recurrence, params
+        assert family.companion == generic.companion, params
 
 
 RECURRENT_SEQUENCES = (

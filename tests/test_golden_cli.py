@@ -5,7 +5,9 @@ tests/golden/<name>.out.  The files were captured before the closed-form
 sums moved onto the shared sequence-sum kernel, and the product-form,
 `cmatrix` and `verify` cases before the trace recorded the pair rows.  The
 b21 `cmatrix` cases, the only ones where D differs from C, were captured
-while the trace still built D by its own step products.  So a diff here
+while the trace still built D by its own step products.  The gr cases
+where two lags coincide (v = 2r in gr421, v = 2t in gr412) were captured
+while `SSequence` still stated s and s' as rule closures.  So a diff here
 means a kernel changed an answer or its printing.
 """
 
@@ -58,6 +60,10 @@ CASES = {
     "family-gr421-n0": ["family", "--family", "gr", "--params", "v=4,r=2,t=1",
                         "--n", "0"],
     "family-a1r2-n0": ["family", *A1R2, "--n", "0"],
+    "family-gr421-n8": ["family", "--family", "gr", "--params", "v=4,r=2,t=1",
+                        "--n", "8"],
+    "family-gr412-n8": ["family", "--family", "gr", "--params", "v=4,r=1,t=2",
+                        "--n", "8"],
     "stabilize-a1r2": ["stabilize", *A1R2, "--period", "1,2,3", "--count", "6",
                        "--cutoff", "6"],
     "stabilize-g723": ["stabilize", *G723, "--period", "1..7", "--count", "4",
@@ -71,6 +77,8 @@ CASES = {
                    "--cutoff", "10"],
     "limit-dp1": ["limit", "--family", "dp1", "--cutoff", "8"],
     "limit-a1r2": ["limit", *A1R2, "--cutoff", "10"],
+    "limit-gr412": ["limit", "--family", "gr", "--params", "v=4,r=1,t=2",
+                    "--cutoff", "6"],
     "fpoly-product-kr3-n5": ["fpoly", *KR3, "--seq", "1,2,1,2,1", "--method", "product"],
     "fpoly-product-g723-n9": ["fpoly", *G723, "--seq", "1,2,3,4,5,6,7,1,2",
                               "--method", "product"],

@@ -4,7 +4,10 @@ import pytest
 
 import clusterforge.cmatrix
 import clusterforge.quiver
+import clusterforge.verify
 from clusterforge import run_verification
+from clusterforge.cli import main
+from clusterforge.errors import InexactDivision
 
 
 def count_calls(monkeypatch, original):
@@ -39,3 +42,18 @@ def test_run_verification_traces_once_and_mutates_n_times(request, monkeypatch,
     assert len(traces) == 1
     assert len(mutations) == len(seq)
 
+
+
+def test_failing_recurrence_is_reported_as_fail(monkeypatch, capsys, k2):
+    # fpoly_recurrence raises on the very conditions the entry names, so the
+    # entry is False, and `verify` prints the table and exits 3, not 2
+    def failing(q, seq):
+        raise InexactDivision("F_1 is not a positive polynomial with unit constant")
+
+    monkeypatch.setattr(clusterforge.verify, "fpoly_recurrence", failing)
+    results = run_verification(k2, (1, 2))
+    assert results["recurrence yields positive unit-constant polynomials"] is False
+    assert main(["verify", "--family", "kr", "--params", "r=2", "--seq", "1,2"]) == 3
+    out, err = capsys.readouterr()
+    assert "recurrence yields positive unit-constant polynomials  FAIL" in out
+    assert err == ""
