@@ -10,6 +10,7 @@ error, 3 verification failure.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import re
 import sys
@@ -127,7 +128,9 @@ def _add_quiver_args(parser) -> None:
     parser.add_argument("--format", choices=("text", "json"), default="text")
 
 
+@functools.cache
 def build_parser() -> _Parser:
+    """The argument parser, built once per process: parsing keeps no state on it."""
     parser = _Parser(prog="clusterforge")
     sub = parser.add_subparsers(dest="command", required=True)
 

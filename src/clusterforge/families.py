@@ -20,7 +20,8 @@ from .closedform import _sequence_sum
 from .cmatrix import trace
 from .errors import BadParameters, ConsistencyError, NotSymmetric
 from .laurent import LaurentPolynomial
-from .quiver import GeneralizedQuiver, degree_bounds, make_quiver, mutate_b
+from .quiver import (GeneralizedQuiver, _degree_bounds_from_trace, degree_bounds,
+                     make_quiver, mutate_b)
 
 
 @dataclass(frozen=True)
@@ -160,6 +161,12 @@ def check_symmetric(q: GeneralizedQuiver, prefix_len: int = 20) -> SymmetryRepor
     Greenness of the infinite sequence is not decidable here, so it is
     verified empirically over prefix_len steps and reported as such.
     """
+    return _symmetry(q, prefix_len)[0]
+
+
+def _symmetry(q: GeneralizedQuiver, prefix_len: int):
+    """check_symmetric's report, with the trace of the cyclic prefix it ran
+    (None when the quiver is not reversible and cyclic, so none was run)."""
     b, v = q.b, q.v
     reversible = all(
         b[i][j] == -b[v - 1 - i][v - 1 - j] for i in range(v) for j in range(v)
@@ -174,13 +181,14 @@ def check_symmetric(q: GeneralizedQuiver, prefix_len: int = 20) -> SymmetryRepor
     vertex1_balanced = all(
         b[0][j] == b[0][swap(j)] and b[j][0] == b[swap(j)][0] for j in range(1, v)
     )
-    green_prefix = 0
+    green_prefix, tr = 0, None
     if reversible and cyclic:
         tr = trace(q, canonical_sequence(v, prefix_len))
         green_prefix = sum(1 for color in tr.colors if color == "green")
         if any(color == "red" for color in tr.colors):
             green_prefix = tr.colors.index("red")
-    return SymmetryReport(reversible, cyclic, vertex1_balanced, green_prefix, prefix_len)
+    report = SymmetryReport(reversible, cyclic, vertex1_balanced, green_prefix, prefix_len)
+    return report, tr
 
 
 class SSequence:
@@ -309,17 +317,18 @@ def _family_formula(ss: SSequence, v: int, n: int, bound) -> LaurentPolynomial:
 def fpoly_symmetric(q: GeneralizedQuiver, n: int) -> LaurentPolynomial:
     """F_n for a symmetric quiver under the cyclic sequence 1..v,1..
 
-    Refuses to run unless check_symmetric certifies the prefix of length n.
+    Refuses to run unless check_symmetric certifies the prefix of length n;
+    the degree bound is read off the trace of that same prefix.
     """
     intmat.check_count(n, "n")
-    report = check_symmetric(q, prefix_len=n)
+    report, tr = _symmetry(q, n)
     if not (report.reversible and report.cyclic and report.vertex1_balanced):
         raise NotSymmetric(f"quiver failed symmetry checks: {report}")
     if report.green_prefix < n:
         raise NotSymmetric(
             f"greenness certified only for {report.green_prefix} steps < n={n}"
         )
-    bound = degree_bounds(q, canonical_sequence(q.v, n))
+    bound = _degree_bounds_from_trace(tr, n)
     return _family_formula(SSequence.from_quiver(q), q.v, n, bound)
 
 

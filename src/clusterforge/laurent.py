@@ -95,8 +95,18 @@ class _Packing:
         return tuple([((key >> s) & m) + x for s, m, x in zip(self.shifts, self.masks, low)])
 
     def poly(self, terms, low) -> "LaurentPolynomial":
-        """The polynomial of keys shifted by low, dropping zero coefficients."""
-        return _from_clean(len(low), {self.unpack(k, low): c for k, c in terms.items() if c})
+        """The polynomial of keys shifted by low, dropping zero coefficients.
+
+        Unpacks column-wise: one pass over the keys per variable slot, then
+        zip(*columns) joins the slots into exponent tuples in key order.
+        With no variables there are no columns (and zip() yields nothing),
+        so each key stands for the empty tuple.
+        """
+        keys = [k for k, c in terms.items() if c]
+        columns = [[((k >> s) & m) + x for k in keys]
+                   for s, m, x in zip(self.shifts, self.masks, low)]
+        exps = zip(*columns) if low else [()] * len(keys)
+        return _from_clean(len(low), dict(zip(exps, [terms[k] for k in keys])))
 
     def within(self, key: int, ceiling: int) -> bool:
         guards = self.guards

@@ -240,3 +240,35 @@ def test_output_deterministic(capsys):
     second = run(capsys, "fpoly", "--family", "gr", "--params", "v=4,r=2,t=1",
                  "--seq", "1..4x2", "--format", "json")
     assert first == second
+
+
+def test_one_parser_serves_many_calls(capsys):
+    # the parser is built once per process; no call's options leak into the next
+    from pathlib import Path
+
+    from clusterforge.cli import build_parser
+
+    golden = Path(__file__).resolve().parent / "golden"
+    kr3 = ["--family", "kr", "--params", "r=3"]
+    assert build_parser() is build_parser()
+    code, out, err = run(capsys, "fpoly", *kr3, "--seq", "1,2", "--method", "bogus")
+    assert (code, out) == (1, "")
+    assert err.startswith("usage error: ") and "bogus" in err
+    code, out, err = run(capsys, "fpoly", "--family", "kr", "--params", "r=1", "--seq", "1")
+    assert (code, out) == (2, "")
+    assert err.startswith("error: BadParameters: ")
+    kr3.extend(["--method", "formula"])
+    code, out, _ = run(capsys, "fpoly", *kr3, "--seq", "1,2,1,2", "--format", "json")
+    assert (code, out) == (0, (golden / "fpoly-formula-kr3-n4-json.out").read_text())
+    code, out, _ = run(capsys, "fpoly", *kr3, "--seq", "1,2,1,2,1", "--coeff", "y1^10*y2^3")
+    assert (code, out) == (0, (golden / "fpoly-coeff-formula-kr3.out").read_text())
+    code, out, _ = run(capsys, "fpoly", *kr3, "--seq", "1,2,1,2,1")
+    assert (code, out) == (0, (golden / "fpoly-formula-kr3-n5.out").read_text())
+
+
+@pytest.mark.parametrize("method", ["recurrence", "formula", "product"])
+def test_zero_vertex_quiver_file(tmp_path, capsys, method):
+    # a quiver with no vertices has F_0 = 1 by every method
+    path = tmp_path / "empty.json"
+    path.write_text(json.dumps({"b": []}))
+    assert run(capsys, "fpoly", "--quiver", str(path), "--method", method) == (0, "1\n", "")

@@ -9,7 +9,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from clusterforge import (LaurentPolynomial, exact_divide, fpoly_formula,
-                          fpoly_recurrence, parse_monomial, trace)
+                          fpoly_product_form, fpoly_recurrence, make_quiver,
+                          parse_monomial, trace)
 from clusterforge.errors import InexactDivision, ParseError
 from clusterforge.laurent import _mul_within, _Packing
 from conftest import truncate
@@ -313,3 +314,36 @@ def test_exact_divide_inverts_multiply_across_spans(case):
     p, q = case
     assert exact_divide(p * q, q) == p
     assert exact_divide(p * q, p) == q
+
+
+@st.composite
+def packed_terms(draw):
+    # nvars 0..6, spans with zeros, offsets below zero, and zero coefficients
+    nvars = draw(st.integers(0, 6))
+    span = draw(st.tuples(*[st.sampled_from(EDGE_SPANS) | st.integers(0, 300)] * nvars))
+    low = draw(st.tuples(*[st.integers(-50, 50)] * nvars))
+    layout = _Packing(span)
+    exps = st.tuples(*[st.integers(0, x) for x in span])
+    coeffs = st.integers(-3, 3) | st.integers(-10 ** 30, 10 ** 30)
+    terms = draw(st.dictionaries(exps, coeffs, max_size=20))
+    return layout, {layout.pack(e): c for e, c in terms.items()}, low
+
+
+@given(packed_terms())
+def test_poly_unpacks_like_unpack_in_key_order(case):
+    # the column-wise unpacking equals the per-key map, order included
+    layout, terms, low = case
+    expected = [(layout.unpack(k, low), c) for k, c in terms.items() if c]
+    poly = layout.poly(terms, low)
+    assert poly.nvars == len(low)
+    assert list(poly.terms.items()) == expected
+
+
+def test_zero_vertices():
+    # no variables means no slots to unpack: F_0 is still 1, not 0
+    q = make_quiver([])
+    one = LaurentPolynomial.one(0)
+    assert fpoly_formula(trace(q, ()), 0) == one
+    assert fpoly_product_form(trace(q, ()), 0) == one
+    assert fpoly_recurrence(q, ()) == []  # no step, so the CLI prints one(0)
+    assert LaurentPolynomial.constant(0, 3) * LaurentPolynomial.constant(0, 2) == 6
