@@ -74,9 +74,11 @@ def parse_params(text: str) -> dict[str, int]:
 
 
 def load_quiver(args) -> GeneralizedQuiver:
-    if getattr(args, "quiver", None) and getattr(args, "family", None):
+    if args.quiver and args.family:
         raise UsageError("provide exactly one of --quiver and --family")
-    if getattr(args, "quiver", None):
+    if args.params is not None and not args.family:
+        raise UsageError("--params needs --family")
+    if args.quiver:
         try:
             with open(args.quiver, encoding="utf-8") as handle:
                 data = json.load(handle)
@@ -90,7 +92,7 @@ def load_quiver(args) -> GeneralizedQuiver:
             return make_quiver(data["b"], data.get("d"))
         except TypeError as exc:
             raise ParseError(f"bad quiver file: {exc}") from exc
-    if getattr(args, "family", None):
+    if args.family:
         spec = FamilySpec.of(args.family, **parse_params(args.params or ""))
         return build_family(spec)
     raise UsageError("provide --quiver FILE or --family NAME")
@@ -121,10 +123,17 @@ def _print_matrix(name: str, m, fmt: str) -> None:
             print("  [" + " ".join(f"{x:4d}" for x in row) + "]")
 
 
+_FAMILY_HELP = "family name: kr | gr | a1r | dp1"
+_PARAMS_HELP = "family parameters, e.g. r=2 or v=7,r=2,t=3"
+
+
 def _add_quiver_args(parser) -> None:
     parser.add_argument("--quiver", help="JSON quiver file")
-    parser.add_argument("--family", help="family name: kr | gr | a1r | dp1")
-    parser.add_argument("--params", help="family parameters, e.g. r=2 or v=7,r=2,t=3")
+    parser.add_argument("--family", help=_FAMILY_HELP)
+    parser.add_argument("--params", help=_PARAMS_HELP)
+
+
+def _add_format_arg(parser) -> None:
     parser.add_argument("--format", choices=("text", "json"), default="text")
 
 
@@ -136,10 +145,12 @@ def build_parser() -> _Parser:
 
     p_mutate = sub.add_parser("mutate", help="apply a mutation sequence")
     _add_quiver_args(p_mutate)
+    _add_format_arg(p_mutate)
     p_mutate.add_argument("--seq", default="")
 
     p_fpoly = sub.add_parser("fpoly", help="compute an F-polynomial")
     _add_quiver_args(p_fpoly)
+    _add_format_arg(p_fpoly)
     p_fpoly.add_argument("--seq", default="")
     p_fpoly.add_argument("--method", choices=("recurrence", "formula", "product"),
                          default="recurrence")
@@ -147,16 +158,20 @@ def build_parser() -> _Parser:
 
     p_cmx = sub.add_parser("cmatrix", help="C/D matrices, colors, r-monomials")
     _add_quiver_args(p_cmx)
+    _add_format_arg(p_cmx)
     p_cmx.add_argument("--seq", default="")
     p_cmx.add_argument("--between", nargs=2, type=int, metavar=("M", "N"))
 
     p_family = sub.add_parser("family", help="emit a family quiver")
-    _add_quiver_args(p_family)
+    p_family.add_argument("--family", required=True, help=_FAMILY_HELP)
+    p_family.add_argument("--params", help=_PARAMS_HELP)
+    _add_format_arg(p_family)
     p_family.add_argument("--out", help="write the quiver JSON here instead of stdout")
     p_family.add_argument("--n", type=int, help="also print the specialized F_n")
 
     p_stab = sub.add_parser("stabilize", help="observe deformed-coefficient stabilization")
     _add_quiver_args(p_stab)
+    _add_format_arg(p_stab)
     p_stab.add_argument("--period", required=True)
     p_stab.add_argument("--count", type=int, default=6)
     p_stab.add_argument("--cutoff", type=int, default=6)
@@ -166,7 +181,7 @@ def build_parser() -> _Parser:
                          choices=("a1r", "kr", "gr", "dp1"))
     p_limit.add_argument("--params", default="")
     p_limit.add_argument("--cutoff", type=int, required=True)
-    p_limit.add_argument("--format", choices=("text", "json"), default="text")
+    _add_format_arg(p_limit)
 
     p_verify = sub.add_parser("verify", help="run the full cross-check battery")
     _add_quiver_args(p_verify)
@@ -226,14 +241,16 @@ def _cmd_cmatrix(args) -> int:
     _print_matrix("C", tr.c_mats[-1], args.format)
     _print_matrix("D", tr.d_mats[-1], args.format)
     for i in range(1, tr.n + 1):
-        r_text = LaurentPolynomial.monomial(tr.r(i)).to_text()
-        print(f"step {i}: vertex {tr.vertex(i)} {tr.color(i)} r = {r_text}")
+        if args.format == "json":
+            print(json.dumps({"step": i, "vertex": tr.vertex(i), "color": tr.color(i),
+                              "r": list(tr.r(i))}))
+        else:
+            r_text = LaurentPolynomial.monomial(tr.r(i)).to_text()
+            print(f"step {i}: vertex {tr.vertex(i)} {tr.color(i)} r = {r_text}")
     return 0
 
 
 def _cmd_family(args) -> int:
-    if not args.family:
-        raise UsageError("family subcommand needs --family")
     spec = FamilySpec.of(args.family, **parse_params(args.params or ""))
     q = build_family(spec)
     if args.n is None:  # F_n comes before any output, so a rejected n writes nothing

@@ -53,20 +53,6 @@ def phi(w) -> Fraction:
     return Fraction(1, denom)
 
 
-def w_value(tr: MutationTrace, n: int, w) -> int:
-    """The product W(n, w_1..w_k) over a nondecreasing index sequence."""
-    w = tuple(w)
-    if any(a > b for a, b in zip(w, w[1:])):
-        raise ValueError("index sequence must be nondecreasing")
-    _check_step(tr, n)
-    if w and not (1 <= w[0] and w[-1] <= n):
-        raise ValueError("index sequence out of range")
-    total = 1
-    for i, wi in enumerate(w):
-        total *= coeff_a(tr, wi, n) + sum(pair_term(tr, wi, wj) for wj in w[i + 1:])
-    return total
-
-
 def _trace_factors(tr: MutationTrace, n: int):
     """F_n's factor(c) for _sequence_sum, c = n - i in 0..n-1 (not validated).
 
@@ -78,29 +64,6 @@ def _trace_factors(tr: MutationTrace, n: int):
         return sum(map(mul, tr.dinv_mats[n][tr.seq[n - 1] - 1], w)), tr.pair_rows[n - c - 1], w
 
     return factor
-
-
-def enumerate_sequences(tr: MutationTrace, n: int, bound):
-    """Yield the nondecreasing sequences whose r-monomial stays within bound.
-
-    Depth-first extension with an explicit stack: a sequence is yielded,
-    then extended by every index >= its last entry whose r-monomial still
-    fits componentwise, smallest index first.  Every r-monomial is a nonzero
-    nonnegative vector, so the tree is finite.
-    """
-    _check_step(tr, n)
-    bound = tuple(bound)
-    if any(x < 0 for x in bound):
-        raise ValueError("bound must be componentwise nonnegative")
-    rvecs = [tr.r(i) for i in range(1, n + 1)]
-    stack = [((), (0,) * tr.v)]
-    while stack:
-        prefix, total = stack.pop()
-        yield prefix
-        for w in range(n, prefix[-1] - 1 if prefix else 0, -1):
-            new_total = tuple(map(add, total, rvecs[w - 1]))
-            if all(map(le, new_total, bound)):
-                stack.append((prefix + (w,), new_total))
 
 
 def _sequence_sum(steps, factor, diag, bound, cap=None, target=None):

@@ -307,7 +307,7 @@ class LaurentPolynomial:
 
     # -- formatting ----------------------------------------------------------
 
-    def to_text(self, var: str = "y") -> str:
+    def to_text(self) -> str:
         """Canonical text, e.g. '1 + 3*y1 + y1^3*y2^2'; each factor string
         is built once per (variable, exponent).
 
@@ -316,7 +316,7 @@ class LaurentPolynomial:
         """
         if not self.terms:
             return "0"
-        powers = [_Powers({1: f"{var}{i + 1}"}) for i in range(self.nvars)]
+        powers = [_Powers({1: f"y{i + 1}"}) for i in range(self.nvars)]
         parts = []
         for exps, coeff in self.sorted_terms():
             factors = [p[e] for p, e in zip(powers, exps) if e]
@@ -439,7 +439,7 @@ def exact_divide(p: LaurentPolynomial, q: LaurentPolynomial) -> LaurentPolynomia
     return layout.poly(quotient, tuple(map(sub, p_low, q_low)))
 
 
-def parse_monomial(text: str, nvars: int, var: str = "y") -> Exponents:
+def parse_monomial(text: str, nvars: int) -> Exponents:
     """Parse a monomial like 'y1^3*y2' into an exponent vector."""
     exps = [0] * nvars
     text = text.strip()
@@ -449,9 +449,9 @@ def parse_monomial(text: str, nvars: int, var: str = "y") -> Exponents:
         factor = factor.strip()
         if factor == "1":
             continue
-        if not factor.startswith(var):
+        if not factor.startswith("y"):
             raise ParseError(f"bad monomial factor {factor!r}")
-        body = factor[len(var):]
+        body = factor[1:]
         if "^" in body:
             idx_text, _, pow_text = body.partition("^")
         else:
@@ -461,6 +461,6 @@ def parse_monomial(text: str, nvars: int, var: str = "y") -> Exponents:
         except ValueError as exc:
             raise ParseError(f"bad monomial factor {factor!r}") from exc
         if not 1 <= index <= nvars:
-            raise ParseError(f"variable {var}{index} out of range 1..{nvars}")
+            raise ParseError(f"variable y{index} out of range 1..{nvars}")
         exps[index - 1] += power
     return tuple(exps)

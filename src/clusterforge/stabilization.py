@@ -7,13 +7,14 @@ observes this empirically under a total-degree cutoff, and the `limit_*`
 functions evaluate the closed-form limits for specific families.  No float
 is used: the norm cut of `limit_kr`, a bound in the quadratic unit
 p = (r + sqrt(r^2-4))/2, is an integer test on exponents, which the tests
-check against exact `QuadraticNumber` arithmetic.
+check against exact quadratic-field arithmetic.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import sub
 
 from . import intmat
 from .closedform import deformed_coefficients, phi
@@ -64,23 +65,22 @@ def _decomposable(target, parts) -> bool:
     """Can target be a sum of >= 2 vectors from parts (with repetition)?
 
     Depth-first walk over the exponent box below target with an explicit
-    stack, so no recursion limit caps the number of parts.  A remainder is
-    expanded only when reached with fewer parts than before.
+    stack, so no recursion limit caps the number of parts; each remainder
+    is expanded once.  A remainder left after subtracting one or more parts
+    that is itself a part makes target a sum of two or more parts.
     """
-    parts = [p for p in set(parts) if any(p) and all(a <= b for a, b in zip(p, target))]
-    fewest = {}  # remainder -> fewest parts used to reach it
-    stack = [(tuple(target), 0)]
+    parts = {p for p in parts if any(p) and all(a <= b for a, b in zip(p, target))}
+    seen = set()
+    stack = [tuple(target)]
     while stack:
-        vec, count = stack.pop()
-        if count >= 2 and not any(vec):
-            return True
-        if fewest.get(vec, count + 1) <= count:
-            continue
-        fewest[vec] = count
+        vec = stack.pop()
         for p in parts:
-            rest = tuple(a - b for a, b in zip(vec, p))
-            if min(rest) >= 0:
-                stack.append((rest, count + 1))
+            rest = tuple(map(sub, vec, p))
+            if min(rest) >= 0 and rest not in seen:
+                if rest in parts:
+                    return True
+                seen.add(rest)
+                stack.append(rest)
     return False
 
 
@@ -230,78 +230,6 @@ def stabilization_run(q: GeneralizedQuiver, seq_period, count: int,
             settle -= 1
         verdicts[m] = indices[settle] if settle <= len(hist) - 2 else None
     return StabilizationReport(p, indices, cutoff, histories, verdicts)
-
-
-# -- exact quadratic arithmetic ----------------------------------------------
-
-
-@dataclass(frozen=True)
-class QuadraticNumber:
-    """Exact element a + b*sqrt(disc) of a real quadratic field, disc > 0."""
-
-    a: Fraction
-    b: Fraction
-    disc: int
-
-    @classmethod
-    def of(cls, a, b, disc: int) -> "QuadraticNumber":
-        return cls(Fraction(a), Fraction(b), int(disc))
-
-    def _coerce(self, other) -> "QuadraticNumber":
-        if isinstance(other, int):
-            other = QuadraticNumber.of(other, 0, self.disc)
-        if self.disc != other.disc:
-            raise ValueError("mixed discriminants")
-        return other
-
-    def __add__(self, other):
-        other = self._coerce(other)
-        return QuadraticNumber(self.a + other.a, self.b + other.b, self.disc)
-
-    def __sub__(self, other):
-        other = self._coerce(other)
-        return QuadraticNumber(self.a - other.a, self.b - other.b, self.disc)
-
-    def __mul__(self, other):
-        other = self._coerce(other)
-        return QuadraticNumber(
-            self.a * other.a + self.b * other.b * self.disc,
-            self.a * other.b + self.b * other.a,
-            self.disc,
-        )
-
-    def __pow__(self, e: int) -> "QuadraticNumber":
-        if e < 0:
-            raise ValueError("negative powers not needed")
-        result = QuadraticNumber.of(1, 0, self.disc)
-        base = self
-        while e:
-            if e & 1:
-                result = result * base
-            e >>= 1
-            if e:
-                base = base * base
-        return result
-
-    def sign(self) -> int:
-        a, b = self.a, self.b
-        if a == 0 and b == 0:
-            return 0
-        if a >= 0 and b >= 0:
-            return 1
-        if a <= 0 and b <= 0:
-            return -1
-        # opposite signs: compare a^2 against b^2 * disc
-        lead = a * a - b * b * self.disc
-        if a > 0:
-            return 1 if lead > 0 else -1
-        return 1 if lead < 0 else -1
-
-    def __le__(self, other) -> bool:
-        return (self - other).sign() <= 0
-
-    def __lt__(self, other) -> bool:
-        return (self - other).sign() < 0
 
 
 # -- closed-form limits -------------------------------------------------------

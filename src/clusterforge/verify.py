@@ -66,10 +66,9 @@ def run_verification(q: GeneralizedQuiver, seq) -> dict[str, bool]:
     results["formula equals recurrence"] = fpoly_formula(tr, n) == expected
     results["product form equals recurrence"] = fpoly_product_form(tr, n) == expected
 
-    if f_n is not None:
-        bound = _degree_bounds_from_trace(tr, n)
-        results["support within degree bounds"] = all(
-            all(e <= b for e, b in zip(exps, bound)) for exps in f_n.terms
+    if f_n is not None:  # positive coefficients make the max-plus bound exact
+        results["support within degree bounds"] = (
+            f_n.degree_vector() == _degree_bounds_from_trace(tr, n)
         )
 
     if n and all(color == "green" for color in tr.colors):

@@ -1,15 +1,28 @@
-"""Independent oracles for the tests, built from integers and binomials only.
+"""Reference implementations for the tests; no package code calls them.
 
-The greedy recursion of Lee, Li and Zelevinsky ("Greedy elements in rank 2
-cluster algebras", Selecta Math. 2014, arXiv:1208.2391) gives the
-coefficients of rank-2 cluster variables with no C-matrices, traces or
-Laurent division: c(0, 0) = 1, and c(p, q) is the larger of
+* `greedy_coefficients` and `greedy_fpoly`: the greedy recursion of Lee, Li
+  and Zelevinsky ("Greedy elements in rank 2 cluster algebras", Selecta
+  Math. 2014, arXiv:1208.2391), which gives the coefficients of rank-2
+  cluster variables with no C-matrices, traces or Laurent division:
+  c(0, 0) = 1, and c(p, q) is the larger of
 
     sum_{k=1..p} (-1)^(k-1) c(p-k, q) C([a2 - c*q]_+ + k - 1, k)
     sum_{k=1..q} (-1)^(k-1) c(p, q-k) C([a1 - b*p]_+ + k - 1, k).
+
+* `w_value`: the product W(n, w) of the closed formula, one sequence at a
+  time, off the trace's pair coefficients.
+* `enumerate_sequences`: the brute-force list of the index sequences that
+  the stagewise sum kernel groups into states.
+* `QuadraticNumber`: exact arithmetic in a real quadratic field, against
+  which the integer norm filter of `limit_kr` is checked.
 """
 
+from dataclasses import dataclass
+from fractions import Fraction
 from math import comb
+from operator import add, le
+
+from clusterforge.cmatrix import MutationTrace, _check_step, coeff_a, pair_term
 
 
 def greedy_coefficients(a1: int, a2: int, b: int, c: int) -> dict[tuple[int, int], int]:
@@ -30,3 +43,109 @@ def greedy_coefficients(a1: int, a2: int, b: int, c: int) -> dict[tuple[int, int
 def greedy_fpoly(a1: int, a2: int, b: int, c: int) -> dict[tuple[int, int], int]:
     """The F-polynomial terms {(a1 - q, p): c(p, q)} of the greedy element at (a1, a2)."""
     return {(a1 - q, p): value for (p, q), value in greedy_coefficients(a1, a2, b, c).items()}
+
+
+def w_value(tr: MutationTrace, n: int, w) -> int:
+    """The product W(n, w_1..w_k) over a nondecreasing index sequence."""
+    w = tuple(w)
+    if any(a > b for a, b in zip(w, w[1:])):
+        raise ValueError("index sequence must be nondecreasing")
+    _check_step(tr, n)
+    if w and not (1 <= w[0] and w[-1] <= n):
+        raise ValueError("index sequence out of range")
+    total = 1
+    for i, wi in enumerate(w):
+        total *= coeff_a(tr, wi, n) + sum(pair_term(tr, wi, wj) for wj in w[i + 1:])
+    return total
+
+
+def enumerate_sequences(tr: MutationTrace, n: int, bound):
+    """Yield the nondecreasing sequences whose r-monomial stays within bound.
+
+    Depth-first extension with an explicit stack: a sequence is yielded,
+    then extended by every index >= its last entry whose r-monomial still
+    fits componentwise, smallest index first.  Every r-monomial is a nonzero
+    nonnegative vector, so the tree is finite.
+    """
+    _check_step(tr, n)
+    bound = tuple(bound)
+    if any(x < 0 for x in bound):
+        raise ValueError("bound must be componentwise nonnegative")
+    rvecs = [tr.r(i) for i in range(1, n + 1)]
+    stack = [((), (0,) * tr.v)]
+    while stack:
+        prefix, total = stack.pop()
+        yield prefix
+        for w in range(n, prefix[-1] - 1 if prefix else 0, -1):
+            new_total = tuple(map(add, total, rvecs[w - 1]))
+            if all(map(le, new_total, bound)):
+                stack.append((prefix + (w,), new_total))
+
+
+@dataclass(frozen=True)
+class QuadraticNumber:
+    """Exact element a + b*sqrt(disc) of a real quadratic field, disc > 0."""
+
+    a: Fraction
+    b: Fraction
+    disc: int
+
+    @classmethod
+    def of(cls, a, b, disc: int) -> "QuadraticNumber":
+        return cls(Fraction(a), Fraction(b), int(disc))
+
+    def _coerce(self, other) -> "QuadraticNumber":
+        if isinstance(other, int):
+            other = QuadraticNumber.of(other, 0, self.disc)
+        if self.disc != other.disc:
+            raise ValueError("mixed discriminants")
+        return other
+
+    def __add__(self, other):
+        other = self._coerce(other)
+        return QuadraticNumber(self.a + other.a, self.b + other.b, self.disc)
+
+    def __sub__(self, other):
+        other = self._coerce(other)
+        return QuadraticNumber(self.a - other.a, self.b - other.b, self.disc)
+
+    def __mul__(self, other):
+        other = self._coerce(other)
+        return QuadraticNumber(
+            self.a * other.a + self.b * other.b * self.disc,
+            self.a * other.b + self.b * other.a,
+            self.disc,
+        )
+
+    def __pow__(self, e: int) -> "QuadraticNumber":
+        if e < 0:
+            raise ValueError("negative powers not needed")
+        result = QuadraticNumber.of(1, 0, self.disc)
+        base = self
+        while e:
+            if e & 1:
+                result = result * base
+            e >>= 1
+            if e:
+                base = base * base
+        return result
+
+    def sign(self) -> int:
+        a, b = self.a, self.b
+        if a == 0 and b == 0:
+            return 0
+        if a >= 0 and b >= 0:
+            return 1
+        if a <= 0 and b <= 0:
+            return -1
+        # opposite signs: compare a^2 against b^2 * disc
+        lead = a * a - b * b * self.disc
+        if a > 0:
+            return 1 if lead > 0 else -1
+        return 1 if lead < 0 else -1
+
+    def __le__(self, other) -> bool:
+        return (self - other).sign() <= 0
+
+    def __lt__(self, other) -> bool:
+        return (self - other).sign() < 0

@@ -11,7 +11,7 @@ from fractions import Fraction
 
 import pytest
 
-from clusterforge import (FamilySpec, LaurentPolynomial, QuadraticNumber,
+from clusterforge import (FamilySpec, LaurentPolynomial,
                           SSequence, build_family, build_gale_robinson,
                           canonical_sequence, coeff_a, coeff_b,
                           degree_bounds, dp1_coefficient, fpoly_formula,
@@ -19,8 +19,9 @@ from clusterforge import (FamilySpec, LaurentPolynomial, QuadraticNumber,
                           fpoly_recurrence, fpoly_symmetric, green_excess_probe,
                           limit_a1r, limit_gale_robinson, limit_kr,
                           limits_match_up_to_cycle, make_quiver,
-                          run_verification, stabilization_run, trace, w_value)
+                          run_verification, stabilization_run, trace)
 from conftest import random_sequence, random_skew_symmetric
+from oracles import QuadraticNumber, w_value
 
 GOLDEN_F3 = LaurentPolynomial(2, {
     (0, 0): 1, (1, 0): 3, (2, 0): 3, (3, 0): 1, (2, 1): 2, (3, 1): 2, (3, 2): 1,

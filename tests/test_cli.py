@@ -1,9 +1,12 @@
 import json
+from pathlib import Path
 
 import pytest
 
 from clusterforge.cli import main, parse_params, parse_sequence
 from clusterforge.errors import ParseError
+
+GOLDEN = Path(__file__).resolve().parent / "golden"
 
 
 def run(capsys, *argv):
@@ -97,6 +100,20 @@ def test_cmatrix_output(capsys):
     assert code == 0
     assert "step 1: vertex 1 green r = y1" in out
     assert "step 3: vertex 1 green r = y1^3*y2^2" in out
+
+
+@pytest.mark.parametrize("extra", [[], ["--between", "1", "3"]])
+def test_cmatrix_json_is_one_object_per_line(capsys, extra):
+    code, out, _ = run(capsys, "cmatrix", "--family", "kr", "--params", "r=2",
+                       "--seq", "1,2,1", "--format", "json", *extra)
+    assert code == 0
+    lines = [json.loads(line) for line in out.splitlines()]
+    if not extra:
+        assert lines[2:] == [
+            {"step": 1, "vertex": 1, "color": "green", "r": [1, 0]},
+            {"step": 2, "vertex": 2, "color": "green", "r": [2, 1]},
+            {"step": 3, "vertex": 1, "color": "green", "r": [3, 2]},
+        ]
 
 
 def test_cmatrix_between(capsys):
@@ -244,11 +261,8 @@ def test_output_deterministic(capsys):
 
 def test_one_parser_serves_many_calls(capsys):
     # the parser is built once per process; no call's options leak into the next
-    from pathlib import Path
-
     from clusterforge.cli import build_parser
 
-    golden = Path(__file__).resolve().parent / "golden"
     kr3 = ["--family", "kr", "--params", "r=3"]
     assert build_parser() is build_parser()
     code, out, err = run(capsys, "fpoly", *kr3, "--seq", "1,2", "--method", "bogus")
@@ -259,11 +273,11 @@ def test_one_parser_serves_many_calls(capsys):
     assert err.startswith("error: BadParameters: ")
     kr3.extend(["--method", "formula"])
     code, out, _ = run(capsys, "fpoly", *kr3, "--seq", "1,2,1,2", "--format", "json")
-    assert (code, out) == (0, (golden / "fpoly-formula-kr3-n4-json.out").read_text())
+    assert (code, out) == (0, (GOLDEN / "fpoly-formula-kr3-n4-json.out").read_text())
     code, out, _ = run(capsys, "fpoly", *kr3, "--seq", "1,2,1,2,1", "--coeff", "y1^10*y2^3")
-    assert (code, out) == (0, (golden / "fpoly-coeff-formula-kr3.out").read_text())
+    assert (code, out) == (0, (GOLDEN / "fpoly-coeff-formula-kr3.out").read_text())
     code, out, _ = run(capsys, "fpoly", *kr3, "--seq", "1,2,1,2,1")
-    assert (code, out) == (0, (golden / "fpoly-formula-kr3-n5.out").read_text())
+    assert (code, out) == (0, (GOLDEN / "fpoly-formula-kr3-n5.out").read_text())
 
 
 @pytest.mark.parametrize("method", ["recurrence", "formula", "product"])
@@ -272,3 +286,16 @@ def test_zero_vertex_quiver_file(tmp_path, capsys, method):
     path = tmp_path / "empty.json"
     path.write_text(json.dumps({"b": []}))
     assert run(capsys, "fpoly", "--quiver", str(path), "--method", method) == (0, "1\n", "")
+
+
+@pytest.mark.parametrize("argv", [
+    ["family", "--family", "kr", "--params", "r=2", "--quiver", "x.json"],
+    ["family", "--params", "r=2"],
+    ["verify", "--family", "kr", "--params", "r=2", "--seq", "1,2", "--format", "json"],
+    ["fpoly", "--quiver", str(GOLDEN / "b21.json"), "--params", "r=7", "--seq", "1,2"],
+])
+def test_options_a_command_does_not_read_are_usage_errors(capsys, argv):
+    # each subcommand declares only what it reads; nothing is silently dropped
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (1, "")
+    assert err.startswith("usage error: ")

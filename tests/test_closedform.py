@@ -10,14 +10,15 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from clusterforge import (LaurentPolynomial, coeff_a, coeff_b, coefficient_of,
-                          deform, deformed_formula, degree_bounds,
-                          enumerate_sequences, fpoly_formula, fpoly_product_form,
-                          fpoly_recurrence, make_quiver, phi, trace, w_value)
+                          deform, deformed_formula, degree_bounds, fpoly_formula,
+                          fpoly_product_form, fpoly_recurrence, make_quiver, phi,
+                          trace)
 from clusterforge.closedform import (_binomial_series, _sequence_sum, deform_matrix,
                                      deformed_coefficients)
 from clusterforge.errors import BadParameters, NonIntegerCoefficient, SignCoherenceViolation
 from clusterforge.laurent import _Packing
 from conftest import random_sequence, random_skew_symmetric, truncate
+from oracles import enumerate_sequences, w_value
 
 GOLDEN_F3 = {(0, 0): 1, (1, 0): 3, (2, 0): 3, (3, 0): 1, (2, 1): 2, (3, 1): 2,
              (3, 2): 1}

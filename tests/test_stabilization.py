@@ -5,8 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from clusterforge import (LaurentPolynomial, QuadraticNumber, SSequence,
-                          build_gale_robinson, deform,
+from clusterforge import (LaurentPolynomial, SSequence, build_gale_robinson, deform,
                           deformed_formula, dp1_coefficient, fpoly_gale_robinson,
                           fpoly_kr, fpoly_recurrence, fpoly_symmetric,
                           fundamentals, green_excess_probe, is_polynomial,
@@ -18,6 +17,7 @@ from clusterforge.errors import BadParameters, RedStepEncountered
 from clusterforge.intmat import identity
 from clusterforge.stabilization import _decomposable, _labels_after
 from conftest import random_sequence, random_skew_symmetric
+from oracles import QuadraticNumber
 
 
 def P(nvars, terms):

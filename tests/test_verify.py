@@ -57,3 +57,19 @@ def test_failing_recurrence_is_reported_as_fail(monkeypatch, capsys, k2):
     out, err = capsys.readouterr()
     assert "recurrence yields positive unit-constant polynomials  FAIL" in out
     assert err == ""
+
+
+@pytest.mark.parametrize("fixture, seq", [
+    ("k2", (1, 2, 1, 2)),
+    ("a12", (1, 2, 3, 1, 2)),
+    ("a2", (1, 2, 1, 2)),
+    ("dp1", (1, 2, 3, 4, 1)),
+])
+def test_degree_check_fails_a_bound_one_too_high(request, monkeypatch, fixture, seq):
+    # F_n has positive coefficients, so its degree vector equals the bound;
+    # support inside a bound one too high in every variable is not enough
+    q = request.getfixturevalue(fixture)
+    exact = clusterforge.verify._degree_bounds_from_trace
+    monkeypatch.setattr(clusterforge.verify, "_degree_bounds_from_trace",
+                        lambda tr, n: tuple(b + 1 for b in exact(tr, n)))
+    assert run_verification(q, seq)["support within degree bounds"] is False
