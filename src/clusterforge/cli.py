@@ -206,6 +206,8 @@ def _cmd_mutate(args) -> int:
 
 
 def _cmd_fpoly(args) -> int:
+    if args.coeff is not None and args.format == "json":
+        raise UsageError("--coeff prints one bare value and takes no --format json")
     q = load_quiver(args)
     seq = vertex_sequence(args.seq, q)
     n = len(seq)
@@ -251,6 +253,8 @@ def _cmd_cmatrix(args) -> int:
 
 
 def _cmd_family(args) -> int:
+    if args.n is None and args.format == "json":
+        raise UsageError("--format json formats F_n and needs --n")
     spec = FamilySpec.of(args.family, **parse_params(args.params or ""))
     q = build_family(spec)
     if args.n is None:  # F_n comes before any output, so a rejected n writes nothing

@@ -6,11 +6,12 @@ vertex k, whose nonzeros are the arrows at k.  So `trace` applies a step
 in work proportional to them, not O(v^2): right multiplication by a step
 matrix changes only the rows with a nonzero in column k, at the step row's
 nonzeros, and left multiplication only row k, a sum over the rows the step
-row selects.  No step matrix is built or kept (`step_matrix` builds one
-for checks).  D_i and D_i^{-1} are C_i and C_i^{-1} conjugated by diag(d),
-so they equal them on skew-symmetric quivers.  Each pair coefficient is one
-entry of a product of these matrices, so it is one row-column dot product.
-The trace also records, once per step j, the row of
+row selects.  No step matrix is built or kept; `step_matrix` builds one
+for callers that want the matrix itself.  D_i and D_i^{-1} are C_i and
+C_i^{-1} conjugated by diag(d), so they equal them on skew-symmetric
+quivers.  Each pair coefficient is one entry of a product of these
+matrices, so it is one row-column dot product.  `verify` checks that each
+step matrix is an involution on its step row alone.  The trace also records, once per step j, the row of
 E*_j D_{j-1}^{-1} - D_j^{-1} that every pair term -a(i,j) + b(i,j) reads.
 Colors are read off the sign of the mutated column of the previous
 C-matrix, which sign coherence keeps well-defined.  Every trace is
@@ -294,12 +295,11 @@ def check_sign_coherence(tr: MutationTrace) -> SignCoherenceReport:
     """Verify uniform nonzero column signs and det = +-1 for every C_i."""
     violations = []
     for i, c in enumerate(tr.c_mats):
-        for col in range(tr.v):
-            entries = [row[col] for row in c]
-            if not (all(x >= 0 for x in entries) or all(x <= 0 for x in entries)):
-                violations.append(f"C_{i} column {col + 1} is mixed-sign")
-            if all(x == 0 for x in entries):
-                violations.append(f"C_{i} column {col + 1} is zero")
+        for col, entries in enumerate(zip(*c), start=1):
+            if min(entries) < 0 < max(entries):
+                violations.append(f"C_{i} column {col} is mixed-sign")
+            if not any(entries):
+                violations.append(f"C_{i} column {col} is zero")
         if intmat.det(c) not in (1, -1):
             violations.append(f"det C_{i} is not a unit")
     return SignCoherenceReport(not violations, tuple(violations))

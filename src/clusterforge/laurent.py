@@ -279,19 +279,25 @@ class LaurentPolynomial:
     __rmul__ = __mul__
 
     def __pow__(self, power: int) -> "LaurentPolynomial":
-        """Repeated squaring; each square forms each unordered pair of terms once."""
+        """Repeated squaring; each square forms each unordered pair of terms once.
+
+        The first power is the operand itself, which is immutable like every
+        polynomial.
+        """
         if not is_int(power):
             raise TypeError(f"power must be an int, not {power!r}")
         if power < 0:
             raise ValueError("negative powers are not defined on polynomials")
-        result = LaurentPolynomial.one(self.nvars)
-        base = self
-        while power:
+        if not power:
+            return LaurentPolynomial.one(self.nvars)
+        result, base = None, self  # the result starts from a power of the base, not from one
+        while True:
             if power & 1:
-                result = result * base
-            base = base * base if power > 1 else base
+                result = base if result is None else result * base
             power >>= 1
-        return result
+            if not power:
+                return result
+            base = base * base
 
     def map_exponents(self, fn) -> "LaurentPolynomial":
         """Apply fn to every exponent vector; colliding images are summed."""
@@ -376,6 +382,11 @@ def exact_divide(p: LaurentPolynomial, q: LaurentPolynomial) -> LaurentPolynomia
     variable, divided there, and the quotient is shifted back.  Raises
     InexactDivision otherwise.
 
+    A one-term divisor c*y^e is a shift, the twin of the one-term path of
+    `__mul__`: each term of p loses e from its exponents and is divided by
+    c, which must divide every coefficient of p.  Nothing is packed and no
+    heap is built.
+
     Heap-ordered division (Johnson, "Sparse polynomial arithmetic", SIGSAM
     Bull. 1974; Monagan and Pearce, "Sparse polynomial division using a
     heap", J. Symb. Comp. 2011): the remainder is a dict of packed keys, and
@@ -399,6 +410,12 @@ def exact_divide(p: LaurentPolynomial, q: LaurentPolynomial) -> LaurentPolynomia
         raise ZeroDivisionError("division by the zero polynomial")
     if not p:
         return LaurentPolynomial.zero(p.nvars)
+    if len(q.terms) == 1:
+        ((exps, coeff),) = q.terms.items()
+        if any(c % coeff for c in p.terms.values()):
+            raise InexactDivision("leading coefficient is not divisible")
+        return _from_clean(p.nvars, {tuple(map(sub, e, exps)): c // coeff
+                                     for e, c in p.terms.items()})
     p_low, p_high = _span(p.terms)
     q_low, q_high = _span(q.terms)
     p_deg = tuple(map(sub, p_high, p_low))

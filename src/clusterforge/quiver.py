@@ -12,13 +12,13 @@ vertex, so the initial framed state has c equal to the identity.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
-from math import gcd, lcm
+from math import gcd
+from operator import add
 
 from . import intmat
 from .errors import InexactDivision, NotSkewSymmetrizable
 from .intmat import Matrix
-from .laurent import LaurentPolynomial, exact_divide
+from .laurent import LaurentPolynomial, _from_clean, exact_divide
 
 
 def _sign(x: int) -> int:
@@ -42,37 +42,47 @@ class GeneralizedQuiver:
 
 
 def _find_symmetrizer(b: Matrix) -> tuple[int, ...]:
-    """Positive integer d with diag(d)*b skew-symmetric, by ratio propagation."""
+    """Positive integer d with diag(d)*b skew-symmetric, by ratio propagation.
+
+    Weights stay integers: d_j = -d_i b[i][j] / b[j][i] is set in lowest
+    terms, and when it needs a denominator the whole component found so far
+    is multiplied by it.  Each component is divided by its gcd at the end.
+    """
     n = len(b)
-    weights: list[Fraction | None] = [None] * n
+    weights = [0] * n  # 0: not reached yet
     for root in range(n):
-        if weights[root] is not None:
+        if weights[root]:
             continue
-        weights[root] = Fraction(1)
+        weights[root] = 1
         stack = [root]
         component = [root]
         while stack:
             i = stack.pop()
             for j in range(n):
-                if b[i][j] == 0 and b[j][i] == 0:
+                bij, bji = b[i][j], b[j][i]
+                if bij == 0 and bji == 0:
                     continue
-                if b[i][j] == 0 or b[j][i] == 0 or _sign(b[i][j]) == _sign(b[j][i]):
+                if bij == 0 or bji == 0 or _sign(bij) == _sign(bji):
                     raise NotSkewSymmetrizable(
                         f"entries ({i + 1},{j + 1}) cannot be symmetrized"
                     )
-                ratio = Fraction(-b[i][j], b[j][i])
-                if weights[j] is None:
-                    weights[j] = weights[i] * ratio
-                    stack.append(j)
-                    component.append(j)
-                elif weights[j] != weights[i] * ratio:
-                    raise NotSkewSymmetrizable("inconsistent ratios around a cycle")
-        denom = lcm(*(weights[i].denominator for i in component))
-        scaled = [int(weights[i] * denom) for i in component]
-        shrink = gcd(*scaled)
-        for i, value in zip(component, scaled):
-            weights[i] = Fraction(value, shrink)
-    d = tuple(int(w) for w in weights)
+                num, den = -bij * weights[i], bji
+                if weights[j]:
+                    if weights[j] * den != num:
+                        raise NotSkewSymmetrizable("inconsistent ratios around a cycle")
+                    continue
+                g = gcd(num, den) if den > 0 else -gcd(num, den)
+                num, den = num // g, den // g
+                if den != 1:
+                    for m in component:
+                        weights[m] *= den
+                weights[j] = num
+                stack.append(j)
+                component.append(j)
+        shrink = gcd(*(weights[i] for i in component))
+        for i in component:
+            weights[i] //= shrink
+    d = tuple(weights)
     _check_symmetrizer(b, d)
     return d
 
@@ -157,16 +167,34 @@ def framed_state(q: GeneralizedQuiver) -> FramedState:
     return FramedState(q, intmat.identity(q.v), (one,) * q.v)
 
 
+def _exchange_side(labels, row, sign: int, frozen: list[int]) -> tuple[dict, bool]:
+    """The terms of y^frozen * prod_j labels[j]^(sign*row[j]) over the j with
+    sign*row[j] > 0, and whether the dict is new; one shift pass, none
+    when frozen is 0, so with frozen 0 the dict may be a label's own."""
+    side = None
+    for label, x in zip(labels, row):
+        x *= sign
+        if x > 0:
+            power = label ** x
+            side = power if side is None else side * power
+    terms = side.terms if side is not None else {(0,) * len(row): 1}
+    if not any(frozen):
+        return terms, side is None
+    return {tuple(map(add, e, frozen)): c for e, c in terms.items()}, True
+
+
 def mutate(state: FramedState, k: int) -> FramedState:
     """Mutate a framed state at 1-based vertex k; pure, returns a new state.
 
     The label at k becomes (S1 + S2)/V_k where S1 collects the inward edges
-    attached to k and S2 the outward ones.  Each starts from its frozen
-    factor, one y-monomial: prod_i y_i^max(c[i][k], 0) for S1 and
-    prod_i y_i^max(-c[i][k], 0) for S2, then takes the base labels.  The
-    division is exact by the Laurent phenomenon; an InexactDivision here
-    means the implementation is broken.  A vertex that is not an int, bool
-    included, is a TypeError.
+    attached to k and S2 the outward ones.  Each side is the product of its
+    neighbours' label powers, shifted in one pass by its frozen factor, one
+    y-monomial: prod_i y_i^max(c[i][k], 0) for S1 and prod_i y_i^max(-c[i][k], 0)
+    for S2, only when that factor is not 1.  The two sides are summed into
+    one numerator dict, a new one, so no label's terms are touched, and it
+    is divided once.  The division is exact by the Laurent phenomenon; an
+    InexactDivision here means the implementation is broken.  A vertex that
+    is not an int, bool included, is a TypeError.
     """
     q = state.quiver
     v = q.v
@@ -177,16 +205,22 @@ def mutate(state: FramedState, k: int) -> FramedState:
     kk = k - 1
     b, c = q.b, state.c
 
-    s_in = LaurentPolynomial.monomial(max(row[kk], 0) for row in c)
-    s_out = LaurentPolynomial.monomial(max(-row[kk], 0) for row in c)
-    for j in range(v):
-        if b[kk][j] > 0:
-            s_out = s_out * state.labels[j] ** b[kk][j]
-        elif b[kk][j] < 0:
-            s_in = s_in * state.labels[j] ** (-b[kk][j])
+    col = [row[kk] for row in c]
+    s_in, new_in = _exchange_side(state.labels, b[kk], -1, [x if x > 0 else 0 for x in col])
+    s_out, new_out = _exchange_side(state.labels, b[kk], 1, [-x if x < 0 else 0 for x in col])
+    if not new_in:  # sum into a new dict, never into a label's own
+        (s_in, new_in), s_out = (s_out, new_out), s_in
+    numerator = s_in if new_in else dict(s_in)
+    get = numerator.get
+    for e, x in s_out.items():
+        x += get(e, 0)
+        if x:
+            numerator[e] = x
+        else:
+            del numerator[e]
 
     try:
-        new_label = exact_divide(s_in + s_out, state.labels[kk])
+        new_label = exact_divide(_from_clean(v, numerator), state.labels[kk])
     except InexactDivision as exc:
         raise InexactDivision(
             f"exchange at vertex {k} is not exact; this indicates a bug"

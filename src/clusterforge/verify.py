@@ -8,7 +8,7 @@ from __future__ import annotations
 
 from . import intmat
 from .closedform import fpoly_formula, fpoly_product_form
-from .cmatrix import _step_times, check_sign_coherence, step_matrix, trace
+from .cmatrix import _row_times, _step_rows, check_sign_coherence, trace
 from .errors import ConsistencyError, InexactDivision
 from .quiver import GeneralizedQuiver, _degree_bounds_from_trace, fpoly_recurrence
 from .stabilization import deform, fundamentals, is_polynomial
@@ -39,14 +39,18 @@ def run_verification(q: GeneralizedQuiver, seq) -> dict[str, bool]:
 
     ident = intmat.identity(tr.v)
 
-    def involution(m, k):  # S is the identity outside row k, so S*S is one row update
-        return m[:k] + m[k + 1:] == ident[:k] + ident[k + 1:] and _step_times(m[k], k, m) == ident
+    def involution(row, k):  # S is the identity outside row k, so S*S = I is row * S = e_k
+        return _row_times(row, ident[:k] + (tuple(row),) + ident[k + 1:]) == ident[k]
 
-    # A_i is the A-kind of step i's color; E_i and E*_i are the E-kind of both colors
+    def step_rows(b, k, color):  # A_i of step i's color; E_i and E*_i, the E-kind of both
+        sign = 1 if color == "green" else -1
+        a_row, e_row, _ = _step_rows(b, k, sign)
+        return a_row, e_row, _step_rows(b, k, -sign)[1]
+
     results["step matrices are involutions"] = all(
-        involution(step_matrix(b, vertex, kind, variant), vertex - 1)
+        involution(row, vertex - 1)
         for b, vertex, color in zip(tr.b_mats, seq, tr.colors)
-        for kind, variant in (("a", color), ("e", "green"), ("e", "red"))
+        for row in step_rows(b, vertex - 1, color)
     )
 
     results["symmetrizer preserved"] = all(

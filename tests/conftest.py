@@ -1,5 +1,6 @@
 import pytest
 from hypothesis import settings
+from hypothesis import strategies as st
 
 # CI runs the algebra properties with `--hypothesis-profile=ci`: a fixed
 # example sequence, no per-example deadline on a slow runner, more examples.
@@ -90,6 +91,20 @@ def random_skew_symmetric(rng, v, max_entry=2):
             b[i][j] = x
             b[j][i] = -x
     return make_quiver(b)
+
+
+@st.composite
+def scaled_skew_symmetric(draw, max_v, max_s, max_d):
+    """(B, d) with B = S*diag(d) for a skew-symmetric S, |S_ij| <= max_s and
+    1 <= d_i <= max_d; diag(d)*B = diag(d)*S*diag(d) is skew-symmetric."""
+    v = draw(st.integers(1, max_v))
+    d = draw(st.lists(st.integers(1, max_d), min_size=v, max_size=v))
+    s = [[0] * v for _ in range(v)]
+    for i in range(v):
+        for j in range(i + 1, v):
+            s[i][j] = draw(st.integers(-max_s, max_s))
+            s[j][i] = -s[i][j]
+    return [[s[i][j] * d[j] for j in range(v)] for i in range(v)], d
 
 
 def random_sequence(rng, v, length):

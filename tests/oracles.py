@@ -15,14 +15,22 @@
   the stagewise sum kernel groups into states.
 * `QuadraticNumber`: exact arithmetic in a real quadratic field, against
   which the integer norm filter of `limit_kr` is checked.
+* `find_symmetrizer`: the symmetrizer by ratio propagation on `Fraction`
+  weights, the reference for the integer propagation in `quiver`.
+* `mutate_by_monomials`: a framed mutation whose exchange sides start from
+  their frozen monomials and multiply in one label at a time, the reference
+  for the single numerator of `quiver.mutate`.
 """
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb
+from math import comb, gcd, lcm
 from operator import add, le
 
+from clusterforge import LaurentPolynomial, exact_divide
 from clusterforge.cmatrix import MutationTrace, _check_step, coeff_a, pair_term
+from clusterforge.errors import NotSkewSymmetrizable
+from clusterforge.quiver import FramedState, GeneralizedQuiver, mutate_b, mutate_c
 
 
 def greedy_coefficients(a1: int, a2: int, b: int, c: int) -> dict[tuple[int, int], int]:
@@ -149,3 +157,64 @@ class QuadraticNumber:
 
     def __lt__(self, other) -> bool:
         return (self - other).sign() < 0
+
+
+def find_symmetrizer(b) -> tuple[int, ...]:
+    """Positive integer d with diag(d)*b skew-symmetric, on Fraction weights.
+
+    Depth-first from each unreached vertex, d_j = d_i * (-b[i][j] / b[j][i]);
+    each component is cleared of denominators and divided by its gcd.
+    """
+    n = len(b)
+    weights = [None] * n
+    for root in range(n):
+        if weights[root] is not None:
+            continue
+        weights[root] = Fraction(1)
+        stack = [root]
+        component = [root]
+        while stack:
+            i = stack.pop()
+            for j in range(n):
+                if b[i][j] == 0 and b[j][i] == 0:
+                    continue
+                if b[i][j] == 0 or b[j][i] == 0 or (b[i][j] > 0) == (b[j][i] > 0):
+                    raise NotSkewSymmetrizable(
+                        f"entries ({i + 1},{j + 1}) cannot be symmetrized"
+                    )
+                ratio = Fraction(-b[i][j], b[j][i])
+                if weights[j] is None:
+                    weights[j] = weights[i] * ratio
+                    stack.append(j)
+                    component.append(j)
+                elif weights[j] != weights[i] * ratio:
+                    raise NotSkewSymmetrizable("inconsistent ratios around a cycle")
+        denom = lcm(*(weights[i].denominator for i in component))
+        scaled = [int(weights[i] * denom) for i in component]
+        shrink = gcd(*scaled)
+        for i, value in zip(component, scaled):
+            weights[i] = Fraction(value, shrink)
+    return tuple(int(w) for w in weights)
+
+
+def mutate_by_monomials(state: FramedState, k: int) -> FramedState:
+    """Framed mutation at 1-based vertex k, the exchange sides built from monomials.
+
+    S1 starts from prod_i y_i^max(c[i][k], 0) and S2 from
+    prod_i y_i^max(-c[i][k], 0); S1 takes each label V_j^(-b[k][j]) with
+    b[k][j] < 0 and S2 each V_j^b[k][j] with b[k][j] > 0, one factor V_j at
+    a time; the new label is (S1 + S2) / V_k.
+    """
+    q, c, kk = state.quiver, state.c, k - 1
+    s_in = LaurentPolynomial.monomial(max(row[kk], 0) for row in c)
+    s_out = LaurentPolynomial.monomial(max(-row[kk], 0) for row in c)
+    for label, x in zip(state.labels, q.b[kk]):
+        for _ in range(abs(x)):
+            if x > 0:
+                s_out = s_out * label
+            else:
+                s_in = s_in * label
+    labels = list(state.labels)
+    labels[kk] = exact_divide(s_in + s_out, state.labels[kk])
+    return FramedState(GeneralizedQuiver(mutate_b(q.b, kk), q.d),
+                       mutate_c(c, q.b, kk), tuple(labels))

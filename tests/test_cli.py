@@ -293,6 +293,9 @@ def test_zero_vertex_quiver_file(tmp_path, capsys, method):
     ["family", "--params", "r=2"],
     ["verify", "--family", "kr", "--params", "r=2", "--seq", "1,2", "--format", "json"],
     ["fpoly", "--quiver", str(GOLDEN / "b21.json"), "--params", "r=7", "--seq", "1,2"],
+    ["fpoly", "--family", "kr", "--params", "r=2", "--seq", "1,2,1", "--coeff", "y1^3*y2",
+     "--format", "json"],
+    ["family", "--family", "kr", "--params", "r=2", "--format", "json"],
 ])
 def test_options_a_command_does_not_read_are_usage_errors(capsys, argv):
     # each subcommand declares only what it reads; nothing is silently dropped

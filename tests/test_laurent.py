@@ -1,7 +1,7 @@
 import random
 import re
 from fractions import Fraction
-from operator import add, le
+from operator import add, le, sub
 
 import pytest
 import sympy
@@ -181,6 +181,34 @@ def test_exact_divide_inverts_multiply(case):
     if len(q.terms) > 1:
         with pytest.raises(InexactDivision):
             exact_divide(LaurentPolynomial.monomial((1,) * q.nvars, 7), q)
+
+
+@st.composite
+def one_term_divisions(draw):
+    # any coefficient sign, negative exponents allowed; small coefficients
+    # so that both divisible and indivisible numerators come up
+    nvars = draw(st.integers(1, 3))
+    exps = st.tuples(*[st.integers(-4, 4)] * nvars)
+    coeffs = st.integers(-12, 12) | st.integers(-10 ** 30, 10 ** 30)
+    p = P(nvars, draw(st.dictionaries(exps, coeffs, max_size=8)))
+    return p, LaurentPolynomial.monomial(draw(exps), draw(coeffs.filter(bool)))
+
+
+@example((P(2, {(0, 0): 6, (1, -1): -4}), P(2, {(2, -3): -2})))
+@example((P(2, {(0, 0): 6, (1, -1): 3}), P(2, {(2, -3): -2})))
+@given(one_term_divisions())
+def test_one_term_divisor_is_a_shift(case):
+    p, m = case
+    ((exps, coeff),) = m.terms.items()
+    assert exact_divide(p * m, m) == p
+    if all(Fraction(c, coeff).denominator == 1 for c in p.terms.values()):
+        quotient = exact_divide(p, m)
+        assert quotient * m == p
+        assert quotient.terms == {tuple(map(sub, e, exps)): Fraction(c, coeff)
+                                  for e, c in p.terms.items()}
+    else:
+        with pytest.raises(InexactDivision, match="^leading coefficient is not divisible$"):
+            exact_divide(p, m)
 
 
 def _sympy_terms(p, names):

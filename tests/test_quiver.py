@@ -7,9 +7,10 @@ from hypothesis import strategies as st
 from clusterforge import (LaurentPolynomial, degree_bounds, fpoly_recurrence,
                           framed_state, make_quiver, mutate)
 from clusterforge.errors import NotSkewSymmetrizable
-from clusterforge.quiver import mutate_b, mutate_c
+from clusterforge.quiver import _find_symmetrizer, mutate_b, mutate_c
 from conftest import (random_sequence, random_skew_symmetric, reference_mutate_b,
-                      reference_mutate_c)
+                      reference_mutate_c, scaled_skew_symmetric)
+from oracles import find_symmetrizer, mutate_by_monomials
 
 GOLDEN_F = {
     1: {(0, 0): 1, (1, 0): 1},
@@ -166,3 +167,51 @@ def test_mutate_b_and_c_match_entrywise_definitions(case):
     # the same tuple
     assert all(new is row for i, (row, new) in enumerate(zip(b, new_b)) if i != k and not row[k])
     assert all(new is row for row, new in zip(c, new_c) if not row[k])
+
+
+@st.composite
+def symmetrizable_matrices(draw):
+    """B = S*diag(d), and sometimes B with one entry changed."""
+    b, _ = draw(scaled_skew_symmetric(5, 3, 6))
+    if len(b) > 1 and draw(st.booleans()):
+        i, j = draw(st.permutations(range(len(b))))[:2]
+        b[i][j] = draw(st.integers(-12, 12))
+    return tuple(map(tuple, b))
+
+
+def _symmetrizer_or_error(find, b):
+    try:
+        return find(b)
+    except NotSkewSymmetrizable as exc:
+        return str(exc)
+
+
+@given(symmetrizable_matrices())
+def test_integer_symmetrizer_matches_fractions(b):
+    # the same d, or the same NotSkewSymmetrizable, as propagation on Fractions
+    found = _symmetrizer_or_error(_find_symmetrizer, b)
+    assert found == _symmetrizer_or_error(find_symmetrizer, b)
+    if isinstance(found, tuple):
+        assert all(found[i] * b[i][j] == -found[j] * b[j][i] for i in range(len(b))
+                   for j in range(len(b)))
+
+
+@st.composite
+def framed_sequences(draw):
+    """A skew-symmetrizable quiver and a mutation sequence; entries up to 2
+    and three steps keep the labels small (a fourth step can take seconds)."""
+    q = make_quiver(*draw(scaled_skew_symmetric(4, 1, 2)))
+    return q, draw(st.lists(st.integers(1, q.v), max_size=3))
+
+
+@given(framed_sequences())
+def test_mutate_matches_exchange_built_from_monomials(case):
+    # one numerator per step, and no label's terms are touched on the way
+    q, seq = case
+    state = framed_state(q)
+    for k in seq:
+        before = [dict(label.terms) for label in state.labels]
+        new = mutate(state, k)
+        assert new == mutate_by_monomials(state, k)
+        assert [label.terms for label in state.labels] == before
+        state = new

@@ -1,13 +1,19 @@
 import sys
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import clusterforge.cmatrix
 import clusterforge.quiver
 import clusterforge.verify
-from clusterforge import run_verification
+from clusterforge import make_quiver, run_verification, step_matrix, trace
 from clusterforge.cli import main
+from clusterforge.cmatrix import _step_rows, _step_times
 from clusterforge.errors import InexactDivision
+from clusterforge.intmat import identity
+from conftest import scaled_skew_symmetric
 
 
 def count_calls(monkeypatch, original):
@@ -73,3 +79,82 @@ def test_degree_check_fails_a_bound_one_too_high(request, monkeypatch, fixture, 
     monkeypatch.setattr(clusterforge.verify, "_degree_bounds_from_trace",
                         lambda tr, n: tuple(b + 1 for b in exact(tr, n)))
     assert run_verification(q, seq)["support within degree bounds"] is False
+
+
+INVOLUTIONS = "step matrices are involutions"
+
+
+def _matrix_check(m, k):
+    """S*S = I for a whole step matrix S, which is the identity outside row k."""
+    ident = identity(len(m))
+    return m[:k] + m[k + 1:] == ident[:k] + ident[k + 1:] and _step_times(m[k], k, m) == ident
+
+
+def _with_row(b, k, row):
+    """The identity of b's size with row k replaced."""
+    return tuple(tuple(row) if i == k else tuple(int(i == j) for j in range(len(b)))
+                 for i in range(len(b)))
+
+
+@st.composite
+def verification_cases(draw):
+    """A skew-symmetrizable quiver, a sequence, and a change (diagonal entry,
+    column, added value) to each step row; entries up to 2 keep each case small."""
+    q = make_quiver(*draw(scaled_skew_symmetric(3, 1, 2)))
+    seq = tuple(draw(st.lists(st.integers(1, q.v), min_size=1, max_size=3)))
+    change = (draw(st.sampled_from((-1, 0, 1))), draw(st.integers(0, q.v - 1)),
+              draw(st.integers(-1, 1)))
+    return q, seq, change
+
+
+@settings(deadline=None)  # two run_verification calls per case
+@given(verification_cases())
+def test_row_involution_check_matches_step_matrix_check(case):
+    # on the step rows as they are, and on changed rows, which the row check
+    # must reject exactly when the whole-matrix check does
+    q, seq, (diagonal, column, added) = case
+    tr = trace(q, seq)
+    steps = list(zip(tr.b_mats, seq, tr.colors))
+    # A of the step's color, E of both colors, each built as a whole matrix
+    assert run_verification(q, seq)[INVOLUTIONS] is all(
+        _matrix_check(step_matrix(b, vertex, kind, variant), vertex - 1)
+        for b, vertex, color in steps
+        for kind, variant in (("a", color), ("e", "green"), ("e", "red")))
+
+    def changed(b, k, sign):
+        rows = _step_rows(b, k, sign)
+        for row in rows[:2]:
+            row[column] += added
+            row[k] = diagonal
+        return rows
+
+    with mock.patch.object(clusterforge.verify, "_step_rows", changed):
+        found = run_verification(q, seq)[INVOLUTIONS]
+    assert found is all(
+        _matrix_check(_with_row(b, vertex - 1, changed(b, vertex - 1, sign)[kind]), vertex - 1)
+        for b, vertex, color in steps
+        for sign, kind in ((1 if color == "green" else -1, 0), (1, 1), (-1, 1)))
+
+
+@pytest.mark.parametrize("fixture, seq", [
+    ("k2", (1, 2, 1, 2)),
+    ("a12", (1, 2, 3, 1, 2)),
+    ("a2", (1, 2, 1, 2)),
+    ("b21", (1, 2, 1)),
+    ("dp1", (1, 2, 3, 4, 1)),
+])
+def test_involution_check_fails_a_step_row_with_diagonal_plus_one(request, monkeypatch,
+                                                                  fixture, seq):
+    # S with S[k][k] = +1 and another nonzero in row k is not an involution
+    q = request.getfixturevalue(fixture)
+    exact = clusterforge.verify._step_rows
+
+    def plus_one(b, k, sign):
+        a_row, e_row, pair_row = exact(b, k, sign)
+        a_row[k] = e_row[k] = 1
+        return a_row, e_row, pair_row
+
+    monkeypatch.setattr(clusterforge.verify, "_step_rows", plus_one)
+    results = run_verification(q, seq)
+    assert results.pop(INVOLUTIONS) is False
+    assert all(results.values()), results
