@@ -18,7 +18,7 @@ import sys
 from .closedform import coefficient_of, fpoly_formula, fpoly_product_form
 from .cmatrix import c_between, trace
 from .errors import ClusterForgeError, ParseError
-from .families import (FamilySpec, _family_params, build_family,
+from .families import (_FAMILIES, FamilySpec, _family_params, build_family,
                        fpoly_gale_robinson, fpoly_kr, fpoly_symmetric)
 from .laurent import LaurentPolynomial, parse_monomial
 from .quiver import (GeneralizedQuiver, _degree_bounds_from_trace, fpoly_recurrence,
@@ -123,13 +123,12 @@ def _print_matrix(name: str, m, fmt: str) -> None:
             print("  [" + " ".join(f"{x:4d}" for x in row) + "]")
 
 
-_FAMILY_HELP = "family name: kr | gr | a1r | dp1"
 _PARAMS_HELP = "family parameters, e.g. r=2 or v=7,r=2,t=3"
 
 
 def _add_quiver_args(parser) -> None:
     parser.add_argument("--quiver", help="JSON quiver file")
-    parser.add_argument("--family", help=_FAMILY_HELP)
+    parser.add_argument("--family", choices=_FAMILIES)
     parser.add_argument("--params", help=_PARAMS_HELP)
 
 
@@ -163,7 +162,7 @@ def build_parser() -> _Parser:
     p_cmx.add_argument("--between", nargs=2, type=int, metavar=("M", "N"))
 
     p_family = sub.add_parser("family", help="emit a family quiver")
-    p_family.add_argument("--family", required=True, help=_FAMILY_HELP)
+    p_family.add_argument("--family", required=True, choices=_FAMILIES)
     p_family.add_argument("--params", help=_PARAMS_HELP)
     _add_format_arg(p_family)
     p_family.add_argument("--out", help="write the quiver JSON here instead of stdout")
@@ -177,8 +176,7 @@ def build_parser() -> _Parser:
     p_stab.add_argument("--cutoff", type=int, default=6)
 
     p_limit = sub.add_parser("limit", help="closed-form stabilized limits")
-    p_limit.add_argument("--family", required=True,
-                         choices=("a1r", "kr", "gr", "dp1"))
+    p_limit.add_argument("--family", required=True, choices=_FAMILIES)
     p_limit.add_argument("--params", default="")
     p_limit.add_argument("--cutoff", type=int, required=True)
     _add_format_arg(p_limit)
@@ -257,12 +255,13 @@ def _cmd_family(args) -> int:
         raise UsageError("--format json formats F_n and needs --n")
     spec = FamilySpec.of(args.family, **parse_params(args.params or ""))
     q = build_family(spec)
+    params = _family_params(spec)
     if args.n is None:  # F_n comes before any output, so a rejected n writes nothing
         poly = None
     elif args.family == "kr":
-        poly = fpoly_kr(spec.param("r"), args.n)
-    elif args.family == "gr":
-        poly = fpoly_gale_robinson(spec.param("v"), spec.param("r"), spec.param("t"), args.n)
+        poly = fpoly_kr(*params, args.n)
+    elif len(params) == 3:  # gr, and dp1
+        poly = fpoly_gale_robinson(*params, args.n)
     else:
         poly = fpoly_symmetric(q, args.n)
     payload = json.dumps({"b": [list(row) for row in q.b], "d": list(q.d)})

@@ -26,7 +26,8 @@ from dataclasses import dataclass, field
 from . import intmat
 from .errors import ConsistencyError, IndexOrder, SignCoherenceViolation
 from .intmat import Matrix
-from .quiver import GeneralizedQuiver, _check_symmetrizer, mutate_b, mutate_c
+from .quiver import (GeneralizedQuiver, _check_symmetrizer, _check_vertex, mutate_b,
+                     mutate_c)
 
 
 def _step_rows(b: Matrix, k: int, sign: int) -> tuple[list[int], list[int], list[int]]:
@@ -90,10 +91,7 @@ def step_matrix(b: Matrix, vertex: int, kind: str, variant: str) -> Matrix:
     It is the identity with row k = vertex - 1 replaced by its `_step_rows` row.
     """
     v = len(b)
-    if not intmat.is_int(vertex):
-        raise TypeError(f"vertex {vertex!r} is not an integer")
-    if not 1 <= vertex <= v:
-        raise ValueError(f"vertex {vertex} out of range 1..{v}")
+    _check_vertex(vertex, v)
     if kind not in ("a", "e"):
         raise ValueError("kind must be 'a' or 'e'")
     if variant not in ("green", "red"):
@@ -181,10 +179,7 @@ def trace(q: GeneralizedQuiver, seq) -> MutationTrace:
     seq = tuple(seq)
     v = q.v
     for k in seq:
-        if not intmat.is_int(k):
-            raise TypeError(f"vertex {k!r} is not an integer")
-        if not 1 <= k <= v:
-            raise ValueError(f"vertex {k} out of range 1..{v}")
+        _check_vertex(k, v)
     _check_symmetrizer(q.b, q.d)
     b = q.b
     c = cinv = c_sim = intmat.identity(v)

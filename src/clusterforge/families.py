@@ -20,15 +20,14 @@ from .closedform import _sequence_sum
 from .cmatrix import trace
 from .errors import BadParameters, ConsistencyError, NotSymmetric
 from .laurent import LaurentPolynomial
-from .quiver import (GeneralizedQuiver, _degree_bounds_from_trace, degree_bounds,
-                     make_quiver, mutate_b)
+from .quiver import GeneralizedQuiver, _degree_bounds_from_trace, make_quiver, mutate_b
 
 
 @dataclass(frozen=True)
 class FamilySpec:
     """A family tag with parameters; the mutation sequence is 1..v cyclic."""
 
-    family: str  # 'kr' | 'gr' | 'a1r' | 'dp1'
+    family: str  # a name in _FAMILIES
     params: tuple[tuple[str, int], ...]
 
     @classmethod
@@ -39,39 +38,32 @@ class FamilySpec:
                 raise BadParameters(f"parameter {key}={value!r} is not an integer")
         return cls(family, tuple(sorted(params.items())))
 
-    def param(self, name: str) -> int:
-        for key, value in self.params:
-            if key == name:
-                return value
-        raise BadParameters(f"family {self.family!r} needs parameter {name!r}")
-
 
 def canonical_sequence(v: int, n: int) -> tuple[int, ...]:
     """The cyclic sequence 1, 2, ..., v, 1, 2, ... of length n."""
     return tuple(i % v + 1 for i in range(n))
 
 
-# the parameter names each family takes; dp1 is G_{4,2,1} and takes none
-_PARAMETERS = {"kr": ("r",), "a1r": ("r",), "gr": ("v", "r", "t"), "dp1": ()}
-
-
 def _family_params(spec: FamilySpec) -> tuple[int, ...]:
     """The family's parameters in order, checked: the one home of these rules."""
-    names = _PARAMETERS.get(spec.family)
-    if names is None:
+    if spec.family not in _FAMILIES:
         raise BadParameters(f"unknown family {spec.family!r}")
-    for key, _ in spec.params:
+    names, given = _FAMILIES[spec.family][0], dict(spec.params)
+    for key in given:
         if key not in names:
             raise BadParameters(f"family {spec.family!r} takes no parameter {key!r}")
+    missing = ", ".join(repr(name) for name in names if name not in given)
+    if missing:
+        raise BadParameters(f"family {spec.family!r} needs parameter {missing}")
     if spec.family == "dp1":
         return 4, 2, 1
     if spec.family in ("kr", "a1r"):
-        r = spec.param("r")
+        r = given["r"]
         least = 2 if spec.family == "kr" else 1
         if r < least:
             raise BadParameters(f"{spec.family} needs r >= {least}")
         return (r,)
-    v, r, t = spec.param("v"), spec.param("r"), spec.param("t")
+    v, r, t = given["v"], given["r"], given["t"]
     if not (1 <= r < v and 1 <= t < v):
         raise BadParameters("gr needs 1 <= r < v and 1 <= t < v")
     if r == t or r == v - t:
@@ -123,8 +115,7 @@ def build_gale_robinson(v: int, r: int, t: int) -> GeneralizedQuiver:
             b[i][j] = value
             b[j][i] = -value
     quiver = make_quiver(b)
-    report = check_symmetric(quiver, prefix_len=0)
-    if not (report.reversible and report.cyclic and report.vertex1_balanced):
+    if not check_symmetric(quiver, prefix_len=0).ok:
         raise BadParameters(f"G_{{{v},{r},{t}}} is not a symmetric quiver")
     return quiver
 
@@ -256,12 +247,20 @@ class SSequence:
         return cls(None, {1: 1, r + 1: -1}, lambda i: -(-i // r))
 
 
+# each family's parameter names, in order, and its scalar sequence; dp1 is
+# G_{4,2,1} and takes none
+_FAMILIES = {
+    "kr": (("r",), SSequence.kronecker),
+    "gr": (("v", "r", "t"), SSequence.gale_robinson),
+    "a1r": (("r",), SSequence.a1r),
+    "dp1": ((), SSequence.gale_robinson),
+}
+
+
 def family_sequence(spec: FamilySpec) -> SSequence:
     """The family's scalar sequence; accepts exactly the specs `build_family` does."""
     params = _family_params(spec)
-    build = {"kr": SSequence.kronecker, "gr": SSequence.gale_robinson,
-             "dp1": SSequence.gale_robinson, "a1r": SSequence.a1r}
-    return build[spec.family](*params)
+    return _FAMILIES[spec.family][1](*params)
 
 
 def s_values(spec: FamilySpec, indices) -> list[tuple[int, int]]:
@@ -300,53 +299,46 @@ def _family_sum(ss: SSequence, steps, bound, cap=None) -> LaurentPolynomial:
     return _sequence_sum(steps, factor, ss.sp(0) - ss.s(0), bound, cap)
 
 
-def _family_formula(ss: SSequence, v: int, n: int, bound) -> LaurentPolynomial:
-    """Shared evaluator: a(i,k) = s_{k-i}, b(i,k) = s'_{k-i}, r_w = prod y_i^{s_{w-i}}.
+def _certified_formula(q: GeneralizedQuiver, ss: SSequence, n: int) -> LaurentPolynomial:
+    """F_n of a symmetric quiver under the cyclic sequence 1..v,1.., by the family sum.
 
-    In the candidate order c = n - w the steps are the r_w, reversed.
+    Refuses to run unless check_symmetric certifies the prefix of length n;
+    the degree bound is read off the trace of that same prefix.  The pair
+    coefficients are a(i,k) = s_{k-i} and b(i,k) = s'_{k-i}, and the step
+    r_w = prod y_i^{s_{w-i}}; in the candidate order c = n - w the steps are
+    the r_w, reversed.
     """
+    intmat.check_count(n, "n")
+    report, tr = _symmetry(q, n)
+    if not report.ok:
+        raise NotSymmetric(f"quiver is not certified symmetric for n={n}: {report}")
     rvecs = []
     for w in range(1, n + 1):
-        rv = tuple(ss.s(w - i) for i in range(1, v + 1))
+        rv = tuple(ss.s(w - i) for i in range(1, q.v + 1))
         if not any(rv):
             raise ConsistencyError(f"family r-monomial at step {w} vanished")
         rvecs.append(rv)
-    return _family_sum(ss, rvecs[::-1], bound)
+    return _family_sum(ss, rvecs[::-1], _degree_bounds_from_trace(tr, n))
 
 
 def fpoly_symmetric(q: GeneralizedQuiver, n: int) -> LaurentPolynomial:
     """F_n for a symmetric quiver under the cyclic sequence 1..v,1..
 
-    Refuses to run unless check_symmetric certifies the prefix of length n;
-    the degree bound is read off the trace of that same prefix.
+    The sequence s is read off vertex 1's arrows.  Like every family F_n, it
+    raises NotSymmetric unless check_symmetric certifies the prefix of length n.
     """
-    intmat.check_count(n, "n")
-    report, tr = _symmetry(q, n)
-    if not (report.reversible and report.cyclic and report.vertex1_balanced):
-        raise NotSymmetric(f"quiver failed symmetry checks: {report}")
-    if report.green_prefix < n:
-        raise NotSymmetric(
-            f"greenness certified only for {report.green_prefix} steps < n={n}"
-        )
-    bound = _degree_bounds_from_trace(tr, n)
-    return _family_formula(SSequence.from_quiver(q), q.v, n, bound)
+    return _certified_formula(q, SSequence.from_quiver(q), n)
 
 
 def fpoly_kr(r: int, n: int) -> LaurentPolynomial:
-    """F_n for the two-vertex quiver with r parallel arrows, alternating sequence.
-
-    The sum is pruned by the exact y1-degree s_{n-1}.
-    """
-    (r,) = _family_params(FamilySpec.of("kr", r=r))
-    intmat.check_count(n, "n")
-    ss = SSequence.kronecker(r)
-    bound = (ss.s(n - 1), ss.s(n - 2))
-    return _family_formula(ss, 2, n, bound)
+    """F_n for the two-vertex quiver with r parallel arrows, alternating sequence."""
+    return _certified_formula(build_family(FamilySpec.of("kr", r=r)), SSequence.kronecker(r), n)
 
 
 def fpoly_gale_robinson(v: int, r: int, t: int, n: int) -> LaurentPolynomial:
-    """F_n for G_{v,r,t} under the cyclic sequence, via partition counts."""
-    q = build_gale_robinson(v, r, t)
-    intmat.check_count(n, "n")
-    bound = degree_bounds(q, canonical_sequence(v, n))
-    return _family_formula(SSequence.gale_robinson(v, r, t), v, n, bound)
+    """F_n for G_{v,r,t} under the cyclic sequence, via partition counts.
+
+    The splitting count of `SSequence.gale_robinson` is the closed form that
+    `_family_sum` checks against the recurrence.
+    """
+    return _certified_formula(build_gale_robinson(v, r, t), SSequence.gale_robinson(v, r, t), n)

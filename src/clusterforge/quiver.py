@@ -183,6 +183,15 @@ def _exchange_side(labels, row, sign: int, frozen: list[int]) -> tuple[dict, boo
     return {tuple(map(add, e, frozen)): c for e, c in terms.items()}, True
 
 
+def _check_vertex(k, v: int) -> None:
+    """A vertex that is not an int, bool included, is a TypeError; one
+    outside 1..v is a ValueError."""
+    if not intmat.is_int(k):
+        raise TypeError(f"vertex {k!r} is not an integer")
+    if not 1 <= k <= v:
+        raise ValueError(f"vertex {k} out of range 1..{v}")
+
+
 def mutate(state: FramedState, k: int) -> FramedState:
     """Mutate a framed state at 1-based vertex k; pure, returns a new state.
 
@@ -198,10 +207,7 @@ def mutate(state: FramedState, k: int) -> FramedState:
     """
     q = state.quiver
     v = q.v
-    if not intmat.is_int(k):
-        raise TypeError(f"vertex {k!r} is not an integer")
-    if not 1 <= k <= v:
-        raise ValueError(f"vertex {k} out of range 1..{v}")
+    _check_vertex(k, v)
     kk = k - 1
     b, c = q.b, state.c
 

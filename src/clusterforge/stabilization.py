@@ -109,20 +109,10 @@ def fundamentals(tr: MutationTrace, n: int, verify: bool = True,
     """
     _check_step(tr, n)
     verify = verify and tr.quiver.is_skew_symmetric
-    first_seen: dict[tuple[int, ...], int] = {}
-    greens: dict[tuple[int, ...], int] = {}
-    reds: dict[tuple[int, ...], int] = {}
-    flags: dict[tuple[int, ...], bool] = {}
+    tallies: dict[tuple[int, ...], list[int]] = {}  # m -> [first step, green, red]
     rmonos = [tr.r(j) for j in range(1, n + 1)]
     for i, m in enumerate(rmonos, start=1):
-        if m not in first_seen:
-            flags[m] = not _decomposable(m, rmonos)
-            first_seen[m] = i
-            greens[m] = reds[m] = 0
-        if tr.color(i) == "green":
-            greens[m] += 1
-        else:
-            reds[m] += 1
+        tallies.setdefault(m, [i, 0, 0])[1 if tr.color(i) == "green" else 2] += 1
 
     labels = None
     if verify and n > 0:
@@ -131,17 +121,13 @@ def fundamentals(tr: MutationTrace, n: int, verify: bool = True,
         labels = _labels_after(tr.seq[:n], fs, tr.v)
 
     entries = []
-    for m, step in sorted(first_seen.items(), key=lambda kv: kv[1]):
+    for m, (step, green, red) in tallies.items():
+        fundamental = not _decomposable(m, rmonos)
         check = None
-        if labels is not None and flags[m]:
-            expected = tuple(
-                -(greens[m] - reds[m]) * x for x in intmat.mat_vec(tr.cinv_mats[n], m)
-            )
-            actual = tuple(label.coefficient(m) for label in labels)
-            check = expected == actual
-        entries.append(
-            FundamentalInfo(m, step, flags[m], greens[m], reds[m], check)
-        )
+        if labels is not None and fundamental:
+            expected = tuple(-(green - red) * x for x in intmat.mat_vec(tr.cinv_mats[n], m))
+            check = expected == tuple(label.coefficient(m) for label in labels)
+        entries.append(FundamentalInfo(m, step, fundamental, green, red, check))
     return FundamentalSet(tuple(entries))
 
 

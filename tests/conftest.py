@@ -1,6 +1,19 @@
+import warnings
+
 import pytest
 from hypothesis import settings
 from hypothesis import strategies as st
+
+# On a failing example the hypothesis plugin imports hypothesis.extra._patching,
+# whose libcst import trips a DeprecationWarning inside mypy_extensions; under
+# `-W error` the report then ends in INTERNALERROR instead of the falsifying
+# example.  Import it once here with only that import's warnings ignored.
+with warnings.catch_warnings():
+    warnings.simplefilter("ignore", DeprecationWarning)
+    try:
+        import hypothesis.extra._patching  # noqa: F401
+    except ImportError:
+        pass
 
 # CI runs the algebra properties with `--hypothesis-profile=ci`: a fixed
 # example sequence, no per-example deadline on a slow runner, more examples.

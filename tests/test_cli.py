@@ -132,6 +132,26 @@ def test_family_emit_and_fpoly(tmp_path, capsys):
     assert data["b"][0][2] == 1 and data["b"][0][5] == 1
 
 
+def test_family_without_n_prints_only_the_quiver(tmp_path, capsys):
+    kr2 = ["family", "--family", "kr", "--params", "r=2"]
+    assert run(capsys, *kr2) == (0, '{"b": [[0, 2], [-2, 0]], "d": [1, 1]}\n', "")
+    out_file = tmp_path / "kr2.json"
+    assert run(capsys, *kr2, "--out", str(out_file)) == (0, "", "")
+    assert out_file.read_text() == '{"b": [[0, 2], [-2, 0]], "d": [1, 1]}\n'
+
+
+@pytest.mark.parametrize("argv", [
+    ["mutate", "--seq", "1"], ["fpoly", "--seq", "1"], ["cmatrix", "--seq", "1"],
+    ["family"], ["stabilize", "--period", "1"], ["limit", "--cutoff", "4"],
+    ["verify", "--seq", "1"],
+])
+def test_unknown_family_is_a_usage_error(capsys, argv):
+    # every --family option takes its choices from the one family table
+    code, out, err = run(capsys, *argv, "--family", "xx")
+    assert (code, out) == (1, "")
+    assert err.startswith("usage error: ") and "'xx'" in err
+
+
 def test_mutate_output(capsys):
     code, out, _ = run(capsys, "mutate", "--family", "kr", "--params", "r=2",
                        "--seq", "1")

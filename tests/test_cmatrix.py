@@ -1,3 +1,4 @@
+import dataclasses
 import random
 
 import pytest
@@ -159,6 +160,15 @@ def test_sign_coherence_report(k2, dp1):
     assert check_sign_coherence(trace(k2, (1, 2, 1))).ok
     assert check_sign_coherence(trace(k2, ())).ok
     assert check_sign_coherence(trace(dp1, tuple(1 + (i % 4) for i in range(20)))).ok
+
+
+def test_sign_coherence_report_names_each_violation(k2):
+    # C_0 has a mixed-sign column 2; C_1 a zero column 1 and determinant 0
+    bad = dataclasses.replace(trace(k2, (1,)), c_mats=(((1, -1), (0, 1)), ((0, 2), (0, 1))))
+    report = check_sign_coherence(bad)
+    assert not report.ok
+    assert report.violations == ("C_0 column 2 is mixed-sign", "C_1 column 1 is zero",
+                                 "det C_1 is not a unit")
 
 
 def test_trace_matches_simulation_on_random_cases():

@@ -69,6 +69,13 @@ def test_family_sequence_accepts_what_build_family_accepts():
             family_sequence(spec)
 
 
+def test_missing_parameters_named_in_table_order():
+    with pytest.raises(BadParameters, match=r"^family 'gr' needs parameter 'v', 't'$"):
+        build_family(FamilySpec.of("gr", r=2))
+    with pytest.raises(BadParameters, match=r"^family 'kr' needs parameter 'r'$"):
+        build_family(FamilySpec.of("kr"))
+
+
 @pytest.mark.parametrize("value", [2.9, True, "2", 2.0, None])
 def test_family_spec_rejects_non_integer_parameters(value):
     # no silent int() coercion: r=2.9 must not build the r = 2 quiver

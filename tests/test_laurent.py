@@ -93,6 +93,9 @@ def test_inexact_division_raises():
     # the second quotient term y1 lies past deg p - deg q = (0, 1) in y1
     with pytest.raises(InexactDivision, match="degree box"):
         exact_divide(P(2, {(1, 0): 1, (0, 2): 1}), P(2, {(1, 0): 2, (0, 1): 1}))
+    # the heap path's coefficient test: 3*y1 over the leading term 2*y1
+    with pytest.raises(InexactDivision, match="^leading coefficient is not divisible$"):
+        exact_divide(1 + 3 * y1, 1 + 2 * y1)
 
 
 def test_laurent_division_with_negative_exponents():

@@ -44,6 +44,19 @@ def test_deform_is_monomial_bijection(k2):
     assert len(s3.terms) == len(f3.terms)
 
 
+def test_limits_match_up_to_cycle_compares_within_the_cutoff(a12):
+    report = stabilization_run(a12, (1, 2, 3), 6, 6)
+    limit = limit_a1r(2, 6)
+    shift = limits_match_up_to_cycle(report, limit)
+    assert shift is not None
+    # terms of the limit past the report's cutoff are not compared
+    assert limits_match_up_to_cycle(report, limit_a1r(2, 12)) == shift
+    # one coefficient changed: no cyclic shift matches
+    exps = max(limit.terms, key=lambda e: (sum(e), e))
+    changed = LaurentPolynomial(3, {**limit.terms, exps: limit.terms[exps] + 1})
+    assert limits_match_up_to_cycle(report, changed) is None
+
+
 def test_is_polynomial():
     assert is_polynomial(LaurentPolynomial.one(2)) == (True, [])
     verdict, offenders = is_polynomial(P(2, {(0, 0): 1, (-1, 2): 3, (1, -1): 2}))
