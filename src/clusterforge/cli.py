@@ -21,8 +21,7 @@ from .errors import ClusterForgeError, ParseError
 from .families import (_FAMILIES, FamilySpec, _family_params, build_family,
                        fpoly_gale_robinson, fpoly_kr, fpoly_symmetric)
 from .laurent import LaurentPolynomial, parse_monomial
-from .quiver import (GeneralizedQuiver, _degree_bounds_from_trace, fpoly_recurrence,
-                     framed_state, make_quiver, mutate)
+from .quiver import GeneralizedQuiver, fpoly_recurrence, framed_state, make_quiver, mutate
 from .stabilization import (limit_a1r, limit_gale_robinson, limit_kr,
                             stabilization_run)
 from .verify import run_verification
@@ -213,7 +212,7 @@ def _cmd_fpoly(args) -> int:
         # a point query; F_n has no term off the box 0 <= m <= degree bound
         exps = parse_monomial(args.coeff, q.v)
         tr = trace(q, seq)
-        inside = all(0 <= e <= b for e, b in zip(exps, _degree_bounds_from_trace(tr, n)))
+        inside = all(0 <= e <= b for e, b in zip(exps, tr.degree_bound(n)))
         print(coefficient_of(tr, n, exps) if inside else 0)
         return 0
     if args.method == "recurrence":

@@ -33,7 +33,6 @@ from . import intmat
 from .cmatrix import MutationTrace, _check_step, coeff_a, pair_term
 from .errors import NonIntegerCoefficient, SignCoherenceViolation
 from .laurent import LaurentPolynomial, _mul_within, _Packing
-from .quiver import _degree_bounds_from_trace
 
 
 def phi(w) -> Fraction:
@@ -138,8 +137,7 @@ def fpoly_formula(tr: MutationTrace, n: int) -> LaurentPolynomial:
     contributes the constant term 1.
     """
     _check_step(tr, n)
-    bound = _degree_bounds_from_trace(tr, n)
-    return _sequence_sum(tr.r_monomials[:n][::-1], _trace_factors(tr, n), -1, bound)
+    return _sequence_sum(tr.r_monomials[:n][::-1], _trace_factors(tr, n), -1, tr.degree_bound(n))
 
 
 def coefficient_of(tr: MutationTrace, n: int, monomial) -> int:
@@ -189,7 +187,7 @@ def fpoly_product_form(tr: MutationTrace, n: int) -> LaurentPolynomial:
     _Packing of the bound, unpacked once at the end.
     """
     _check_step(tr, n)
-    layout = _Packing(_degree_bounds_from_trace(tr, n))
+    layout = _Packing(tr.degree_bound(n))
     xpowers: list[list[dict]] = []  # xpowers[i-1] = [x_i, x_i^2, ...]
 
     def times_power(poly: dict, i: int, e: int) -> dict:

@@ -162,6 +162,35 @@ class MutationTrace:
         cj = "red" if j == 0 else self.color(j)
         return 1 if ci == cj else -1
 
+    def degree_bound(self, n: int) -> tuple[int, ...]:
+        """Componentwise exponent bound for F_n, via the recurrence in max-plus.
+
+        Products become vector sums, sums componentwise maxima, and the exact
+        division a vector subtraction.  Because F-polynomials have positive
+        coefficients the result is the true componentwise degree vector.
+
+        >>> from clusterforge.quiver import make_quiver
+        >>> trace(make_quiver([[0, 2], [-2, 0]]), (1, 2, 1)).degree_bound(3)
+        (3, 2)
+        """
+        _check_step(self, n)
+        v = self.v
+        bounds = [(0,) * v for _ in range(v)]
+        for step in range(n):
+            kk = self.seq[step] - 1
+            # the r-monomial (frozen y-variables) joins S_in at a green step, S_out at a red one
+            r = list(self.r_monomials[step])
+            green = self.colors[step] == "green"
+            deg_in = r if green else [0] * v
+            deg_out = [0] * v if green else r
+            for j, b in enumerate(self.b_mats[step][kk]):
+                if b > 0:
+                    deg_out = [x + b * y for x, y in zip(deg_out, bounds[j])]
+                elif b < 0:
+                    deg_in = [x - b * y for x, y in zip(deg_in, bounds[j])]
+            bounds[kk] = tuple(max(a, b) - c for a, b, c in zip(deg_in, deg_out, bounds[kk]))
+        return bounds[self.seq[n - 1] - 1] if n else (0,) * v
+
 
 def trace(q: GeneralizedQuiver, seq) -> MutationTrace:
     """Run a mutation sequence, accumulating B, C, C^{-1} and the r-monomials.

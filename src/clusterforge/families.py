@@ -20,7 +20,7 @@ from .closedform import _sequence_sum
 from .cmatrix import trace
 from .errors import BadParameters, ConsistencyError, NotSymmetric
 from .laurent import LaurentPolynomial
-from .quiver import GeneralizedQuiver, _degree_bounds_from_trace, make_quiver, mutate_b
+from .quiver import GeneralizedQuiver, make_quiver, mutate_b
 
 
 @dataclass(frozen=True)
@@ -79,13 +79,15 @@ def build_family(spec: FamilySpec) -> GeneralizedQuiver:
     (r,) = params
     if spec.family == "kr":
         return make_quiver([[0, r], [-r, 0]])
-    # a1r: r arrows the long way around the cycle plus one short arrow 1 -> r+1;
-    # r = 1 degenerates to the double arrow on two vertices.  Vertex 1 is a
-    # source, and the cyclic sequence 1, 2, ... always mutates a source, so
-    # every step is green.
-    v = r + 1
-    arrows = [(i, i + 1) for i in range(1, r + 1)] + [(1, v)]
-    return _quiver_from_arrows(v, arrows)
+    # a1r: r arrows the long way around the cycle, i -> i+1, plus one short
+    # arrow 1 -> r+1; r = 1 degenerates to the double arrow on two vertices.
+    # Vertex 1 is a source, and the cyclic sequence 1, 2, ... always mutates
+    # a source, so every step is green.
+    b = [[0] * (r + 1) for _ in range(r + 1)]
+    for i, j in [(i, i + 1) for i in range(r)] + [(0, r)]:
+        b[i][j] += 1
+        b[j][i] -= 1
+    return make_quiver(b)
 
 
 def build_gale_robinson(v: int, r: int, t: int) -> GeneralizedQuiver:
@@ -118,18 +120,6 @@ def build_gale_robinson(v: int, r: int, t: int) -> GeneralizedQuiver:
     if not check_symmetric(quiver, prefix_len=0).ok:
         raise BadParameters(f"G_{{{v},{r},{t}}} is not a symmetric quiver")
     return quiver
-
-
-def _quiver_from_arrows(v: int, arrows) -> GeneralizedQuiver:
-    """Net arrow counts with 2-cycle cancellation, as an exchange matrix."""
-    counts = [[0] * v for _ in range(v)]
-    for src, dst in arrows:
-        counts[src - 1][dst - 1] += 1
-    b = [
-        [counts[i][j] - counts[j][i] for j in range(v)]
-        for i in range(v)
-    ]
-    return make_quiver(b)
 
 
 @dataclass(frozen=True)
@@ -189,7 +179,9 @@ class SSequence:
     0 for i < 0, rule(i) when the family has a closed form, and otherwise
     s_0 = 1 and the sum of c * s_{i-lag} over `recurrence` for i >= 1; s'_i is
     that sum over `companion`.  The memo fills in ascending order, so no index
-    costs stack depth.  `_family_sum` checks a rule against the recurrence.
+    costs stack depth.  `_family_sum` checks a rule against the recurrence
+    when the sequence has both, as Gale-Robinson's does; A1r's has no
+    recurrence and no family sum reads it.
     """
 
     def __init__(self, recurrence, companion, rule=None):
@@ -243,7 +235,11 @@ class SSequence:
 
     @classmethod
     def a1r(cls, r: int) -> "SSequence":
-        """Ceiling sequence s_i = ceil(i/r); note s_0 = 0 for this family."""
+        """Ceiling sequence s_i = ceil(i/r); note s_0 = 0 for this family.
+
+        It is the s that `from_quiver` reads off the A1r quiver, one index
+        later: `s_values` reads this closed form, `fpoly_symmetric` the quiver's.
+        """
         return cls(None, {1: 1, r + 1: -1}, lambda i: -(-i // r))
 
 
@@ -318,7 +314,7 @@ def _certified_formula(q: GeneralizedQuiver, ss: SSequence, n: int) -> LaurentPo
         if not any(rv):
             raise ConsistencyError(f"family r-monomial at step {w} vanished")
         rvecs.append(rv)
-    return _family_sum(ss, rvecs[::-1], _degree_bounds_from_trace(tr, n))
+    return _family_sum(ss, rvecs[::-1], tr.degree_bound(n))
 
 
 def fpoly_symmetric(q: GeneralizedQuiver, n: int) -> LaurentPolynomial:

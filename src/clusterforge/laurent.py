@@ -239,17 +239,23 @@ class LaurentPolynomial:
 
     def __mul__(self, other) -> "LaurentPolynomial":
         """The product; a square (both operands on one terms dict) forms each
-        unordered pair of terms once: c_i^2 at 2*k_i and 2*c_i*c_j at k_i + k_j."""
+        unordered pair of terms once: c_i^2 at 2*k_i and 2*c_i*c_j at k_i + k_j.
+
+        A product by the one-term 1 is the other operand itself, the twin of
+        `__pow__`'s first power.
+        """
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
+        if len(self.terms) < len(other.terms):
+            self, other = other, self
         a, b = self.terms, other.terms
-        if len(a) < len(b):
-            a, b = b, a
         if len(b) <= 1:
             if not b:
                 return LaurentPolynomial.zero(self.nvars)
             ((exps, coeff),) = b.items()
+            if coeff == 1 and not any(exps):
+                return self
             return _shift(self.nvars, a, exps, coeff)
         low_a, high_a = _span(a)
         low_b, high_b = (low_a, high_a) if a is b else _span(b)

@@ -13,12 +13,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import gcd
-from operator import add
 
 from . import intmat
 from .errors import InexactDivision, NotSkewSymmetrizable
 from .intmat import Matrix
-from .laurent import LaurentPolynomial, _from_clean, exact_divide
+from .laurent import LaurentPolynomial, exact_divide
 
 
 def _sign(x: int) -> int:
@@ -167,20 +166,15 @@ def framed_state(q: GeneralizedQuiver) -> FramedState:
     return FramedState(q, intmat.identity(q.v), (one,) * q.v)
 
 
-def _exchange_side(labels, row, sign: int, frozen: list[int]) -> tuple[dict, bool]:
-    """The terms of y^frozen * prod_j labels[j]^(sign*row[j]) over the j with
-    sign*row[j] > 0, and whether the dict is new; one shift pass, none
-    when frozen is 0, so with frozen 0 the dict may be a label's own."""
-    side = None
+def _exchange_side(labels, row, sign: int, frozen: list[int]) -> LaurentPolynomial:
+    """The frozen monomial y^frozen times prod_j labels[j]^(sign*row[j]) over
+    the j with sign*row[j] > 0."""
+    side = LaurentPolynomial.monomial(frozen)
     for label, x in zip(labels, row):
         x *= sign
         if x > 0:
-            power = label ** x
-            side = power if side is None else side * power
-    terms = side.terms if side is not None else {(0,) * len(row): 1}
-    if not any(frozen):
-        return terms, side is None
-    return {tuple(map(add, e, frozen)): c for e, c in terms.items()}, True
+            side = side * label ** x
+    return side
 
 
 def _check_vertex(k, v: int) -> None:
@@ -196,37 +190,26 @@ def mutate(state: FramedState, k: int) -> FramedState:
     """Mutate a framed state at 1-based vertex k; pure, returns a new state.
 
     The label at k becomes (S1 + S2)/V_k where S1 collects the inward edges
-    attached to k and S2 the outward ones.  Each side is the product of its
-    neighbours' label powers, shifted in one pass by its frozen factor, one
-    y-monomial: prod_i y_i^max(c[i][k], 0) for S1 and prod_i y_i^max(-c[i][k], 0)
-    for S2, only when that factor is not 1.  The two sides are summed into
-    one numerator dict, a new one, so no label's terms are touched, and it
-    is divided once.  The division is exact by the Laurent phenomenon; an
-    InexactDivision here means the implementation is broken.  A vertex that
-    is not an int, bool included, is a TypeError.
+    attached to k and S2 the outward ones.  Each side is one y-monomial, its
+    frozen factor prod_i y_i^max(c[i][k], 0) for S1 and prod_i y_i^max(-c[i][k], 0)
+    for S2, times its neighbours' label powers, all in polynomial arithmetic;
+    a product by 1 is its other operand, so a side whose frozen factor is 1
+    starts from its first label power itself, not a copy.  The sum S1 + S2
+    is a new polynomial, so no label's terms are touched, and it is divided
+    once.  The division is exact by the Laurent
+    phenomenon; an InexactDivision here means the implementation is broken.
+    A vertex that is not an int, bool included, is a TypeError.
     """
     q = state.quiver
-    v = q.v
-    _check_vertex(k, v)
+    _check_vertex(k, q.v)
     kk = k - 1
     b, c = q.b, state.c
 
     col = [row[kk] for row in c]
-    s_in, new_in = _exchange_side(state.labels, b[kk], -1, [x if x > 0 else 0 for x in col])
-    s_out, new_out = _exchange_side(state.labels, b[kk], 1, [-x if x < 0 else 0 for x in col])
-    if not new_in:  # sum into a new dict, never into a label's own
-        (s_in, new_in), s_out = (s_out, new_out), s_in
-    numerator = s_in if new_in else dict(s_in)
-    get = numerator.get
-    for e, x in s_out.items():
-        x += get(e, 0)
-        if x:
-            numerator[e] = x
-        else:
-            del numerator[e]
-
+    s_in = _exchange_side(state.labels, b[kk], -1, [x if x > 0 else 0 for x in col])
+    s_out = _exchange_side(state.labels, b[kk], 1, [-x if x < 0 else 0 for x in col])
     try:
-        new_label = exact_divide(_from_clean(v, numerator), state.labels[kk])
+        new_label = exact_divide(s_in + s_out, state.labels[kk])
     except InexactDivision as exc:
         raise InexactDivision(
             f"exchange at vertex {k} is not exact; this indicates a bug"
@@ -258,32 +241,8 @@ def fpoly_recurrence(q: GeneralizedQuiver, seq) -> list[LaurentPolynomial]:
 
 
 def degree_bounds(q: GeneralizedQuiver, seq) -> tuple[int, ...]:
-    """Componentwise exponent bound for F_n, via the recurrence in max-plus.
-
-    Products become vector sums, sums componentwise maxima, and the exact
-    division a vector subtraction.  Because F-polynomials have positive
-    coefficients the result is the true componentwise degree vector.
-    """
+    """Componentwise exponent bound for F_n, the trace's `degree_bound`."""
     from .cmatrix import trace  # deferred: cmatrix imports this module
 
     tr = trace(q, seq)
-    return _degree_bounds_from_trace(tr, len(tuple(seq)))
-
-
-def _degree_bounds_from_trace(tr, n: int) -> tuple[int, ...]:
-    v = tr.v
-    bounds = [(0,) * v for _ in range(v)]
-    for step in range(n):
-        kk = tr.seq[step] - 1
-        # the r-monomial (frozen y-variables) joins S_in at a green step, S_out at a red one
-        r = list(tr.r_monomials[step])
-        green = tr.colors[step] == "green"
-        deg_in = r if green else [0] * v
-        deg_out = [0] * v if green else r
-        for j, b in enumerate(tr.b_mats[step][kk]):
-            if b > 0:
-                deg_out = [x + b * y for x, y in zip(deg_out, bounds[j])]
-            elif b < 0:
-                deg_in = [x - b * y for x, y in zip(deg_in, bounds[j])]
-        bounds[kk] = tuple(max(a, b) - c for a, b, c in zip(deg_in, deg_out, bounds[kk]))
-    return bounds[tr.seq[n - 1] - 1] if n else (0,) * v
+    return tr.degree_bound(tr.n)

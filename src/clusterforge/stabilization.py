@@ -22,7 +22,7 @@ from .cmatrix import MutationTrace, _check_step, trace
 from .errors import BadParameters, ConsistencyError, RedStepEncountered
 from .families import FamilySpec, SSequence, _family_params, _family_sum
 from .intmat import Matrix
-from .laurent import LaurentPolynomial, _from_clean
+from .laurent import LaurentPolynomial
 from .quiver import GeneralizedQuiver, fpoly_recurrence
 
 
@@ -272,7 +272,7 @@ def limit_kr(r: int, cutoff: int) -> LaurentPolynomial:
         x = 2 * (e1 - 1) - r * e2
         return x <= 0 or x * x <= e2 * e2 * (r * r - 4)
 
-    return _from_clean(2, {e: c for e, c in poly.terms.items() if within_norm(*e)})
+    return LaurentPolynomial(2, {e: c for e, c in poly.terms.items() if within_norm(*e)})
 
 
 def limit_gale_robinson(v: int, r: int, t: int, cutoff: int) -> LaurentPolynomial:

@@ -10,7 +10,7 @@ from . import intmat
 from .closedform import fpoly_formula, fpoly_product_form
 from .cmatrix import _row_times, _step_rows, check_sign_coherence, trace
 from .errors import ConsistencyError, InexactDivision
-from .quiver import GeneralizedQuiver, _degree_bounds_from_trace, fpoly_recurrence
+from .quiver import GeneralizedQuiver, fpoly_recurrence
 from .stabilization import deform, fundamentals
 
 
@@ -72,7 +72,7 @@ def run_verification(q: GeneralizedQuiver, seq) -> dict[str, bool]:
 
     if f_n is not None:  # positive coefficients make the max-plus bound exact
         results["support within degree bounds"] = (
-            f_n.degree_vector() == _degree_bounds_from_trace(tr, n)
+            f_n.degree_vector() == tr.degree_bound(n)
         )
 
     if n and all(color == "green" for color in tr.colors):

@@ -169,6 +169,7 @@ def test_step_index_is_checked_by_every_caller(k2):
         "deform_matrix": lambda n: deform_matrix(tr, n),
         "deformed_formula": lambda n: deformed_formula(tr, n),
         "deformed_coefficients": lambda n: deformed_coefficients(tr, n, 2),
+        "degree_bound": tr.degree_bound,
     }
     for call in callers.values():
         for n in (True, False, 1.0, 2.5, "1"):
@@ -180,6 +181,7 @@ def test_step_index_is_checked_by_every_caller(k2):
     with pytest.raises(ValueError, match="n out of trace range"):
         deformed_coefficients(tr, 0, 2)
     assert deform_matrix(tr, 0) == ((-1, 0), (0, -1))
+    assert tr.degree_bound(0) == (0, 0)
 
 
 def test_coefficient_of_rejects_non_integer_exponents(k2):

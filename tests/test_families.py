@@ -132,6 +132,15 @@ def test_s_values_a1r():
     assert [s for s, _ in s_values(spec, range(0, 7))] == [0, 1, 1, 2, 2, 3, 3]
 
 
+@pytest.mark.parametrize("r", range(1, 7))
+def test_a1r_closed_form_is_the_quiver_sequence_shifted(r):
+    # no family sum reads the closed form ceil(i/r): fpoly_symmetric reads
+    # A1r's s off the quiver, which the closed form matches one index later
+    closed = SSequence.a1r(r)
+    generic = SSequence.from_quiver(build_family(FamilySpec.of("a1r", r=r)))
+    assert [closed.s(i + 1) for i in range(200)] == [generic.s(i) for i in range(200)]
+
+
 def test_sseq_from_quiver_matches_family_rules(k3, dp1, g723):
     pairs = (
         (k3, SSequence.kronecker(3)),

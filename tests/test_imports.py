@@ -1,4 +1,5 @@
-"""Every name a package module imports is used in that module."""
+"""Every name a package module imports is used in that module, and the
+unchecked constructor `_from_clean` stays inside `laurent`."""
 
 import ast
 from pathlib import Path
@@ -29,3 +30,12 @@ def test_every_import_is_used(path):
     unused = [f"line {line}: {name}" for line, name in _imported_names(tree)
               if name not in used]
     assert not unused, f"{path.name} imports names it never uses: {unused}"
+
+
+def test_only_laurent_imports_from_clean():
+    # every other module builds polynomials through the checking constructor
+    # or LaurentPolynomial's own arithmetic
+    importers = [path.name for path in sorted(PACKAGE.glob("*.py"))
+                 if any(name == "_from_clean" for _, name in
+                        _imported_names(ast.parse(path.read_text(encoding="utf-8"))))]
+    assert importers == []

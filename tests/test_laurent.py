@@ -61,6 +61,21 @@ def test_divide_by_one_is_identity():
     assert exact_divide(p, LaurentPolynomial.one(2)) == p
 
 
+@pytest.mark.parametrize("p", [
+    P(2, {(0, 0): 5, (3, 2): -7}), P(2, {(-1, 4): 3}), P(2, {(0, 0): 1}),
+    P(0, {(): 1}), P(0, {(): -4}), P(0, {}),
+], ids=repr)
+def test_product_by_one_is_the_other_operand(p):
+    # the one-term 1 shifts nothing: the product equals p and p's terms stay put
+    before = dict(p.terms)
+    for product in (p * LaurentPolynomial.one(p.nvars), LaurentPolynomial.one(p.nvars) * p,
+                    p * 1, 1 * p):
+        assert product == p
+        assert p.terms == before
+        if len(p.terms) > 1:  # the other operand itself, not a copy
+            assert product is p
+
+
 def test_multiply_then_divide_roundtrip():
     y1 = LaurentPolynomial.variable(2, 1)
     y2 = LaurentPolynomial.variable(2, 2)

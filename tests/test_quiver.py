@@ -95,6 +95,8 @@ def test_recurrence_single_vertex():
 def test_degree_bounds_examples(k2):
     assert degree_bounds(k2, (1, 2, 1)) == (3, 2)
     assert degree_bounds(k2, ()) == (0, 0)
+    # a one-shot iterator gave (0, 0) when the step count was taken after the trace
+    assert degree_bounds(k2, iter((1, 2, 1))) == (3, 2)
     # alternating sequences: y1-degree is the s-sequence value s_{n-1}
     s = [1, 2, 3, 4, 5, 6, 7, 8]
     for n in range(1, 9):
