@@ -19,9 +19,8 @@ from .quiver import (FramedState, GeneralizedQuiver, degree_bounds,
                      fpoly_recurrence, framed_state, make_quiver, mutate)
 from .stabilization import (ExcessReport, FundamentalSet, StabilizationReport,
                             deform, dp1_coefficient, fundamentals,
-                            green_excess_probe, is_polynomial, limit_a1r,
-                            limit_gale_robinson, limit_kr,
-                            limits_match_up_to_cycle, stabilization_run)
+                            green_excess_probe, limit_a1r, limit_gale_robinson,
+                            limit_kr, limits_match_up_to_cycle, stabilization_run)
 from .verify import run_verification
 
 __version__ = "0.1.0"
@@ -39,7 +38,7 @@ __all__ = [
     "build_gale_robinson", "canonical_sequence", "check_symmetric",
     "family_sequence", "fpoly_kr", "fpoly_gale_robinson", "fpoly_symmetric",
     "s_values",
-    "deform", "is_polynomial", "fundamentals", "green_excess_probe",
+    "deform", "fundamentals", "green_excess_probe",
     "FundamentalSet", "ExcessReport", "StabilizationReport",
     "stabilization_run", "limit_a1r", "limit_kr",
     "limit_gale_robinson", "dp1_coefficient", "limits_match_up_to_cycle",

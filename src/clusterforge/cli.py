@@ -209,11 +209,7 @@ def _cmd_fpoly(args) -> int:
     seq = vertex_sequence(args.seq, q)
     n = len(seq)
     if args.coeff is not None and args.method == "formula":
-        # a point query; F_n has no term off the box 0 <= m <= degree bound
-        exps = parse_monomial(args.coeff, q.v)
-        tr = trace(q, seq)
-        inside = all(0 <= e <= b for e, b in zip(exps, tr.degree_bound(n)))
-        print(coefficient_of(tr, n, exps) if inside else 0)
+        print(coefficient_of(trace(q, seq), n, parse_monomial(args.coeff, q.v)))
         return 0
     if args.method == "recurrence":
         polys = fpoly_recurrence(q, seq)

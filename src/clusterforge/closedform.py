@@ -136,18 +136,22 @@ def fpoly_formula(tr: MutationTrace, n: int) -> LaurentPolynomial:
     Agrees exactly with the mutation recurrence; the empty sequence
     contributes the constant term 1.
     """
-    _check_step(tr, n)
-    return _sequence_sum(tr.r_monomials[:n][::-1], _trace_factors(tr, n), -1, tr.degree_bound(n))
+    bound = tr.degree_bound(n)
+    return _sequence_sum(tr.r_monomials[:n][::-1], _trace_factors(tr, n), -1, bound)
 
 
 def coefficient_of(tr: MutationTrace, n: int, monomial) -> int:
-    """Coefficient of one monomial of F_n, summing only in the box below it; int exponents only."""
-    _check_step(tr, n)
+    """Coefficient of one monomial of F_n; int exponents only.
+
+    A monomial outside F_n's box 0 <= m <= degree bound, negative exponents
+    included, is 0 with no sum run; one inside sums only the box below it.
+    """
+    bound = tr.degree_bound(n)
     monomial = tuple(map(intmat.exact_int, monomial))
     if len(monomial) != tr.v:
         raise ValueError(f"monomial {monomial} needs {tr.v} exponents")
-    if any(x < 0 for x in monomial):
-        raise ValueError("monomial exponents must be nonnegative")
+    if not all(0 <= x <= b for x, b in zip(monomial, bound)):
+        return 0
     steps = tr.r_monomials[:n][::-1]
     return _sequence_sum(steps, _trace_factors(tr, n), -1, monomial, target=monomial)
 
@@ -186,7 +190,6 @@ def fpoly_product_form(tr: MutationTrace, n: int) -> LaurentPolynomial:
     call, shared by every exponent e.  All of it is packed keys of one
     _Packing of the bound, unpacked once at the end.
     """
-    _check_step(tr, n)
     layout = _Packing(tr.degree_bound(n))
     xpowers: list[list[dict]] = []  # xpowers[i-1] = [x_i, x_i^2, ...]
 

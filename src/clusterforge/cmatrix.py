@@ -22,6 +22,7 @@ quiver module.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 from . import intmat
 from .errors import ConsistencyError, IndexOrder, SignCoherenceViolation
@@ -123,8 +124,9 @@ class MutationTrace:
     """Per-step record of a framed mutation sequence.
 
     Index 0 of the matrix lists is the initial state; entry i corresponds to
-    the framed quiver after i mutations.  All fields are immutable, so a
-    trace can be queried concurrently.
+    the framed quiver after i mutations.  All fields are immutable, and so
+    is the cached tuple of degree bounds, so a trace can be queried
+    concurrently.
     """
 
     quiver: GeneralizedQuiver
@@ -168,28 +170,34 @@ class MutationTrace:
         Products become vector sums, sums componentwise maxima, and the exact
         division a vector subtraction.  Because F-polynomials have positive
         coefficients the result is the true componentwise degree vector.
+        The first call walks the whole trace once for every F_i's bound;
+        every later call, for any n, reads that tuple.
 
         >>> from clusterforge.quiver import make_quiver
         >>> trace(make_quiver([[0, 2], [-2, 0]]), (1, 2, 1)).degree_bound(3)
         (3, 2)
         """
         _check_step(self, n)
+        return self._degree_bounds[n]
+
+    @cached_property
+    def _degree_bounds(self) -> tuple[tuple[int, ...], ...]:
+        """F_i's degree bound for i in 0..n; an immutable value, so a race only
+        computes it twice.  `dataclasses.replace` starts a new trace without it."""
         v = self.v
-        bounds = [(0,) * v for _ in range(v)]
-        for step in range(n):
-            kk = self.seq[step] - 1
+        labels = [(0,) * v] * v  # the bound of each vertex's current label
+        out = [(0,) * v]
+        for k, b_row, color, r in zip(self.seq, self.b_mats, self.colors, self.r_monomials):
             # the r-monomial (frozen y-variables) joins S_in at a green step, S_out at a red one
-            r = list(self.r_monomials[step])
-            green = self.colors[step] == "green"
-            deg_in = r if green else [0] * v
-            deg_out = [0] * v if green else r
-            for j, b in enumerate(self.b_mats[step][kk]):
+            deg_in, deg_out = (r, (0,) * v) if color == "green" else ((0,) * v, r)
+            for j, b in enumerate(b_row[k - 1]):
                 if b > 0:
-                    deg_out = [x + b * y for x, y in zip(deg_out, bounds[j])]
+                    deg_out = [x + b * y for x, y in zip(deg_out, labels[j])]
                 elif b < 0:
-                    deg_in = [x - b * y for x, y in zip(deg_in, bounds[j])]
-            bounds[kk] = tuple(max(a, b) - c for a, b, c in zip(deg_in, deg_out, bounds[kk]))
-        return bounds[self.seq[n - 1] - 1] if n else (0,) * v
+                    deg_in = [x - b * y for x, y in zip(deg_in, labels[j])]
+            labels[k - 1] = tuple(max(a, b) - c for a, b, c in zip(deg_in, deg_out, labels[k - 1]))
+            out.append(labels[k - 1])
+        return tuple(out)
 
 
 def trace(q: GeneralizedQuiver, seq) -> MutationTrace:

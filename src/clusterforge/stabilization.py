@@ -34,15 +34,6 @@ def deform(f: LaurentPolynomial, c: Matrix) -> LaurentPolynomial:
     )
 
 
-def is_polynomial(s: LaurentPolynomial):
-    """Verdict plus the offending monomials with negative exponents."""
-    offenders = sorted(
-        (exps for exps in s.terms if any(e < 0 for e in exps)),
-        key=lambda e: (sum(e), e),
-    )
-    return (not offenders, offenders)
-
-
 @dataclass(frozen=True)
 class FundamentalInfo:
     monomial: tuple[int, ...]

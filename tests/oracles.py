@@ -20,6 +20,8 @@
 * `mutate_by_monomials`: a framed mutation whose exchange sides start from
   their frozen monomials and multiply in one label at a time, the reference
   for the single numerator of `quiver.mutate`.
+* `degree_bound_walk`: F_n's degree bound from a walk of the first n steps
+  alone, the reference for the trace's one walk of every prefix.
 """
 
 from dataclasses import dataclass
@@ -65,6 +67,27 @@ def w_value(tr: MutationTrace, n: int, w) -> int:
     for i, wi in enumerate(w):
         total *= coeff_a(tr, wi, n) + sum(pair_term(tr, wi, wj) for wj in w[i + 1:])
     return total
+
+
+def degree_bound_walk(tr: MutationTrace, n: int) -> tuple[int, ...]:
+    """F_n's componentwise degree bound, the exchange relation in max-plus
+    over steps 1..n only: products add, sums take maxima, division subtracts."""
+    _check_step(tr, n)
+    v = tr.v
+    bounds = [(0,) * v for _ in range(v)]
+    for step in range(n):
+        kk = tr.seq[step] - 1
+        r = list(tr.r_monomials[step])
+        green = tr.colors[step] == "green"
+        deg_in = r if green else [0] * v
+        deg_out = [0] * v if green else r
+        for j, b in enumerate(tr.b_mats[step][kk]):
+            if b > 0:
+                deg_out = [x + b * y for x, y in zip(deg_out, bounds[j])]
+            elif b < 0:
+                deg_in = [x - b * y for x, y in zip(deg_in, bounds[j])]
+        bounds[kk] = tuple(max(a, b) - c for a, b, c in zip(deg_in, deg_out, bounds[kk]))
+    return bounds[tr.seq[n - 1] - 1] if n else (0,) * v
 
 
 def enumerate_sequences(tr: MutationTrace, n: int, bound):

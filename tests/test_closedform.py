@@ -9,12 +9,13 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+import clusterforge.closedform
 from clusterforge import (LaurentPolynomial, coeff_a, coeff_b, coefficient_of,
                           deform, deformed_formula, degree_bounds, fpoly_formula,
                           fpoly_product_form, fpoly_recurrence, make_quiver, phi,
                           trace)
-from clusterforge.closedform import (_binomial_series, _sequence_sum, deform_matrix,
-                                     deformed_coefficients)
+from clusterforge.closedform import (_binomial_series, _sequence_sum, _trace_factors,
+                                     deform_matrix, deformed_coefficients)
 from clusterforge.errors import BadParameters, NonIntegerCoefficient, SignCoherenceViolation
 from clusterforge.laurent import _Packing
 from conftest import random_sequence, random_skew_symmetric, truncate
@@ -145,9 +146,29 @@ def test_coefficient_of(k2):
     # F_0 = 1: no steps, only the empty sequence
     assert coefficient_of(tr, 0, (0, 0)) == 1
     assert coefficient_of(tr, 0, (1, 0)) == 0
-    # beyond the degree bound the sequence contributions cancel exactly
+    # beyond the degree bound (3, 2) the answer is 0 with no sum run
     assert coefficient_of(tr, 3, (4, 2)) == 0
     assert coefficient_of(tr, 3, (5, 3)) == 0
+
+
+@pytest.mark.parametrize("monomial", [(4, 2), (5, 3)])
+def test_sequence_sum_cancels_exactly_past_the_support(k2, monomial):
+    # the sum itself, run on a box past F_3's support, lands on 0
+    tr = trace(k2, (1, 2, 1))
+    steps = tr.r_monomials[:3][::-1]
+    assert _sequence_sum(steps, _trace_factors(tr, 3), -1, monomial, target=monomial) == 0
+
+
+def test_coefficient_of_outside_the_box_runs_no_sum(k2, monkeypatch):
+    # past F_n's degree bound or below 0, the answer is 0 before any sum
+    def no_sum(*args, **kwargs):
+        raise AssertionError("_sequence_sum ran")
+
+    monkeypatch.setattr(clusterforge.closedform, "_sequence_sum", no_sum)
+    tr = trace(k2, (1, 2) * 20)
+    assert coefficient_of(tr, 40, (400, 400)) == 0
+    assert coefficient_of(tr, 40, (-1, 1)) == 0
+    assert coefficient_of(trace(k2, (1, 2, 1)), 3, (-1, 1)) == 0
 
 
 def test_coefficient_of_validates_n(k2):

@@ -13,7 +13,8 @@ from clusterforge.errors import IndexOrder, NotSkewSymmetrizable
 from clusterforge.intmat import identity, mat_mul
 from clusterforge.quiver import GeneralizedQuiver
 from conftest import (random_sequence, random_skew_symmetric, reference_mutate_b,
-                      reference_mutate_c)
+                      reference_mutate_c, scaled_skew_symmetric)
+from oracles import degree_bound_walk
 
 
 def test_step_matrix_green_odd(k2):
@@ -277,3 +278,28 @@ def test_trace_and_pair_coefficients_match_matrix_products(case):
             expected = -_reference_coeff_a(tr, i, j) + _reference_coeff_b(tr, i, j)
             assert pair_term(tr, i, j) == expected
         assert pair_term(tr, j, j) == -1
+
+
+@given(st.data())
+def test_degree_bound_matches_the_per_n_walk_in_either_order(data):
+    # the first call walks every prefix at once; its n must not matter
+    q = make_quiver(*data.draw(scaled_skew_symmetric(4, 2, 3)))
+    seq = data.draw(st.lists(st.integers(1, q.v), max_size=8))
+    ref = trace(q, seq)
+    expected = [degree_bound_walk(ref, n) for n in range(ref.n + 1)]
+    for order in (range(ref.n + 1), range(ref.n, -1, -1)):
+        tr = trace(q, seq)
+        assert [tr.degree_bound(n) for n in order] == [expected[n] for n in order]
+
+
+def test_degree_bounds_are_walked_once_per_trace_and_never_by_trace(k2):
+    tr = trace(k2, (1, 2, 1))
+    assert "_degree_bounds" not in vars(tr)
+    assert tr.degree_bound(3) == (3, 2)
+    walked = tr._degree_bounds
+    assert [tr.degree_bound(n) for n in range(4)] == [(0, 0), (1, 0), (2, 1), (3, 2)]
+    assert tr._degree_bounds is walked
+    # a replaced trace walks its own fields
+    fresh = dataclasses.replace(tr, r_monomials=((2, 0),) + tr.r_monomials[1:])
+    assert "_degree_bounds" not in vars(fresh)
+    assert fresh.degree_bound(1) == (2, 0)

@@ -4,9 +4,10 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import clusterforge.quiver
 from clusterforge import (LaurentPolynomial, degree_bounds, fpoly_recurrence,
                           framed_state, make_quiver, mutate)
-from clusterforge.errors import NotSkewSymmetrizable
+from clusterforge.errors import InexactDivision, NotSkewSymmetrizable
 from clusterforge.quiver import _find_symmetrizer, mutate_b, mutate_c
 from conftest import (random_sequence, random_skew_symmetric, reference_mutate_b,
                       reference_mutate_c, scaled_skew_symmetric)
@@ -134,6 +135,14 @@ def test_labels_positive_with_unit_constant(k3):
         assert f.is_polynomial()
         assert f.constant_term == 1
         assert all(c > 0 for c in f.terms.values())
+
+
+def test_recurrence_rejects_a_label_without_unit_constant(monkeypatch, k2):
+    # each quotient doubled: F_1 = 2 + 2*y1 has no unit constant term
+    exact = clusterforge.quiver.exact_divide
+    monkeypatch.setattr(clusterforge.quiver, "exact_divide", lambda a, b: 2 * exact(a, b))
+    with pytest.raises(InexactDivision, match="F_1 is not a positive polynomial with unit"):
+        fpoly_recurrence(k2, (1, 2))
 
 
 @st.composite

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from clusterforge import (LaurentPolynomial, SSequence, build_gale_robinson, deform,
                           deformed_formula, dp1_coefficient, fpoly_gale_robinson,
                           fpoly_kr, fpoly_recurrence, fpoly_symmetric,
-                          fundamentals, green_excess_probe, is_polynomial,
+                          fundamentals, green_excess_probe,
                           limit_a1r, limit_gale_robinson, limit_kr,
                           framed_state, limits_match_up_to_cycle, make_quiver,
                           mutate, stabilization_run, trace)
@@ -55,13 +55,6 @@ def test_limits_match_up_to_cycle_compares_within_the_cutoff(a12):
     exps = max(limit.terms, key=lambda e: (sum(e), e))
     changed = LaurentPolynomial(3, {**limit.terms, exps: limit.terms[exps] + 1})
     assert limits_match_up_to_cycle(report, changed) is None
-
-
-def test_is_polynomial():
-    assert is_polynomial(LaurentPolynomial.one(2)) == (True, [])
-    verdict, offenders = is_polynomial(P(2, {(0, 0): 1, (-1, 2): 3, (1, -1): 2}))
-    assert not verdict
-    assert offenders == [(1, -1), (-1, 2)]
 
 
 def test_fundamentals_k2(k2):
@@ -205,6 +198,13 @@ def test_stabilization_a12_matches_limit(a12):
     report = stabilization_run(a12, (1, 2, 3), 6, 6)
     assert report.all_stabilized
     assert limits_match_up_to_cycle(report, limit_a1r(2, 6)) is not None
+
+
+def test_stabilization_verdict_needs_the_last_two_values_equal(a12):
+    # y1*y2^2*y3^2 first appears at the last index: one value, no verdict
+    report = stabilization_run(a12, (1, 2, 3), 2, 6)
+    assert report.histories[(1, 2, 2)] == (0, 2)
+    assert report.verdicts[(1, 2, 2)] is None
 
 
 @pytest.mark.parametrize("period", [(1.9, 2.2, 3.0), (1, 2, "3"), (True, 2, 3)])
@@ -395,7 +395,7 @@ def test_green_deformed_polynomials(k2, a12):
             seq = tuple(1 + (i % period) for i in range(n))
             tr = trace(q, seq)
             s_n = deformed_formula(tr, n)
-            assert is_polynomial(s_n)[0]
+            assert s_n.is_polynomial()
 
 
 K2 = make_quiver([[0, 2], [-2, 0]])

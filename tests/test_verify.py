@@ -1,3 +1,4 @@
+import dataclasses
 import sys
 from unittest import mock
 
@@ -48,6 +49,19 @@ def test_run_verification_traces_once_and_mutates_n_times(request, monkeypatch,
     assert len(traces) == 1
     assert len(mutations) == len(seq)
 
+
+
+def test_symmetrizer_check_fails_an_exchange_matrix_d_does_not_symmetrize(monkeypatch, b21):
+    # d = (2, 1) symmetrizes ((0, 1), (-2, 0)) but not ((0, 1), (-1, 0))
+    exact = clusterforge.verify.trace
+
+    def broken(q, seq):
+        tr = exact(q, seq)
+        return dataclasses.replace(tr, b_mats=tr.b_mats[:-1] + (((0, 1), (-1, 0)),))
+
+    monkeypatch.setattr(clusterforge.verify, "trace", broken)
+    results = run_verification(b21, (1, 2))
+    assert [name for name, ok in results.items() if not ok] == ["symmetrizer preserved"]
 
 
 def test_failing_recurrence_is_reported_as_fail(monkeypatch, capsys, k2):
