@@ -27,7 +27,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import accumulate, count
-from operator import add, le, mul
+from operator import add, le, mul, or_
 
 from . import intmat
 from .cmatrix import MutationTrace, _check_step, coeff_a, pair_term
@@ -73,17 +73,29 @@ def _sequence_sum(steps, factor, diag, bound, cap=None, target=None):
     pair(c, e) = w_c . u_e for e < c and pair(c, c) = diag, and the sequence
     lands on sum_i steps[c_i].  Only monomials within bound and within cap
     (default sum(bound)) in total degree count.  With a target, returns
-    only its sum, and the box shrinks to the target's.
+    only its sum (0 for a target past the bound), and the box shrinks to
+    the target's.
 
     Stagewise, candidates in order: earlier entries reach later factors
     only through U = sum of their u_e, so a state (packed key, U) holds one
     integer weight for a group of sequences.  Taking c m times, with
     f = tail_c + w_c . U, multiplies it by prod_{j<m} (f + j*diag) / m!, or
-    C(f, m) for diag = -1; a remainder raises NonIntegerCoefficient.
-    factor(c) is called only when a state fits c, and a state with no room
-    left for a later candidate leaves the stages.
+    C(f, m) for diag = -1; a remainder raises NonIntegerCoefficient on every
+    transition formed.  factor(c) is called only when a state fits c, and a
+    state with no room left for a later candidate leaves the stages.
+
+    With a target, a state walks on only while it can still reach it.  A
+    candidate raises the slots where its step is nonzero, and each stage
+    has one mask: the slots that no candidate from that stage on raises.  A
+    state whose gap to the target is nonzero under that mask is dropped,
+    when a transition forms it and when a later stage finds it waiting, and
+    only the target's own key is summed.
     """
-    bound = tuple(bound if target is None else map(min, bound, target))
+    if target is not None:
+        if not all(map(le, target, bound)):
+            return 0
+        bound = target
+    bound = tuple(bound)
     cap = sum(bound) if cap is None else cap
     layout = _Packing(bound)
     pack, guards, limit, top = layout.pack, layout.guards, layout.limit, layout.top
@@ -97,13 +109,27 @@ def _sequence_sum(steps, factor, diag, bound, cap=None, target=None):
     # rooms[s]: keys from here on have no room for the candidates of stage s on
     least = accumulate([key >> top for _, key in reversed(stages)], min, initial=cap + 1)
     rooms = [(cap - d + 1) << top for d in least][::-1]
+    # finals[s]: keys formed at stage s from here on are final; with a target
+    # that is goal, the target's key, as a key of the box >= goal is goal
+    goal, finals, deads = pack(bound), rooms[1:], [0] * len(rooms)
+    if target is not None:
+        # deads[s]: the slots no candidate from stage s on raises; a key of the
+        # box lies below goal in every slot, so goal - key holds the gaps
+        slots = list(zip(layout.shifts, layout.masks))
+        raised = accumulate([sum(m << s for s, m in slots if key >> s & m)
+                             for _, key in reversed(stages)], or_, initial=0)
+        finals, deads = [goal] * len(stages), [layout.below & ~r for r in raised][::-1]
     done, states = {}, {(0, ()): 1}
-    for (c, sk), room, final in zip(stages, rooms, rooms[1:]):
+    for (c, sk), room, final, dead, later in zip(stages, rooms, finals, deads, deads[1:]):
         tail = None
         for state, weight in list(states.items()):
             key, u_sum = state
-            if key >= room:  # final: this stage merges only below the next room <= room
-                done[key] = done.get(key, 0) + states.pop(state)
+            if key >= room or dead and (goal - key) & dead:
+                # final, as this stage merges only below the next room <= room;
+                # with a target, neither kind of key is goal
+                weight = states.pop(state)
+                if target is None:
+                    done[key] = done.get(key, 0) + weight
                 continue
             k = key + sk
             if k >= over or (limit - k) & guards != guards:
@@ -122,12 +148,14 @@ def _sequence_sum(steps, factor, diag, bound, cap=None, target=None):
                 m, u_sum = m + 1, tuple(map(add, u_sum, u))
                 if k >= final:
                     done[k] = done.get(k, 0) + weight
-                else:
+                elif not (later and (goal - k) & later):
                     states[k, u_sum] = states.get((k, u_sum), 0) + weight
                 k += sk
+    if target is not None:  # goal waits only as the empty sequence's key 0
+        return done.get(goal, 0) + states.get((goal, ()), 0)
     for (key, _), weight in states.items():
         done[key] = done.get(key, 0) + weight
-    return layout.poly(done, (0,) * len(bound)) if target is None else done.get(pack(target), 0)
+    return layout.poly(done, (0,) * len(bound))
 
 
 def fpoly_formula(tr: MutationTrace, n: int) -> LaurentPolynomial:
@@ -144,7 +172,14 @@ def coefficient_of(tr: MutationTrace, n: int, monomial) -> int:
     """Coefficient of one monomial of F_n; int exponents only.
 
     A monomial outside F_n's box 0 <= m <= degree bound, negative exponents
-    included, is 0 with no sum run; one inside sums only the box below it.
+    included, is 0 with no sum run; one inside sums only the box below it,
+    and walks only the states that can still reach it: a state is dropped
+    once its exponent of some variable falls short of the monomial's and no
+    remaining r-monomial raises that variable.
+
+    >>> from clusterforge import make_quiver, trace
+    >>> coefficient_of(trace(make_quiver([[0, 2], [-2, 0]]), (1, 2, 1)), 3, (3, 1))
+    2
     """
     bound = tr.degree_bound(n)
     monomial = tuple(map(intmat.exact_int, monomial))

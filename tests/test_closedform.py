@@ -10,8 +10,8 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import clusterforge.closedform
-from clusterforge import (LaurentPolynomial, coeff_a, coeff_b, coefficient_of,
-                          deform, deformed_formula, degree_bounds, fpoly_formula,
+from clusterforge import (LaurentPolynomial, canonical_sequence, coeff_a, coeff_b,
+                          coefficient_of, deform, deformed_formula, degree_bounds, fpoly_formula,
                           fpoly_product_form, fpoly_recurrence, make_quiver, phi,
                           trace)
 from clusterforge.closedform import (_binomial_series, _sequence_sum, _trace_factors,
@@ -126,6 +126,28 @@ def test_sequence_sum_raises_when_weights_do_not_cancel():
     with pytest.raises(NonIntegerCoefficient):
         _sequence_sum(steps, factor, 0, (2,), target=(2,))
     assert _sequence_sum(steps, factor, 0, (2,), target=(1,)) == 1
+
+
+def test_point_query_drops_states_that_cannot_reach_the_target():
+    # y1*y2*y3 from the steps (1,0,1), (1,0,0), (0,1,0) is only candidates 0
+    # and 2.  The empty state still waits at stage 1 and fits step (1,0,0),
+    # but no candidate from 1 on raises y3, so it is dropped there, and
+    # factor(1), which only that state would call, never runs.
+    def factor(c):
+        if c == 1:
+            raise AssertionError("factor(1) ran for a state that cannot reach the target")
+        return 1, (0,), (0,)
+
+    steps = [(1, 0, 1), (1, 0, 0), (0, 1, 0)]
+    assert _sequence_sum(steps, factor, 1, (1, 1, 1), target=(1, 1, 1)) == 1
+
+
+def test_pruned_point_query_keeps_its_coefficient(dp1):
+    # dP1 along 1,2,3,4,1,2,3,4: the query on y1^7 y2^8 y3^5 y4^4 expands 29
+    # states where the unpruned kernel expands 177, and still gives 18
+    tr = trace(dp1, canonical_sequence(4, 8))
+    monomial = (7, 8, 5, 4)
+    assert coefficient_of(tr, 8, monomial) == fpoly_formula(tr, 8).coefficient(monomial) == 18
 
 
 def test_formula_golden(k2):

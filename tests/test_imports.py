@@ -1,7 +1,11 @@
-"""Every name a package module imports is used in that module, and the
-unchecked constructor `_from_clean` stays inside `laurent`."""
+"""Every name a package module imports is used in that module, the
+unchecked constructor `_from_clean` stays inside `laurent`, and the package
+runs on the standard library alone."""
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -39,3 +43,22 @@ def test_only_laurent_imports_from_clean():
                  if any(name == "_from_clean" for _, name in
                         _imported_names(ast.parse(path.read_text(encoding="utf-8"))))]
     assert importers == []
+
+
+def test_package_needs_only_the_standard_library():
+    # a fresh interpreter, so that nothing the test run imported hides a
+    # dependency: the package and one CLI call add no module from outside it
+    # and the standard library
+    program = "\n".join([
+        "import sys",
+        "before = set(sys.modules)",
+        "import clusterforge.cli",
+        "clusterforge.cli.main(['fpoly', '--family', 'kr', '--params', 'r=2',"
+        " '--seq', '1,2,1', '--coeff', 'y1^3*y2'])",
+        "added = {name.partition('.')[0] for name in set(sys.modules) - before}",
+        "print(sorted(added - set(sys.stdlib_module_names) - {'clusterforge'}))",
+    ])
+    path = os.pathsep.join(filter(None, [str(PACKAGE.parent), os.environ.get("PYTHONPATH")]))
+    result = subprocess.run([sys.executable, "-c", program], capture_output=True, text=True,
+                            env={**os.environ, "PYTHONPATH": path}, check=True)
+    assert result.stdout.splitlines() == ["2", "[]"]
