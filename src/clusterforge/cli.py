@@ -253,10 +253,10 @@ def _cmd_family(args) -> int:
     params = _family_params(spec)
     if args.n is None:  # F_n comes before any output, so a rejected n writes nothing
         poly = None
-    elif args.family == "kr":  # F_n of q itself: no second build
-        poly = fpoly_kr(*params, args.n, q)
+    elif args.family == "kr":
+        poly = fpoly_kr(*params, args.n)
     elif len(params) == 3:  # gr, and dp1
-        poly = fpoly_gale_robinson(*params, args.n, q)
+        poly = fpoly_gale_robinson(*params, args.n)
     else:
         poly = fpoly_symmetric(q, args.n)
     payload = json.dumps({"b": [list(row) for row in q.b], "d": list(q.d)})

@@ -87,9 +87,9 @@ def _sequence_sum(steps, factor, diag, bound, cap=None, target=None):
     With a target, a state walks on only while it can still reach it.  A
     candidate raises the slots where its step is nonzero, and each stage
     has one mask: the slots that no candidate from that stage on raises.  A
-    state whose gap to the target is nonzero under that mask is dropped,
-    when a transition forms it and when a later stage finds it waiting, and
-    only the target's own key is summed.
+    state whose gap to the target is nonzero under that mask is dropped
+    when a stage finds it waiting, before it forms any transition there,
+    and only the target's own key is summed.
     """
     if target is not None:
         if not all(map(le, target, bound)):
@@ -111,7 +111,7 @@ def _sequence_sum(steps, factor, diag, bound, cap=None, target=None):
     rooms = [(cap - d + 1) << top for d in least][::-1]
     # finals[s]: keys formed at stage s from here on are final; with a target
     # that is goal, the target's key, as a key of the box >= goal is goal
-    goal, finals, deads = pack(bound), rooms[1:], [0] * len(rooms)
+    goal, finals, deads = pack(bound), rooms[1:], [0] * len(stages)
     if target is not None:
         # deads[s]: the slots no candidate from stage s on raises; a key of the
         # box lies below goal in every slot, so goal - key holds the gaps
@@ -120,7 +120,7 @@ def _sequence_sum(steps, factor, diag, bound, cap=None, target=None):
                              for _, key in reversed(stages)], or_, initial=0)
         finals, deads = [goal] * len(stages), [layout.below & ~r for r in raised][::-1]
     done, states = {}, {(0, ()): 1}
-    for (c, sk), room, final, dead, later in zip(stages, rooms, finals, deads, deads[1:]):
+    for (c, sk), room, final, dead in zip(stages, rooms, finals, deads):
         tail = None
         for state, weight in list(states.items()):
             key, u_sum = state
@@ -148,7 +148,7 @@ def _sequence_sum(steps, factor, diag, bound, cap=None, target=None):
                 m, u_sum = m + 1, tuple(map(add, u_sum, u))
                 if k >= final:
                     done[k] = done.get(k, 0) + weight
-                elif not (later and (goal - k) & later):
+                else:
                     states[k, u_sum] = states.get((k, u_sum), 0) + weight
                 k += sk
     if target is not None:  # goal waits only as the empty sequence's key 0

@@ -298,9 +298,8 @@ def _family_sum(ss: SSequence, steps, bound, cap=None) -> LaurentPolynomial:
 def _certified_formula(q: GeneralizedQuiver, ss: SSequence, n: int) -> LaurentPolynomial:
     """F_n of a symmetric quiver under the cyclic sequence 1..v,1.., by the family sum.
 
-    Refuses to run unless check_symmetric certifies the prefix of length n
-    and ss has the recurrence and companion that vertex 1's arrows give; the
-    degree bound is read off the trace of that same prefix.  The pair
+    Refuses to run unless check_symmetric certifies the prefix of length n;
+    the degree bound is read off the trace of that same prefix.  The pair
     coefficients are a(i,k) = s_{k-i} and b(i,k) = s'_{k-i}, and the step
     r_w = prod y_i^{s_{w-i}}; in the candidate order c = n - w the steps are
     the r_w, reversed.
@@ -309,10 +308,6 @@ def _certified_formula(q: GeneralizedQuiver, ss: SSequence, n: int) -> LaurentPo
     report, tr = _symmetry(q, n)
     if not report.ok:
         raise NotSymmetric(f"quiver is not certified symmetric for n={n}: {report}")
-    own = SSequence.from_quiver(q)
-    if (ss.recurrence, ss.companion) != (own.recurrence, own.companion):
-        raise BadParameters(f"the quiver's scalar sequence {own.recurrence}, {own.companion} "
-                            f"is not the family's {ss.recurrence}, {ss.companion}")
     rvecs = []
     for w in range(1, n + 1):
         rv = tuple(ss.s(w - i) for i in range(1, q.v + 1))
@@ -331,25 +326,15 @@ def fpoly_symmetric(q: GeneralizedQuiver, n: int) -> LaurentPolynomial:
     return _certified_formula(q, SSequence.from_quiver(q), n)
 
 
-def fpoly_kr(r: int, n: int, quiver: GeneralizedQuiver | None = None) -> LaurentPolynomial:
-    """F_n for the two-vertex quiver with r parallel arrows, alternating sequence.
-
-    quiver is that quiver when the caller has built it already; one whose
-    arrows give another scalar sequence raises BadParameters.
-    """
-    if quiver is None:
-        quiver = build_family(FamilySpec.of("kr", r=r))
-    return _certified_formula(quiver, SSequence.kronecker(r), n)
+def fpoly_kr(r: int, n: int) -> LaurentPolynomial:
+    """F_n for the two-vertex quiver with r parallel arrows, alternating sequence."""
+    return _certified_formula(build_family(FamilySpec.of("kr", r=r)), SSequence.kronecker(r), n)
 
 
-def fpoly_gale_robinson(v: int, r: int, t: int, n: int,
-                        quiver: GeneralizedQuiver | None = None) -> LaurentPolynomial:
+def fpoly_gale_robinson(v: int, r: int, t: int, n: int) -> LaurentPolynomial:
     """F_n for G_{v,r,t} under the cyclic sequence, via partition counts.
 
     The splitting count of `SSequence.gale_robinson` is the closed form that
-    `_family_sum` checks against the recurrence.  quiver is G_{v,r,t} when
-    the caller has built it already, as for `fpoly_kr`.
+    `_family_sum` checks against the recurrence.
     """
-    if quiver is None:
-        quiver = build_gale_robinson(v, r, t)
-    return _certified_formula(quiver, SSequence.gale_robinson(v, r, t), n)
+    return _certified_formula(build_gale_robinson(v, r, t), SSequence.gale_robinson(v, r, t), n)

@@ -3,12 +3,8 @@ from pathlib import Path
 
 import pytest
 
-from clusterforge import families
 from clusterforge.cli import main, parse_params, parse_sequence
 from clusterforge.errors import ParseError
-from clusterforge.families import (FamilySpec, build_family, fpoly_gale_robinson, fpoly_kr,
-                                   fpoly_symmetric)
-from clusterforge.quiver import make_quiver
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 
@@ -134,28 +130,6 @@ def test_family_emit_and_fpoly(tmp_path, capsys):
     assert code == 0
     data = json.loads(out_file.read_text())
     assert data["b"][0][2] == 1 and data["b"][0][5] == 1
-
-
-@pytest.mark.parametrize("params, fpoly", [
-    (["--family", "gr", "--params", "v=7,r=2,t=3"], lambda n: fpoly_gale_robinson(7, 2, 3, n)),
-    (["--family", "kr", "--params", "r=3"], lambda n: fpoly_kr(3, n)),
-    (["--family", "dp1"], lambda n: fpoly_gale_robinson(4, 2, 1, n)),
-    (["--family", "a1r", "--params", "r=2"],
-     lambda n: fpoly_symmetric(build_family(FamilySpec.of("a1r", r=2)), n)),
-], ids=["gr", "kr", "dp1", "a1r"])
-def test_family_builds_its_quiver_once(capsys, monkeypatch, params, fpoly):
-    # --n formats F_n of the quiver it prints, not of a second build
-    calls = []
-
-    def counting_make_quiver(*args, **kwargs):
-        calls.append(args)
-        return make_quiver(*args, **kwargs)
-
-    monkeypatch.setattr(families, "make_quiver", counting_make_quiver)
-    code, out, _ = run(capsys, "family", *params, "--n", "5")
-    assert code == 0 and len(calls) == 1
-    monkeypatch.undo()
-    assert out.splitlines()[1] == fpoly(5).to_text()
 
 
 def test_family_without_n_prints_only_the_quiver(tmp_path, capsys):

@@ -246,17 +246,6 @@ def test_fpoly_gale_robinson_matches_recurrence(dp1, g723):
             assert fpoly_gale_robinson(v, r, t, n) == expected
 
 
-def test_family_fpoly_of_a_quiver_the_caller_built(k3, g723):
-    # the quiver passed in is the one certified and summed, with no second
-    # build; one whose arrows give another scalar sequence is refused
-    assert fpoly_kr(3, 5, k3) == fpoly_kr(3, 5)
-    assert fpoly_gale_robinson(7, 2, 3, 6, g723) == fpoly_gale_robinson(7, 2, 3, 6)
-    with pytest.raises(BadParameters, match="scalar sequence"):
-        fpoly_kr(2, 3, k3)
-    with pytest.raises(BadParameters, match="scalar sequence"):
-        fpoly_gale_robinson(7, 2, 3, 4, build_gale_robinson(7, 3, 2))
-
-
 def test_fpoly_symmetric_matches_recurrence(k2, dp1):
     assert fpoly_symmetric(k2, 3) == fpoly_recurrence(k2, (1, 2, 1))[-1]
     assert fpoly_symmetric(k2, 0) == LaurentPolynomial.one(2)
