@@ -13,7 +13,8 @@ Three evaluation routes live here:
   kernel laurent._mul_within.
 * `deformed_coefficients` evaluates the deformed polynomial S_n directly in
   deformed exponent space under a total-degree cutoff, which stays cheap
-  even when F_n itself would be astronomically large.
+  even when F_n itself would be astronomically large: one matrix product
+  deforms every r-monomial, and only those under the cutoff are summed.
 
 One stagewise kernel, `_sequence_sum`, evaluates every sum over
 nondecreasing index sequences: `fpoly_formula`, the point query
@@ -31,7 +32,7 @@ from operator import add, le, mul, or_
 
 from . import intmat
 from .cmatrix import MutationTrace, _check_step, coeff_a, pair_term
-from .errors import NonIntegerCoefficient, SignCoherenceViolation
+from .errors import NonIntegerCoefficient, RedStepEncountered, SignCoherenceViolation
 from .laurent import LaurentPolynomial, _mul_within, _Packing
 
 
@@ -259,6 +260,13 @@ def deformed_formula(tr: MutationTrace, n: int) -> LaurentPolynomial:
     return f.map_exponents(lambda exps: intmat.mat_vec(m, exps))
 
 
+def _require_green(tr: MutationTrace, n: int) -> None:
+    """RedStepEncountered naming the first red step among steps 1..n."""
+    if "red" in tr.colors[:n]:
+        i = tr.colors.index("red") + 1
+        raise RedStepEncountered(f"step {i} (vertex {tr.vertex(i)}) is red")
+
+
 def deformed_coefficients(tr: MutationTrace, n: int, cutoff: int) -> dict:
     """Coefficients of S_n on all monomials of total degree <= cutoff.
 
@@ -266,18 +274,28 @@ def deformed_coefficients(tr: MutationTrace, n: int, cutoff: int) -> dict:
     deformed exponent space: sequences 0 <= w_1 <= ... <= w_k <= n-1
     contribute phi(w) * prod_i (a(n-w_i, n) + sum_{j<i} pair(n-w_i, n-w_j))
     on the monomial prod_i -C_n^{-1}(r_{n-w_i}).  Requires an all-green
-    prefix so every deformed r-monomial has nonnegative positive-degree
-    exponents, which makes the cutoff prune exhaustive.
+    prefix (RedStepEncountered names the first red step otherwise) so every
+    deformed r-monomial has nonnegative positive-degree exponents, which
+    makes the cutoff prune exhaustive.
+
+    All n deformed r-monomials are one product -C_n^{-1} R_n, column w of
+    R_n being r_{n-w}.  Every column is sign-checked, those above the
+    cutoff too; only on a failure are they scanned one by one, to name the
+    first offending step.  Only the columns of total degree <= cutoff reach
+    the sequence sum, each with the factors of its own step.
     """
     _check_step(tr, n, 1)
     intmat.check_count(cutoff, "cutoff")
-    if any(color == "red" for color in tr.colors[:n]):
-        raise ValueError("deformed cutoff evaluation requires an all-green prefix")
-    deform = deform_matrix(tr, n)
-    rhos = [intmat.mat_vec(deform, tr.r(i)) for i in range(n, 0, -1)]
-    for w, rho in enumerate(rhos):
-        if min(rho) < 0 or not any(rho):
-            raise SignCoherenceViolation(f"deformed r-monomial of step {n - w} (vertex "
-                                         f"{tr.vertex(n - w)}) is not positive: {rho}")
-    poly = _sequence_sum(rhos, _trace_factors(tr, n), -1, (cutoff,) * tr.v, cutoff)
+    _require_green(tr, n)
+    rs = tuple(zip(*tr.r_monomials[n - 1::-1]))  # R_n; column w is r_{n-w}
+    rhos = list(zip(*intmat.mat_mul(deform_matrix(tr, n), rs)))
+    if min(map(min, rhos)) < 0 or not all(map(any, rhos)):
+        for w, rho in enumerate(rhos):
+            if min(rho) < 0 or not any(rho):
+                raise SignCoherenceViolation(f"deformed r-monomial of step {n - w} (vertex "
+                                             f"{tr.vertex(n - w)}) is not positive: {rho}")
+    kept = [w for w, rho in enumerate(rhos) if sum(rho) <= cutoff]
+    factor = _trace_factors(tr, n)
+    poly = _sequence_sum([rhos[w] for w in kept], lambda c: factor(kept[c]), -1,
+                         (cutoff,) * tr.v, cutoff)
     return dict(poly.terms)

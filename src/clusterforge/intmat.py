@@ -2,8 +2,10 @@
 
 Matrices are immutable tuples of tuples of Python ints, so all arithmetic
 is arbitrary precision and exact: elimination is fraction-free, on integers
-only.  Sizes here are tiny (the vertex count of a quiver), so the plain
-O(n^3) algorithms are the right tool.
+only.  Sizes here are small (the vertex count of a quiver, or a step count
+for a matrix of r-monomials), so elimination is plain O(n^3), and a product
+adds up whole rows: each nonzero entry of the left operand costs one pass
+over a row of the right one, and a zero entry costs nothing.
 """
 
 from __future__ import annotations
@@ -45,12 +47,26 @@ def identity(n: int) -> Matrix:
 
 
 def mat_mul(a: Matrix, b: Matrix) -> Matrix:
-    n, m = len(a), len(b[0])
-    k = len(b)
-    return tuple(
-        tuple(sum(a[i][t] * b[t][j] for t in range(k)) for j in range(m))
-        for i in range(n)
-    )
+    """The product a*b: row i is the sum of x * b[t] over the nonzero x = a[i][t].
+
+    A zero row of a is a zero row as wide as b; an empty a gives the empty
+    product, whatever b is.
+
+    >>> mat_mul(((1, 2), (0, -1)), ((3, 0, 1), (1, 1, 0)))
+    ((5, 2, 1), (-1, -1, 0))
+    >>> mat_mul(((0, 0),), ((1, 2), (3, 4)))
+    ((0, 0),)
+    >>> mat_mul((), ())
+    ()
+    """
+    out = []
+    for row in a:
+        acc = None
+        for x, r in zip(row, b):
+            if x:
+                acc = [x * y for y in r] if acc is None else [s + x * y for s, y in zip(acc, r)]
+        out.append((0,) * len(b[0]) if acc is None else tuple(acc))
+    return tuple(out)
 
 
 def mat_vec(a: Matrix, v) -> tuple[int, ...]:

@@ -17,9 +17,9 @@ from fractions import Fraction
 from operator import sub
 
 from . import intmat
-from .closedform import deformed_coefficients, phi
+from .closedform import _require_green, deformed_coefficients, phi
 from .cmatrix import MutationTrace, _check_step, trace
-from .errors import BadParameters, ConsistencyError, RedStepEncountered
+from .errors import BadParameters, ConsistencyError
 from .families import FamilySpec, SSequence, _family_params, _family_sum
 from .intmat import Matrix
 from .laurent import LaurentPolynomial
@@ -185,9 +185,7 @@ def stabilization_run(q: GeneralizedQuiver, seq_period, count: int,
     p = len(seq_period)
     full_seq = seq_period * count
     tr = trace(q, full_seq)
-    for i, color in enumerate(tr.colors, start=1):
-        if color == "red":
-            raise RedStepEncountered(f"step {i} (vertex {tr.vertex(i)}) is red")
+    _require_green(tr, tr.n)
 
     indices = tuple(p * (k + 1) for k in range(count))
 
@@ -273,14 +271,17 @@ def limit_gale_robinson(v: int, r: int, t: int, cutoff: int) -> LaurentPolynomia
     factors s_{w_i} + sum_{j<i} (-s_d - s_{d-v} + s_{d-t} + s_{d-v+t}) with
     d = w_i - w_j, on the monomial prod_i y_i^{s_{w-v+i}}.  The variables are
     framed so the result matches stabilization runs inspected at indices
-    divisible by v directly; dp1_coefficient uses the reversed frame.
+    divisible by v directly; dp1_coefficient uses the reversed frame.  The
+    sequence is read once, as s_{1-v}, ..., s_{w_max}, and rho(w) is its
+    window of v values that starts at position w.
     """
     v, r, t = _family_params(FamilySpec.of("gr", v=v, r=r, t=t))
     intmat.check_count(cutoff, "cutoff")
     ss = SSequence.gale_robinson(v, r, t)
     # deg rho(w) >= floor(w/r) / (v-r), so entries beyond w_max cannot fit
     w_max = r * (cutoff * (v - r) + 1) + v
-    rhos = [tuple(ss.s(w - v + i) for i in range(1, v + 1)) for w in range(w_max + 1)]
+    s = [ss.s(i) for i in range(1 - v, w_max + 1)]  # s[w + v - 1] = s_w
+    rhos = [tuple(s[w:w + v]) for w in range(w_max + 1)]
     return _family_sum(ss, rhos, (cutoff,) * v, cutoff)
 
 

@@ -22,6 +22,11 @@
   for the single numerator of `quiver.mutate`.
 * `degree_bound_walk`: F_n's degree bound from a walk of the first n steps
   alone, the reference for the trace's one walk of every prefix.
+* `mat_mul_entrywise`: the matrix product one entry at a time, each a sum
+  over the inner index, the reference for `intmat.mat_mul`'s row sums.
+* `limit_gale_robinson_per_entry`: the Gale-Robinson limit with every entry
+  of every rho(w) read off the scalar sequence on its own, the reference
+  for the one window-sliced read of `stabilization.limit_gale_robinson`.
 """
 
 from dataclasses import dataclass
@@ -32,6 +37,7 @@ from operator import add, le
 from clusterforge import LaurentPolynomial, exact_divide
 from clusterforge.cmatrix import MutationTrace, _check_step, coeff_a, pair_term
 from clusterforge.errors import NotSkewSymmetrizable
+from clusterforge.families import FamilySpec, SSequence, _family_params, _family_sum
 from clusterforge.quiver import FramedState, GeneralizedQuiver, mutate_b, mutate_c
 
 
@@ -241,3 +247,22 @@ def mutate_by_monomials(state: FramedState, k: int) -> FramedState:
     labels[kk] = exact_divide(s_in + s_out, state.labels[kk])
     return FramedState(GeneralizedQuiver(mutate_b(q.b, kk), q.d),
                        mutate_c(c, q.b, kk), tuple(labels))
+
+
+def mat_mul_entrywise(a, b):
+    """a*b entry by entry; b needs at least one row, as its width is len(b[0])."""
+    n, m = len(a), len(b[0])
+    k = len(b)
+    return tuple(
+        tuple(sum(a[i][t] * b[t][j] for t in range(k)) for j in range(m))
+        for i in range(n)
+    )
+
+
+def limit_gale_robinson_per_entry(v: int, r: int, t: int, cutoff: int) -> LaurentPolynomial:
+    """The limit of G_{v,r,t} with rho(w)_i = s_{w-v+i} read one entry at a time."""
+    v, r, t = _family_params(FamilySpec.of("gr", v=v, r=r, t=t))
+    ss = SSequence.gale_robinson(v, r, t)
+    w_max = r * (cutoff * (v - r) + 1) + v
+    rhos = [tuple(ss.s(w - v + i) for i in range(1, v + 1)) for w in range(w_max + 1)]
+    return _family_sum(ss, rhos, (cutoff,) * v, cutoff)

@@ -123,6 +123,19 @@ def test_cmatrix_between(capsys):
     assert "C_1,3" in out and "D_1,3" in out
 
 
+def test_cmatrix_between_on_a_quiver_with_no_vertices(tmp_path, capsys):
+    # used to die with an uncaught IndexError in the matrix product
+    path = tmp_path / "empty.json"
+    path.write_text('{"b": []}')
+    args = ("cmatrix", "--quiver", str(path), "--seq", "", "--between", "0", "0")
+    code, out, _ = run(capsys, *args)
+    assert code == 0
+    assert "C_0,0 =" in out and "D_0,0 =" in out
+    code, out, _ = run(capsys, *args, "--format", "json")
+    assert code == 0
+    assert [json.loads(line) for line in out.splitlines()] == [{"C_0,0": []}, {"D_0,0": []}]
+
+
 def test_family_emit_and_fpoly(tmp_path, capsys):
     out_file = tmp_path / "g723.json"
     code, out, _ = run(capsys, "family", "--family", "gr", "--params",

@@ -12,11 +12,12 @@ from hypothesis import strategies as st
 import clusterforge.closedform
 from clusterforge import (LaurentPolynomial, canonical_sequence, coeff_a, coeff_b,
                           coefficient_of, deform, deformed_formula, degree_bounds, fpoly_formula,
-                          fpoly_product_form, fpoly_recurrence, make_quiver, phi,
+                          fpoly_product_form, fpoly_recurrence, intmat, make_quiver, phi,
                           trace)
 from clusterforge.closedform import (_binomial_series, _sequence_sum, _trace_factors,
                                      deform_matrix, deformed_coefficients)
-from clusterforge.errors import BadParameters, NonIntegerCoefficient, SignCoherenceViolation
+from clusterforge.errors import (BadParameters, NonIntegerCoefficient, RedStepEncountered,
+                                 SignCoherenceViolation)
 from clusterforge.laurent import _Packing
 from conftest import random_sequence, random_skew_symmetric, truncate
 from oracles import enumerate_sequences, w_value
@@ -242,6 +243,79 @@ def test_deformed_coefficients_failure_names_the_step(k2):
     with pytest.raises(SignCoherenceViolation,
                        match=r"r-monomial of step 3 \(vertex 1\) is not positive: \(-3, -2\)"):
         deformed_coefficients(broken, 3, 4)
+
+
+def test_deformed_coefficients_checks_steps_above_the_cutoff(k2):
+    # step 1's deformed r-monomial, (-1, 9), has degree 8 > 4 and never reaches
+    # the sum, yet it is checked: -C_3 (-1, 9) = (-39, -29)
+    tr = trace(k2, (1, 2, 1))
+    broken = replace(tr, r_monomials=((-39, -29),) + tr.r_monomials[1:])
+    with pytest.raises(SignCoherenceViolation,
+                       match=r"r-monomial of step 1 \(vertex 1\) is not positive: \(-1, 9\)"):
+        deformed_coefficients(broken, 3, 4)
+
+
+def test_deformed_coefficients_rejects_a_zero_column(k2):
+    tr = trace(k2, (1, 2, 1))
+    zero = replace(tr, r_monomials=(tr.r(1), (0, 0), tr.r(3)))
+    with pytest.raises(SignCoherenceViolation,
+                       match=r"r-monomial of step 2 \(vertex 2\) is not positive: \(0, 0\)"):
+        deformed_coefficients(zero, 3, 4)
+    # with steps 1 and 2 both off, the scan from step n down names step 2 first
+    both = replace(zero, r_monomials=((-39, -29),) + zero.r_monomials[1:])
+    with pytest.raises(SignCoherenceViolation, match=r"step 2 \(vertex 2\)"):
+        deformed_coefficients(both, 3, 4)
+
+
+def test_deformed_coefficients_names_the_first_red_step(k2):
+    # the error and text of stabilization_run; it used to be a bare ValueError
+    tr = trace(k2, (1, 1, 2))
+    assert deformed_coefficients(tr, 1, 3) == {(0, 0): 1, (1, 0): 1}
+    for n in (2, 3):
+        with pytest.raises(RedStepEncountered, match=r"^step 2 \(vertex 1\) is red$"):
+            deformed_coefficients(tr, n, 3)
+    assert not issubclass(RedStepEncountered, ValueError)
+
+
+def test_deformed_coefficients_is_one_product_and_a_filtered_sum(a12, monkeypatch):
+    # per call: one mat_mul, no mat_vec, and only the steps of degree <= cutoff
+    # reach the sequence sum, each with the factors of its own step
+    tr, cutoff = trace(a12, (1, 2, 3) * 4), 5
+    expected = {}
+    for n in range(1, tr.n + 1):
+        rhos = [intmat.mat_vec(deform_matrix(tr, n), tr.r(n - w)) for w in range(n)]
+        expected[n] = [w for w, rho in enumerate(rhos) if sum(rho) <= cutoff], rhos
+    calls = []
+    real_mat_mul, real_mat_vec = intmat.mat_mul, intmat.mat_vec
+    real_sum = clusterforge.closedform._sequence_sum
+
+    def mat_mul(a, b):
+        calls[-1]["mat_mul"] += 1
+        return real_mat_mul(a, b)
+
+    def mat_vec(a, v):
+        calls[-1]["mat_vec"] += 1
+        return real_mat_vec(a, v)
+
+    def sequence_sum(steps, factor, *args):
+        calls[-1]["steps"].append(list(steps))
+        calls[-1]["factors"] = [factor(c) for c in range(len(steps))]
+        return real_sum(steps, factor, *args)
+
+    monkeypatch.setattr(intmat, "mat_mul", mat_mul)
+    monkeypatch.setattr(intmat, "mat_vec", mat_vec)
+    monkeypatch.setattr(clusterforge.closedform, "_sequence_sum", sequence_sum)
+    dropped = 0
+    for n in range(1, tr.n + 1):
+        calls.append({"mat_mul": 0, "mat_vec": 0, "steps": []})
+        deformed_coefficients(tr, n, cutoff)
+        kept, rhos = expected[n]
+        factor = _trace_factors(tr, n)
+        assert (calls[-1]["mat_mul"], calls[-1]["mat_vec"]) == (1, 0)
+        assert calls[-1]["steps"] == [[rhos[w] for w in kept]]
+        assert calls[-1]["factors"] == [factor(w) for w in kept]
+        dropped += n - len(kept)
+    assert dropped > 0  # some steps did not fit the cutoff
 
 
 def test_coefficient_of_rejects_wrong_length_monomial(k2):

@@ -75,6 +75,12 @@ def test_c_between(k2):
     assert c_between(tr, 3, 1) == ((3, -2), (2, -1))
 
 
+def test_c_between_on_a_quiver_with_no_vertices():
+    # the product used to read the width of the right operand's first row
+    tr = trace(make_quiver([]), ())
+    assert c_between(tr, 0, 0) == c_between(tr, 0, 0, "d") == ()
+
+
 def test_c_between_checks_both_indices(k2):
     tr = trace(k2, (1, 2, 1))
     for m, n in ((True, 3), (1, False), (1.0, 3), (1, 3.0)):

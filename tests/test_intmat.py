@@ -5,6 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from clusterforge.intmat import det, identity, inverse_unimodular, mat_mul
+from oracles import mat_mul_entrywise
 
 
 def fraction_det(a):
@@ -99,3 +100,37 @@ def test_integer_elimination_edge_cases():
         inverse_unimodular(((2, 4), (1, 2)))
     with pytest.raises(ValueError, match="not unimodular"):
         inverse_unimodular(((2, 0), (0, 1)))
+
+
+# small, negative, and wider than 64 bits
+ENTRIES = st.integers(-3, 3) | st.integers(-2**80, 2**80)
+
+
+@st.composite
+def product_operands(draw):
+    """a (n x k) and b (k x m), n and m in 0..5, k in 1..5, some rows all zero."""
+    n, k, m = draw(st.integers(0, 5)), draw(st.integers(1, 5)), draw(st.integers(0, 5))
+
+    def matrix(rows, cols):
+        return tuple(
+            (0,) * cols if draw(st.booleans()) and draw(st.booleans())
+            else tuple(draw(st.lists(ENTRIES, min_size=cols, max_size=cols)))
+            for _ in range(rows))
+
+    return matrix(n, k), matrix(k, m)
+
+
+@settings(max_examples=300, deadline=None)
+@given(product_operands())
+def test_mat_mul_row_sums_match_entrywise_product(case):
+    a, b = case
+    assert mat_mul(a, b) == mat_mul_entrywise(a, b)
+
+
+def test_mat_mul_empty_operands():
+    # an empty left operand gives the empty product; the entrywise product
+    # reads len(b[0]) first and fails when b has no rows
+    assert mat_mul((), ()) == ()
+    assert mat_mul((), ((1, 2),)) == ()
+    assert mat_mul(((0, 0),), ((), ())) == ((),)
+    assert mat_mul(((1, 0), (0, 0)), ((5, -6), (7, 8))) == ((5, -6), (0, 0))

@@ -17,7 +17,7 @@ from clusterforge.errors import BadParameters, RedStepEncountered
 from clusterforge.intmat import identity
 from clusterforge.stabilization import _decomposable, _labels_after
 from conftest import random_sequence, random_skew_symmetric
-from oracles import QuadraticNumber
+from oracles import QuadraticNumber, limit_gale_robinson_per_entry
 
 
 def P(nvars, terms):
@@ -282,6 +282,19 @@ def test_limit_gale_robinson_golden(dp1):
         (0, 0, 0, 0): 1, (0, 0, 0, 1): 1, (0, 0, 1, 1): 1,
         (0, 1, 0, 2): 2, (1, 0, 2, 1): 3,
     })
+
+
+GALE_ROBINSON_UP_TO_7 = [(v, r, t) for v in range(2, 8) for r in range(1, v)
+                         for t in range(1, v) if t not in (r, v - r)]
+
+
+@pytest.mark.parametrize("v, r, t", GALE_ROBINSON_UP_TO_7)
+def test_limit_gale_robinson_windows_match_per_entry_reads(v, r, t):
+    # rho(w) is a window of one read of s; the reference reads every entry alone
+    for cutoff in range(11):
+        lim = limit_gale_robinson(v, r, t, cutoff)
+        expected = limit_gale_robinson_per_entry(v, r, t, cutoff)
+        assert lim == expected and list(lim.terms) == list(expected.terms)
 
 
 @pytest.mark.parametrize("params, n_terms, total, pins", [
