@@ -26,6 +26,7 @@ and cap.  All arithmetic is in integers: phi enters as binomials.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from fractions import Fraction
 from itertools import accumulate, count
 from operator import add, le, mul, or_
@@ -66,7 +67,7 @@ def _trace_factors(tr: MutationTrace, n: int):
     return factor
 
 
-def _sequence_sum(steps, factor, diag, bound, cap=None, target=None):
+def _sequence_sum(steps, factor, diag, bound, cap=None, target=None, marks=None):
     """Sum phi(c) * prod_i f_i over nondecreasing sequences c of candidates.
 
     The candidates are the indices of steps; factor(c) gives (tail_c, u_c,
@@ -91,6 +92,12 @@ def _sequence_sum(steps, factor, diag, bound, cap=None, target=None):
     state whose gap to the target is nonzero under that mask is dropped
     when a stage finds it waiting, before it forms any transition there,
     and only the target's own key is summed.
+
+    With marks, a nondecreasing list of candidate-prefix lengths and no
+    target, returns one polynomial per mark: the sum over the sequences of
+    the candidates c < mark alone.  As stages run in candidate order, that
+    is the running total just before the first stage of a candidate c >=
+    mark (or at the end): done plus every waiting state.
     """
     if target is not None:
         if not all(map(le, target, bound)):
@@ -120,8 +127,16 @@ def _sequence_sum(steps, factor, diag, bound, cap=None, target=None):
         raised = accumulate([sum(m << s for s, m in slots if key >> s & m)
                              for _, key in reversed(stages)], or_, initial=0)
         finals, deads = [goal] * len(stages), [layout.below & ~r for r in raised][::-1]
-    done, states = {}, {(0, ()): 1}
+    done, states, totals = {}, {(0, ()): 1}, []
+
+    def total(acc):
+        for (key, _), weight in states.items():
+            acc[key] = acc.get(key, 0) + weight
+        return layout.poly(acc, (0,) * len(bound))
+
     for (c, sk), room, final, dead in zip(stages, rooms, finals, deads):
+        while marks and len(totals) < len(marks) and marks[len(totals)] <= c:
+            totals.append(total(dict(done)))
         tail = None
         for state, weight in list(states.items()):
             key, u_sum = state
@@ -154,9 +169,9 @@ def _sequence_sum(steps, factor, diag, bound, cap=None, target=None):
                 k += sk
     if target is not None:  # goal waits only as the empty sequence's key 0
         return done.get(goal, 0) + states.get((goal, ()), 0)
-    for (key, _), weight in states.items():
-        done[key] = done.get(key, 0) + weight
-    return layout.poly(done, (0,) * len(bound))
+    if marks is None:
+        return total(done)
+    return totals + [total(done)] * (len(marks) - len(totals))
 
 
 def fpoly_formula(tr: MutationTrace, n: int) -> LaurentPolynomial:
@@ -283,6 +298,24 @@ def deformed_coefficients(tr: MutationTrace, n: int, cutoff: int) -> dict:
     cutoff too; only on a failure are they scanned one by one, to name the
     first offending step.  Only the columns of total degree <= cutoff reach
     the sequence sum, each with the factors of its own step.
+
+    The candidates w < m of that sum are S_m's sum whenever every step is
+    green and the step matrices repeat with a period dividing n - m,
+    A_{i+p} = A_i (so E_{i+p} = E_i): candidate w's deformed r-monomial,
+    tail and pair terms are products of the step matrices of the w + 1
+    steps up to its index, so they depend only on w.  `_deformed_sums`
+    reads S_m off S_n's sum this way.
+    """
+    return _deformed_sums(tr, n, cutoff, (n,))[0]
+
+
+def _deformed_sums(tr: MutationTrace, n: int, cutoff: int, indices) -> list[dict]:
+    """deformed_coefficients(tr, m, cutoff) for each m in indices, off S_n's sum.
+
+    The checks, the product -C_n^{-1} R_n and the cutoff filter run once,
+    at n.  Index m (nondecreasing, each <= n) takes the mark of the kept
+    candidates w < m, which is S_m's sum when the steps are periodic as
+    deformed_coefficients states; the caller guarantees that.
     """
     _check_step(tr, n, 1)
     intmat.check_count(cutoff, "cutoff")
@@ -296,6 +329,6 @@ def deformed_coefficients(tr: MutationTrace, n: int, cutoff: int) -> dict:
                                              f"{tr.vertex(n - w)}) is not positive: {rho}")
     kept = [w for w, rho in enumerate(rhos) if sum(rho) <= cutoff]
     factor = _trace_factors(tr, n)
-    poly = _sequence_sum([rhos[w] for w in kept], lambda c: factor(kept[c]), -1,
-                         (cutoff,) * tr.v, cutoff)
-    return dict(poly.terms)
+    polys = _sequence_sum([rhos[w] for w in kept], lambda c: factor(kept[c]), -1,
+                          (cutoff,) * tr.v, cutoff, marks=[bisect_left(kept, m) for m in indices])
+    return [dict(poly.terms) for poly in polys]

@@ -50,7 +50,8 @@ def mat_mul(a: Matrix, b: Matrix) -> Matrix:
     """The product a*b: row i is the sum of x * b[t] over the nonzero x = a[i][t].
 
     A zero row of a is a zero row as wide as b; an empty a gives the empty
-    product, whatever b is.
+    product, whatever b is.  A b with no rows is 0x0, so an n x 0 a gives
+    n rows of width 0.
 
     >>> mat_mul(((1, 2), (0, -1)), ((3, 0, 1), (1, 1, 0)))
     ((5, 2, 1), (-1, -1, 0))
@@ -58,14 +59,16 @@ def mat_mul(a: Matrix, b: Matrix) -> Matrix:
     ((0, 0),)
     >>> mat_mul((), ())
     ()
+    >>> mat_mul(((), ()), ())
+    ((), ())
     """
-    out = []
+    out, width = [], len(b[0]) if b else 0
     for row in a:
         acc = None
         for x, r in zip(row, b):
             if x:
                 acc = [x * y for y in r] if acc is None else [s + x * y for s, y in zip(acc, r)]
-        out.append((0,) * len(b[0]) if acc is None else tuple(acc))
+        out.append((0,) * width if acc is None else tuple(acc))
     return tuple(out)
 
 

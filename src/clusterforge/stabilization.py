@@ -17,9 +17,9 @@ from fractions import Fraction
 from operator import sub
 
 from . import intmat
-from .closedform import _require_green, deformed_coefficients, phi
+from .closedform import _deformed_sums, _require_green, deformed_coefficients, phi
 from .cmatrix import MutationTrace, _check_step, trace
-from .errors import BadParameters, ConsistencyError
+from .errors import BadParameters, ConsistencyError, SignCoherenceViolation
 from .families import FamilySpec, SSequence, _family_params, _family_sum
 from .intmat import Matrix
 from .laurent import LaurentPolynomial
@@ -175,6 +175,13 @@ def stabilization_run(q: GeneralizedQuiver, seq_period, count: int,
     declared stabilized at the first inspected index from which its
     coefficient history is constant; the verdict is None while the last two
     inspected values still differ.
+
+    When the period returns the exchange matrix, B_p = B_0, the step
+    matrices repeat, A_{i+p} = A_i, as each is fixed by B_{i-1}, the vertex
+    and the green sign.  Then S_kp's sum is a prefix of S_(count*p)'s, so
+    one sum at count*p gives every index.  Otherwise, or when that sum's
+    sign check fails, each index is summed on its own, so the error names
+    its step as seen from the first index that fails.
     """
     seq_period = tuple(seq_period)
     if not all(intmat.is_int(k) for k in seq_period):
@@ -189,7 +196,14 @@ def stabilization_run(q: GeneralizedQuiver, seq_period, count: int,
 
     indices = tuple(p * (k + 1) for k in range(count))
 
-    per_index = [deformed_coefficients(tr, n, cutoff) for n in indices]
+    per_index = None
+    if tr.b_mats[p] == tr.b_mats[0]:
+        try:
+            per_index = _deformed_sums(tr, tr.n, cutoff, indices)
+        except SignCoherenceViolation:
+            pass
+    if per_index is None:
+        per_index = [deformed_coefficients(tr, n, cutoff) for n in indices]
 
     monomials = sorted(
         {m for coeffs in per_index for m in coeffs},

@@ -250,8 +250,8 @@ def mutate_by_monomials(state: FramedState, k: int) -> FramedState:
 
 
 def mat_mul_entrywise(a, b):
-    """a*b entry by entry; b needs at least one row, as its width is len(b[0])."""
-    n, m = len(a), len(b[0])
+    """a*b entry by entry; a b with no rows is 0x0."""
+    n, m = len(a), len(b[0]) if b else 0
     k = len(b)
     return tuple(
         tuple(sum(a[i][t] * b[t][j] for t in range(k)) for j in range(m))

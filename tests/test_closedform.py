@@ -297,10 +297,10 @@ def test_deformed_coefficients_is_one_product_and_a_filtered_sum(a12, monkeypatc
         calls[-1]["mat_vec"] += 1
         return real_mat_vec(a, v)
 
-    def sequence_sum(steps, factor, *args):
+    def sequence_sum(steps, factor, *args, **kwargs):
         calls[-1]["steps"].append(list(steps))
         calls[-1]["factors"] = [factor(c) for c in range(len(steps))]
-        return real_sum(steps, factor, *args)
+        return real_sum(steps, factor, *args, **kwargs)
 
     monkeypatch.setattr(intmat, "mat_mul", mat_mul)
     monkeypatch.setattr(intmat, "mat_vec", mat_vec)

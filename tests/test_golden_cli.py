@@ -68,6 +68,9 @@ CASES = {
                        "--cutoff", "6"],
     "stabilize-g723": ["stabilize", *G723, "--period", "1..7", "--count", "4",
                        "--cutoff", "8"],
+    # (3, 4, 2) does not return dP1's quiver, so every index takes its own sum
+    "stabilize-dp1-period342": ["stabilize", "--family", "dp1", "--period", "3,4,2",
+                                "--count", "2", "--cutoff", "4"],
     "stabilize-kr3-json": ["stabilize", *KR3, "--period", "1,2", "--count", "6",
                            "--cutoff", "10", *JSON],
     "limit-kr3": ["limit", "--family", "kr", "--params", "r=3", "--cutoff", "30"],

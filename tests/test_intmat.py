@@ -108,8 +108,12 @@ ENTRIES = st.integers(-3, 3) | st.integers(-2**80, 2**80)
 
 @st.composite
 def product_operands(draw):
-    """a (n x k) and b (k x m), n and m in 0..5, k in 1..5, some rows all zero."""
-    n, k, m = draw(st.integers(0, 5)), draw(st.integers(1, 5)), draw(st.integers(0, 5))
+    """a (n x k) and b (k x m), n, k and m in 0..5, some rows all zero.
+
+    A b with no rows carries no width, so k = 0 makes it 0x0.
+    """
+    n, k = draw(st.integers(0, 5)), draw(st.integers(0, 5))
+    m = draw(st.integers(0, 5)) if k else 0
 
     def matrix(rows, cols):
         return tuple(
@@ -128,9 +132,11 @@ def test_mat_mul_row_sums_match_entrywise_product(case):
 
 
 def test_mat_mul_empty_operands():
-    # an empty left operand gives the empty product; the entrywise product
-    # reads len(b[0]) first and fails when b has no rows
+    # an empty left operand gives the empty product, and an n x 0 one n empty
+    # rows; it used to read len(b[0]) and raise IndexError
     assert mat_mul((), ()) == ()
+    assert mat_mul(((),), ()) == ((),)
+    assert mat_mul(((), (), ()), ()) == ((), (), ())
     assert mat_mul((), ((1, 2),)) == ()
     assert mat_mul(((0, 0),), ((), ())) == ((),)
     assert mat_mul(((1, 0), (0, 0)), ((5, -6), (7, 8))) == ((5, -6), (0, 0))

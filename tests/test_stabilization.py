@@ -1,4 +1,5 @@
 import random
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -12,8 +13,9 @@ from clusterforge import (LaurentPolynomial, SSequence, build_gale_robinson, def
                           limit_a1r, limit_gale_robinson, limit_kr,
                           framed_state, limits_match_up_to_cycle, make_quiver,
                           mutate, stabilization_run, trace)
-from clusterforge.closedform import deformed_coefficients
-from clusterforge.errors import BadParameters, RedStepEncountered
+from clusterforge import closedform, stabilization
+from clusterforge.closedform import _deformed_sums, deformed_coefficients
+from clusterforge.errors import BadParameters, RedStepEncountered, SignCoherenceViolation
 from clusterforge.intmat import identity
 from clusterforge.stabilization import _decomposable, _labels_after
 from conftest import random_sequence, random_skew_symmetric
@@ -212,6 +214,96 @@ def test_stabilization_rejects_non_integer_period(a12, period):
     # no entry is coerced: (1.9, 2.2, 3.0) must not run as the period (1, 2, 3)
     with pytest.raises(BadParameters):
         stabilization_run(a12, period, 2, 3)
+
+
+def per_index_report(q, period, count, cutoff):
+    """Reference: one deformed_coefficients call per inspected index."""
+    tr, p = trace(q, period * count), len(period)
+    indices = tuple(p * k for k in range(1, count + 1))
+    coeffs = [deformed_coefficients(tr, n, cutoff) for n in indices]
+    monomials = sorted(set().union(*coeffs), key=lambda m: (sum(m), m))
+    histories = {m: tuple(c.get(m, 0) for c in coeffs) for m in monomials}
+    verdicts = {}
+    for m, hist in histories.items():
+        # the first position from which the history is constant, if it is not the last
+        first = min(k for k in range(count) if len(set(hist[k:])) == 1)
+        verdicts[m] = indices[first] if first < count - 1 else None
+    return indices, histories, verdicts
+
+
+@st.composite
+def periodic_runs(draw):
+    """(quiver, period, count, cutoff) on acyclic quivers of 2 to 4 vertices.
+
+    The period mutates a drawn subset of the vertices once each, sources
+    first: all of them returns the quiver, most proper subsets do not.  The
+    count, drawn from 2 to 4, is cut to the periods that stay green; the
+    first period is green, as it mutates each vertex at most once.
+    """
+    v = draw(st.integers(2, 4))
+    order = draw(st.permutations(range(1, v + 1)))
+    b = [[0] * v for _ in range(v)]
+    for i in range(v):
+        for j in range(i + 1, v):
+            # 2 twice: more quivers of infinite type, whose periods stay green
+            x = draw(st.sampled_from((0, 1, 2, 2)))
+            b[order[i] - 1][order[j] - 1], b[order[j] - 1][order[i] - 1] = x, -x
+    keep = draw(st.lists(st.booleans(), min_size=v, max_size=v))
+    period = tuple(k for k, kept in zip(order, keep) if kept) or tuple(order)
+    q, count = make_quiver(b), draw(st.integers(2, 4))
+    colors = trace(q, period * count).colors
+    if "red" in colors:
+        count = colors.index("red") // len(period)
+    return q, period, count, draw(st.integers(0, 6))
+
+
+@given(periodic_runs())
+def test_stabilization_run_matches_per_index_sums(case):
+    # one sum read at every index when the period returns the quiver, one
+    # sum per index otherwise: the reports agree with per-index sums either way
+    q, period, count, cutoff = case
+    expected = per_index_report(q, period, count, cutoff)
+    report = stabilization_run(q, period, count, cutoff)
+    assert (report.indices, report.histories, report.verdicts) == expected
+    assert list(report.histories) == list(expected[1])
+
+
+def test_stabilization_run_sums_once_only_when_the_period_returns_the_quiver(
+        a12, dp1, monkeypatch):
+    real_sum, calls = closedform._sequence_sum, []
+
+    def sequence_sum(*args, **kwargs):
+        calls.append(args)
+        return real_sum(*args, **kwargs)
+
+    monkeypatch.setattr(closedform, "_sequence_sum", sequence_sum)
+    # a1r r=2: (1, 2, 3) returns the quiver, so six indices take one sum
+    stabilization_run(a12, (1, 2, 3), 6, 6)
+    assert len(calls) == 1
+    # dp1: (3, 4, 2) does not, and one sum at n = 6 gives other histories at n = 3
+    calls.clear()
+    tr = trace(dp1, (3, 4, 2) * 2)
+    assert tr.b_mats[3] != tr.b_mats[0]
+    report = stabilization_run(dp1, (3, 4, 2), 2, 4)
+    assert len(calls) == 2
+    assert [report.histories, report.verdicts] == list(per_index_report(dp1, (3, 4, 2), 2, 4)[1:])
+    assert _deformed_sums(tr, 6, 4, (3, 6))[0] != deformed_coefficients(tr, 3, 4)
+
+
+def test_stabilization_run_one_sum_errors_name_the_step_per_index(k2, monkeypatch):
+    # r_1 and r_8 zeroed: the one sum at n = 8 meets step 8 first, while the
+    # per-index run fails at n = 2 on step 1; the run reports the latter
+    def broken_trace(q, seq):
+        tr = trace(q, seq)
+        return replace(tr, r_monomials=((0, 0),) + tr.r_monomials[1:-1] + ((0, 0),))
+
+    monkeypatch.setattr(stabilization, "trace", broken_trace)
+    with pytest.raises(SignCoherenceViolation,
+                       match=r"^deformed r-monomial of step 1 \(vertex 1\) is not positive: "
+                             r"\(0, 0\)$"):
+        stabilization_run(k2, (1, 2), 4, 5)
+    with pytest.raises(RedStepEncountered, match=r"^step 2 \(vertex 1\) is red$"):
+        stabilization_run(k2, (1, 1, 2), 2, 4)
 
 
 def test_quadratic_number_arithmetic():
