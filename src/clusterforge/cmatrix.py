@@ -11,12 +11,18 @@ for callers that want the matrix itself.  D_i and D_i^{-1} are C_i and
 C_i^{-1} conjugated by diag(d), so they equal them on skew-symmetric
 quivers.  Each pair coefficient is one entry of a product of these
 matrices, so it is one row-column dot product.  `verify` checks that each
-step matrix is an involution on its step row alone.  The trace also records, once per step j, the row of
-E*_j D_{j-1}^{-1} - D_j^{-1} that every pair term -a(i,j) + b(i,j) reads.
-Colors are read off the sign of the mutated column of the previous
-C-matrix, which sign coherence keeps well-defined.  Every trace is
-cross-checked entrywise against the direct frozen-arrow simulation from the
-quiver module.
+step matrix is an involution on its step row alone.  The trace also
+records, once per step j, the row of E*_j D_{j-1}^{-1} - D_j^{-1} that
+every pair term -a(i,j) + b(i,j) reads.  Colors are read off the sign of
+the mutated column of the previous C-matrix, which sign coherence keeps
+well-defined.  Every trace is cross-checked entrywise against the direct
+frozen-arrow simulation from the quiver module.
+
+Everything a step takes from B_{i-1}, its vertex and its color alone (the
+nonzeros of its step rows, the frozen rule's add-vectors and B_i) is built
+once per distinct triple.  A period that returns the quiver thus derives
+its steps in its first pass only; every step still reads its color, updates
+C, C^{-1} and the simulated C, compares the two C, and records its pair row.
 """
 
 from __future__ import annotations
@@ -27,8 +33,8 @@ from functools import cached_property
 from . import intmat
 from .errors import ConsistencyError, IndexOrder, SignCoherenceViolation
 from .intmat import Matrix
-from .quiver import (GeneralizedQuiver, _check_symmetrizer, _check_vertex, mutate_b,
-                     mutate_c)
+from .quiver import (GeneralizedQuiver, _add_to_rows, _check_symmetrizer, _check_vertex,
+                     _frozen_vectors, mutate_b)
 
 
 def _step_rows(b: Matrix, k: int, sign: int) -> tuple[list[int], list[int], list[int]]:
@@ -51,20 +57,26 @@ def _step_rows(b: Matrix, k: int, sign: int) -> tuple[list[int], list[int], list
     return a_row, e_row, pair_row
 
 
-def _times_step(m: Matrix, row, k: int) -> Matrix:
-    """m * S for the step matrix S with row k equal to `row`.
+def _nonzeros(row) -> list[tuple[int, int]]:
+    """The pairs (j, row[j]) with row[j] != 0."""
+    return [(j, s) for j, s in enumerate(row) if s]
 
-    Column k of m is negated (S[k][k] = -1 is the only nonzero entry of
-    column k of S), and every other column j gains m[.][k] * row[j]: only
-    the rows of m with a nonzero in column k change, at the nonzeros of row.
+
+def _times_step(m: Matrix, nonzero, k: int) -> Matrix:
+    """m * S for the step matrix S whose row k has the nonzeros `nonzero`,
+    as (j, S[k][j]) pairs.
+
+    S[k][k] is the only nonzero entry of column k of S, so column k of m
+    becomes m[.][k] * S[k][k], and every other column j gains
+    m[.][k] * S[k][j]: only the rows of m with a nonzero in column k change,
+    at those j.
     """
-    nonzero = [(j, s) for j, s in enumerate(row) if s and j != k]
     out = []
     for r in m:
         x = r[k]
         if x:
             new = list(r)
-            new[k] = -x
+            new[k] = 0
             for j, s in nonzero:
                 new[j] += x * s
             r = tuple(new)
@@ -72,18 +84,19 @@ def _times_step(m: Matrix, row, k: int) -> Matrix:
     return tuple(out)
 
 
-def _row_times(row, m: Matrix) -> tuple[int, ...]:
-    """The row vector row * m, summed over only the rows of m that row selects."""
+def _row_times(nonzero, m: Matrix) -> tuple[int, ...]:
+    """The row vector with the nonzeros `nonzero`, (i, s) pairs, times m:
+    a sum over only the rows of m it selects."""
     acc = [0] * len(m)
-    for s, r in zip(row, m):
-        if s:
-            acc = [a + s * x for a, x in zip(acc, r)]
+    for i, s in nonzero:
+        acc = [a + s * x for a, x in zip(acc, m[i])]
     return tuple(acc)
 
 
-def _step_times(row, k: int, m: Matrix) -> Matrix:
-    """S * m for the step matrix S with row k equal to `row`: only row k changes."""
-    return m[:k] + (_row_times(row, m),) + m[k + 1:]
+def _step_times(nonzero, k: int, m: Matrix) -> Matrix:
+    """S * m for the step matrix S whose row k has the nonzeros `nonzero`:
+    only row k changes."""
+    return m[:k] + (_row_times(nonzero, m),) + m[k + 1:]
 
 
 def step_matrix(b: Matrix, vertex: int, kind: str, variant: str) -> Matrix:
@@ -212,35 +225,54 @@ def trace(q: GeneralizedQuiver, seq) -> MutationTrace:
     pair row of step j is row v_j of E*_j D_{j-1}^{-1} - D_j^{-1} =
     (E*_j - E_j) D_{j-1}^{-1}, with E*_j - E_j = -b[v_j] green, +b[v_j] red.
     A vertex that is not an int, bool included, is a TypeError.
+
+    What a step takes from (B_{i-1}, vertex, color) alone is derived once
+    per distinct triple: the nonzeros of the A-row and of the E* - E row,
+    the frozen rule's add-vectors, and B_i.  Each exchange matrix is interned
+    by value when it first appears, so equal B_i share one tuple and the
+    memo is keyed by its index.  Every step, memo hit or not, reads its
+    color off C_{i-1}, updates C, C^{-1} and the simulated C, compares the
+    two C entrywise, and records its pair row.
     """
     seq = tuple(seq)
     v = q.v
     for k in seq:
         _check_vertex(k, v)
     _check_symmetrizer(q.b, q.d)
-    b = q.b
     c = cinv = c_sim = intmat.identity(v)
-    b_mats, c_mats, cinv_mats = [b], [c], [cinv]
+    bs, b_index = [q.b], {q.b: 0}  # each distinct B, and its index in bs
+    steps = {}  # (B_{i-1} index, vertex, color) -> the step's derived parts
+    bi = 0
+    b_mats, c_mats, cinv_mats = [q.b], [c], [cinv]
     colors, r_monomials, pair_lhs = [], [], []
 
     for k in seq:
         kk = k - 1
         col = [row[kk] for row in c]  # C_i's column kk is -col
         color = _column_color(col, kk)
-        a_row, _, estar_minus_e = _step_rows(b, kk, 1 if color == "green" else -1)
-        c = _times_step(c, a_row, kk)
-        cinv = _step_times(a_row, kk, cinv)
-        c_sim = mutate_c(c_sim, b, kk)
+        step = steps.get((bi, kk, color))
+        if step is None:
+            b = bs[bi]
+            a_row, _, estar_minus_e = _step_rows(b, kk, 1 if color == "green" else -1)
+            b_next = mutate_b(b, kk)
+            next_index = b_index.setdefault(b_next, len(bs))  # the one hash of b_next
+            if next_index == len(bs):
+                bs.append(b_next)
+            step = steps[bi, kk, color] = (
+                _nonzeros(a_row), _nonzeros(estar_minus_e), _frozen_vectors(b, kk), next_index)
+        a_nonzero, estar_minus_e, (pos, neg), bi = step
+        c = _times_step(c, a_nonzero, kk)
+        cinv = _step_times(a_nonzero, kk, cinv)
+        c_sim = _add_to_rows(c_sim, kk, pos, neg)
         if c_sim != c:
             raise ConsistencyError(
                 f"C-matrix product disagrees with the frozen-arrow simulation "
                 f"at step {len(colors) + 1}"
             )
-        b = mutate_b(b, kk)
         colors.append(color)
         r_monomials.append(tuple(map(abs, col)))
         pair_lhs.append(estar_minus_e)
-        b_mats.append(b)
+        b_mats.append(bs[bi])
         c_mats.append(c)
         cinv_mats.append(cinv)
 

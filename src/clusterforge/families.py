@@ -179,9 +179,10 @@ class SSequence:
     0 for i < 0, rule(i) when the family has a closed form, and otherwise
     s_0 = 1 and the sum of c * s_{i-lag} over `recurrence` for i >= 1; s'_i is
     that sum over `companion`.  The memo fills in ascending order, so no index
-    costs stack depth.  `_family_sum` checks a rule against the recurrence
-    when the sequence has both, as Gale-Robinson's does; A1r's has no
-    recurrence and no family sum reads it.
+    costs stack depth, and a rule may read s below i off the memo.
+    `_family_sum` checks a rule against the recurrence when the sequence has
+    both, as Gale-Robinson's does; A1r's has no recurrence and no family sum
+    reads it.
     """
 
     def __init__(self, recurrence, companion, rule=None):
@@ -223,15 +224,17 @@ class SSequence:
     @classmethod
     def gale_robinson(cls, v: int, r: int, t: int) -> "SSequence":
         """s_i counts splittings i = a*r + b*(v-r) with a, b >= 0, so the
-        generating function 1/((1-x^r)(1-x^(v-r))) gives the recurrence."""
+        generating function 1/((1-x^r)(1-x^(v-r))) gives the recurrence.
+
+        The splittings with a >= 1 are those of i - r, so the closed form is
+        s_i = s_{i-r} + [(v-r) | i], one memo read per entry.
+        """
 
         def lags(a):  # the lags a and v - a add up when v = 2a
             return {**Counter((a, v - a)), v: -1}
 
-        def splittings(i):
-            return sum(1 for a in range(i // r + 1) if (i - a * r) % (v - r) == 0)
-
-        return cls(lags(r), lags(t), splittings)
+        ss = cls(lags(r), lags(t), lambda i: ss.s(i - r) + (i % (v - r) == 0))
+        return ss
 
     @classmethod
     def a1r(cls, r: int) -> "SSequence":

@@ -140,6 +140,13 @@ def mutate_b(b: Matrix, k: int) -> Matrix:
     return out[:k] + (tuple(-x for x in bk),) + out[k + 1:]
 
 
+def _frozen_vectors(b: Matrix, k: int) -> tuple[list[int], list[int]]:
+    """The add-vectors of `mutate_c` at 0-based vertex k, read off b alone:
+    max(-b[j][k], 0) for a row with c[i][k] > 0, max(b[j][k], 0) for one below 0."""
+    col = [r[k] for r in b]
+    return [-x if x < 0 else 0 for x in col], [x if x > 0 else 0 for x in col]
+
+
 def mutate_c(c: Matrix, b: Matrix, k: int) -> Matrix:
     """Frozen-arrow block update for a mutation at 0-based vertex k.
 
@@ -148,8 +155,7 @@ def mutate_c(c: Matrix, b: Matrix, k: int) -> Matrix:
     a row i with x = c[i][k] != 0 changes: c[i][k] is negated and each other
     column j gains x * max(-sign(x) b[j][k], 0); the rest are the same tuples.
     """
-    col = [r[k] for r in b]
-    return _add_to_rows(c, k, [-x if x < 0 else 0 for x in col], [x if x > 0 else 0 for x in col])
+    return _add_to_rows(c, k, *_frozen_vectors(b, k))
 
 
 @dataclass(frozen=True)

@@ -8,7 +8,7 @@ from __future__ import annotations
 
 from . import intmat
 from .closedform import fpoly_formula, fpoly_product_form
-from .cmatrix import _row_times, _step_rows, check_sign_coherence, trace
+from .cmatrix import _nonzeros, _row_times, _step_rows, check_sign_coherence, trace
 from .errors import ConsistencyError, InexactDivision
 from .quiver import GeneralizedQuiver, fpoly_recurrence
 from .stabilization import deform, fundamentals
@@ -40,7 +40,7 @@ def run_verification(q: GeneralizedQuiver, seq) -> dict[str, bool]:
     ident = intmat.identity(tr.v)
 
     def involution(row, k):  # S is the identity outside row k, so S*S = I is row * S = e_k
-        return _row_times(row, ident[:k] + (tuple(row),) + ident[k + 1:]) == ident[k]
+        return _row_times(_nonzeros(row), ident[:k] + (tuple(row),) + ident[k + 1:]) == ident[k]
 
     def step_rows(b, k, color):  # A_i of step i's color; E_i and E*_i, the E-kind of both
         sign = 1 if color == "green" else -1

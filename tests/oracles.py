@@ -27,6 +27,12 @@
 * `limit_gale_robinson_per_entry`: the Gale-Robinson limit with every entry
   of every rho(w) read off the scalar sequence on its own, the reference
   for the one window-sliced read of `stabilization.limit_gale_robinson`.
+* `gale_robinson_splittings`: s_i of G_{v,r,t} as the count of splittings
+  i = a*r + b*(v-r), the reference for the one-read rule of
+  `SSequence.gale_robinson`.
+* `reference_trace`: the trace with every step derived afresh from
+  B_{i-1}, the vertex and the color, on dense step rows, the reference for
+  `cmatrix.trace`, which derives each distinct step once.
 """
 
 from dataclasses import dataclass
@@ -35,10 +41,13 @@ from math import comb, gcd, lcm
 from operator import add, le
 
 from clusterforge import LaurentPolynomial, exact_divide
-from clusterforge.cmatrix import MutationTrace, _check_step, coeff_a, pair_term
-from clusterforge.errors import NotSkewSymmetrizable
+from clusterforge import intmat
+from clusterforge.cmatrix import (MutationTrace, _check_step, _column_color, _conjugate,
+                                  _step_rows, coeff_a, pair_term)
+from clusterforge.errors import ConsistencyError, NotSkewSymmetrizable
 from clusterforge.families import FamilySpec, SSequence, _family_params, _family_sum
-from clusterforge.quiver import FramedState, GeneralizedQuiver, mutate_b, mutate_c
+from clusterforge.quiver import (FramedState, GeneralizedQuiver, _check_symmetrizer,
+                                 _check_vertex, mutate_b, mutate_c)
 
 
 def greedy_coefficients(a1: int, a2: int, b: int, c: int) -> dict[tuple[int, int], int]:
@@ -266,3 +275,71 @@ def limit_gale_robinson_per_entry(v: int, r: int, t: int, cutoff: int) -> Lauren
     w_max = r * (cutoff * (v - r) + 1) + v
     rhos = [tuple(ss.s(w - v + i) for i in range(1, v + 1)) for w in range(w_max + 1)]
     return _family_sum(ss, rhos, (cutoff,) * v, cutoff)
+
+
+def gale_robinson_splittings(v: int, r: int, i: int) -> int:
+    """The number of pairs a, b >= 0 with i = a*r + b*(v-r); 0 for i < 0."""
+    return sum(1 for a in range(i // r + 1) if (i - a * r) % (v - r) == 0) if i >= 0 else 0
+
+
+def _dense_row_times(row, m):
+    """The row vector row * m, summed over the rows of m that row selects."""
+    acc = [0] * len(m)
+    for s, r in zip(row, m):
+        if s:
+            acc = [a + s * x for a, x in zip(acc, r)]
+    return tuple(acc)
+
+
+def _dense_times_step(m, row, k):
+    """m * S for the step matrix S with row k equal to the dense row."""
+    nonzero = [(j, s) for j, s in enumerate(row) if s and j != k]
+    out = []
+    for r in m:
+        x = r[k]
+        if x:
+            new = list(r)
+            new[k] = -x
+            for j, s in nonzero:
+                new[j] += x * s
+            r = tuple(new)
+        out.append(r)
+    return tuple(out)
+
+
+def reference_trace(q: GeneralizedQuiver, seq) -> MutationTrace:
+    """`cmatrix.trace` with the step rows, the frozen-arrow rule and B_i
+    derived again at every step, checked against the simulation as it goes."""
+    seq = tuple(seq)
+    v = q.v
+    for k in seq:
+        _check_vertex(k, v)
+    _check_symmetrizer(q.b, q.d)
+    b = q.b
+    c = cinv = c_sim = intmat.identity(v)
+    b_mats, c_mats, cinv_mats = [b], [c], [cinv]
+    colors, r_monomials, pair_lhs = [], [], []
+    for k in seq:
+        kk = k - 1
+        col = [row[kk] for row in c]
+        color = _column_color(col, kk)
+        a_row, _, estar_minus_e = _step_rows(b, kk, 1 if color == "green" else -1)
+        c = _dense_times_step(c, a_row, kk)
+        cinv = cinv[:kk] + (_dense_row_times(a_row, cinv),) + cinv[kk + 1:]
+        c_sim = mutate_c(c_sim, b, kk)
+        if c_sim != c:
+            raise ConsistencyError(
+                f"C-matrix product disagrees with the frozen-arrow simulation "
+                f"at step {len(colors) + 1}"
+            )
+        b = mutate_b(b, kk)
+        colors.append(color)
+        r_monomials.append(tuple(map(abs, col)))
+        pair_lhs.append(estar_minus_e)
+        b_mats.append(b)
+        c_mats.append(c)
+        cinv_mats.append(cinv)
+    d_mats, dinv_mats = _conjugate(c_mats, q.d), _conjugate(cinv_mats, q.d)
+    pair_rows = [_dense_row_times(x, m) for x, m in zip(pair_lhs, dinv_mats)]
+    return MutationTrace(q, seq, *map(tuple, (
+        b_mats, c_mats, d_mats, cinv_mats, dinv_mats, colors, r_monomials, pair_rows)))

@@ -5,16 +5,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from clusterforge import (c_between, check_sign_coherence, coeff_a, coeff_b,
-                          fpoly_recurrence, framed_state, make_quiver, mutate,
-                          step_matrix, trace)
-from clusterforge.cmatrix import pair_term
-from clusterforge.errors import IndexOrder, NotSkewSymmetrizable
+from clusterforge import (FamilySpec, build_family, build_gale_robinson, c_between,
+                          check_sign_coherence, coeff_a, coeff_b, fpoly_recurrence,
+                          framed_state, make_quiver, mutate, step_matrix, trace)
+from clusterforge import cmatrix
+from clusterforge.cmatrix import MutationTrace, pair_term
+from clusterforge.errors import ConsistencyError, IndexOrder, NotSkewSymmetrizable
 from clusterforge.intmat import identity, mat_mul
 from clusterforge.quiver import GeneralizedQuiver
 from conftest import (random_sequence, random_skew_symmetric, reference_mutate_b,
                       reference_mutate_c, scaled_skew_symmetric)
-from oracles import degree_bound_walk
+from oracles import degree_bound_walk, reference_trace
 
 
 def test_step_matrix_green_odd(k2):
@@ -309,3 +310,113 @@ def test_degree_bounds_are_walked_once_per_trace_and_never_by_trace(k2):
     fresh = dataclasses.replace(tr, r_monomials=((2, 0),) + tr.r_monomials[1:])
     assert "_degree_bounds" not in vars(fresh)
     assert fresh.degree_bound(1) == (2, 0)
+
+
+def _outcome(q, seq, run):
+    """The trace run gives, or the type and message of what it raises."""
+    try:
+        return run(q, seq)
+    except Exception as exc:  # every exception, so a new kind shows as a mismatch
+        return type(exc), str(exc)
+
+
+def _assert_same_trace(got, expected):
+    if isinstance(expected, tuple):  # the reference raised
+        assert got == expected
+        return
+    assert isinstance(got, MutationTrace), got
+    for f in dataclasses.fields(MutationTrace):
+        assert getattr(got, f.name) == getattr(expected, f.name), f.name
+
+
+@st.composite
+def revisiting_traces(draw):
+    """A skew-symmetrizable quiver with v <= 4 and a period repeated 1-6 times
+    plus a tail.  The tail starts by mutating the last vertex again, so every
+    sequence holds a red step; some draws end in a bad vertex or carry a
+    symmetrizer that does not symmetrize, where the trace must raise."""
+    b, d = draw(scaled_skew_symmetric(4, 2, 3))
+    q = make_quiver(b, d)
+    v = q.v
+    period = draw(st.lists(st.integers(1, v), min_size=1, max_size=4))
+    tail = draw(st.lists(st.integers(1, v), max_size=4))
+    seq = period * draw(st.integers(1, 6)) + [period[-1]] + tail
+    fault = draw(st.sampled_from((None, None, None, "vertex", "type", "symmetrizer")))
+    if fault == "vertex":
+        seq.append(draw(st.sampled_from((0, v + 1))))
+    elif fault == "type":
+        seq.append(draw(st.sampled_from((1.0, True, "1"))))
+    elif fault == "symmetrizer" and not q.is_skew_symmetric:
+        q = GeneralizedQuiver(q.b, (1,) * v)
+    return q, tuple(seq)
+
+
+@settings(max_examples=150, deadline=None)
+@given(revisiting_traces())
+def test_trace_matches_the_per_step_reference(case):
+    # every field, or the same exception type and message
+    q, seq = case
+    _assert_same_trace(_outcome(q, seq, trace), _outcome(q, seq, reference_trace))
+
+
+STABILIZE_GRID = (
+    [build_family(FamilySpec.of("a1r", r=r)) for r in (2, 3)]
+    + [build_family(FamilySpec.of("kr", r=r)) for r in (2, 3, 4)]
+    + [build_gale_robinson(4, 2, 1), build_gale_robinson(7, 2, 3)]
+)
+
+
+@pytest.mark.parametrize("q", STABILIZE_GRID)
+def test_periodic_traces_match_the_reference(q):
+    # the periods of the stabilization runs return the quiver, so every step
+    # after the first period is a memo hit
+    seq = tuple(range(1, q.v + 1)) * 10
+    tr = trace(q, seq)
+    _assert_same_trace(tr, reference_trace(q, seq))
+    assert tr.b_mats[q.v] is tr.b_mats[0]
+
+
+def _count_calls(monkeypatch, names):
+    """Wrap each named function of cmatrix so its calls are counted."""
+    counts = dict.fromkeys(names, 0)
+    for name in names:
+        def counted(*args, name=name, exact=getattr(cmatrix, name)):
+            counts[name] += 1
+            return exact(*args)
+        monkeypatch.setattr(cmatrix, name, counted)
+    return counts
+
+
+DERIVED = ("_step_rows", "mutate_b", "_frozen_vectors")
+EVERY_STEP = ("_column_color", "_times_step", "_step_times", "_add_to_rows")
+
+
+@pytest.mark.parametrize("fixture, seq, derived", [
+    ("a12", (1, 2, 3) * 6, 3),  # B_3 = B_0: three distinct steps
+    ("k2", (1, 1, 1, 1), 2),  # green at B_0, red at B_1, and B_2 = B_0
+    ("b21", (1, 2) * 4, 4),  # each B under both colors: green x4, red x2, green x2
+])
+def test_trace_derives_each_distinct_step_once(request, monkeypatch, fixture, seq, derived):
+    q = request.getfixturevalue(fixture)
+    expected = reference_trace(q, seq)
+    counts = _count_calls(monkeypatch, DERIVED + EVERY_STEP)
+    tr = trace(q, seq)
+    assert counts == {**dict.fromkeys(DERIVED, derived), **dict.fromkeys(EVERY_STEP, len(seq))}
+    _assert_same_trace(tr, expected)
+    # equal exchange matrices are one tuple
+    assert len({id(b) for b in tr.b_mats}) == len(set(tr.b_mats))
+
+
+def test_a_wrong_frozen_rule_on_a_memo_hit_names_its_step(monkeypatch, a12):
+    # step p + 1 = 4 reuses step 1's derivation; the simulation still runs there
+    exact, calls = cmatrix._add_to_rows, []
+
+    def wrong_on_step_4(m, k, pos, neg):
+        calls.append(k)
+        out = exact(m, k, pos, neg)
+        return ((out[0][0] + 1,) + out[0][1:],) + out[1:] if len(calls) == 4 else out
+
+    monkeypatch.setattr(cmatrix, "_add_to_rows", wrong_on_step_4)
+    with pytest.raises(ConsistencyError, match="at step 4$"):
+        trace(a12, (1, 2, 3) * 3)
+    assert len(calls) == 4

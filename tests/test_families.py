@@ -7,6 +7,7 @@ from clusterforge import (FamilySpec, LaurentPolynomial, SSequence, build_family
                           family_sequence, fpoly_symmetric, s_values, trace)
 from clusterforge.errors import BadParameters, ConsistencyError, NotSymmetric
 from clusterforge.families import _family_sum
+from oracles import gale_robinson_splittings
 
 G723_B = (
     (0, 0, 1, -1, -1, 1, 0),
@@ -119,6 +120,21 @@ def test_s_values_gale_robinson():
     assert values == [1, 0, 2, 0, 3, 0, 4, 0, 5]
     spec7 = FamilySpec.of("gr", v=7, r=2, t=3)
     assert [s for s, _ in s_values(spec7, range(0, 8))] == [1, 0, 1, 0, 1, 1, 1, 1]
+
+
+def test_gale_robinson_s_reads_one_earlier_entry_and_counts_splittings():
+    # s_i = s_{i-r} + [(v-r) | i] against the splitting count, for every
+    # v <= 11 and r; t only sets the companion
+    for v in range(2, 12):
+        for r in range(1, v):
+            ss = SSequence.gale_robinson(v, r, 1)
+            assert [ss.s(i) for i in range(-v, 400)] == [
+                gale_robinson_splittings(v, r, i) for i in range(-v, 400)], (v, r)
+
+
+def test_gale_robinson_deep_index_within_default_recursion_limit():
+    # the rule reads s_{i-r} from the memo, so it adds no stack depth either
+    assert SSequence.gale_robinson(4, 2, 1).s(20000) == 10001
 
 
 def test_sseq_deep_index_within_default_recursion_limit(k2):

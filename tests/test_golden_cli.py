@@ -7,8 +7,10 @@ sums moved onto the shared sequence-sum kernel, and the product-form,
 b21 `cmatrix` cases, the only ones where D differs from C, were captured
 while the trace still built D by its own step products.  The gr cases
 where two lags coincide (v = 2r in gr421, v = 2t in gr412) were captured
-while `SSequence` still stated s and s' as rule closures.  So a diff here
-means a kernel changed an answer or its printing.
+while `SSequence` still stated s and s' as rule closures, and the b21
+revisit case while the trace still derived every step afresh from its
+exchange matrix.  So a diff here means a kernel changed an answer or its
+printing.
 """
 
 from pathlib import Path
@@ -91,6 +93,9 @@ CASES = {
     "verify-g723": ["verify", *G723, "--seq", "1..7"],
     "cmatrix-b21": ["cmatrix", *B21, "--seq", "1,2,1"],
     "cmatrix-b21-between": ["cmatrix", *B21, "--seq", "1,2,1", "--between", "1", "3"],
+    # B recurs under both colors (green x4, red x2, green x2), so the trace
+    # reuses derived steps of each color
+    "cmatrix-b21-revisit": ["cmatrix", *B21, "--seq", "1,2,1,2,1,2,1,2"],
 }
 
 

@@ -11,7 +11,7 @@ import clusterforge.quiver
 import clusterforge.verify
 from clusterforge import make_quiver, run_verification, step_matrix, trace
 from clusterforge.cli import main
-from clusterforge.cmatrix import MutationTrace, _step_rows, _step_times
+from clusterforge.cmatrix import MutationTrace, _nonzeros, _step_rows, _step_times
 from clusterforge.errors import InexactDivision
 from clusterforge.intmat import identity
 from conftest import scaled_skew_symmetric
@@ -103,7 +103,7 @@ INVOLUTIONS = "step matrices are involutions"
 def _matrix_check(m, k):
     """S*S = I for a whole step matrix S, which is the identity outside row k."""
     ident = identity(len(m))
-    return m[:k] + m[k + 1:] == ident[:k] + ident[k + 1:] and _step_times(m[k], k, m) == ident
+    return m[:k] + m[k + 1:] == ident[:k] + ident[k + 1:] and _step_times(_nonzeros(m[k]), k, m) == ident
 
 
 def _with_row(b, k, row):
