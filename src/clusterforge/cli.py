@@ -20,7 +20,7 @@ from .cmatrix import c_between, trace
 from .errors import ClusterForgeError, ParseError
 from .families import (_FAMILIES, FamilySpec, _family_params, build_family,
                        fpoly_gale_robinson, fpoly_kr, fpoly_symmetric)
-from .laurent import LaurentPolynomial, parse_monomial
+from .laurent import LaurentPolynomial, decimal_int, parse_monomial
 from .quiver import GeneralizedQuiver, fpoly_recurrence, framed_state, make_quiver, mutate
 from .stabilization import (limit_a1r, limit_gale_robinson, limit_kr,
                             stabilization_run)
@@ -37,11 +37,11 @@ class _Parser(argparse.ArgumentParser):
 
 
 def parse_sequence(text: str) -> tuple[int, ...]:
-    """Comma list, 'a..b' range, or 'a..bxN' repeated range."""
+    """Comma list, 'a..b' range, or 'a..bxN' repeated range, of ASCII decimals."""
     text = text.strip()
     if not text:
         return ()
-    match = re.fullmatch(r"(\d+)\.\.(\d+)(?:x(\d+))?", text)
+    match = re.fullmatch(r"([0-9]+)\.\.([0-9]+)(?:x([0-9]+))?", text)
     if match:
         lo, hi = int(match.group(1)), int(match.group(2))
         reps = int(match.group(3) or 1)
@@ -49,7 +49,7 @@ def parse_sequence(text: str) -> tuple[int, ...]:
             raise ParseError(f"bad sequence range {text!r}")
         return tuple(range(lo, hi + 1)) * reps
     try:
-        return tuple(int(tok) for tok in text.split(","))
+        return tuple(decimal_int(tok) for tok in text.split(","))
     except ValueError as exc:
         raise ParseError(f"bad sequence {text!r}") from exc
 
@@ -66,7 +66,7 @@ def parse_params(text: str) -> dict[str, int]:
         if key in params:
             raise ParseError(f"parameter {key!r} given twice")
         try:
-            params[key] = int(value)
+            params[key] = decimal_int(value)
         except ValueError as exc:
             raise ParseError(f"bad parameter value {item!r}") from exc
     return params
@@ -158,26 +158,26 @@ def build_parser() -> _Parser:
     _add_quiver_args(p_cmx)
     _add_format_arg(p_cmx)
     p_cmx.add_argument("--seq", default="")
-    p_cmx.add_argument("--between", nargs=2, type=int, metavar=("M", "N"))
+    p_cmx.add_argument("--between", nargs=2, type=decimal_int, metavar=("M", "N"))
 
     p_family = sub.add_parser("family", help="emit a family quiver")
     p_family.add_argument("--family", required=True, choices=_FAMILIES)
     p_family.add_argument("--params", help=_PARAMS_HELP)
     _add_format_arg(p_family)
     p_family.add_argument("--out", help="write the quiver JSON here instead of stdout")
-    p_family.add_argument("--n", type=int, help="also print the specialized F_n")
+    p_family.add_argument("--n", type=decimal_int, help="also print the specialized F_n")
 
     p_stab = sub.add_parser("stabilize", help="observe deformed-coefficient stabilization")
     _add_quiver_args(p_stab)
     _add_format_arg(p_stab)
     p_stab.add_argument("--period", required=True)
-    p_stab.add_argument("--count", type=int, default=6)
-    p_stab.add_argument("--cutoff", type=int, default=6)
+    p_stab.add_argument("--count", type=decimal_int, default=6)
+    p_stab.add_argument("--cutoff", type=decimal_int, default=6)
 
     p_limit = sub.add_parser("limit", help="closed-form stabilized limits")
     p_limit.add_argument("--family", required=True, choices=_FAMILIES)
     p_limit.add_argument("--params", default="")
-    p_limit.add_argument("--cutoff", type=int, required=True)
+    p_limit.add_argument("--cutoff", type=decimal_int, required=True)
     _add_format_arg(p_limit)
 
     p_verify = sub.add_parser("verify", help="run the full cross-check battery")

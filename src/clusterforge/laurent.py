@@ -462,6 +462,19 @@ def exact_divide(p: LaurentPolynomial, q: LaurentPolynomial) -> LaurentPolynomia
     return layout.poly(quotient, tuple(map(sub, p_low, q_low)))
 
 
+def decimal_int(text: str) -> int:
+    """The int that an ASCII decimal -?[0-9]+ spells, spaces around it allowed.
+
+    Anything else is a ValueError, where `int` alone would read '1_0' as 10,
+    a full-width digit as that digit, and '+1' as 1.
+    """
+    token = text.strip(" ")
+    digits = token[1:] if token.startswith("-") else token
+    if not (digits.isascii() and digits.isdigit()):
+        raise ValueError(f"invalid decimal integer {text!r}")
+    return int(token)
+
+
 def parse_monomial(text: str, nvars: int) -> Exponents:
     """Parse a monomial like 'y1^3*y2' into an exponent vector."""
     exps = [0] * nvars
@@ -480,7 +493,7 @@ def parse_monomial(text: str, nvars: int) -> Exponents:
         else:
             idx_text, pow_text = body, "1"
         try:
-            index, power = int(idx_text), int(pow_text)
+            index, power = decimal_int(idx_text), decimal_int(pow_text)
         except ValueError as exc:
             raise ParseError(f"bad monomial factor {factor!r}") from exc
         if not 1 <= index <= nvars:

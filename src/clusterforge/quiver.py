@@ -7,6 +7,10 @@ means arrows i -> j" matrix; the attachment reading only matters in the
 skew-symmetrizable case.  The framed block c[i][j] counts arrows from the
 frozen companion of vertex i+1 into base vertex j+1, attached to the base
 vertex, so the initial framed state has c equal to the identity.
+
+Mutation is an involution on a framed state, so the recurrence skips every
+step that undoes the one before it: a step at the previous step's vertex
+returns to the state before that step, with no numerator and no division.
 """
 
 from __future__ import annotations
@@ -232,11 +236,24 @@ def fpoly_recurrence(q: GeneralizedQuiver, seq) -> list[LaurentPolynomial]:
 
     F_i is the label at the vertex mutated at step i.  Each F_i is validated
     to be a genuine polynomial with positive coefficients and constant term 1.
+
+    Mutation is an involution on a framed state: mu_k mu_k leaves B, C and
+    every label as they were.  So a step at the vertex of the step before it
+    undoes that step, and its state is the one before that step.  The loop
+    keeps the two-state window (before, state) and swaps it on such a step,
+    with no `mutate` call: a run such as (3, 3, 3) mutates once, and F_i is
+    an earlier state's label, or the initial 1.
     """
-    state = framed_state(q)
+    before, state = None, framed_state(q)
+    last = None
     out = []
     for step, k in enumerate(seq, start=1):
-        state = mutate(state, k)
+        if k == last:
+            _check_vertex(k, q.v)  # 1.0 or True equals a vertex yet is no vertex
+            before, state = state, before
+        else:
+            before, state = state, mutate(state, k)
+        last = k
         f = state.labels[k - 1]
         if not f.is_polynomial():
             raise InexactDivision(f"F_{step} has negative exponents")

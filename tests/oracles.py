@@ -20,6 +20,9 @@
 * `mutate_by_monomials`: a framed mutation whose exchange sides start from
   their frozen monomials and multiply in one label at a time, the reference
   for the single numerator of `quiver.mutate`.
+* `recurrence_step_by_step`: the F-polynomial recurrence with a `mutate`
+  call at every step, the reference for `quiver.fpoly_recurrence`, which
+  skips every step that undoes the one before it.
 * `degree_bound_walk`: F_n's degree bound from a walk of the first n steps
   alone, the reference for the trace's one walk of every prefix.
 * `mat_mul_entrywise`: the matrix product one entry at a time, each a sum
@@ -44,10 +47,10 @@ from clusterforge import LaurentPolynomial, exact_divide
 from clusterforge import intmat
 from clusterforge.cmatrix import (MutationTrace, _check_step, _column_color, _conjugate,
                                   _step_rows, coeff_a, pair_term)
-from clusterforge.errors import ConsistencyError, NotSkewSymmetrizable
+from clusterforge.errors import ConsistencyError, InexactDivision, NotSkewSymmetrizable
 from clusterforge.families import FamilySpec, SSequence, _family_params, _family_sum
 from clusterforge.quiver import (FramedState, GeneralizedQuiver, _check_symmetrizer,
-                                 _check_vertex, mutate_b, mutate_c)
+                                 _check_vertex, framed_state, mutate, mutate_b, mutate_c)
 
 
 def greedy_coefficients(a1: int, a2: int, b: int, c: int) -> dict[tuple[int, int], int]:
@@ -256,6 +259,22 @@ def mutate_by_monomials(state: FramedState, k: int) -> FramedState:
     labels[kk] = exact_divide(s_in + s_out, state.labels[kk])
     return FramedState(GeneralizedQuiver(mutate_b(q.b, kk), q.d),
                        mutate_c(c, q.b, kk), tuple(labels))
+
+
+def recurrence_step_by_step(q: GeneralizedQuiver, seq) -> list[LaurentPolynomial]:
+    """F_1..F_n with one `mutate` per step, each F_i checked to be a positive
+    polynomial with constant term 1."""
+    state = framed_state(q)
+    out = []
+    for step, k in enumerate(seq, start=1):
+        state = mutate(state, k)
+        f = state.labels[k - 1]
+        if not f.is_polynomial():
+            raise InexactDivision(f"F_{step} has negative exponents")
+        if f.constant_term != 1 or any(c <= 0 for c in f.terms.values()):
+            raise InexactDivision(f"F_{step} is not a positive polynomial with unit constant")
+        out.append(f)
+    return out
 
 
 def mat_mul_entrywise(a, b):

@@ -5,6 +5,7 @@ import pytest
 
 from clusterforge.cli import main, parse_params, parse_sequence
 from clusterforge.errors import ParseError
+from clusterforge.laurent import decimal_int, parse_monomial
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 
@@ -30,6 +31,52 @@ def test_parse_params():
     assert parse_params("v=7,r=2,t=3") == {"v": 7, "r": 2, "t": 3}
     with pytest.raises(ParseError):
         parse_params("r")
+
+
+# `int` reads each of these as a number: '1_0' as 10, a full-width or an
+# Arabic-Indic digit as that digit, '+1' as 1
+NOT_DECIMAL = ("1_0", "\uff11", "\u0663", "+1")
+
+
+def test_decimal_int_reads_ascii_decimal_only():
+    assert [decimal_int(t) for t in ("0", "12", "-3", " 4 ", "007")] == [0, 12, -3, 4, 7]
+    for text in (*NOT_DECIMAL, "", "-", "--1", "1 0", "0x1", "1.0", "1\u00a0", "\t1"):
+        with pytest.raises(ValueError):
+            decimal_int(text)
+
+
+@pytest.mark.parametrize("token", NOT_DECIMAL)
+def test_parsers_reject_integers_that_are_not_ascii_decimal(token):
+    for parse in (parse_sequence, lambda t: parse_sequence(f"1..{t}"),
+                  lambda t: parse_sequence(f"{t}..3"), lambda t: parse_params(f"r={t}"),
+                  lambda t: parse_monomial(f"y{t}", 2), lambda t: parse_monomial(f"y1^{t}", 2)):
+        with pytest.raises(ParseError):
+            parse(token)
+
+
+@pytest.mark.parametrize("argv", [
+    ["fpoly", "--family", "gr", "--params", "v=11,r=2,t=3", "--seq", "1_0"],
+    ["fpoly", "--family", "kr", "--params", "r=1_0", "--seq", "1"],
+    ["fpoly", "--family", "kr", "--params", "r=\uff12", "--seq", "1"],
+    ["fpoly", "--family", "kr", "--params", "r=2", "--seq", "1", "--coeff", "y1^1_0"],
+    ["family", "--family", "kr", "--params", "r=2", "--n", "1_0"],
+    ["family", "--family", "kr", "--params", "r=2", "--n", "\uff11"],
+    ["stabilize", "--family", "kr", "--params", "r=2", "--period", "1,2", "--count", "1_0"],
+    ["stabilize", "--family", "kr", "--params", "r=2", "--period", "1,2", "--cutoff", "+3"],
+    ["limit", "--family", "kr", "--params", "r=2", "--cutoff", "1_0"],
+    ["cmatrix", "--family", "kr", "--params", "r=2", "--seq", "1,2", "--between", "1_0", "2"],
+])
+def test_cli_integer_that_is_not_ascii_decimal_is_a_usage_error(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("usage error:")
+
+
+def test_cli_reads_integers_with_spaces_around_them(capsys):
+    code, out, _ = run(capsys, "fpoly", "--family", "kr", "--params", "r= 2",
+                       "--seq", "1, 2, 1", "--coeff", "y1^3 * y2")
+    assert (code, out) == (0, "2\n")
 
 
 def test_fpoly_family_formula(capsys):

@@ -9,8 +9,9 @@ while the trace still built D by its own step products.  The gr cases
 where two lags coincide (v = 2r in gr421, v = 2t in gr412) were captured
 while `SSequence` still stated s and s' as rule closures, and the b21
 revisit case while the trace still derived every step afresh from its
-exchange matrix.  So a diff here means a kernel changed an answer or its
-printing.
+exchange matrix.  The b21 undo cases, whose sequence repeats a vertex back
+to back, were captured while the recurrence still called `mutate` at every
+step.  So a diff here means a kernel changed an answer or its printing.
 """
 
 from pathlib import Path
@@ -96,6 +97,13 @@ CASES = {
     # B recurs under both colors (green x4, red x2, green x2), so the trace
     # reuses derived steps of each color
     "cmatrix-b21-revisit": ["cmatrix", *B21, "--seq", "1,2,1,2,1,2,1,2"],
+    # steps 3, 4 and 5 each undo the step before them
+    "fpoly-recurrence-b21-undo": ["fpoly", *B21, "--seq", "1,2,2,1,1,2",
+                                  "--method", "recurrence"],
+    "fpoly-recurrence-b21-undo-json": ["fpoly", *B21, "--seq", "1,2,2,1,1,2",
+                                       "--method", "recurrence", *JSON],
+    "mutate-b21-undo": ["mutate", *B21, "--seq", "1,2,2,1,1,2"],
+    "mutate-b21-undo-json": ["mutate", *B21, "--seq", "1,2,2,1,1,2", *JSON],
 }
 
 

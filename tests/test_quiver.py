@@ -11,7 +11,7 @@ from clusterforge.errors import InexactDivision, NotSkewSymmetrizable
 from clusterforge.quiver import _find_symmetrizer, mutate_b, mutate_c
 from conftest import (random_sequence, random_skew_symmetric, reference_mutate_b,
                       reference_mutate_c, scaled_skew_symmetric)
-from oracles import find_symmetrizer, mutate_by_monomials
+from oracles import find_symmetrizer, mutate_by_monomials, recurrence_step_by_step
 
 GOLDEN_F = {
     1: {(0, 0): 1, (1, 0): 1},
@@ -226,3 +226,85 @@ def test_mutate_matches_exchange_built_from_monomials(case):
         assert new == mutate_by_monomials(state, k)
         assert [label.terms for label in state.labels] == before
         state = new
+
+
+@st.composite
+def repeated_runs(draw):
+    """A skew-symmetrizable quiver and a sequence of at most three runs of
+    one vertex, each 1-3 long; entries up to 2 keep the labels small, since
+    a run mutates once and a fourth mutation can take seconds."""
+    q = make_quiver(*draw(scaled_skew_symmetric(4, 1, 2)))
+    runs = draw(st.lists(st.tuples(st.integers(1, q.v), st.integers(1, 3)), max_size=3))
+    return q, tuple(k for k, length in runs for _ in range(length))
+
+
+@given(repeated_runs())
+def test_recurrence_equals_step_by_step_reference(case):
+    q, seq = case
+    assert fpoly_recurrence(q, seq) == recurrence_step_by_step(q, seq)
+
+
+@given(framed_sequences(), st.data())
+def test_mutate_is_an_involution(case, data):
+    # the premise of the recurrence's undone-step rule: mu_k mu_k gives
+    # back B, C and every label, on states reached by short walks
+    q, seq = case
+    state = framed_state(q)
+    for k in seq[:2]:
+        state = mutate(state, k)
+    k = data.draw(st.integers(1, q.v))
+    assert mutate(mutate(state, k), k) == state
+
+
+def _count_mutations(monkeypatch):
+    calls = []
+    exact = clusterforge.quiver.mutate
+
+    def counting(state, k):
+        calls.append(k)
+        return exact(state, k)
+
+    monkeypatch.setattr(clusterforge.quiver, "mutate", counting)
+    return calls
+
+
+@pytest.mark.parametrize("fixture, seq, mutated", [
+    ("k2", (1, 1, 2, 2, 1), [1, 2, 1]),
+    ("a3_path", (3, 3, 3), [3]),
+    ("k2", (1, 2, 1), [1, 2, 1]),  # no repeat: the benchmark self-check's pin
+])
+def test_recurrence_mutates_only_for_steps_not_undone(request, monkeypatch, fixture, seq,
+                                                       mutated):
+    q = request.getfixturevalue(fixture)
+    expected = recurrence_step_by_step(q, seq)
+    calls = _count_mutations(monkeypatch)
+    assert fpoly_recurrence(q, seq) == expected
+    assert calls == mutated
+
+
+def test_recurrence_undone_first_step_gives_one(monkeypatch, k2):
+    calls = _count_mutations(monkeypatch)
+    assert fpoly_recurrence(k2, (1, 1))[-1] == 1
+    assert calls == [1]
+
+
+def test_recurrence_undone_step_still_checks_its_vertex(k2):
+    # 1.0 and True equal the vertex 1 before them, yet are no vertex
+    for seq in ((1, 1.0), (1, True)):
+        with pytest.raises(TypeError):
+            fpoly_recurrence(k2, seq)
+
+
+def test_recurrence_checks_every_label_it_returns(monkeypatch, k2):
+    # an undone step's F_i, an earlier label or the initial 1, is checked too
+    checked = []
+    exact = LaurentPolynomial.is_polynomial
+
+    def counting(self):
+        checked.append(self)
+        return exact(self)
+
+    monkeypatch.setattr(LaurentPolynomial, "is_polynomial", counting)
+    fs = fpoly_recurrence(k2, (1, 1, 2, 2, 1))
+    assert len(fs) == 5
+    assert [id(f) for f in checked] == [id(f) for f in fs]
