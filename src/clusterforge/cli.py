@@ -38,7 +38,7 @@ class _Parser(argparse.ArgumentParser):
 
 def parse_sequence(text: str) -> tuple[int, ...]:
     """Comma list, 'a..b' range, or 'a..bxN' repeated range, of ASCII decimals."""
-    text = text.strip()
+    text = text.strip(" ")
     if not text:
         return ()
     match = re.fullmatch(r"([0-9]+)\.\.([0-9]+)(?:x([0-9]+))?", text)
@@ -62,7 +62,7 @@ def parse_params(text: str) -> dict[str, int]:
         key, _, value = item.partition("=")
         if not _:
             raise ParseError(f"bad parameter {item!r}, expected key=value")
-        key = key.strip()
+        key = key.strip(" ")
         if key in params:
             raise ParseError(f"parameter {key!r} given twice")
         try:

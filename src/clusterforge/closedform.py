@@ -21,7 +21,9 @@ nondecreasing index sequences: `fpoly_formula`, the point query
 `coefficient_of`, the family formulas, `deformed_coefficients`, `limit_kr`
 and `limit_gale_robinson`, each supplying its step vectors, the factors of
 its pair terms (off the trace here, off a recurrence in `families`), bound
-and cap.  All arithmetic is in integers: phi enters as binomials.
+and cap.  The diagonal pair term -a(i,i) + b(i,i) is -1 in every one of
+them, so phi times the factors of a run of m equal indices is the binomial
+C(f, m): all arithmetic is in integers, and no weight can fail to cancel.
 """
 
 from __future__ import annotations
@@ -33,7 +35,7 @@ from operator import add, le, mul, or_
 
 from . import intmat
 from .cmatrix import MutationTrace, _check_step, coeff_a, pair_term
-from .errors import NonIntegerCoefficient, RedStepEncountered, SignCoherenceViolation
+from .errors import RedStepEncountered, SignCoherenceViolation
 from .laurent import LaurentPolynomial, _mul_within, _Packing
 
 
@@ -54,55 +56,55 @@ def phi(w) -> Fraction:
     return Fraction(1, denom)
 
 
-def _trace_factors(tr: MutationTrace, n: int):
-    """F_n's factor(c) for _sequence_sum, c = n - i in 0..n-1 (not validated).
+def _trace_candidates(tr: MutationTrace, n: int):
+    """F_n's candidates for _sequence_sum, latest step first (n not validated).
 
-    pair_term(i, n - e) is u_e . w_c, with u_e the trace's pair row of step
-    n - e and w_c column v_i of D_i; the tail a(i, n) is row v_n of D_n^{-1} . w_c.
+    Returns (order, steps, factor): candidate c is step order[c] = n - c,
+    steps[c] is its r-monomial and factor(c) its factors.  pair_term(i, j) is
+    u_j . w_i, with u_j the trace's pair row of step j and w_i column v_i of
+    D_i; the tail a(i, n) is row v_n of D_n^{-1} . w_i.
     """
+    order = range(n, 0, -1)
+
     def factor(c: int):
-        w = [row[tr.seq[n - c - 1] - 1] for row in tr.d_mats[n - c]]
-        return sum(map(mul, tr.dinv_mats[n][tr.seq[n - 1] - 1], w)), tr.pair_rows[n - c - 1], w
+        i = order[c]
+        w = [row[tr.seq[i - 1] - 1] for row in tr.d_mats[i]]
+        return sum(map(mul, tr.dinv_mats[n][tr.seq[n - 1] - 1], w)), tr.pair_rows[i - 1], w
 
-    return factor
+    return order, tr.r_monomials[:n][::-1], factor
 
 
-def _sequence_sum(steps, factor, diag, bound, cap=None, target=None, marks=None):
+def _sequence_sum(steps, factor, bound, cap=None, point=False, marks=None):
     """Sum phi(c) * prod_i f_i over nondecreasing sequences c of candidates.
 
     The candidates are the indices of steps; factor(c) gives (tail_c, u_c,
     w_c).  Entry c_i has f_i = tail(c_i) + sum_{j<i} pair(c_i, c_j), with
-    pair(c, e) = w_c . u_e for e < c and pair(c, c) = diag, and the sequence
+    pair(c, e) = w_c . u_e for e < c and pair(c, c) = -1, and the sequence
     lands on sum_i steps[c_i].  Only monomials within bound and within cap
-    (default sum(bound)) in total degree count.  With a target, returns
-    only its sum (0 for a target past the bound), and the box shrinks to
-    the target's.
+    (default sum(bound)) in total degree count.  With point, returns only
+    the coefficient of bound itself.
 
     Stagewise, candidates in order: earlier entries reach later factors
     only through U = sum of their u_e, so a state (packed key, U) holds one
     integer weight for a group of sequences.  Taking c m times, with
-    f = tail_c + w_c . U, multiplies it by prod_{j<m} (f + j*diag) / m!, or
-    C(f, m) for diag = -1; a remainder raises NonIntegerCoefficient on every
-    transition formed.  factor(c) is called only when a state fits c, and a
-    state with no room left for a later candidate leaves the stages.
+    f = tail_c + w_c . U, multiplies it by prod_{j<m} (f - j) / m!, the
+    binomial C(f, m), built one entry at a time as weight * (f - m) //
+    (m + 1), which is exact.  factor(c) is called only when a state fits c,
+    and a state with no room left for a later candidate leaves the stages.
 
-    With a target, a state walks on only while it can still reach it.  A
+    With point, a state walks on only while it can still reach bound.  A
     candidate raises the slots where its step is nonzero, and each stage
     has one mask: the slots that no candidate from that stage on raises.  A
-    state whose gap to the target is nonzero under that mask is dropped
-    when a stage finds it waiting, before it forms any transition there,
-    and only the target's own key is summed.
+    state whose gap to bound is nonzero under that mask is dropped when a
+    stage finds it waiting, before it forms any transition there, and only
+    bound's own key is summed.
 
     With marks, a nondecreasing list of candidate-prefix lengths and no
-    target, returns one polynomial per mark: the sum over the sequences of
+    point, returns one polynomial per mark: the sum over the sequences of
     the candidates c < mark alone.  As stages run in candidate order, that
     is the running total just before the first stage of a candidate c >=
     mark (or at the end): done plus every waiting state.
     """
-    if target is not None:
-        if not all(map(le, target, bound)):
-            return 0
-        bound = target
     bound = tuple(bound)
     cap = sum(bound) if cap is None else cap
     layout = _Packing(bound)
@@ -117,10 +119,10 @@ def _sequence_sum(steps, factor, diag, bound, cap=None, target=None, marks=None)
     # rooms[s]: keys from here on have no room for the candidates of stage s on
     least = accumulate([key >> top for _, key in reversed(stages)], min, initial=cap + 1)
     rooms = [(cap - d + 1) << top for d in least][::-1]
-    # finals[s]: keys formed at stage s from here on are final; with a target
-    # that is goal, the target's key, as a key of the box >= goal is goal
+    # finals[s]: keys formed at stage s from here on are final; with point
+    # that is goal, bound's key, as a key of the box >= goal is goal
     goal, finals, deads = pack(bound), rooms[1:], [0] * len(stages)
-    if target is not None:
+    if point:
         # deads[s]: the slots no candidate from stage s on raises; a key of the
         # box lies below goal in every slot, so goal - key holds the gaps
         slots = list(zip(layout.shifts, layout.masks))
@@ -142,9 +144,9 @@ def _sequence_sum(steps, factor, diag, bound, cap=None, target=None, marks=None)
             key, u_sum = state
             if key >= room or dead and (goal - key) & dead:
                 # final, as this stage merges only below the next room <= room;
-                # with a target, neither kind of key is goal
+                # with point, neither kind of key is goal
                 weight = states.pop(state)
-                if target is None:
+                if not point:
                     done[key] = done.get(key, 0) + weight
                 continue
             k = key + sk
@@ -155,10 +157,7 @@ def _sequence_sum(steps, factor, diag, bound, cap=None, target=None, marks=None)
             u_sum = u_sum or (0,) * len(u)
             f, m = tail + sum(map(mul, w, u_sum)), 0
             while k < over and (limit - k) & guards == guards:
-                weight, rem = divmod(weight * (f + m * diag), m + 1)
-                if rem:
-                    raise NonIntegerCoefficient(f"weight {weight * (m + 1) + rem}/{m + 1} on "
-                                                f"{layout.unpack(k, (0,) * len(bound))}")
+                weight = weight * (f - m) // (m + 1)
                 if not weight:
                     break
                 m, u_sum = m + 1, tuple(map(add, u_sum, u))
@@ -167,7 +166,7 @@ def _sequence_sum(steps, factor, diag, bound, cap=None, target=None, marks=None)
                 else:
                     states[k, u_sum] = states.get((k, u_sum), 0) + weight
                 k += sk
-    if target is not None:  # goal waits only as the empty sequence's key 0
+    if point:  # goal waits only as the empty sequence's key 0
         return done.get(goal, 0) + states.get((goal, ()), 0)
     if marks is None:
         return total(done)
@@ -181,7 +180,8 @@ def fpoly_formula(tr: MutationTrace, n: int) -> LaurentPolynomial:
     contributes the constant term 1.
     """
     bound = tr.degree_bound(n)
-    return _sequence_sum(tr.r_monomials[:n][::-1], _trace_factors(tr, n), -1, bound)
+    _, steps, factor = _trace_candidates(tr, n)
+    return _sequence_sum(steps, factor, bound)
 
 
 def coefficient_of(tr: MutationTrace, n: int, monomial) -> int:
@@ -203,8 +203,8 @@ def coefficient_of(tr: MutationTrace, n: int, monomial) -> int:
         raise ValueError(f"monomial {monomial} needs {tr.v} exponents")
     if not all(0 <= x <= b for x, b in zip(monomial, bound)):
         return 0
-    steps = tr.r_monomials[:n][::-1]
-    return _sequence_sum(steps, _trace_factors(tr, n), -1, monomial, target=monomial)
+    _, steps, factor = _trace_candidates(tr, n)
+    return _sequence_sum(steps, factor, monomial, point=True)
 
 
 def _binomial_series(layout: _Packing, powers: list[dict], e: int) -> dict[int, int]:
@@ -320,15 +320,14 @@ def _deformed_sums(tr: MutationTrace, n: int, cutoff: int, indices) -> list[dict
     _check_step(tr, n, 1)
     intmat.check_count(cutoff, "cutoff")
     _require_green(tr, n)
-    rs = tuple(zip(*tr.r_monomials[n - 1::-1]))  # R_n; column w is r_{n-w}
-    rhos = list(zip(*intmat.mat_mul(deform_matrix(tr, n), rs)))
+    order, steps, factor = _trace_candidates(tr, n)
+    rhos = list(zip(*intmat.mat_mul(deform_matrix(tr, n), tuple(zip(*steps)))))
     if min(map(min, rhos)) < 0 or not all(map(any, rhos)):
-        for w, rho in enumerate(rhos):
+        for i, rho in zip(order, rhos):
             if min(rho) < 0 or not any(rho):
-                raise SignCoherenceViolation(f"deformed r-monomial of step {n - w} (vertex "
-                                             f"{tr.vertex(n - w)}) is not positive: {rho}")
+                raise SignCoherenceViolation(f"deformed r-monomial of step {i} (vertex "
+                                             f"{tr.vertex(i)}) is not positive: {rho}")
     kept = [w for w, rho in enumerate(rhos) if sum(rho) <= cutoff]
-    factor = _trace_factors(tr, n)
-    polys = _sequence_sum([rhos[w] for w in kept], lambda c: factor(kept[c]), -1,
+    polys = _sequence_sum([rhos[w] for w in kept], lambda c: factor(kept[c]),
                           (cutoff,) * tr.v, cutoff, marks=[bisect_left(kept, m) for m in indices])
     return [dict(poly.terms) for poly in polys]

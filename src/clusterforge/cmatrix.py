@@ -151,7 +151,7 @@ class MutationTrace:
     dinv_mats: tuple[Matrix, ...]
     colors: tuple[str, ...]
     r_monomials: tuple[tuple[int, ...], ...]
-    pair_rows: tuple[tuple[int, ...], ...] = field(repr=False, default=())
+    pair_rows: tuple[tuple[int, ...], ...] = field(repr=False)
 
     @property
     def n(self) -> int:

@@ -25,10 +25,6 @@ class IndexOrder(ClusterForgeError):
     """Pair coefficients a(i,j), b(i,j) require i <= j."""
 
 
-class NonIntegerCoefficient(ClusterForgeError):
-    """Rational intermediates failed to cancel to an integer."""
-
-
 class BadParameters(ClusterForgeError):
     """Family parameters outside their valid range."""
 

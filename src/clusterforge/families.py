@@ -275,8 +275,11 @@ def _family_sum(ss: SSequence, steps, bound, cap=None) -> LaurentPolynomial:
     limits of `limit_kr` and `limit_gale_robinson`.  The last coefficient of
     ss.recurrence is +-1, so its companion matrix M has an integral inverse.
     Stepping P_L = (p(L), ..., p(1)) back L times gives P_0; each p(d) used
-    is checked to be e_1 M^d P_0, so p(c - e) = e_1 M^c . M^{-e} P_0 = w_c . u_e.
+    is checked to be e_1 M^d P_0, so p(c - e) = e_1 M^c . M^{-e} P_0 = w_c . u_e,
+    and p(0) to be the kernel's diagonal -1.
     """
+    if ss.sp(0) - ss.s(0) != -1:
+        raise ConsistencyError(f"p(0) = {ss.sp(0) - ss.s(0)}, not the diagonal -1")
     width = max(ss.recurrence)
     coefs = [ss.recurrence.get(lag, 0) for lag in range(1, width + 1)]
 
@@ -295,7 +298,7 @@ def _family_sum(ss: SSequence, steps, bound, cap=None) -> LaurentPolynomial:
                 raise ConsistencyError(f"p({d}) is off the recurrence {ss.recurrence}")
         return ss.s(c), us[c], ws[c]
 
-    return _sequence_sum(steps, factor, ss.sp(0) - ss.s(0), bound, cap)
+    return _sequence_sum(steps, factor, bound, cap)
 
 
 def _certified_formula(q: GeneralizedQuiver, ss: SSequence, n: int) -> LaurentPolynomial:

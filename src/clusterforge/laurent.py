@@ -478,11 +478,11 @@ def decimal_int(text: str) -> int:
 def parse_monomial(text: str, nvars: int) -> Exponents:
     """Parse a monomial like 'y1^3*y2' into an exponent vector."""
     exps = [0] * nvars
-    text = text.strip()
+    text = text.strip(" ")
     if text in ("", "1"):
         return tuple(exps)
     for factor in text.split("*"):
-        factor = factor.strip()
+        factor = factor.strip(" ")
         if factor == "1":
             continue
         if not factor.startswith("y"):

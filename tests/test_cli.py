@@ -73,6 +73,59 @@ def test_cli_integer_that_is_not_ascii_decimal_is_a_usage_error(capsys, argv):
     assert err.startswith("usage error:")
 
 
+# no-break and ideographic spaces: str.strip() removed them, ASCII trimming keeps them
+UNICODE_SPACES = ("\u00a0", "\u3000")
+
+
+@pytest.mark.parametrize("space", UNICODE_SPACES)
+def test_parsers_trim_ascii_spaces_only(space):
+    assert parse_sequence(" 1,2 ") == (1, 2)
+    assert parse_params(" r = 2") == {"r": 2}
+    assert parse_monomial(" y1^3 * y2 ", 2) == (3, 1)
+    for text in (f"1,2,1{space}", f"{space}1..3"):
+        with pytest.raises(ParseError):
+            parse_sequence(text)
+    for text in (f"y1^3*y2{space}", f"{space}y1"):
+        with pytest.raises(ParseError):
+            parse_monomial(text, 2)
+    # the name keeps its space, and no family takes a parameter of that name
+    assert parse_params(f"{space}r=2") == {f"{space}r": 2}
+
+
+@pytest.mark.parametrize("space", UNICODE_SPACES)
+@pytest.mark.parametrize("argv", [
+    ["--seq", "1,2,1{}"],
+    ["--seq", "{}1,2,1"],
+    ["--seq", "1,2,1", "--coeff", "y1^3*y2{}"],
+])
+def test_cli_unicode_space_around_an_input_is_a_usage_error(capsys, space, argv):
+    argv = [arg.format(space) for arg in argv]
+    code, out, err = run(capsys, "fpoly", "--family", "kr", "--params", "r=2", *argv)
+    assert (code, out) == (1, "")
+    assert err.startswith("usage error:")
+
+
+@pytest.mark.parametrize("space", UNICODE_SPACES)
+def test_cli_unicode_space_in_a_parameter_name_is_no_parameter(capsys, space):
+    code, out, err = run(capsys, "fpoly", "--family", "kr", "--params", f"{space}r=2",
+                         "--seq", "1,2,1")
+    assert (code, out) == (2, "")
+    assert err == f"error: BadParameters: family 'kr' takes no parameter {space + 'r'!r}\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ["fpoly", "--family", "kr", "--params", "r=2", "--seq", "3..1"],
+    ["fpoly", "--family", "kr", "--params", "r=2", "--seq", "1..2x0"],
+    ["fpoly", "--family", "kr", "--params", "r=2", "--quiver", "GOLDEN/b21.json", "--seq", "1"],
+    ["fpoly", "--quiver", "GOLDEN/no-such-quiver.json", "--seq", "1"],
+])
+def test_cli_input_errors_are_one_usage_error_line(capsys, argv):
+    argv = [arg.replace("GOLDEN", str(GOLDEN)) for arg in argv]
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (1, "")
+    assert err.startswith("usage error:") and err.count("\n") == 1
+
+
 def test_cli_reads_integers_with_spaces_around_them(capsys):
     code, out, _ = run(capsys, "fpoly", "--family", "kr", "--params", "r= 2",
                        "--seq", "1, 2, 1", "--coeff", "y1^3 * y2")

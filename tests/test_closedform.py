@@ -14,10 +14,9 @@ from clusterforge import (LaurentPolynomial, canonical_sequence, coeff_a, coeff_
                           coefficient_of, deform, deformed_formula, degree_bounds, fpoly_formula,
                           fpoly_product_form, fpoly_recurrence, intmat, make_quiver, phi,
                           trace)
-from clusterforge.closedform import (_binomial_series, _sequence_sum, _trace_factors,
+from clusterforge.closedform import (_binomial_series, _sequence_sum, _trace_candidates,
                                      deform_matrix, deformed_coefficients)
-from clusterforge.errors import (BadParameters, NonIntegerCoefficient, RedStepEncountered,
-                                 SignCoherenceViolation)
+from clusterforge.errors import BadParameters, RedStepEncountered, SignCoherenceViolation
 from clusterforge.laurent import _Packing
 from conftest import random_sequence, random_skew_symmetric, truncate
 from oracles import enumerate_sequences, w_value
@@ -94,39 +93,35 @@ def test_enumerate_sequences_has_no_depth_limit(k2):
 
 
 def test_sequence_sum_rejects_zero_or_negative_step():
-    # every factor is 1: tail 1, every pair term (diagonal included) 0
+    # every factor is 1: tail 1, every pair term off the diagonal 0
     one = lambda c: (1, (0,), (0,))  # noqa: E731
     with pytest.raises(ValueError):
-        _sequence_sum([(1, 0), (0, 0)], one, 0, (3, 3))
+        _sequence_sum([(1, 0), (0, 0)], one, (3, 3))
     with pytest.raises(ValueError):
-        _sequence_sum([(2, -1)], one, 0, (3, 3))
+        _sequence_sum([(2, -1)], one, (3, 3))
 
 
 def test_sequence_sum_counts_multisets():
-    # the k-th copy of an index has the factor k (diagonal +1, other pair
-    # terms 0), so phi * W = 1 for every multiset and each monomial that
-    # passes the bound and cap gets 1
-    steps, factor = [(1, 0), (0, 1)], lambda c: (1, (0,), (0,))
+    # candidate c has tail f_c and no pair term but the diagonal -1, so the
+    # run of a copies of candidate 0 and b of candidate 1 weighs phi * W =
+    # C(f_0, a) * C(f_1, b); C(3, 4) = 0 ends the runs of candidate 0, and
+    # C(-2, b) = (-1)^b (b + 1) never vanishes
+    tails = (3, -2)
+    steps, factor = [(1, 0), (0, 1)], lambda c: (tails[c], (0,), (0,))
+
+    def binom(f, m):
+        return prod(f - j for j in range(m)) // prod(range(1, m + 1))
 
     def box(cap):
-        return {(a, b): 1 for a in range(2) for b in range(4) if a + b <= cap}
+        return {(a, b): binom(3, a) * binom(-2, b)
+                for a in range(4) for b in range(4) if a + b <= cap}
 
-    assert _sequence_sum(steps, factor, 1, (1, 3)).terms == box(4)
-    assert _sequence_sum(steps, factor, 1, (1, 3), cap=2).terms == box(2)
-    assert _sequence_sum(steps, factor, 1, (1, 3), target=(1, 2)) == 1
-    assert _sequence_sum(steps, factor, 1, (0, 0), target=(0, 0)) == 1
-
-
-def test_sequence_sum_raises_when_weights_do_not_cancel():
-    # one candidate with factor 1 at every position: the sequence (0, 0)
-    # carries phi = 1/2 alone on y^2
-    steps, factor = [(1,)], lambda c: (1, (0,), (0,))
-    assert _sequence_sum(steps, factor, 0, (1,)) == LaurentPolynomial(1, {(0,): 1, (1,): 1})
-    with pytest.raises(NonIntegerCoefficient):
-        _sequence_sum(steps, factor, 0, (2,))
-    with pytest.raises(NonIntegerCoefficient):
-        _sequence_sum(steps, factor, 0, (2,), target=(2,))
-    assert _sequence_sum(steps, factor, 0, (2,), target=(1,)) == 1
+    assert box(7)[2, 3] == -12
+    assert _sequence_sum(steps, factor, (4, 3)).terms == box(7)
+    assert _sequence_sum(steps, factor, (4, 3), cap=2).terms == box(2)
+    assert _sequence_sum(steps, factor, (2, 3), point=True) == -12
+    assert _sequence_sum(steps, factor, (4, 1), point=True) == 0
+    assert _sequence_sum(steps, factor, (0, 0), point=True) == 1
 
 
 def test_point_query_drops_states_that_cannot_reach_the_target():
@@ -140,7 +135,7 @@ def test_point_query_drops_states_that_cannot_reach_the_target():
         return 1, (0,), (0,)
 
     steps = [(1, 0, 1), (1, 0, 0), (0, 1, 0)]
-    assert _sequence_sum(steps, factor, 1, (1, 1, 1), target=(1, 1, 1)) == 1
+    assert _sequence_sum(steps, factor, (1, 1, 1), point=True) == 1
 
 
 def test_pruned_point_query_keeps_its_coefficient(dp1):
@@ -177,9 +172,8 @@ def test_coefficient_of(k2):
 @pytest.mark.parametrize("monomial", [(4, 2), (5, 3)])
 def test_sequence_sum_cancels_exactly_past_the_support(k2, monomial):
     # the sum itself, run on a box past F_3's support, lands on 0
-    tr = trace(k2, (1, 2, 1))
-    steps = tr.r_monomials[:3][::-1]
-    assert _sequence_sum(steps, _trace_factors(tr, 3), -1, monomial, target=monomial) == 0
+    _, steps, factor = _trace_candidates(trace(k2, (1, 2, 1)), 3)
+    assert _sequence_sum(steps, factor, monomial, point=True) == 0
 
 
 def test_coefficient_of_outside_the_box_runs_no_sum(k2, monkeypatch):
@@ -310,7 +304,7 @@ def test_deformed_coefficients_is_one_product_and_a_filtered_sum(a12, monkeypatc
         calls.append({"mat_mul": 0, "mat_vec": 0, "steps": []})
         deformed_coefficients(tr, n, cutoff)
         kept, rhos = expected[n]
-        factor = _trace_factors(tr, n)
+        factor = _trace_candidates(tr, n)[2]
         assert (calls[-1]["mat_mul"], calls[-1]["mat_vec"]) == (1, 0)
         assert calls[-1]["steps"] == [[rhos[w] for w in kept]]
         assert calls[-1]["factors"] == [factor(w) for w in kept]

@@ -35,6 +35,13 @@ def test_step_matrix_isolated_vertex():
     assert step_matrix(q.b, 2, "e", "green") == ((1, 0), (0, -1))
 
 
+def test_step_matrix_rejects_a_bad_kind_or_variant(k2):
+    with pytest.raises(ValueError, match="kind must be 'a' or 'e'"):
+        step_matrix(k2.b, 1, "c", "green")
+    with pytest.raises(ValueError, match="variant must be 'green' or 'red'"):
+        step_matrix(k2.b, 1, "a", "blue")
+
+
 def test_step_matrices_are_involutions():
     rng = random.Random(5)
     for _ in range(20):
@@ -74,6 +81,11 @@ def test_c_between(k2):
     assert c_between(tr, 0, 3) == tr.c_mats[3]
     # inverse of the between-step matrix: C_3^{-1} C_1
     assert c_between(tr, 3, 1) == ((3, -2), (2, -1))
+
+
+def test_c_between_rejects_a_bad_kind(k2):
+    with pytest.raises(ValueError, match="kind must be 'c' or 'd'"):
+        c_between(trace(k2, (1, 2, 1)), 0, 3, "a")
 
 
 def test_c_between_on_a_quiver_with_no_vertices():

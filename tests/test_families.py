@@ -215,6 +215,14 @@ def test_family_sum_rejects_a_wrong_recurrence():
         _family_sum(ss, rhos, (30, 30), 30)
 
 
+def test_family_sum_rejects_a_diagonal_other_than_minus_one():
+    # the kernel's diagonal pair term is -1; s'_0 = s_0 would make p(0) = 0
+    ss = SSequence.kronecker(3)
+    ss.companion = {0: 1}
+    with pytest.raises(ConsistencyError, match=r"p\(0\) = 0, not the diagonal -1"):
+        _family_sum(ss, [(1, 0)], (3, 3))
+
+
 def test_symmetric_r_monomials_follow_s(k3, dp1):
     for q in (k3, dp1):
         ss = SSequence.from_quiver(q)
