@@ -81,7 +81,7 @@ def load_quiver(args) -> GeneralizedQuiver:
         try:
             with open(args.quiver, encoding="utf-8") as handle:
                 data = json.load(handle)
-        except (OSError, json.JSONDecodeError) as exc:
+        except (OSError, ValueError, RecursionError) as exc:  # ValueError: bad JSON or UTF-8
             raise ParseError(f"cannot read quiver file: {exc}") from exc
         if not isinstance(data, dict):
             raise ParseError("quiver file must hold a JSON object")
@@ -261,8 +261,11 @@ def _cmd_family(args) -> int:
         poly = fpoly_symmetric(q, args.n)
     payload = json.dumps({"b": [list(row) for row in q.b], "d": list(q.d)})
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as handle:
-            handle.write(payload + "\n")
+        try:
+            with open(args.out, "w", encoding="utf-8") as handle:
+                handle.write(payload + "\n")
+        except OSError as exc:
+            raise UsageError(f"cannot write --out file: {exc}") from exc
     else:
         print(payload)
     if poly is not None:

@@ -21,15 +21,16 @@ nondecreasing index sequences: `fpoly_formula`, the point query
 `coefficient_of`, the family formulas, `deformed_coefficients`, `limit_kr`
 and `limit_gale_robinson`, each supplying its step vectors, the factors of
 its pair terms (off the trace here, off a recurrence in `families`), bound
-and cap.  The diagonal pair term -a(i,i) + b(i,i) is -1 in every one of
-them, so phi times the factors of a run of m equal indices is the binomial
-C(f, m): all arithmetic is in integers, and no weight can fail to cancel.
+and cap.  phi(w) is the paper's notation for 1 over the product of the
+factorials of the multiplicities in w; no function computes it.  The
+diagonal pair term -a(i,i) + b(i,i) is -1 in every sum, so phi times the
+factors of a run of m equal indices is the binomial C(f, m): all
+arithmetic is in integers, and no weight can fail to cancel.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
-from fractions import Fraction
 from itertools import accumulate, count
 from operator import add, le, mul, or_
 
@@ -37,23 +38,6 @@ from . import intmat
 from .cmatrix import MutationTrace, _check_step, coeff_a, pair_term
 from .errors import RedStepEncountered, SignCoherenceViolation
 from .laurent import LaurentPolynomial, _mul_within, _Packing
-
-
-def phi(w) -> Fraction:
-    """Multiset symmetry factor: 1 over the product of multiplicity factorials.
-
-    >>> phi((1, 1, 1))
-    Fraction(1, 6)
-    >>> phi((1, 2))
-    Fraction(1, 1)
-    """
-    w = tuple(w)
-    denom = 1
-    run = 1
-    for prev, cur in zip(w, w[1:]):
-        run = run + 1 if cur == prev else 1
-        denom *= run
-    return Fraction(1, denom)
 
 
 def _trace_candidates(tr: MutationTrace, n: int):
@@ -77,12 +61,13 @@ def _trace_candidates(tr: MutationTrace, n: int):
 def _sequence_sum(steps, factor, bound, cap=None, point=False, marks=None):
     """Sum phi(c) * prod_i f_i over nondecreasing sequences c of candidates.
 
-    The candidates are the indices of steps; factor(c) gives (tail_c, u_c,
-    w_c).  Entry c_i has f_i = tail(c_i) + sum_{j<i} pair(c_i, c_j), with
-    pair(c, e) = w_c . u_e for e < c and pair(c, c) = -1, and the sequence
-    lands on sum_i steps[c_i].  Only monomials within bound and within cap
-    (default sum(bound)) in total degree count.  With point, returns only
-    the coefficient of bound itself.
+    phi(c), the paper's notation, is never computed: the run weights below
+    fold it into binomials.  The candidates are the indices of steps;
+    factor(c) gives (tail_c, u_c, w_c).  Entry c_i has f_i = tail(c_i) +
+    sum_{j<i} pair(c_i, c_j), with pair(c, e) = w_c . u_e for e < c and
+    pair(c, c) = -1, and the sequence lands on sum_i steps[c_i].  Only
+    monomials within bound and within cap (default sum(bound)) in total
+    degree count.  With point, returns only the coefficient of bound itself.
 
     Stagewise, candidates in order: earlier entries reach later factors
     only through U = sum of their u_e, so a state (packed key, U) holds one

@@ -13,11 +13,10 @@ check against exact quadratic-field arithmetic.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from operator import sub
 
 from . import intmat
-from .closedform import _deformed_sums, _require_green, deformed_coefficients, phi
+from .closedform import _deformed_sums, _require_green, deformed_coefficients
 from .cmatrix import MutationTrace, _check_step, trace
 from .errors import BadParameters, ConsistencyError, SignCoherenceViolation
 from .families import FamilySpec, SSequence, _family_params, _family_sum
@@ -307,10 +306,23 @@ def dp1_coefficient(a: int, b: int, c: int, d: int) -> int:
     weighted like limit_gale_robinson(4, 2, 1).  The exponent indices here
     follow the reversed variable frame, so this equals the coefficient of
     y1^d y2^c y3^b y4^a in limit_gale_robinson(4, 2, 1, ...).
+
+    The weight is in integers: entry w_i, with factor f_i at 1-based
+    position m in its run of equal entries, multiplies it by f_i and divides
+    by m.  The pair term of two equal entries, -s_0 - s_{-4} + s_{-1} +
+    s_{-3}, is checked once to be -1, so a run's factors are F, F-1, ...
+    and the weight stays the binomial C(F, m) times those of earlier runs.
     """
+    a, b, c, d = map(intmat.exact_int, (a, b, c, d))
     if min(a, b, c, d) < 0 or a - c < 0 or b - d < 0:
         return 0
     ss = SSequence.gale_robinson(4, 2, 1)
+
+    def pair(gap):  # the pair term of entries gap apart
+        return -ss.s(gap) - ss.s(gap - 4) + ss.s(gap - 1) + ss.s(gap - 3)
+
+    if pair(0) != -1:
+        raise ConsistencyError(f"dp1 diagonal pair term is {pair(0)}, not -1")
 
     def partitions(total, parts):
         """Nondecreasing tuples of `parts` nonnegative ints summing to total."""
@@ -326,22 +338,16 @@ def dp1_coefficient(a: int, b: int, c: int, d: int) -> int:
             stack += [(prefix + (q,), left - q) for q in range(low, left // slots + 1)]
         return out
 
-    total = Fraction(0)
+    total = 0
     for evens in partitions(c, a - c):
         for odds in partitions(d, b - d):
             w = sorted([2 * q for q in evens] + [2 * q + 1 for q in odds])
-            w_prod = 1
+            weight, run = 1, 0
             for i, wi in enumerate(w):
-                factor = ss.s(wi) + sum(
-                    -ss.s(wi - wj) - ss.s(wi - wj - 4) + ss.s(wi - wj - 1)
-                    + ss.s(wi - wj - 3)
-                    for wj in w[:i]
-                )
-                w_prod *= factor
-            total += phi(w) * w_prod
-    if total.denominator != 1:
-        raise ConsistencyError(f"dp1 coefficient {total} is not integral")
-    return int(total)
+                run = run + 1 if i and wi == w[i - 1] else 1
+                weight = weight * (ss.s(wi) + sum(pair(wi - wj) for wj in w[:i])) // run
+            total += weight
+    return total
 
 
 def limits_match_up_to_cycle(report: StabilizationReport,

@@ -126,6 +126,24 @@ def test_cli_input_errors_are_one_usage_error_line(capsys, argv):
     assert err.startswith("usage error:") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("content", [b"[" * 100_000, b"\xff\xfe"], ids=["deep", "not-utf8"])
+def test_unreadable_quiver_file_is_one_usage_error_line(tmp_path, capsys, content):
+    # JSON nested past the recursion limit, and bytes that are not UTF-8
+    path = tmp_path / "q.json"
+    path.write_bytes(content)
+    code, out, err = run(capsys, "mutate", "--quiver", str(path), "--seq", "1")
+    assert (code, out) == (1, "")
+    assert err.startswith("usage error: cannot read quiver file: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("target", ["missing/x.json", "."], ids=["no-dir", "a-dir"])
+def test_family_out_that_cannot_be_written_is_one_usage_error_line(tmp_path, capsys, target):
+    code, out, err = run(capsys, "family", "--family", "kr", "--params", "r=2",
+                         "--out", str(tmp_path / target), "--n", "2")
+    assert (code, out) == (1, "")
+    assert err.startswith("usage error: cannot write --out file: ") and err.count("\n") == 1
+
+
 def test_cli_reads_integers_with_spaces_around_them(capsys):
     code, out, _ = run(capsys, "fpoly", "--family", "kr", "--params", "r= 2",
                        "--seq", "1, 2, 1", "--coeff", "y1^3 * y2")

@@ -12,8 +12,7 @@ from hypothesis import strategies as st
 import clusterforge.closedform
 from clusterforge import (LaurentPolynomial, canonical_sequence, coeff_a, coeff_b,
                           coefficient_of, deform, deformed_formula, degree_bounds, fpoly_formula,
-                          fpoly_product_form, fpoly_recurrence, intmat, make_quiver, phi,
-                          trace)
+                          fpoly_product_form, fpoly_recurrence, intmat, make_quiver, trace)
 from clusterforge.closedform import (_binomial_series, _sequence_sum, _trace_candidates,
                                      deform_matrix, deformed_coefficients)
 from clusterforge.errors import BadParameters, RedStepEncountered, SignCoherenceViolation
@@ -23,13 +22,6 @@ from oracles import enumerate_sequences, w_value
 
 GOLDEN_F3 = {(0, 0): 1, (1, 0): 3, (2, 0): 3, (3, 0): 1, (2, 1): 2, (3, 1): 2,
              (3, 2): 1}
-
-
-def test_phi_values():
-    assert phi((1, 1, 1)) == Fraction(1, 6)
-    assert phi((1, 2)) == 1
-    assert phi(()) == 1
-    assert phi((2, 2, 3, 3, 3)) == Fraction(1, 12)
 
 
 def test_w_values_k2(k2):

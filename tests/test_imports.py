@@ -1,6 +1,6 @@
 """Every name a package module imports is used in that module, the
-unchecked constructor `_from_clean` stays inside `laurent`, and the package
-runs on the standard library alone."""
+unchecked constructor `_from_clean` stays inside `laurent`, no module
+imports `fractions`, and the package runs on the standard library alone."""
 
 import ast
 import os
@@ -23,6 +23,14 @@ def _imported_names(tree):
                     yield node.lineno, name
 
 
+def _imported_modules(tree):
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            yield from (alias.name.split(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module:
+            yield node.module.split(".")[0]
+
+
 def test_modules_found():
     assert {p.name for p in MODULES} >= {"cli.py", "laurent.py", "closedform.py"}
 
@@ -42,6 +50,13 @@ def test_only_laurent_imports_from_clean():
     importers = [path.name for path in sorted(PACKAGE.glob("*.py"))
                  if any(name == "_from_clean" for _, name in
                         _imported_names(ast.parse(path.read_text(encoding="utf-8"))))]
+    assert importers == []
+
+
+def test_no_module_does_rational_arithmetic():
+    # every sequence-sum weight is an integer binomial, so no module needs fractions
+    importers = [path.name for path in sorted(PACKAGE.glob("*.py"))
+                 if "fractions" in _imported_modules(ast.parse(path.read_text(encoding="utf-8")))]
     assert importers == []
 
 

@@ -15,7 +15,8 @@ from clusterforge import (LaurentPolynomial, SSequence, build_gale_robinson, def
                           mutate, stabilization_run, trace)
 from clusterforge import closedform, stabilization
 from clusterforge.closedform import _deformed_sums, deformed_coefficients
-from clusterforge.errors import BadParameters, RedStepEncountered, SignCoherenceViolation
+from clusterforge.errors import (BadParameters, ConsistencyError, RedStepEncountered,
+                                 SignCoherenceViolation)
 from clusterforge.intmat import identity
 from clusterforge.stabilization import _decomposable, _labels_after
 from conftest import random_sequence, random_skew_symmetric
@@ -480,9 +481,32 @@ def test_dp1_coefficient_many_parts():
 
 
 def test_dp1_coefficient_matches_limit():
-    lim = limit_gale_robinson(4, 2, 1, 7)
+    # cutoff 14 (53 monomials) has runs long enough that each wrong run
+    # weight shows: no division by the run position is off on 8 monomials,
+    # dividing by position + 1 on 52, a position counted from the sequence
+    # start on 45
+    lim = limit_gale_robinson(4, 2, 1, 14)
+    assert len(lim.terms) == 53
     for (a, b, c, d), coeff in lim.terms.items():
         assert dp1_coefficient(d, c, b, a) == coeff
+
+
+@pytest.mark.parametrize("bad", [True, 2.0, None])
+@pytest.mark.parametrize("slot", range(4))
+def test_dp1_coefficient_rejects_exponents_that_are_not_ints(bad, slot):
+    # a bool read as 0 or 1, and a float reached range() as a bare TypeError
+    exps = [1, 2, 0, 1]
+    exps[slot] = bad
+    with pytest.raises(TypeError, match="is not an integer"):
+        dp1_coefficient(*exps)
+
+
+def test_dp1_coefficient_checks_its_diagonal(monkeypatch):
+    # the run weights are exact only when equal entries pair to -1; a1r(1)
+    # has s_0 = 0, so its diagonal -s_0 is 0
+    monkeypatch.setattr(SSequence, "gale_robinson", lambda v, r, t: SSequence.a1r(1))
+    with pytest.raises(ConsistencyError, match="diagonal pair term is 0, not -1"):
+        dp1_coefficient(0, 0, 0, 0)
 
 
 def test_deformed_r_monomials_distinct_on_green_traces(k2, a12, dp1):
