@@ -17,10 +17,10 @@ from .families import (FamilySpec, SSequence, SymmetryReport, build_family,
 from .laurent import LaurentPolynomial, exact_divide, parse_monomial
 from .quiver import (FramedState, GeneralizedQuiver, degree_bounds,
                      fpoly_recurrence, framed_state, make_quiver, mutate)
-from .stabilization import (ExcessReport, FundamentalSet, StabilizationReport,
-                            deform, dp1_coefficient, fundamentals,
-                            green_excess_probe, limit_a1r, limit_gale_robinson,
-                            limit_kr, limits_match_up_to_cycle, stabilization_run)
+from .stabilization import (ExcessReport, StabilizationReport, deform,
+                            dp1_coefficient, fundamentals, green_excess_probe,
+                            limit_a1r, limit_gale_robinson, limit_kr,
+                            limits_match_up_to_cycle, stabilization_run)
 from .verify import run_verification
 
 __version__ = "0.1.0"
@@ -39,7 +39,7 @@ __all__ = [
     "family_sequence", "fpoly_kr", "fpoly_gale_robinson", "fpoly_symmetric",
     "s_values",
     "deform", "fundamentals", "green_excess_probe",
-    "FundamentalSet", "ExcessReport", "StabilizationReport",
+    "ExcessReport", "StabilizationReport",
     "stabilization_run", "limit_a1r", "limit_kr",
     "limit_gale_robinson", "dp1_coefficient", "limits_match_up_to_cycle",
     "run_verification",

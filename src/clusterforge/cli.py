@@ -208,8 +208,9 @@ def _cmd_fpoly(args) -> int:
     q = load_quiver(args)
     seq = vertex_sequence(args.seq, q)
     n = len(seq)
-    if args.coeff is not None and args.method == "formula":
-        print(coefficient_of(trace(q, seq), n, parse_monomial(args.coeff, q.v)))
+    exps = None if args.coeff is None else parse_monomial(args.coeff, q.v)
+    if exps is not None and args.method == "formula":
+        print(coefficient_of(trace(q, seq), n, exps))
         return 0
     if args.method == "recurrence":
         polys = fpoly_recurrence(q, seq)
@@ -217,8 +218,7 @@ def _cmd_fpoly(args) -> int:
     else:
         tr = trace(q, seq)
         poly = fpoly_formula(tr, n) if args.method == "formula" else fpoly_product_form(tr, n)
-    if args.coeff is not None:
-        exps = parse_monomial(args.coeff, q.v)
+    if exps is not None:
         print(poly.coefficient(exps))
     else:
         _print_poly(poly, args.format)

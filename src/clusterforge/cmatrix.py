@@ -20,9 +20,10 @@ frozen-arrow simulation from the quiver module.
 
 Everything a step takes from B_{i-1}, its vertex and its color alone (the
 nonzeros of its step rows, the frozen rule's add-vectors and B_i) is built
-once per distinct triple.  A period that returns the quiver thus derives
-its steps in its first pass only; every step still reads its color, updates
-C, C^{-1} and the simulated C, compares the two C, and records its pair row.
+once per distinct triple, in a memo keyed by B_{i-1} itself.  A period
+that returns the quiver thus derives its steps in its first pass only;
+every step still reads its color, updates C, C^{-1} and the simulated C,
+compares the two C, and records its pair row.
 """
 
 from __future__ import annotations
@@ -228,39 +229,33 @@ def trace(q: GeneralizedQuiver, seq) -> MutationTrace:
 
     What a step takes from (B_{i-1}, vertex, color) alone is derived once
     per distinct triple: the nonzeros of the A-row and of the E* - E row,
-    the frozen rule's add-vectors, and B_i.  Each exchange matrix is interned
-    by value when it first appears, so equal B_i share one tuple and the
-    memo is keyed by its index.  Every step, memo hit or not, reads its
-    color off C_{i-1}, updates C, C^{-1} and the simulated C, compares the
-    two C entrywise, and records its pair row.
+    the frozen rule's add-vectors, and B_i.  The memo is keyed by B_{i-1}
+    itself, and a hit hands back its stored B_i.  Every step, memo hit or
+    not, reads its color off C_{i-1}, updates C, C^{-1} and the simulated C,
+    compares the two C entrywise, and records its pair row.
     """
     seq = tuple(seq)
     v = q.v
     for k in seq:
         _check_vertex(k, v)
     _check_symmetrizer(q.b, q.d)
+    b = q.b
     c = cinv = c_sim = intmat.identity(v)
-    bs, b_index = [q.b], {q.b: 0}  # each distinct B, and its index in bs
-    steps = {}  # (B_{i-1} index, vertex, color) -> the step's derived parts
-    bi = 0
-    b_mats, c_mats, cinv_mats = [q.b], [c], [cinv]
+    steps = {}  # (B_{i-1}, vertex, color) -> the step's derived parts and B_i
+    b_mats, c_mats, cinv_mats = [b], [c], [cinv]
     colors, r_monomials, pair_lhs = [], [], []
 
     for k in seq:
         kk = k - 1
         col = [row[kk] for row in c]  # C_i's column kk is -col
         color = _column_color(col, kk)
-        step = steps.get((bi, kk, color))
+        step = steps.get((b, kk, color))
         if step is None:
-            b = bs[bi]
             a_row, _, estar_minus_e = _step_rows(b, kk, 1 if color == "green" else -1)
-            b_next = mutate_b(b, kk)
-            next_index = b_index.setdefault(b_next, len(bs))  # the one hash of b_next
-            if next_index == len(bs):
-                bs.append(b_next)
-            step = steps[bi, kk, color] = (
-                _nonzeros(a_row), _nonzeros(estar_minus_e), _frozen_vectors(b, kk), next_index)
-        a_nonzero, estar_minus_e, (pos, neg), bi = step
+            step = steps[b, kk, color] = (
+                _nonzeros(a_row), _nonzeros(estar_minus_e), _frozen_vectors(b, kk),
+                mutate_b(b, kk))
+        a_nonzero, estar_minus_e, (pos, neg), b = step
         c = _times_step(c, a_nonzero, kk)
         cinv = _step_times(a_nonzero, kk, cinv)
         c_sim = _add_to_rows(c_sim, kk, pos, neg)
@@ -272,7 +267,7 @@ def trace(q: GeneralizedQuiver, seq) -> MutationTrace:
         colors.append(color)
         r_monomials.append(tuple(map(abs, col)))
         pair_lhs.append(estar_minus_e)
-        b_mats.append(bs[bi])
+        b_mats.append(b)
         c_mats.append(c)
         cinv_mats.append(cinv)
 

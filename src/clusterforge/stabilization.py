@@ -18,7 +18,7 @@ from operator import sub
 from . import intmat
 from .closedform import _deformed_sums, _require_green, deformed_coefficients
 from .cmatrix import MutationTrace, _check_step, trace
-from .errors import BadParameters, ConsistencyError, SignCoherenceViolation
+from .errors import BadParameters, ConsistencyError
 from .families import FamilySpec, SSequence, _family_params, _family_sum
 from .intmat import Matrix
 from .laurent import LaurentPolynomial
@@ -41,14 +41,6 @@ class FundamentalInfo:
     green: int
     red: int
     coefficient_check: bool | None
-
-
-@dataclass(frozen=True)
-class FundamentalSet:
-    entries: tuple[FundamentalInfo, ...]
-
-    def fundamentals(self) -> list[tuple[int, ...]]:
-        return [e.monomial for e in self.entries if e.fundamental]
 
 
 def _decomposable(target, parts) -> bool:
@@ -83,8 +75,8 @@ def _labels_after(seq, fs, v: int) -> list[LaurentPolynomial]:
 
 
 def fundamentals(tr: MutationTrace, n: int, verify: bool = True,
-                 fs: list[LaurentPolynomial] | None = None) -> FundamentalSet:
-    """Fundamental flags and color counts for the distinct r-monomials.
+                 fs: list[LaurentPolynomial] | None = None) -> tuple[FundamentalInfo, ...]:
+    """Fundamental flags and color counts, one entry per distinct r-monomial.
 
     A monomial is fundamental when it is not a sum of two or more of the
     r-monomials r_1..r_n (the closed formula sums over every nondecreasing
@@ -118,7 +110,7 @@ def fundamentals(tr: MutationTrace, n: int, verify: bool = True,
             expected = tuple(-(green - red) * x for x in intmat.mat_vec(tr.cinv_mats[n], m))
             check = expected == tuple(label.coefficient(m) for label in labels)
         entries.append(FundamentalInfo(m, step, fundamental, green, red, check))
-    return FundamentalSet(tuple(entries))
+    return tuple(entries)
 
 
 @dataclass(frozen=True)
@@ -138,8 +130,7 @@ def green_excess_probe(tr: MutationTrace, n: int | None = None,
                        verify: bool = True) -> ExcessReport:
     """Report g - r per fundamental monomial; flags but never asserts."""
     n = tr.n if n is None else n
-    fset = fundamentals(tr, n, verify=verify)
-    fund = [e for e in fset.entries if e.fundamental]
+    fund = [e for e in fundamentals(tr, n, verify=verify) if e.fundamental]
     negative = tuple(e.monomial for e in fund if e.green - e.red < 0)
     failed = tuple(e.monomial for e in fund if e.coefficient_check is False)
     return ExcessReport(tuple(fund), negative, failed)
@@ -178,9 +169,8 @@ def stabilization_run(q: GeneralizedQuiver, seq_period, count: int,
     When the period returns the exchange matrix, B_p = B_0, the step
     matrices repeat, A_{i+p} = A_i, as each is fixed by B_{i-1}, the vertex
     and the green sign.  Then S_kp's sum is a prefix of S_(count*p)'s, so
-    one sum at count*p gives every index.  Otherwise, or when that sum's
-    sign check fails, each index is summed on its own, so the error names
-    its step as seen from the first index that fails.
+    one sum at count*p gives every index, and a sign error names its step
+    as seen from index count*p.  Otherwise each index is summed on its own.
     """
     seq_period = tuple(seq_period)
     if not all(intmat.is_int(k) for k in seq_period):
@@ -195,13 +185,9 @@ def stabilization_run(q: GeneralizedQuiver, seq_period, count: int,
 
     indices = tuple(p * (k + 1) for k in range(count))
 
-    per_index = None
     if tr.b_mats[p] == tr.b_mats[0]:
-        try:
-            per_index = _deformed_sums(tr, tr.n, cutoff, indices)
-        except SignCoherenceViolation:
-            pass
-    if per_index is None:
+        per_index = _deformed_sums(tr, tr.n, cutoff, indices)
+    else:
         per_index = [deformed_coefficients(tr, n, cutoff) for n in indices]
 
     monomials = sorted(
@@ -346,6 +332,8 @@ def dp1_coefficient(a: int, b: int, c: int, d: int) -> int:
             for i, wi in enumerate(w):
                 run = run + 1 if i and wi == w[i - 1] else 1
                 weight = weight * (ss.s(wi) + sum(pair(wi - wj) for wj in w[:i])) // run
+                if not weight:  # a zero weight stays zero
+                    break
             total += weight
     return total
 

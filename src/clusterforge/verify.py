@@ -81,9 +81,8 @@ def run_verification(q: GeneralizedQuiver, seq) -> dict[str, bool]:
         results["green r-monomials pairwise distinct"] = (
             len(set(tr.r_monomials)) == n
         )
-        fset = fundamentals(tr, n, fs=fs)
         results["fundamental coefficient identity"] = all(
-            e.coefficient_check is not False for e in fset.entries
+            e.coefficient_check is not False for e in fundamentals(tr, n, fs=fs)
         )
 
     return results

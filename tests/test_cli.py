@@ -182,6 +182,23 @@ def test_fpoly_coeff_flag(capsys):
     assert out.strip() == "2"
 
 
+@pytest.mark.parametrize("method", ["recurrence", "product"])
+@pytest.mark.parametrize("coeff", ["y1^", "y3"])
+def test_fpoly_coeff_is_parsed_before_f_n_is_computed(capsys, monkeypatch, method, coeff):
+    # a malformed monomial, and a variable past the quiver's two, fail at once
+    import clusterforge.cli as cli_module
+
+    def unreachable(*args):
+        raise AssertionError("F_n computed before --coeff was parsed")
+
+    monkeypatch.setattr(cli_module, "fpoly_recurrence", unreachable)
+    monkeypatch.setattr(cli_module, "fpoly_product_form", unreachable)
+    code, out, err = run(capsys, "fpoly", "--family", "kr", "--params", "r=2",
+                         "--seq", "1,2,1", "--method", method, "--coeff", coeff)
+    assert (code, out) == (1, "")
+    assert err.startswith("usage error:") and err.count("\n") == 1
+
+
 def test_fpoly_json_round_trip(capsys):
     code, text_out, _ = run(capsys, "fpoly", "--family", "kr", "--params", "r=2",
                             "--seq", "1,2,1")

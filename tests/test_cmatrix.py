@@ -385,7 +385,7 @@ def test_periodic_traces_match_the_reference(q):
     seq = tuple(range(1, q.v + 1)) * 10
     tr = trace(q, seq)
     _assert_same_trace(tr, reference_trace(q, seq))
-    assert tr.b_mats[q.v] is tr.b_mats[0]
+    assert tr.b_mats[q.v] == tr.b_mats[0]
 
 
 def _count_calls(monkeypatch, names):
@@ -415,8 +415,6 @@ def test_trace_derives_each_distinct_step_once(request, monkeypatch, fixture, se
     tr = trace(q, seq)
     assert counts == {**dict.fromkeys(DERIVED, derived), **dict.fromkeys(EVERY_STEP, len(seq))}
     _assert_same_trace(tr, expected)
-    # equal exchange matrices are one tuple
-    assert len({id(b) for b in tr.b_mats}) == len(set(tr.b_mats))
 
 
 def test_a_wrong_frozen_rule_on_a_memo_hit_names_its_step(monkeypatch, a12):

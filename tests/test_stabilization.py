@@ -62,11 +62,11 @@ def test_limits_match_up_to_cycle_compares_within_the_cutoff(a12):
 
 def test_fundamentals_k2(k2):
     tr = trace(k2, (1, 2, 1))
-    fset = fundamentals(tr, 3)
-    flags = {e.monomial: e.fundamental for e in fset.entries}
+    entries = fundamentals(tr, 3)
+    flags = {e.monomial: e.fundamental for e in entries}
     # r3 = y1^3 y2^2 is not a sum of copies of (1,0) and (2,1)
     assert flags == {(1, 0): True, (2, 1): True, (3, 2): True}
-    assert all(e.coefficient_check for e in fset.entries)
+    assert all(e.coefficient_check for e in entries)
 
 
 def test_fundamentals_detects_products(a2):
@@ -74,11 +74,11 @@ def test_fundamentals_detects_products(a2):
     # product of the two earlier degree-1 monomials
     tr = trace(a2, (2, 1, 2, 1))
     assert tr.r_monomials == ((0, 1), (1, 0), (0, 1), (1, 1))
-    fset = fundamentals(tr, 4)
-    flags = {e.monomial: e.fundamental for e in fset.entries}
+    entries = fundamentals(tr, 4)
+    flags = {e.monomial: e.fundamental for e in entries}
     assert flags == {(0, 1): True, (1, 0): True, (1, 1): False}
     # color counts aggregate per distinct monomial
-    by_monomial = {e.monomial: e for e in fset.entries}
+    by_monomial = {e.monomial: e for e in entries}
     assert (by_monomial[(0, 1)].green, by_monomial[(0, 1)].red) == (1, 1)
 
 
@@ -291,16 +291,16 @@ def test_stabilization_run_sums_once_only_when_the_period_returns_the_quiver(
     assert _deformed_sums(tr, 6, 4, (3, 6))[0] != deformed_coefficients(tr, 3, 4)
 
 
-def test_stabilization_run_one_sum_errors_name_the_step_per_index(k2, monkeypatch):
-    # r_1 and r_8 zeroed: the one sum at n = 8 meets step 8 first, while the
-    # per-index run fails at n = 2 on step 1; the run reports the latter
+def test_stabilization_run_one_sum_errors_name_the_step_from_the_last_index(k2, monkeypatch):
+    # r_1 and r_8 zeroed: the one sum at n = 8 meets step 8 first, and the
+    # run raises that error as it is
     def broken_trace(q, seq):
         tr = trace(q, seq)
         return replace(tr, r_monomials=((0, 0),) + tr.r_monomials[1:-1] + ((0, 0),))
 
     monkeypatch.setattr(stabilization, "trace", broken_trace)
     with pytest.raises(SignCoherenceViolation,
-                       match=r"^deformed r-monomial of step 1 \(vertex 1\) is not positive: "
+                       match=r"^deformed r-monomial of step 8 \(vertex 2\) is not positive: "
                              r"\(0, 0\)$"):
         stabilization_run(k2, (1, 2), 4, 5)
     with pytest.raises(RedStepEncountered, match=r"^step 2 \(vertex 1\) is red$"):
@@ -478,6 +478,20 @@ def test_dp1_coefficient_many_parts():
     # so only w = () and w = (0,) are nonzero
     assert dp1_coefficient(1200, 0, 0, 0) == 0
     assert dp1_coefficient(2, 0, 0, 0) == 0
+
+
+def test_dp1_coefficient_stops_a_sequence_at_its_first_zero_weight(monkeypatch):
+    # w = (0, ..., 0) has weight 0 from its second entry on, and a zero weight
+    # stays zero, so the 400 entries need not each re-sum the earlier ones
+    exact, reads = SSequence.s, []
+
+    def counted(self, i):
+        reads.append(i)
+        return exact(self, i)
+
+    monkeypatch.setattr(SSequence, "s", counted)
+    assert dp1_coefficient(400, 0, 0, 0) == 0
+    assert len(reads) < 100
 
 
 def test_dp1_coefficient_matches_limit():

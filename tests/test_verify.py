@@ -12,7 +12,7 @@ import clusterforge.verify
 from clusterforge import make_quiver, run_verification, step_matrix, trace
 from clusterforge.cli import main
 from clusterforge.cmatrix import MutationTrace, _nonzeros, _step_rows, _step_times
-from clusterforge.errors import InexactDivision
+from clusterforge.errors import ConsistencyError, InexactDivision
 from clusterforge.intmat import identity
 from conftest import scaled_skew_symmetric
 
@@ -76,6 +76,20 @@ def test_failing_recurrence_is_reported_as_fail(monkeypatch, capsys, k2):
     assert main(["verify", "--family", "kr", "--params", "r=2", "--seq", "1,2"]) == 3
     out, err = capsys.readouterr()
     assert "recurrence yields positive unit-constant polynomials  FAIL" in out
+    assert err == ""
+
+
+def test_trace_consistency_error_ends_the_battery(monkeypatch, capsys, k2):
+    # a C-matrix product that disagrees with the simulation is the one entry,
+    # False, and `verify` prints that one FAIL line and exits 3
+    def inconsistent(q, seq):
+        raise ConsistencyError("C-matrix product disagrees with the frozen-arrow simulation")
+
+    monkeypatch.setattr(clusterforge.verify, "trace", inconsistent)
+    assert run_verification(k2, (1, 2)) == {"cmatrix product matches simulation": False}
+    assert main(["verify", "--family", "kr", "--params", "r=2", "--seq", "1,2"]) == 3
+    out, err = capsys.readouterr()
+    assert out == "cmatrix product matches simulation  FAIL\n"
     assert err == ""
 
 
