@@ -227,7 +227,11 @@ def _cmd_fpoly(args) -> int:
 
 def _cmd_cmatrix(args) -> int:
     q = load_quiver(args)
-    tr = trace(q, vertex_sequence(args.seq, q))
+    seq = vertex_sequence(args.seq, q)
+    for step in args.between or ():
+        if not 0 <= step <= len(seq):
+            raise UsageError(f"--between step {step} out of range 0..{len(seq)}")
+    tr = trace(q, seq)
     if args.between:
         m, n = args.between
         _print_matrix(f"C_{m},{n}", c_between(tr, m, n, "c"), args.format)

@@ -21,17 +21,19 @@ nondecreasing index sequences: `fpoly_formula`, the point query
 `coefficient_of`, the family formulas, `deformed_coefficients`, `limit_kr`
 and `limit_gale_robinson`, each supplying its step vectors, the factors of
 its pair terms (off the trace here, off a recurrence in `families`), bound
-and cap.  phi(w) is the paper's notation for 1 over the product of the
-factorials of the multiplicities in w; no function computes it.  The
-diagonal pair term -a(i,i) + b(i,i) is -1 in every sum, so phi times the
-factors of a run of m equal indices is the binomial C(f, m): all
-arithmetic is in integers, and no weight can fail to cancel.
+and cap.  `_plan` packs the steps once for every sum within a box that
+fits them, and F_n's plan is memoized on its trace.  phi(w) is the
+paper's notation for 1 over the product of the factorials of the
+multiplicities in w; no function computes it.  The diagonal pair term
+-a(i,i) + b(i,i) is -1 in every sum, so phi times the factors of a run of
+m equal indices is the binomial C(f, m): all arithmetic is in integers,
+and no weight can fail to cancel.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
-from itertools import accumulate, count
+from itertools import accumulate, compress, count
 from operator import add, le, mul, or_
 
 from . import intmat
@@ -58,16 +60,52 @@ def _trace_candidates(tr: MutationTrace, n: int):
     return order, tr.r_monomials[:n][::-1], factor
 
 
-def _sequence_sum(steps, factor, bound, cap=None, point=False, marks=None):
+def _trace_plan(tr: MutationTrace, n: int, bound):
+    """(plan, factor) of F_n, for a validated n and F_n's degree bound.
+
+    The plan is built once per trace and n and kept in tr._plans; factor
+    closes over the trace, so it is made per call and never kept there.
+    """
+    plans = tr._plans
+    _, steps, factor = _trace_candidates(tr, n)
+    plan = plans.get(n)
+    if plan is None:
+        plan = plans[n] = _plan(steps, bound)
+    return plan, factor
+
+
+def _plan(steps, span):
+    """The candidates of _sequence_sum, packed once for sums within any bound <= span.
+
+    Returns (layout, stages, factors).  layout is the _Packing of span.
+    stages holds (c, key, raised) for each step c that fits span: key is
+    the packed step, raised the slots where it is nonzero.  factors[c]
+    keeps factor(c) once a sum has computed it.  A zero or negative step is
+    a ValueError, one that does not fit span included.
+    """
+    layout = _Packing(span)
+    slots = [m << s for s, m in zip(layout.shifts, layout.masks)]
+    stages = []
+    for c, step in enumerate(steps):
+        if min(step) < 0 or not any(step):
+            raise ValueError(f"step {c} is {tuple(step)}; steps must be nonnegative and nonzero")
+        if all(map(le, step, layout.span)):
+            stages.append((c, layout.pack(step), sum(compress(slots, step))))
+    return layout, stages, [None] * len(steps)
+
+
+def _sequence_sum(plan, factor, bound, cap=None, point=False, marks=None):
     """Sum phi(c) * prod_i f_i over nondecreasing sequences c of candidates.
 
     phi(c), the paper's notation, is never computed: the run weights below
-    fold it into binomials.  The candidates are the indices of steps;
-    factor(c) gives (tail_c, u_c, w_c).  Entry c_i has f_i = tail(c_i) +
-    sum_{j<i} pair(c_i, c_j), with pair(c, e) = w_c . u_e for e < c and
-    pair(c, c) = -1, and the sequence lands on sum_i steps[c_i].  Only
-    monomials within bound and within cap (default sum(bound)) in total
-    degree count.  With point, returns only the coefficient of bound itself.
+    fold it into binomials.  The candidates are the indices of the steps of
+    plan, a `_plan` whose span covers bound; factor(c) gives (tail_c, u_c,
+    w_c), computed on first use and kept in the plan, so a plan serves only
+    one factor.  Entry c_i has f_i = tail(c_i) + sum_{j<i} pair(c_i, c_j),
+    with pair(c, e) = w_c . u_e for e < c and pair(c, c) = -1, and the
+    sequence lands on sum_i steps[c_i].  Only monomials within bound and
+    within cap (default sum(bound)) in total degree count.  With point,
+    returns only the coefficient of bound itself.
 
     Stagewise, candidates in order: earlier entries reach later factors
     only through U = sum of their u_e, so a state (packed key, U) holds one
@@ -76,6 +114,8 @@ def _sequence_sum(steps, factor, bound, cap=None, point=False, marks=None):
     binomial C(f, m), built one entry at a time as weight * (f - m) //
     (m + 1), which is exact.  factor(c) is called only when a state fits c,
     and a state with no room left for a later candidate leaves the stages.
+    A stage is kept when its step is within bound, by one guard test on the
+    packed keys, and within cap in degree.
 
     With point, a state walks on only while it can still reach bound.  A
     candidate raises the slots where its step is nonzero, and each stage
@@ -90,29 +130,25 @@ def _sequence_sum(steps, factor, bound, cap=None, point=False, marks=None):
     is the running total just before the first stage of a candidate c >=
     mark (or at the end): done plus every waiting state.
     """
+    layout, planned, factors = plan
     bound = tuple(bound)
     cap = sum(bound) if cap is None else cap
-    layout = _Packing(bound)
-    pack, guards, limit, top = layout.pack, layout.guards, layout.limit, layout.top
+    guards, top = layout.guards, layout.top
+    goal = layout.pack(bound)
+    limit = guards + goal  # the box of bound, which the plan's span covers
     over = (cap + 1) << top  # keys from here on exceed the cap
-    stages = []
-    for c, step in enumerate(steps):
-        if min(step) < 0 or not any(step):
-            raise ValueError(f"step {c} is {tuple(step)}; steps must be nonnegative and nonzero")
-        if sum(step) <= cap and all(map(le, step, bound)):
-            stages.append((c, pack(step)))
+    stages = [stage for stage in planned
+              if stage[1] >> top <= cap and (limit - stage[1]) & guards == guards]
     # rooms[s]: keys from here on have no room for the candidates of stage s on
-    least = accumulate([key >> top for _, key in reversed(stages)], min, initial=cap + 1)
+    least = accumulate([key >> top for _, key, _ in reversed(stages)], min, initial=cap + 1)
     rooms = [(cap - d + 1) << top for d in least][::-1]
     # finals[s]: keys formed at stage s from here on are final; with point
     # that is goal, bound's key, as a key of the box >= goal is goal
-    goal, finals, deads = pack(bound), rooms[1:], [0] * len(stages)
+    finals, deads = rooms[1:], [0] * len(stages)
     if point:
         # deads[s]: the slots no candidate from stage s on raises; a key of the
         # box lies below goal in every slot, so goal - key holds the gaps
-        slots = list(zip(layout.shifts, layout.masks))
-        raised = accumulate([sum(m << s for s, m in slots if key >> s & m)
-                             for _, key in reversed(stages)], or_, initial=0)
+        raised = accumulate([r for _, _, r in reversed(stages)], or_, initial=0)
         finals, deads = [goal] * len(stages), [layout.below & ~r for r in raised][::-1]
     done, states, totals = {}, {(0, ()): 1}, []
 
@@ -121,7 +157,7 @@ def _sequence_sum(steps, factor, bound, cap=None, point=False, marks=None):
             acc[key] = acc.get(key, 0) + weight
         return layout.poly(acc, (0,) * len(bound))
 
-    for (c, sk), room, final, dead in zip(stages, rooms, finals, deads):
+    for (c, sk, _), room, final, dead in zip(stages, rooms, finals, deads):
         while marks and len(totals) < len(marks) and marks[len(totals)] <= c:
             totals.append(total(dict(done)))
         tail = None
@@ -138,7 +174,10 @@ def _sequence_sum(steps, factor, bound, cap=None, point=False, marks=None):
             if k >= over or (limit - k) & guards != guards:
                 continue
             if tail is None:
-                tail, u, w = factor(c)
+                got = factors[c]
+                if got is None:
+                    got = factors[c] = factor(c)
+                tail, u, w = got
             u_sum = u_sum or (0,) * len(u)
             f, m = tail + sum(map(mul, w, u_sum)), 0
             while k < over and (limit - k) & guards == guards:
@@ -165,8 +204,7 @@ def fpoly_formula(tr: MutationTrace, n: int) -> LaurentPolynomial:
     contributes the constant term 1.
     """
     bound = tr.degree_bound(n)
-    _, steps, factor = _trace_candidates(tr, n)
-    return _sequence_sum(steps, factor, bound)
+    return _sequence_sum(*_trace_plan(tr, n, bound), bound)
 
 
 def coefficient_of(tr: MutationTrace, n: int, monomial) -> int:
@@ -176,7 +214,10 @@ def coefficient_of(tr: MutationTrace, n: int, monomial) -> int:
     included, is 0 with no sum run; one inside sums only the box below it,
     and walks only the states that can still reach it: a state is dropped
     once its exponent of some variable falls short of the monomial's and no
-    remaining r-monomial raises that variable.
+    remaining r-monomial raises that variable.  F_n's candidates are packed
+    in its degree box, and their factors computed, once per trace and n,
+    in the trace's plan memo that `fpoly_formula` shares; n is validated
+    before the memo is read.
 
     >>> from clusterforge import make_quiver, trace
     >>> coefficient_of(trace(make_quiver([[0, 2], [-2, 0]]), (1, 2, 1)), 3, (3, 1))
@@ -188,8 +229,7 @@ def coefficient_of(tr: MutationTrace, n: int, monomial) -> int:
         raise ValueError(f"monomial {monomial} needs {tr.v} exponents")
     if not all(0 <= x <= b for x, b in zip(monomial, bound)):
         return 0
-    _, steps, factor = _trace_candidates(tr, n)
-    return _sequence_sum(steps, factor, monomial, point=True)
+    return _sequence_sum(*_trace_plan(tr, n, bound), monomial, point=True)
 
 
 def _binomial_series(layout: _Packing, powers: list[dict], e: int) -> dict[int, int]:
@@ -313,6 +353,7 @@ def _deformed_sums(tr: MutationTrace, n: int, cutoff: int, indices) -> list[dict
                 raise SignCoherenceViolation(f"deformed r-monomial of step {i} (vertex "
                                              f"{tr.vertex(i)}) is not positive: {rho}")
     kept = [w for w, rho in enumerate(rhos) if sum(rho) <= cutoff]
-    polys = _sequence_sum([rhos[w] for w in kept], lambda c: factor(kept[c]),
-                          (cutoff,) * tr.v, cutoff, marks=[bisect_left(kept, m) for m in indices])
+    box = (cutoff,) * tr.v
+    polys = _sequence_sum(_plan([rhos[w] for w in kept], box), lambda c: factor(kept[c]),
+                          box, cutoff, marks=[bisect_left(kept, m) for m in indices])
     return [dict(poly.terms) for poly in polys]

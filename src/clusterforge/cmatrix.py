@@ -139,7 +139,10 @@ class MutationTrace:
 
     Index 0 of the matrix lists is the initial state; entry i corresponds to
     the framed quiver after i mutations.  All fields are immutable, and so
-    is the cached tuple of degree bounds, so a trace can be queried
+    is the cached tuple of degree bounds.  The closed formula's packed
+    candidates of F_n and their factors are built once per n, on first
+    use, and only ever added, each a function of the fields alone: a race
+    builds one twice, never a wrong one, so a trace can be queried
     concurrently.
     """
 
@@ -212,6 +215,13 @@ class MutationTrace:
             labels[k - 1] = tuple(max(a, b) - c for a, b, c in zip(deg_in, deg_out, labels[k - 1]))
             out.append(labels[k - 1])
         return tuple(out)
+
+    @cached_property
+    def _plans(self) -> dict:
+        """closedform's plan of F_n by n, each added on first use.  It holds
+        data only, no closure over the trace, so a dropped trace is freed by
+        reference counting.  `dataclasses.replace` starts a new trace without it."""
+        return {}
 
 
 def trace(q: GeneralizedQuiver, seq) -> MutationTrace:

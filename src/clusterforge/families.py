@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from operator import mul
 
 from . import intmat
-from .closedform import _sequence_sum
+from .closedform import _plan, _sequence_sum
 from .cmatrix import trace
 from .errors import BadParameters, ConsistencyError, NotSymmetric
 from .laurent import LaurentPolynomial
@@ -298,7 +298,7 @@ def _family_sum(ss: SSequence, steps, bound, cap=None) -> LaurentPolynomial:
                 raise ConsistencyError(f"p({d}) is off the recurrence {ss.recurrence}")
         return ss.s(c), us[c], ws[c]
 
-    return _sequence_sum(steps, factor, bound, cap)
+    return _sequence_sum(_plan(steps, bound), factor, bound, cap)
 
 
 def _certified_formula(q: GeneralizedQuiver, ss: SSequence, n: int) -> LaurentPolynomial:

@@ -258,6 +258,16 @@ def test_cmatrix_between(capsys):
     assert "C_1,3" in out and "D_1,3" in out
 
 
+@pytest.mark.parametrize("between", [("5", "1"), ("-1", "0")])
+def test_cmatrix_between_out_of_range_is_a_usage_error(capsys, between):
+    # a step out of 0..len(seq) exits 1, as a vertex out of range does
+    code, out, err = run(capsys, "cmatrix", "--family", "kr", "--params", "r=2",
+                         "--seq", "1,2,1", "--between", *between)
+    assert code == 1
+    assert out == ""
+    assert err.splitlines() == [f"usage error: --between step {between[0]} out of range 0..3"]
+
+
 def test_cmatrix_between_on_a_quiver_with_no_vertices(tmp_path, capsys):
     # used to die with an uncaught IndexError in the matrix product
     path = tmp_path / "empty.json"

@@ -13,7 +13,7 @@ import clusterforge.closedform
 from clusterforge import (LaurentPolynomial, canonical_sequence, coeff_a, coeff_b,
                           coefficient_of, deform, deformed_formula, degree_bounds, fpoly_formula,
                           fpoly_product_form, fpoly_recurrence, intmat, make_quiver, trace)
-from clusterforge.closedform import (_binomial_series, _sequence_sum, _trace_candidates,
+from clusterforge.closedform import (_binomial_series, _plan, _sequence_sum, _trace_candidates,
                                      deform_matrix, deformed_coefficients)
 from clusterforge.errors import BadParameters, RedStepEncountered, SignCoherenceViolation
 from clusterforge.laurent import _Packing
@@ -88,9 +88,9 @@ def test_sequence_sum_rejects_zero_or_negative_step():
     # every factor is 1: tail 1, every pair term off the diagonal 0
     one = lambda c: (1, (0,), (0,))  # noqa: E731
     with pytest.raises(ValueError):
-        _sequence_sum([(1, 0), (0, 0)], one, (3, 3))
+        _sequence_sum(_plan([(1, 0), (0, 0)], (3, 3)), one, (3, 3))
     with pytest.raises(ValueError):
-        _sequence_sum([(2, -1)], one, (3, 3))
+        _sequence_sum(_plan([(2, -1)], (3, 3)), one, (3, 3))
 
 
 def test_sequence_sum_counts_multisets():
@@ -109,11 +109,11 @@ def test_sequence_sum_counts_multisets():
                 for a in range(4) for b in range(4) if a + b <= cap}
 
     assert box(7)[2, 3] == -12
-    assert _sequence_sum(steps, factor, (4, 3)).terms == box(7)
-    assert _sequence_sum(steps, factor, (4, 3), cap=2).terms == box(2)
-    assert _sequence_sum(steps, factor, (2, 3), point=True) == -12
-    assert _sequence_sum(steps, factor, (4, 1), point=True) == 0
-    assert _sequence_sum(steps, factor, (0, 0), point=True) == 1
+    assert _sequence_sum(_plan(steps, (4, 3)), factor, (4, 3)).terms == box(7)
+    assert _sequence_sum(_plan(steps, (4, 3)), factor, (4, 3), cap=2).terms == box(2)
+    assert _sequence_sum(_plan(steps, (2, 3)), factor, (2, 3), point=True) == -12
+    assert _sequence_sum(_plan(steps, (4, 1)), factor, (4, 1), point=True) == 0
+    assert _sequence_sum(_plan(steps, (0, 0)), factor, (0, 0), point=True) == 1
 
 
 def test_point_query_drops_states_that_cannot_reach_the_target():
@@ -127,7 +127,7 @@ def test_point_query_drops_states_that_cannot_reach_the_target():
         return 1, (0,), (0,)
 
     steps = [(1, 0, 1), (1, 0, 0), (0, 1, 0)]
-    assert _sequence_sum(steps, factor, (1, 1, 1), point=True) == 1
+    assert _sequence_sum(_plan(steps, (1, 1, 1)), factor, (1, 1, 1), point=True) == 1
 
 
 def test_pruned_point_query_keeps_its_coefficient(dp1):
@@ -165,7 +165,7 @@ def test_coefficient_of(k2):
 def test_sequence_sum_cancels_exactly_past_the_support(k2, monomial):
     # the sum itself, run on a box past F_3's support, lands on 0
     _, steps, factor = _trace_candidates(trace(k2, (1, 2, 1)), 3)
-    assert _sequence_sum(steps, factor, monomial, point=True) == 0
+    assert _sequence_sum(_plan(steps, monomial), factor, monomial, point=True) == 0
 
 
 def test_coefficient_of_outside_the_box_runs_no_sum(k2, monkeypatch):
@@ -273,7 +273,7 @@ def test_deformed_coefficients_is_one_product_and_a_filtered_sum(a12, monkeypatc
         expected[n] = [w for w, rho in enumerate(rhos) if sum(rho) <= cutoff], rhos
     calls = []
     real_mat_mul, real_mat_vec = intmat.mat_mul, intmat.mat_vec
-    real_sum = clusterforge.closedform._sequence_sum
+    real_plan, real_sum = clusterforge.closedform._plan, clusterforge.closedform._sequence_sum
 
     def mat_mul(a, b):
         calls[-1]["mat_mul"] += 1
@@ -283,13 +283,17 @@ def test_deformed_coefficients_is_one_product_and_a_filtered_sum(a12, monkeypatc
         calls[-1]["mat_vec"] += 1
         return real_mat_vec(a, v)
 
-    def sequence_sum(steps, factor, *args, **kwargs):
+    def plan(steps, span):
         calls[-1]["steps"].append(list(steps))
-        calls[-1]["factors"] = [factor(c) for c in range(len(steps))]
-        return real_sum(steps, factor, *args, **kwargs)
+        return real_plan(steps, span)
+
+    def sequence_sum(plan, factor, *args, **kwargs):
+        calls[-1]["factors"] = [factor(c) for c in range(len(calls[-1]["steps"][-1]))]
+        return real_sum(plan, factor, *args, **kwargs)
 
     monkeypatch.setattr(intmat, "mat_mul", mat_mul)
     monkeypatch.setattr(intmat, "mat_vec", mat_vec)
+    monkeypatch.setattr(clusterforge.closedform, "_plan", plan)
     monkeypatch.setattr(clusterforge.closedform, "_sequence_sum", sequence_sum)
     dropped = 0
     for n in range(1, tr.n + 1):
@@ -302,6 +306,40 @@ def test_deformed_coefficients_is_one_product_and_a_filtered_sum(a12, monkeypatc
         assert calls[-1]["factors"] == [factor(w) for w in kept]
         dropped += n - len(kept)
     assert dropped > 0  # some steps did not fit the cutoff
+
+
+def test_point_queries_on_one_trace_read_each_n_its_own_plan(a12):
+    # every box point of every F_n, n interleaved, on one trace whose plans
+    # fill up as it goes: half of the formulas run before the queries and
+    # half between two query rounds; a plan shared across n answers wrong
+    seq = (1, 2, 3) * 3
+    tr = trace(a12, seq)
+    expected = [fpoly_formula(trace(a12, seq), n) for n in range(len(seq) + 1)]
+    boxes = [list(product(*(range(x + 1) for x in tr.degree_bound(n))))
+             for n in range(len(seq) + 1)]
+    queries = [(n, box[j]) for j in range(max(map(len, boxes)))
+               for n, box in enumerate(boxes) if j < len(box)]
+    for n in range(0, len(seq) + 1, 2):
+        assert fpoly_formula(tr, n) == expected[n]
+    for n, m in queries:
+        assert coefficient_of(tr, n, m) == expected[n].coefficient(m), (n, m)
+    for n in range(1, len(seq) + 1, 2):
+        assert fpoly_formula(tr, n) == expected[n]
+    for n, m in queries[::-1]:
+        assert coefficient_of(tr, n, m) == expected[n].coefficient(m), (n, m)
+    assert sorted(tr._plans) == list(range(len(seq) + 1))
+
+
+def test_a_planned_step_still_rejects_a_step_that_is_not_an_int(k2):
+    # True == 1 as a dict key: the plan of n = 1 must not answer for n = True
+    tr = trace(k2, (1, 2, 1))
+    assert coefficient_of(tr, 1, (1, 0)) == 1
+    assert 1 in tr._plans
+    for n in (True, 1.0):
+        with pytest.raises(TypeError, match="is not an integer"):
+            coefficient_of(tr, n, (1, 0))
+        with pytest.raises(TypeError, match="is not an integer"):
+            fpoly_formula(tr, n)
 
 
 def test_coefficient_of_rejects_wrong_length_monomial(k2):

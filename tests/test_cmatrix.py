@@ -1,5 +1,6 @@
 import dataclasses
 import random
+import weakref
 
 import pytest
 from hypothesis import given, settings
@@ -8,7 +9,7 @@ from hypothesis import strategies as st
 from clusterforge import (FamilySpec, build_family, build_gale_robinson, c_between,
                           check_sign_coherence, coeff_a, coeff_b, fpoly_recurrence,
                           framed_state, make_quiver, mutate, step_matrix, trace)
-from clusterforge import cmatrix
+from clusterforge import closedform, cmatrix
 from clusterforge.cmatrix import MutationTrace, pair_term
 from clusterforge.errors import ConsistencyError, IndexOrder, NotSkewSymmetrizable
 from clusterforge.intmat import identity, mat_mul
@@ -322,6 +323,36 @@ def test_degree_bounds_are_walked_once_per_trace_and_never_by_trace(k2):
     fresh = dataclasses.replace(tr, r_monomials=((2, 0),) + tr.r_monomials[1:])
     assert "_degree_bounds" not in vars(fresh)
     assert fresh.degree_bound(1) == (2, 0)
+
+
+def test_point_queries_plan_once_per_trace_and_n(k2, monkeypatch):
+    # 24 queries on one (trace, n) pack F_n's candidates once; another n
+    # packs its own, and a replaced trace starts with no plan
+    expected = closedform.fpoly_formula(trace(k2, (1, 2) * 3), 6)
+    real_plan, spans = closedform._plan, []
+
+    def plan(steps, span):
+        spans.append(span)
+        return real_plan(steps, span)
+
+    monkeypatch.setattr(closedform, "_plan", plan)
+    tr = trace(k2, (1, 2) * 4)
+    assert "_plans" not in vars(tr)
+    box = [(a, b) for a in range(6) for b in range(4)]
+    assert [closedform.coefficient_of(tr, 6, m) for m in box] == [
+        expected.coefficient(m) for m in box]
+    assert spans == [(6, 5)]
+    closedform.coefficient_of(tr, 8, (0, 0))
+    assert spans == [(6, 5), tr.degree_bound(8)]
+    assert list(tr._plans) == [6, 8]
+    fresh = dataclasses.replace(tr, r_monomials=((2, 0),) + tr.r_monomials[1:])
+    assert "_plans" not in vars(fresh)
+    assert closedform.coefficient_of(fresh, 1, (2, 0)) == 1
+    assert list(fresh._plans) == [1]
+    # the plans are data: dropping the last reference frees the trace at once
+    dropped = weakref.ref(tr)
+    del tr
+    assert dropped() is None
 
 
 def _outcome(q, seq, run):
