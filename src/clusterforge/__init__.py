@@ -6,8 +6,7 @@ and closed-form stabilized limits for specific quiver families.
 """
 
 from . import errors
-from .closedform import (coefficient_of, deformed_formula, fpoly_formula,
-                         fpoly_product_form)
+from .closedform import coefficient_of, fpoly_formula, fpoly_product_form
 from .cmatrix import (MutationTrace, SignCoherenceReport, c_between, check_sign_coherence,
                       coeff_a, coeff_b, step_matrix, trace)
 from .families import (FamilySpec, SSequence, SymmetryReport, build_family,
@@ -33,7 +32,6 @@ __all__ = [
     "MutationTrace", "SignCoherenceReport", "trace",
     "step_matrix", "c_between", "coeff_a", "coeff_b", "check_sign_coherence",
     "fpoly_formula", "coefficient_of", "fpoly_product_form",
-    "deformed_formula",
     "FamilySpec", "SSequence", "SymmetryReport", "build_family",
     "build_gale_robinson", "canonical_sequence", "check_symmetric",
     "family_sequence", "fpoly_kr", "fpoly_gale_robinson", "fpoly_symmetric",

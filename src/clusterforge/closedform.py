@@ -37,7 +37,7 @@ from itertools import accumulate, compress, count
 from operator import add, le, mul, or_
 
 from . import intmat
-from .cmatrix import MutationTrace, _check_step, coeff_a, pair_term
+from .cmatrix import MutationTrace, _check_step, _pair_row, coeff_a, pair_term
 from .errors import RedStepEncountered, SignCoherenceViolation
 from .laurent import LaurentPolynomial, _mul_within, _Packing
 
@@ -47,15 +47,15 @@ def _trace_candidates(tr: MutationTrace, n: int):
 
     Returns (order, steps, factor): candidate c is step order[c] = n - c,
     steps[c] is its r-monomial and factor(c) its factors.  pair_term(i, j) is
-    u_j . w_i, with u_j the trace's pair row of step j and w_i column v_i of
-    D_i; the tail a(i, n) is row v_n of D_n^{-1} . w_i.
+    u_j . w_i, with u_j = -r_j B_0 the pair row of step j (`_pair_row`) and
+    w_i column v_i of D_i; the tail a(i, n) is row v_n of D_n^{-1} . w_i.
     """
     order = range(n, 0, -1)
 
     def factor(c: int):
         i = order[c]
         w = [row[tr.seq[i - 1] - 1] for row in tr.d_mats[i]]
-        return sum(map(mul, tr.dinv_mats[n][tr.seq[n - 1] - 1], w)), tr.pair_rows[i - 1], w
+        return sum(map(mul, tr.dinv_mats[n][tr.seq[n - 1] - 1], w)), _pair_row(tr, i), w
 
     return order, tr.r_monomials[:n][::-1], factor
 
@@ -291,13 +291,6 @@ def deform_matrix(tr: MutationTrace, n: int) -> intmat.Matrix:
     """The exponent action of the deformation at step n: e -> -C_n^{-1} e."""
     _check_step(tr, n)
     return intmat.neg(tr.cinv_mats[n])
-
-
-def deformed_formula(tr: MutationTrace, n: int) -> LaurentPolynomial:
-    """Deformed polynomial S_n: fpoly_formula with exponents sent through -C_n^{-1}."""
-    f = fpoly_formula(tr, n)
-    m = deform_matrix(tr, n)
-    return f.map_exponents(lambda exps: intmat.mat_vec(m, exps))
 
 
 def _require_green(tr: MutationTrace, n: int) -> None:

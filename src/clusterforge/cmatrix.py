@@ -11,24 +11,29 @@ for callers that want the matrix itself.  D_i and D_i^{-1} are C_i and
 C_i^{-1} conjugated by diag(d), so they equal them on skew-symmetric
 quivers.  Each pair coefficient is one entry of a product of these
 matrices, so it is one row-column dot product.  `verify` checks that each
-step matrix is an involution on its step row alone.  The trace also
-records, once per step j, the row of E*_j D_{j-1}^{-1} - D_j^{-1} that
-every pair term -a(i,j) + b(i,j) reads.  Colors are read off the sign of
-the mutated column of the previous C-matrix, which sign coherence keeps
-well-defined.  Every trace is cross-checked entrywise against the direct
-frozen-arrow simulation from the quiver module.
+step matrix is an involution on its step row alone.  Every pair term
+-a(i,j) + b(i,j) reads row v_j of (E*_j - E_j) D_{j-1}^{-1}, which is
+-r_j B_0 by the tropical dualities G_t B_t = B_0 C_t and
+D^{-1} G_t^T D C_t = I (Nakanishi and Zelevinsky, "On tropical dualities
+in cluster algebras", arXiv:1101.3736), given sign coherence (Gross,
+Hacking, Keel and Kontsevich, "Canonical bases for cluster algebras",
+JAMS 2018); `_pair_row` builds it so, and the tests check it against the
+definitional row.  Colors are read off the sign of the mutated column of
+the previous C-matrix, which sign coherence keeps well-defined.  Every
+trace is cross-checked entrywise against the direct frozen-arrow
+simulation from the quiver module.
 
 Everything a step takes from B_{i-1}, its vertex and its color alone (the
-nonzeros of its step rows, the frozen rule's add-vectors and B_i) is built
-once per distinct triple, in a memo keyed by B_{i-1} itself.  A period
-that returns the quiver thus derives its steps in its first pass only;
-every step still reads its color, updates C, C^{-1} and the simulated C,
-compares the two C, and records its pair row.
+nonzeros of its A-kind step row, the frozen rule's add-vectors and B_i) is
+built once per distinct triple, in a memo keyed by B_{i-1} itself.  A
+period that returns the quiver thus derives its steps in its first pass
+only; every step still reads its color, updates C, C^{-1} and the
+simulated C, and compares the two C.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 from . import intmat
@@ -38,24 +43,24 @@ from .quiver import (GeneralizedQuiver, _add_to_rows, _check_symmetrizer, _check
                      _frozen_vectors, mutate_b)
 
 
-def _step_rows(b: Matrix, k: int, sign: int) -> tuple[list[int], list[int], list[int]]:
-    """Row k of the A-kind and E-kind step matrices and of E* - E, in one pass.
+def _step_rows(b: Matrix, k: int, sign: int) -> tuple[list[int], list[int]]:
+    """Row k of the A-kind and E-kind step matrices, in one pass.
 
     The mutation at 0-based vertex k is green for sign 1, red for sign -1.
     E-kind counts arrows attached to the mutated vertex, A-kind arrows
     attached to the far endpoint; green uses the arrows opposing the frozen
     ones (outgoing), red the incoming ones.  The diagonal entry is -1.  E*
-    is the E-kind of the other color, so E* - E is -sign * b[k].
+    is the E-kind of the other color, so E* - E is -sign * b[k]; the pair
+    terms read -r_j B_0 in its place, as `_pair_row` states.
     """
-    a_row, e_row, pair_row = [], [], []
+    a_row, e_row = [], []
     for r, x in zip(b, b[k]):
         y = -sign * r[k]
         a_row.append(y if y > 0 else 0)
         x *= sign
         e_row.append(x if x > 0 else 0)
-        pair_row.append(-x)
     a_row[k] = e_row[k] = -1
-    return a_row, e_row, pair_row
+    return a_row, e_row
 
 
 def _nonzeros(row) -> list[tuple[int, int]]:
@@ -143,7 +148,8 @@ class MutationTrace:
     candidates of F_n and their factors are built once per n, on first
     use, and only ever added, each a function of the fields alone: a race
     builds one twice, never a wrong one, so a trace can be queried
-    concurrently.
+    concurrently.  Step j's pair row is -r_j B_0, which `_pair_row` builds
+    from the r-monomial and the initial B, so the trace keeps none.
     """
 
     quiver: GeneralizedQuiver
@@ -155,7 +161,6 @@ class MutationTrace:
     dinv_mats: tuple[Matrix, ...]
     colors: tuple[str, ...]
     r_monomials: tuple[tuple[int, ...], ...]
-    pair_rows: tuple[tuple[int, ...], ...] = field(repr=False)
 
     @property
     def n(self) -> int:
@@ -233,16 +238,17 @@ def trace(q: GeneralizedQuiver, seq) -> MutationTrace:
     update (C*A_i) and one row update (A_i*C^{-1}), in work proportional to
     the nonzeros of its A-kind row.  D_i and D_i^{-1} are C_i and C_i^{-1}
     conjugated by diag(d), the same matrices on skew-symmetric quivers.  The
-    pair row of step j is row v_j of E*_j D_{j-1}^{-1} - D_j^{-1} =
-    (E*_j - E_j) D_{j-1}^{-1}, with E*_j - E_j = -b[v_j] green, +b[v_j] red.
-    A vertex that is not an int, bool included, is a TypeError.
+    pair row of step j, row v_j of (E*_j - E_j) D_{j-1}^{-1}, is -r_j B_0 by
+    the tropical dualities (see the module docstring), so `_pair_row` reads
+    it off r_j and B_0.  A vertex that is not an int, bool included, is a
+    TypeError.
 
     What a step takes from (B_{i-1}, vertex, color) alone is derived once
-    per distinct triple: the nonzeros of the A-row and of the E* - E row,
-    the frozen rule's add-vectors, and B_i.  The memo is keyed by B_{i-1}
-    itself, and a hit hands back its stored B_i.  Every step, memo hit or
-    not, reads its color off C_{i-1}, updates C, C^{-1} and the simulated C,
-    compares the two C entrywise, and records its pair row.
+    per distinct triple: the nonzeros of the A-row, the frozen rule's
+    add-vectors, and B_i.  The memo is keyed by B_{i-1} itself, and a hit
+    hands back its stored B_i.  Every step, memo hit or not, reads its color
+    off C_{i-1}, updates C, C^{-1} and the simulated C, and compares the two
+    C entrywise.
     """
     seq = tuple(seq)
     v = q.v
@@ -253,7 +259,7 @@ def trace(q: GeneralizedQuiver, seq) -> MutationTrace:
     c = cinv = c_sim = intmat.identity(v)
     steps = {}  # (B_{i-1}, vertex, color) -> the step's derived parts and B_i
     b_mats, c_mats, cinv_mats = [b], [c], [cinv]
-    colors, r_monomials, pair_lhs = [], [], []
+    colors, r_monomials = [], []
 
     for k in seq:
         kk = k - 1
@@ -261,11 +267,10 @@ def trace(q: GeneralizedQuiver, seq) -> MutationTrace:
         color = _column_color(col, kk)
         step = steps.get((b, kk, color))
         if step is None:
-            a_row, _, estar_minus_e = _step_rows(b, kk, 1 if color == "green" else -1)
-            step = steps[b, kk, color] = (
-                _nonzeros(a_row), _nonzeros(estar_minus_e), _frozen_vectors(b, kk),
-                mutate_b(b, kk))
-        a_nonzero, estar_minus_e, (pos, neg), b = step
+            a_row, _ = _step_rows(b, kk, 1 if color == "green" else -1)
+            step = steps[b, kk, color] = (_nonzeros(a_row), _frozen_vectors(b, kk),
+                                          mutate_b(b, kk))
+        a_nonzero, (pos, neg), b = step
         c = _times_step(c, a_nonzero, kk)
         cinv = _step_times(a_nonzero, kk, cinv)
         c_sim = _add_to_rows(c_sim, kk, pos, neg)
@@ -276,15 +281,13 @@ def trace(q: GeneralizedQuiver, seq) -> MutationTrace:
             )
         colors.append(color)
         r_monomials.append(tuple(map(abs, col)))
-        pair_lhs.append(estar_minus_e)
         b_mats.append(b)
         c_mats.append(c)
         cinv_mats.append(cinv)
 
-    d_mats, dinv_mats = _conjugate(c_mats, q.d), _conjugate(cinv_mats, q.d)
-    pair_rows = [_row_times(x, m) for x, m in zip(pair_lhs, dinv_mats)]
     return MutationTrace(q, seq, *map(tuple, (  # the fields in declaration order
-        b_mats, c_mats, d_mats, cinv_mats, dinv_mats, colors, r_monomials, pair_rows)))
+        b_mats, c_mats, _conjugate(c_mats, q.d), cinv_mats, _conjugate(cinv_mats, q.d),
+        colors, r_monomials)))
 
 
 def c_between(tr: MutationTrace, m: int, n: int, kind: str = "c") -> Matrix:
@@ -334,16 +337,29 @@ def coeff_a(tr: MutationTrace, i: int, j: int) -> int:
     return _dot_column(row, tr.d_mats[i], tr.vertex(i) - 1)
 
 
+def _pair_row(tr: MutationTrace, j: int) -> tuple[int, ...]:
+    """Row v_j of (E*_j - E_j) D_{j-1}^{-1}, which is -r_j B_0 (j not validated).
+
+    The identity follows from the tropical dualities G_t B_t = B_0 C_t and
+    D^{-1} G_t^T D C_t = I (Nakanishi and Zelevinsky, arXiv:1101.3736),
+    which hold given sign coherence (Gross, Hacking, Keel and Kontsevich,
+    JAMS 2018); the tests check it against the definitional row.  It is a
+    sum over only the rows of B_0 that r_j selects.
+    """
+    return _row_times([(a, -x) for a, x in enumerate(tr.r(j)) if x], tr.quiver.b)
+
+
 def pair_term(tr: MutationTrace, i: int, j: int) -> int:
     """The pair term -a(i,j) + b(i,j), for 1 <= i <= j; -1 when i = j.
 
     E_j is an involution, so E*_j E_j D_j^{-1} = E*_j D_{j-1}^{-1}, and the
-    term is the trace's pair row of step j times column v_i of D_i, O(v).
+    term is row v_j of (E*_j - E_j) D_{j-1}^{-1}, that is -r_j B_0
+    (`_pair_row`), times column v_i of D_i, O(v).
     """
     _check_pair(tr, i, j)
     if i == j:
         return -1
-    return _dot_column(tr.pair_rows[j - 1], tr.d_mats[i], tr.vertex(i) - 1)
+    return _dot_column(_pair_row(tr, j), tr.d_mats[i], tr.vertex(i) - 1)
 
 
 def coeff_b(tr: MutationTrace, i: int, j: int) -> int:
@@ -361,7 +377,11 @@ class SignCoherenceReport:
 
 
 def check_sign_coherence(tr: MutationTrace) -> SignCoherenceReport:
-    """Verify uniform nonzero column signs and det = +-1 for every C_i."""
+    """Verify uniform nonzero column signs and det C_i = (-1)^i for every C_i.
+
+    Each A-kind step matrix is the identity outside its row k, with -1 on
+    the diagonal, so its determinant is -1.
+    """
     violations = []
     for i, c in enumerate(tr.c_mats):
         for col, entries in enumerate(zip(*c), start=1):
@@ -369,6 +389,7 @@ def check_sign_coherence(tr: MutationTrace) -> SignCoherenceReport:
                 violations.append(f"C_{i} column {col} is mixed-sign")
             if not any(entries):
                 violations.append(f"C_{i} column {col} is zero")
-        if intmat.det(c) not in (1, -1):
-            violations.append(f"det C_{i} is not a unit")
+        det = intmat.det(c)
+        if det != (-1) ** i:
+            violations.append(f"det C_{i} is {det}, not {(-1) ** i}")
     return SignCoherenceReport(not violations, tuple(violations))

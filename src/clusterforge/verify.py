@@ -44,7 +44,7 @@ def run_verification(q: GeneralizedQuiver, seq) -> dict[str, bool]:
 
     def step_rows(b, k, color):  # A_i of step i's color; E_i and E*_i, the E-kind of both
         sign = 1 if color == "green" else -1
-        a_row, e_row, _ = _step_rows(b, k, sign)
+        a_row, e_row = _step_rows(b, k, sign)
         return a_row, e_row, _step_rows(b, k, -sign)[1]
 
     results["step matrices are involutions"] = all(

@@ -337,12 +337,12 @@ def reference_trace(q: GeneralizedQuiver, seq) -> MutationTrace:
     b = q.b
     c = cinv = c_sim = intmat.identity(v)
     b_mats, c_mats, cinv_mats = [b], [c], [cinv]
-    colors, r_monomials, pair_lhs = [], [], []
+    colors, r_monomials = [], []
     for k in seq:
         kk = k - 1
         col = [row[kk] for row in c]
         color = _column_color(col, kk)
-        a_row, _, estar_minus_e = _step_rows(b, kk, 1 if color == "green" else -1)
+        a_row, _ = _step_rows(b, kk, 1 if color == "green" else -1)
         c = _dense_times_step(c, a_row, kk)
         cinv = cinv[:kk] + (_dense_row_times(a_row, cinv),) + cinv[kk + 1:]
         c_sim = mutate_c(c_sim, b, kk)
@@ -354,11 +354,9 @@ def reference_trace(q: GeneralizedQuiver, seq) -> MutationTrace:
         b = mutate_b(b, kk)
         colors.append(color)
         r_monomials.append(tuple(map(abs, col)))
-        pair_lhs.append(estar_minus_e)
         b_mats.append(b)
         c_mats.append(c)
         cinv_mats.append(cinv)
-    d_mats, dinv_mats = _conjugate(c_mats, q.d), _conjugate(cinv_mats, q.d)
-    pair_rows = [_dense_row_times(x, m) for x, m in zip(pair_lhs, dinv_mats)]
     return MutationTrace(q, seq, *map(tuple, (
-        b_mats, c_mats, d_mats, cinv_mats, dinv_mats, colors, r_monomials, pair_rows)))
+        b_mats, c_mats, _conjugate(c_mats, q.d), cinv_mats, _conjugate(cinv_mats, q.d),
+        colors, r_monomials)))

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 import clusterforge.closedform
 from clusterforge import (LaurentPolynomial, canonical_sequence, coeff_a, coeff_b,
-                          coefficient_of, deform, deformed_formula, degree_bounds, fpoly_formula,
+                          coefficient_of, deform, degree_bounds, fpoly_formula,
                           fpoly_product_form, fpoly_recurrence, intmat, make_quiver, trace)
 from clusterforge.closedform import (_binomial_series, _plan, _sequence_sum, _trace_candidates,
                                      deform_matrix, deformed_coefficients)
@@ -197,7 +197,6 @@ def test_step_index_is_checked_by_every_caller(k2):
         "w_value": lambda n: w_value(tr, n, ()),
         "enumerate_sequences": lambda n: list(enumerate_sequences(tr, n, (1, 1))),
         "deform_matrix": lambda n: deform_matrix(tr, n),
-        "deformed_formula": lambda n: deformed_formula(tr, n),
         "deformed_coefficients": lambda n: deformed_coefficients(tr, n, 2),
         "degree_bound": tr.degree_bound,
     }
@@ -466,16 +465,9 @@ def test_three_methods_agree_on_random_cases():
         checked += 1
 
 
-def test_deformed_formula_definitional(k2):
-    tr = trace(k2, (1, 2, 1))
-    f3 = fpoly_formula(tr, 3)
-    assert deformed_formula(tr, 3) == deform(f3, tr.c_mats[3])
-    assert deformed_formula(tr, 0) == LaurentPolynomial.one(2)
-
-
 def test_deformed_golden_s3(k2):
     tr = trace(k2, (1, 2, 1))
-    s3 = deformed_formula(tr, 3)
+    s3 = deform(fpoly_formula(tr, 3), tr.c_mats[3])
     assert s3 == LaurentPolynomial(2, {
         (0, 0): 1, (1, 0): 1, (2, 1): 2, (3, 2): 3, (5, 3): 2, (6, 4): 3,
         (9, 6): 1,
@@ -488,7 +480,7 @@ def test_deformed_low_terms_approach_a1r_limit(a12):
 
     seq = tuple(1 + (i % 3) for i in range(9))
     tr = trace(a12, seq)
-    s9 = deformed_formula(tr, 9)
+    s9 = deform(fpoly_formula(tr, 9), tr.c_mats[9])
     lim = limit_a1r(2, 4)
     for exps, coeff in lim.terms.items():
         assert s9.coefficient(exps) == coeff
@@ -503,7 +495,7 @@ def test_deformed_coefficients_match_full_deformation(a12, dp1):
     for q, period, n, cutoff in ((a12, 3, 6, 6), (dp1, 4, 8, 4)):
         seq = tuple(1 + (i % period) for i in range(n))
         tr = trace(q, seq)
-        full = deformed_formula(tr, n)
+        full = deform(fpoly_formula(tr, n), tr.c_mats[n])
         within = {e: c for e, c in full.terms.items() if sum(e) <= cutoff}
         assert deformed_coefficients(tr, n, cutoff) == within
 

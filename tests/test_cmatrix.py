@@ -3,14 +3,14 @@ import random
 import weakref
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from clusterforge import (FamilySpec, build_family, build_gale_robinson, c_between,
                           check_sign_coherence, coeff_a, coeff_b, fpoly_recurrence,
                           framed_state, make_quiver, mutate, step_matrix, trace)
 from clusterforge import closedform, cmatrix
-from clusterforge.cmatrix import MutationTrace, pair_term
+from clusterforge.cmatrix import MutationTrace, _pair_row, pair_term
 from clusterforge.errors import ConsistencyError, IndexOrder, NotSkewSymmetrizable
 from clusterforge.intmat import identity, mat_mul
 from clusterforge.quiver import GeneralizedQuiver
@@ -185,11 +185,17 @@ def test_sign_coherence_report(k2, dp1):
 
 def test_sign_coherence_report_names_each_violation(k2):
     # C_0 has a mixed-sign column 2; C_1 a zero column 1 and determinant 0
-    bad = dataclasses.replace(trace(k2, (1,)), c_mats=(((1, -1), (0, 1)), ((0, 2), (0, 1))))
+    tr = trace(k2, (1,))
+    bad = dataclasses.replace(tr, c_mats=(((1, -1), (0, 1)), ((0, 2), (0, 1))))
     report = check_sign_coherence(bad)
     assert not report.ok
     assert report.violations == ("C_0 column 2 is mixed-sign", "C_1 column 1 is zero",
-                                 "det C_1 is not a unit")
+                                 "det C_1 is 0, not -1")
+    # C_1 with its columns swapped is sign-coherent with det +1, a unit but
+    # not the (-1)^1 that one step matrix gives
+    swapped = tuple(row[::-1] for row in tr.c_mats[1])
+    report = check_sign_coherence(dataclasses.replace(tr, c_mats=(tr.c_mats[0], swapped)))
+    assert report.violations == ("det C_1 is 1, not -1",)
 
 
 def test_trace_matches_simulation_on_random_cases():
@@ -268,6 +274,8 @@ def symmetrizable_traces(draw):
 
 @settings(max_examples=150, deadline=None)
 @given(symmetrizable_traces())
+# d = (1, 1, 2), with red steps 4 to 7
+@example((make_quiver([[0, 0, -2], [0, 0, -2], [1, 1, 0]]), (1, 3, 2, 1, 2, 1, 2)))
 def test_trace_and_pair_coefficients_match_matrix_products(case):
     q, seq = case
     tr = trace(q, seq)
@@ -284,9 +292,9 @@ def test_trace_and_pair_coefficients_match_matrix_products(case):
         assert tr.b_mats[i] == reference_mutate_b(b, k - 1)
         c_i = reference_mutate_c(tr.c_mats[i - 1], b, k - 1)
         assert tr.r(i) == tuple(abs(row[k - 1]) for row in c_i)
-        # row v_i of (E*_i - E_i) D_{i-1}^{-1}
+        # the definitional pair row, row v_i of (E*_i - E_i) D_{i-1}^{-1}, is -r_i B_0
         diff = tuple(x - y for x, y in zip(estar_i[k - 1], e_i[k - 1]))
-        assert tr.pair_rows[i - 1] == mat_mul((diff,), tr.dinv_mats[i - 1])[0]
+        assert _pair_row(tr, i) == mat_mul((diff,), tr.dinv_mats[i - 1])[0]
         assert tr.c_mats[i] == mat_mul(tr.c_mats[i - 1], a_i)
         assert tr.d_mats[i] == mat_mul(tr.d_mats[i - 1], e_i)
         assert tr.cinv_mats[i] == mat_mul(a_i, tr.cinv_mats[i - 1])

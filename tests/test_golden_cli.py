@@ -11,7 +11,10 @@ while `SSequence` still stated s and s' as rule closures, and the b21
 revisit case while the trace still derived every step afresh from its
 exchange matrix.  The b21 undo cases, whose sequence repeats a vertex back
 to back, were captured while the recurrence still called `mutate` at every
-step.  So a diff here means a kernel changed an answer or its printing.
+step.  The sk3 cases, on a skew-symmetrizable quiver with red steps, were
+captured while the trace still recorded each step's pair row as the
+product (E*_j - E_j) D_{j-1}^{-1}, before every pair term read -r_j B_0.
+So a diff here means a kernel changed an answer or its printing.
 """
 
 from pathlib import Path
@@ -27,6 +30,8 @@ G723 = ["--family", "gr", "--params", "v=7,r=2,t=3"]
 A1R2 = ["--family", "a1r", "--params", "r=2"]
 # B = [[0, 1], [-2, 0]] with d = (2, 1): skew-symmetrizable, so D differs from C
 B21 = ["--quiver", str(GOLDEN / "b21.json")]
+# B = [[0, 0, -2], [0, 0, -2], [1, 1, 0]] with d = (1, 1, 2)
+SK3 = ["--quiver", str(GOLDEN / "sk3.json"), "--seq", "1,3,2,1,2,1,2"]
 FORMULA = ["--method", "formula"]
 JSON = ["--format", "json"]
 
@@ -104,6 +109,11 @@ CASES = {
                                        "--method", "recurrence", *JSON],
     "mutate-b21-undo": ["mutate", *B21, "--seq", "1,2,2,1,1,2"],
     "mutate-b21-undo-json": ["mutate", *B21, "--seq", "1,2,2,1,1,2", *JSON],
+    # steps 4 to 7 are red, and F_7 has 177 terms; B_0 is not skew-symmetric,
+    # so a pair row built from B_0 transposed changes every output
+    "fpoly-formula-sk3": ["fpoly", *SK3, *FORMULA],
+    "fpoly-product-sk3": ["fpoly", *SK3, "--method", "product"],
+    "verify-sk3": ["verify", *SK3],
 }
 
 

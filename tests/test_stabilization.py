@@ -7,7 +7,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from clusterforge import (LaurentPolynomial, SSequence, build_gale_robinson, deform,
-                          deformed_formula, dp1_coefficient, fpoly_gale_robinson,
+                          dp1_coefficient, fpoly_formula, fpoly_gale_robinson,
                           fpoly_kr, fpoly_recurrence, fpoly_symmetric,
                           fundamentals, green_excess_probe,
                           limit_a1r, limit_gale_robinson, limit_kr,
@@ -537,7 +537,7 @@ def test_green_deformed_polynomials(k2, a12):
             n = period * reps
             seq = tuple(1 + (i % period) for i in range(n))
             tr = trace(q, seq)
-            s_n = deformed_formula(tr, n)
+            s_n = deform(fpoly_formula(tr, n), tr.c_mats[n])
             assert s_n.is_polynomial()
 
 
