@@ -19,10 +19,18 @@ Three evaluation routes live here:
 One stagewise kernel, `_sequence_sum`, evaluates every sum over
 nondecreasing index sequences: `fpoly_formula`, the point query
 `coefficient_of`, the family formulas, `deformed_coefficients`, `limit_kr`
-and `limit_gale_robinson`, each supplying its step vectors, the factors of
-its pair terms (off the trace here, off a recurrence in `families`), bound
-and cap.  `_plan` packs the steps once for every sum within a box that
-fits them, and F_n's plan is memoized on its trace.  phi(w) is the
+and `limit_gale_robinson`, each supplying its step vectors, each
+candidate's factors (tail_c, omega_c), bound and cap.  A state of the
+kernel is its packed monomial alone: the pair terms that the entries taken
+so far add to candidate c's factor are omega_c . e, e the state's exponent
+vector.  Off a trace, omega_c = -B_0 w_c, since every pair row is -r_j B_0
+by the tropical dualities G_t B_t = B_0 C_t and D^{-1} G_t^T D C_t = I
+(Nakanishi and Zelevinsky, arXiv:1101.3736), given sign coherence (Gross,
+Hacking, Keel and Kontsevich, JAMS 2018); in deformed space, whose steps
+are -C_n^{-1} r, omega_c = C_n^T B_0 w_c.  A family's omega_c is a
+functional on the windows of its scalar sequence (`families._family_sum`).
+`_plan` packs the steps once for every sum within a box that fits them,
+and F_n's plan is memoized on its trace.  phi(w) is the
 paper's notation for 1 over the product of the factorials of the
 multiplicities in w; no function computes it.  The diagonal pair term
 -a(i,i) + b(i,i) is -1 in every sum, so phi times the factors of a run of
@@ -34,10 +42,10 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from itertools import accumulate, compress, count
-from operator import add, le, mul, or_
+from operator import le, mul, or_
 
 from . import intmat
-from .cmatrix import MutationTrace, _check_step, _pair_row, coeff_a, pair_term
+from .cmatrix import MutationTrace, _check_step, coeff_a, pair_term
 from .errors import RedStepEncountered, SignCoherenceViolation
 from .laurent import LaurentPolynomial, _mul_within, _Packing
 
@@ -46,18 +54,20 @@ def _trace_candidates(tr: MutationTrace, n: int):
     """F_n's candidates for _sequence_sum, latest step first (n not validated).
 
     Returns (order, steps, factor): candidate c is step order[c] = n - c,
-    steps[c] is its r-monomial and factor(c) its factors.  pair_term(i, j) is
-    u_j . w_i, with u_j = -r_j B_0 the pair row of step j (`_pair_row`) and
-    w_i column v_i of D_i; the tail a(i, n) is row v_n of D_n^{-1} . w_i.
+    steps[c] is its r-monomial and factor(c) its factors (tail_c, omega_c).
+    The tail is a(i, n), row v_n of D_n^{-1} times w_i, column v_i of D_i.
+    pair_term(i, j) = u_j . w_i for the pair row u_j = -r_j B_0 of step j
+    (`cmatrix._pair_row`), so the entries e taken before candidate c add
+    sum_e u_e . w_c = -key . B_0 w_c to its factor, key = sum_e r_e being
+    the state's monomial: omega_c = -B_0 w_c.
     """
-    order = range(n, 0, -1)
 
     def factor(c: int):
-        i = order[c]
+        i, row_n = n - c, tr.dinv_mats[n][tr.seq[n - 1] - 1]
         w = [row[tr.seq[i - 1] - 1] for row in tr.d_mats[i]]
-        return sum(map(mul, tr.dinv_mats[n][tr.seq[n - 1] - 1], w)), _pair_row(tr, i), w
+        return sum(map(mul, row_n, w)), [-sum(map(mul, row, w)) for row in tr.quiver.b]
 
-    return order, tr.r_monomials[:n][::-1], factor
+    return range(n, 0, -1), tr.r_monomials[:n][::-1], factor
 
 
 def _trace_plan(tr: MutationTrace, n: int, bound):
@@ -66,11 +76,10 @@ def _trace_plan(tr: MutationTrace, n: int, bound):
     The plan is built once per trace and n and kept in tr._plans; factor
     closes over the trace, so it is made per call and never kept there.
     """
-    plans = tr._plans
     _, steps, factor = _trace_candidates(tr, n)
-    plan = plans.get(n)
+    plan = tr._plans.get(n)
     if plan is None:
-        plan = plans[n] = _plan(steps, bound)
+        plan = tr._plans[n] = _plan(steps, bound)
     return plan, factor
 
 
@@ -99,23 +108,25 @@ def _sequence_sum(plan, factor, bound, cap=None, point=False, marks=None):
 
     phi(c), the paper's notation, is never computed: the run weights below
     fold it into binomials.  The candidates are the indices of the steps of
-    plan, a `_plan` whose span covers bound; factor(c) gives (tail_c, u_c,
-    w_c), computed on first use and kept in the plan, so a plan serves only
-    one factor.  Entry c_i has f_i = tail(c_i) + sum_{j<i} pair(c_i, c_j),
-    with pair(c, e) = w_c . u_e for e < c and pair(c, c) = -1, and the
-    sequence lands on sum_i steps[c_i].  Only monomials within bound and
-    within cap (default sum(bound)) in total degree count.  With point,
-    returns only the coefficient of bound itself.
+    plan, a `_plan` whose span covers bound; factor(c) gives (tail_c,
+    omega_c), computed on first use and kept in the plan, so a plan serves
+    only one factor.  Entry c_i has f_i = tail(c_i) + sum_{j<i} pair(c_i,
+    c_j), where pair(c, c) = -1 and, for e < c, pair(c, e) = omega_c .
+    steps[e], and the sequence lands on sum_i steps[c_i].  Only monomials
+    within bound and within cap (default sum(bound)) in total degree count.
+    With point, returns only the coefficient of bound itself.
 
-    Stagewise, candidates in order: earlier entries reach later factors
-    only through U = sum of their u_e, so a state (packed key, U) holds one
-    integer weight for a group of sequences.  Taking c m times, with
-    f = tail_c + w_c . U, multiplies it by prod_{j<m} (f - j) / m!, the
-    binomial C(f, m), built one entry at a time as weight * (f - m) //
-    (m + 1), which is exact.  factor(c) is called only when a state fits c,
-    and a state with no room left for a later candidate leaves the stages.
-    A stage is kept when its step is within bound, by one guard test on the
-    packed keys, and within cap in degree.
+    Stagewise, candidates in order: the entries taken before c add
+    omega_c . e to its factor, e the exponent vector of their monomial, so
+    a state is its packed key alone and holds one integer weight for a
+    group of sequences.  Taking c m times, with f = tail_c + omega_c . e,
+    read off the key's slots, multiplies the weight by
+    prod_{j<m} (f - j) / m!, the binomial C(f, m), built one entry at a
+    time as weight * (f - m) // (m + 1), which is exact.  factor(c) is
+    called only when a state fits c, and a state with no room left for a
+    later candidate leaves the stages.  A stage is kept when its step is
+    within bound, by one guard test on the packed keys, and within cap in
+    degree.
 
     With point, a state walks on only while it can still reach bound.  A
     candidate raises the slots where its step is nonzero, and each stage
@@ -133,7 +144,7 @@ def _sequence_sum(plan, factor, bound, cap=None, point=False, marks=None):
     layout, planned, factors = plan
     bound = tuple(bound)
     cap = sum(bound) if cap is None else cap
-    guards, top = layout.guards, layout.top
+    guards, top, shifts, masks = layout.guards, layout.top, layout.shifts, layout.masks
     goal = layout.pack(bound)
     limit = guards + goal  # the box of bound, which the plan's span covers
     over = (cap + 1) << top  # keys from here on exceed the cap
@@ -150,10 +161,10 @@ def _sequence_sum(plan, factor, bound, cap=None, point=False, marks=None):
         # box lies below goal in every slot, so goal - key holds the gaps
         raised = accumulate([r for _, _, r in reversed(stages)], or_, initial=0)
         finals, deads = [goal] * len(stages), [layout.below & ~r for r in raised][::-1]
-    done, states, totals = {}, {(0, ()): 1}, []
+    done, states, totals = {}, {0: 1}, []
 
     def total(acc):
-        for (key, _), weight in states.items():
+        for key, weight in states.items():
             acc[key] = acc.get(key, 0) + weight
         return layout.poly(acc, (0,) * len(bound))
 
@@ -161,12 +172,11 @@ def _sequence_sum(plan, factor, bound, cap=None, point=False, marks=None):
         while marks and len(totals) < len(marks) and marks[len(totals)] <= c:
             totals.append(total(dict(done)))
         tail = None
-        for state, weight in list(states.items()):
-            key, u_sum = state
+        for key, weight in list(states.items()):
             if key >= room or dead and (goal - key) & dead:
                 # final, as this stage merges only below the next room <= room;
                 # with point, neither kind of key is goal
-                weight = states.pop(state)
+                del states[key]
                 if not point:
                     done[key] = done.get(key, 0) + weight
                 continue
@@ -174,24 +184,23 @@ def _sequence_sum(plan, factor, bound, cap=None, point=False, marks=None):
             if k >= over or (limit - k) & guards != guards:
                 continue
             if tail is None:
-                got = factors[c]
-                if got is None:
-                    got = factors[c] = factor(c)
-                tail, u, w = got
-            u_sum = u_sum or (0,) * len(u)
-            f, m = tail + sum(map(mul, w, u_sum)), 0
+                if factors[c] is None:
+                    factors[c] = factor(c)
+                tail, omega = factors[c]
+                reads = [(s, mask, x) for s, mask, x in zip(shifts, masks, omega) if x]
+            f, m = tail + sum([x * (key >> s & mask) for s, mask, x in reads]), 0
             while k < over and (limit - k) & guards == guards:
                 weight = weight * (f - m) // (m + 1)
                 if not weight:
                     break
-                m, u_sum = m + 1, tuple(map(add, u_sum, u))
+                m += 1
                 if k >= final:
                     done[k] = done.get(k, 0) + weight
                 else:
-                    states[k, u_sum] = states.get((k, u_sum), 0) + weight
+                    states[k] = states.get(k, 0) + weight
                 k += sk
     if point:  # goal waits only as the empty sequence's key 0
-        return done.get(goal, 0) + states.get((goal, ()), 0)
+        return done.get(goal, 0) + states.get(goal, 0)
     if marks is None:
         return total(done)
     return totals + [total(done)] * (len(marks) - len(totals))
@@ -347,6 +356,11 @@ def _deformed_sums(tr: MutationTrace, n: int, cutoff: int, indices) -> list[dict
                                              f"{tr.vertex(i)}) is not positive: {rho}")
     kept = [w for w, rho in enumerate(rhos) if sum(rho) <= cutoff]
     box = (cutoff,) * tr.v
-    polys = _sequence_sum(_plan([rhos[w] for w in kept], box), lambda c: factor(kept[c]),
+
+    def deformed(c: int):  # the key sums rho = -C_n^{-1} r, so omega_c = -C_n^T (F_n's omega_c)
+        tail, omega = factor(kept[c])
+        return tail, [-sum(map(mul, col, omega)) for col in zip(*tr.c_mats[n])]
+
+    polys = _sequence_sum(_plan([rhos[w] for w in kept], box), deformed,
                           box, cutoff, marks=[bisect_left(kept, m) for m in indices])
     return [dict(poly.terms) for poly in polys]

@@ -272,31 +272,47 @@ def _family_sum(ss: SSequence, steps, bound, cap=None) -> LaurentPolynomial:
     """The sequence sum with tail s_c and pair term p(c - e), p(d) = -s_d + s'_d.
 
     Every family sum has this shape: the finite formulas below and the
-    limits of `limit_kr` and `limit_gale_robinson`.  The last coefficient of
-    ss.recurrence is +-1, so its companion matrix M has an integral inverse.
-    Stepping P_L = (p(L), ..., p(1)) back L times gives P_0; each p(d) used
-    is checked to be e_1 M^d P_0, so p(c - e) = e_1 M^c . M^{-e} P_0 = w_c . u_e,
-    and p(0) to be the kernel's diagonal -1.
+    limits of `limit_kr` and `limit_gale_robinson`.  Its steps are windows
+    of v entries of s, read in ascending index, each one index past the one
+    before: steps[e] = L^e steps[0], where L drops a window's first entry
+    and appends the next one by ss.recurrence, and R = L^{-1}.  (A finite
+    formula's steps descend in index with the window read descending, which
+    is the same shift, as every family's recurrence is palindromic with
+    last coefficient -1.)  The kernel adds omega_c . key to candidate c's
+    tail s_c, key the sum of the steps e < c taken, so omega_c must give
+    omega_c . steps[e] = p(c - e).  With omega_{c+1} = omega_c R, O(v) per
+    candidate, omega_c . steps[e] = omega_{c-e} . steps[0], so one check
+    per candidate, omega_d . steps[0] = p(d), covers every pair
+    (ConsistencyError otherwise), and p(0) is checked to be the kernel's
+    diagonal -1.
+
+    omega_0 needs no solve.  By palindromy, s_{-v-k} = -s_k, so
+    p(d) = pi . (s_{d-1}, ..., s_{d-v}), pi_j the companion's minus the
+    recurrence's coefficient at lag j + 1, is -pi . (s_{1-d-v}, ..., s_{-d}),
+    and omega_c = -pi R^c on windows of s itself.  A family sum's steps
+    reach s's first window (0, ..., 0, 1) up to a sign eps at one end: a
+    limit's steps start there, and a finite formula's last step (1, 0, ...,
+    0) is one shift short of (0, ..., 0, -1).  At the first such window
+    L^a steps[0], omega_a = -eps pi, so omega_0 = -eps pi L^a.
     """
     if ss.sp(0) - ss.s(0) != -1:
         raise ConsistencyError(f"p(0) = {ss.sp(0) - ss.s(0)}, not the diagonal -1")
-    width = max(ss.recurrence)
-    coefs = [ss.recurrence.get(lag, 0) for lag in range(1, width + 1)]
-
-    def back(col):  # M^{-1} col
-        return col[1:] + [coefs[-1] * (col[0] - sum(map(mul, coefs, col[1:])))]
-
-    us, ws = [[ss.sp(d) - ss.s(d) for d in range(width, 0, -1)]], [[1] + [0] * (width - 1)]
-    for _ in range(width):
-        us[0] = back(us[0])
+    if steps:  # omega_0 = -eps pi L^a, a <= len(steps) the first with L^a steps[0] = eps e_v
+        coefs = [ss.recurrence.get(lag, 0) for lag in range(len(steps[0]), 0, -1)]
+        head = [coefs[0] * -a for a in coefs[1:]] + coefs[:1]  # row 0 of R
+        omega = [a - ss.companion.get(j + 1, 0) for j, a in enumerate(coefs[::-1])]  # -pi
+        for window in [*steps, [*steps[-1][1:], sum(map(mul, coefs, steps[-1]))]]:
+            if not any(window[:-1]):
+                break
+            omega = [omega[-1] * a + b for a, b in zip(coefs, [0, *omega[:-1]])]  # omega L
+        omegas = [[window[-1] * x for x in omega]]
 
     def factor(c: int):
-        for d in range(len(ws), c + 1):
-            ws.append([ws[-1][0] * a + b for a, b in zip(coefs, ws[-1][1:] + [0])])
-            us.append(back(us[-1]))
-            if ss.sp(d) - ss.s(d) != sum(map(mul, ws[d], us[0])):
+        for d in range(len(omegas), c + 1):
+            omegas.append([omegas[-1][0] * a + b for a, b in zip(head, [*omegas[-1][1:], 0])])
+            if sum(map(mul, omegas[d], steps[0])) != ss.sp(d) - ss.s(d):
                 raise ConsistencyError(f"p({d}) is off the recurrence {ss.recurrence}")
-        return ss.s(c), us[c], ws[c]
+        return ss.s(c), omegas[c]
 
     return _sequence_sum(_plan(steps, bound), factor, bound, cap)
 

@@ -253,14 +253,15 @@ def limit_kr(r: int, cutoff: int) -> LaurentPolynomial:
     m = 0
     while ss.s(m) + ss.s(m - 1) <= cutoff:
         m += 1
-    rhos = [(ss.s(w), ss.s(w - 1)) for w in range(m)]
+    # _family_sum reads windows in ascending index, so y1 and y2 trade places
+    rhos = [(ss.s(w - 1), ss.s(w)) for w in range(m)]
     poly = _family_sum(ss, rhos, (cutoff, cutoff), cutoff)
 
-    def within_norm(e1, e2):
+    def within_norm(e2, e1):  # a key of the sum, e2 first
         x = 2 * (e1 - 1) - r * e2
         return x <= 0 or x * x <= e2 * e2 * (r * r - 4)
 
-    return LaurentPolynomial(2, {e: c for e, c in poly.terms.items() if within_norm(*e)})
+    return LaurentPolynomial(2, {e[::-1]: c for e, c in poly.terms.items() if within_norm(*e)})
 
 
 def limit_gale_robinson(v: int, r: int, t: int, cutoff: int) -> LaurentPolynomial:

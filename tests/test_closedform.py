@@ -86,7 +86,7 @@ def test_enumerate_sequences_has_no_depth_limit(k2):
 
 def test_sequence_sum_rejects_zero_or_negative_step():
     # every factor is 1: tail 1, every pair term off the diagonal 0
-    one = lambda c: (1, (0,), (0,))  # noqa: E731
+    one = lambda c: (1, (0,) * 2)  # noqa: E731
     with pytest.raises(ValueError):
         _sequence_sum(_plan([(1, 0), (0, 0)], (3, 3)), one, (3, 3))
     with pytest.raises(ValueError):
@@ -99,7 +99,7 @@ def test_sequence_sum_counts_multisets():
     # C(f_0, a) * C(f_1, b); C(3, 4) = 0 ends the runs of candidate 0, and
     # C(-2, b) = (-1)^b (b + 1) never vanishes
     tails = (3, -2)
-    steps, factor = [(1, 0), (0, 1)], lambda c: (tails[c], (0,), (0,))
+    steps, factor = [(1, 0), (0, 1)], lambda c: (tails[c], (0,) * 2)
 
     def binom(f, m):
         return prod(f - j for j in range(m)) // prod(range(1, m + 1))
@@ -124,7 +124,7 @@ def test_point_query_drops_states_that_cannot_reach_the_target():
     def factor(c):
         if c == 1:
             raise AssertionError("factor(1) ran for a state that cannot reach the target")
-        return 1, (0,), (0,)
+        return 1, (0,) * 3
 
     steps = [(1, 0, 1), (1, 0, 0), (0, 1, 0)]
     assert _sequence_sum(_plan(steps, (1, 1, 1)), factor, (1, 1, 1), point=True) == 1
@@ -264,12 +264,17 @@ def test_deformed_coefficients_names_the_first_red_step(k2):
 
 def test_deformed_coefficients_is_one_product_and_a_filtered_sum(a12, monkeypatch):
     # per call: one mat_mul, no mat_vec, and only the steps of degree <= cutoff
-    # reach the sequence sum, each with the factors of its own step
+    # reach the sequence sum, each with the factors of its own step: F_n's
+    # tail, and F_n's omega carried into deformed space by -C_n^T
     tr, cutoff = trace(a12, (1, 2, 3) * 4), 5
     expected = {}
     for n in range(1, tr.n + 1):
         rhos = [intmat.mat_vec(deform_matrix(tr, n), tr.r(n - w)) for w in range(n)]
-        expected[n] = [w for w, rho in enumerate(rhos) if sum(rho) <= cutoff], rhos
+        kept = [w for w, rho in enumerate(rhos) if sum(rho) <= cutoff]
+        frame = intmat.neg(intmat.transpose(tr.c_mats[n]))
+        factor = _trace_candidates(tr, n)[2]
+        expected[n] = kept, rhos, [(t, list(intmat.mat_vec(frame, omega)))
+                                   for t, omega in map(factor, kept)]
     calls = []
     real_mat_mul, real_mat_vec = intmat.mat_mul, intmat.mat_vec
     real_plan, real_sum = clusterforge.closedform._plan, clusterforge.closedform._sequence_sum
@@ -298,11 +303,10 @@ def test_deformed_coefficients_is_one_product_and_a_filtered_sum(a12, monkeypatc
     for n in range(1, tr.n + 1):
         calls.append({"mat_mul": 0, "mat_vec": 0, "steps": []})
         deformed_coefficients(tr, n, cutoff)
-        kept, rhos = expected[n]
-        factor = _trace_candidates(tr, n)[2]
+        kept, rhos, factors = expected[n]
         assert (calls[-1]["mat_mul"], calls[-1]["mat_vec"]) == (1, 0)
         assert calls[-1]["steps"] == [[rhos[w] for w in kept]]
-        assert calls[-1]["factors"] == [factor(w) for w in kept]
+        assert calls[-1]["factors"] == factors
         dropped += n - len(kept)
     assert dropped > 0  # some steps did not fit the cutoff
 
@@ -492,7 +496,9 @@ def test_deformed_low_terms_approach_a1r_limit(a12):
 def test_deformed_coefficients_match_full_deformation(a12, dp1):
     from clusterforge.closedform import deformed_coefficients
 
-    for q, period, n, cutoff in ((a12, 3, 6, 6), (dp1, 4, 8, 4)):
+    # b23 is skew-symmetrizable, d = (3, 2): C_6 differs from D_6 and from C_6^T
+    b23 = make_quiver([[0, 2], [-3, 0]])
+    for q, period, n, cutoff in ((a12, 3, 6, 6), (dp1, 4, 8, 4), (b23, 2, 6, 8)):
         seq = tuple(1 + (i % period) for i in range(n))
         tr = trace(q, seq)
         full = deform(fpoly_formula(tr, n), tr.c_mats[n])
@@ -539,13 +545,18 @@ def _reference_fpoly(tr, n, bound):
 
 @st.composite
 def traced_quivers(draw):
-    """A skew-symmetric quiver, v <= 4, and a sequence of length <= 7."""
+    """A skew-symmetrizable quiver, v <= 4, and a sequence of length <= 7.
+
+    b_ij = x d_j and b_ji = -x d_i for a symmetrizer d in {1, 2, 3}^v, so
+    d_i b_ij = -d_j b_ji; d = (1, ..., 1) gives the skew-symmetric ones.
+    """
     v = draw(st.integers(2, 4))
+    d = draw(st.lists(st.integers(1, 3), min_size=v, max_size=v))
     b = [[0] * v for _ in range(v)]
     for i in range(v):
         for j in range(i + 1, v):
-            b[i][j] = draw(st.sampled_from((-2, -1, 1, 2, 0)))
-            b[j][i] = -b[i][j]
+            x = draw(st.sampled_from((-2, -1, 1, 2, 0)))
+            b[i][j], b[j][i] = x * d[j], -x * d[i]
     # no vertex twice in a row: a repeated step undoes itself
     seq = [draw(st.integers(1, v))]
     for _ in range(draw(st.integers(1, 6))):

@@ -3,7 +3,7 @@ from hypothesis import given, settings, strategies as st
 
 from clusterforge import (FamilySpec, LaurentPolynomial, SSequence, build_family,
                           build_gale_robinson, canonical_sequence, check_symmetric,
-                          fpoly_gale_robinson, fpoly_kr, fpoly_recurrence,
+                          fpoly_formula, fpoly_gale_robinson, fpoly_kr, fpoly_recurrence,
                           family_sequence, fpoly_symmetric, s_values, trace)
 from clusterforge.errors import BadParameters, ConsistencyError, NotSymmetric
 from clusterforge.families import _family_sum
@@ -205,13 +205,17 @@ def test_sseq_recurrence_reproduces_s(name, ss, i):
 
 
 def test_family_sum_rejects_a_wrong_recurrence():
-    # limit_kr's sum for r = 3 at cutoff 30 reaches d = 3 > 2, where the
-    # pair terms leave the wrong recurrence
+    # limit_kr's sum for r = 3 at cutoff 30; under the recurrence of r = 2
+    # omega_1 gives p(1) = -2 on s's first window, where s gives -3
     ss = SSequence.kronecker(3)
-    rhos = [(ss.s(w), ss.s(w - 1)) for w in range(4)]
-    assert (21, 8) in _family_sum(ss, rhos, (30, 30), 30).terms  # candidate 3 is taken
+    rhos = [(ss.s(w - 1), ss.s(w)) for w in range(4)]
+    assert (8, 21) in _family_sum(ss, rhos, (30, 30), 30).terms  # candidate 3 is taken
+    # the same windows read in descending index step by R, not L, from one
+    # candidate to the next
+    with pytest.raises(ConsistencyError, match=r"p\(1\) is off the recurrence"):
+        _family_sum(ss, [rho[::-1] for rho in rhos], (30, 30), 30)
     ss.recurrence = {1: 2, 2: -1}
-    with pytest.raises(ConsistencyError, match="off the recurrence"):
+    with pytest.raises(ConsistencyError, match=r"p\(1\) is off the recurrence"):
         _family_sum(ss, rhos, (30, 30), 30)
 
 
@@ -268,6 +272,14 @@ def test_fpoly_gale_robinson_matches_recurrence(dp1, g723):
             expected = (fpoly_recurrence(q, seq)[-1] if n
                         else LaurentPolynomial.one(v))
             assert fpoly_gale_robinson(v, r, t, n) == expected
+
+
+def test_fpoly_gale_robinson_matches_formula_past_one_window_shift(dp1, g723):
+    # the family sum's omega_c is c shifts past its v x v solve, and F_n by
+    # formula reads no s at all: 8,604 and 7,111 terms
+    for (v, r, t), q, n in (((4, 2, 1), dp1, 12), ((7, 2, 3), g723, 16)):
+        expected = fpoly_formula(trace(q, canonical_sequence(v, n)), n)
+        assert fpoly_gale_robinson(v, r, t, n) == expected
 
 
 def test_fpoly_symmetric_matches_recurrence(k2, dp1):

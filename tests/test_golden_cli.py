@@ -14,7 +14,10 @@ to back, were captured while the recurrence still called `mutate` at every
 step.  The sk3 cases, on a skew-symmetrizable quiver with red steps, were
 captured while the trace still recorded each step's pair row as the
 product (E*_j - E_j) D_{j-1}^{-1}, before every pair term read -r_j B_0.
-So a diff here means a kernel changed an answer or its printing.
+The b23 case, whose deformed sums run on a skew-symmetrizable trace, was
+captured while the sum kernel still kept each state's vector sum U beside
+its monomial.  So a diff here means a kernel changed an answer or its
+printing.
 """
 
 from pathlib import Path
@@ -30,6 +33,8 @@ G723 = ["--family", "gr", "--params", "v=7,r=2,t=3"]
 A1R2 = ["--family", "a1r", "--params", "r=2"]
 # B = [[0, 1], [-2, 0]] with d = (2, 1): skew-symmetrizable, so D differs from C
 B21 = ["--quiver", str(GOLDEN / "b21.json")]
+# B = [[0, 2], [-3, 0]] with d = (3, 2): C_n is not D_n, nor symmetric
+B23 = ["--quiver", str(GOLDEN / "b23.json")]
 # B = [[0, 0, -2], [0, 0, -2], [1, 1, 0]] with d = (1, 1, 2)
 SK3 = ["--quiver", str(GOLDEN / "sk3.json"), "--seq", "1,3,2,1,2,1,2"]
 FORMULA = ["--method", "formula"]
@@ -79,6 +84,7 @@ CASES = {
     # (3, 4, 2) does not return dP1's quiver, so every index takes its own sum
     "stabilize-dp1-period342": ["stabilize", "--family", "dp1", "--period", "3,4,2",
                                 "--count", "2", "--cutoff", "4"],
+    "stabilize-b23": ["stabilize", *B23, "--period", "1,2", "--count", "4", "--cutoff", "8"],
     "stabilize-kr3-json": ["stabilize", *KR3, "--period", "1,2", "--count", "6",
                            "--cutoff", "10", *JSON],
     "limit-kr3": ["limit", "--family", "kr", "--params", "r=3", "--cutoff", "30"],
