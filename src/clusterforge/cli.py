@@ -238,7 +238,7 @@ def _cmd_cmatrix(args) -> int:
         _print_matrix(f"D_{m},{n}", c_between(tr, m, n, "d"), args.format)
         return 0
     _print_matrix("C", tr.c_mats[-1], args.format)
-    _print_matrix("D", tr.d_mats[-1], args.format)
+    _print_matrix("D", c_between(tr, 0, tr.n, "d"), args.format)
     for i in range(1, tr.n + 1):
         if args.format == "json":
             print(json.dumps({"step": i, "vertex": tr.vertex(i), "color": tr.color(i),

@@ -45,7 +45,7 @@ from itertools import accumulate, compress, count
 from operator import le, mul, or_
 
 from . import intmat
-from .cmatrix import MutationTrace, _check_step, coeff_a, pair_term
+from .cmatrix import MutationTrace, _check_step, _d_column, coeff_a, pair_term
 from .errors import RedStepEncountered, SignCoherenceViolation
 from .laurent import LaurentPolynomial, _mul_within, _Packing
 
@@ -59,12 +59,16 @@ def _trace_candidates(tr: MutationTrace, n: int):
     pair_term(i, j) = u_j . w_i for the pair row u_j = -r_j B_0 of step j
     (`cmatrix._pair_row`), so the entries e taken before candidate c add
     sum_e u_e . w_c = -key . B_0 w_c to its factor, key = sum_e r_e being
-    the state's monomial: omega_c = -B_0 w_c.
+    the state's monomial: omega_c = -B_0 w_c.  The trace keeps no D, so
+    the row of D_n^{-1} is read off C_n^{-1} through d once per F_n (F_0
+    has no candidates and no row), and w_i is `cmatrix._d_column`.
     """
+    if n:
+        k, d = tr.seq[n - 1] - 1, tr.quiver.d
+        row_n = [x * dr // d[k] for x, dr in zip(tr.cinv_mats[n][k], d)]
 
     def factor(c: int):
-        i, row_n = n - c, tr.dinv_mats[n][tr.seq[n - 1] - 1]
-        w = [row[tr.seq[i - 1] - 1] for row in tr.d_mats[i]]
+        w = _d_column(tr, n - c)
         return sum(map(mul, row_n, w)), [-sum(map(mul, row, w)) for row in tr.quiver.b]
 
     return range(n, 0, -1), tr.r_monomials[:n][::-1], factor

@@ -9,12 +9,13 @@ nonzeros, and left multiplication only row k, a sum over the rows the step
 row selects.  No step matrix is built or kept; `step_matrix` builds one
 for callers that want the matrix itself.  D_i and D_i^{-1} are C_i and
 C_i^{-1} conjugated by diag(d), so they equal them on skew-symmetric
-quivers.  Each pair coefficient is one entry of a product of these
-matrices, so it is one row-column dot product.  `verify` checks that each
-step matrix is an involution on its step row alone.  Every pair term
--a(i,j) + b(i,j) reads row v_j of (E*_j - E_j) D_{j-1}^{-1}, which is
--r_j B_0 by the tropical dualities G_t B_t = B_0 C_t and
-D^{-1} G_t^T D C_t = I (Nakanishi and Zelevinsky, "On tropical dualities
+quivers.  The trace keeps no D: a reader computes what it needs of one
+from C through d where it reads it.  Each pair coefficient is one entry of
+a product of these matrices, so it is one row-column dot product.
+`verify` checks that each step matrix is an involution on its step row
+alone.  Every pair term -a(i,j) + b(i,j) reads row v_j of
+(E*_j - E_j) D_{j-1}^{-1}, which is -r_j B_0 by the tropical dualities
+G_t B_t = B_0 C_t and D^{-1} G_t^T D C_t = I (Nakanishi and Zelevinsky, "On tropical dualities
 in cluster algebras", arXiv:1101.3736), given sign coherence (Gross,
 Hacking, Keel and Kontsevich, "Canonical bases for cluster algebras",
 JAMS 2018); `_pair_row` builds it so, and the tests check it against the
@@ -35,6 +36,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from operator import mul
 
 from . import intmat
 from .errors import ConsistencyError, IndexOrder, SignCoherenceViolation
@@ -121,10 +123,9 @@ def step_matrix(b: Matrix, vertex: int, kind: str, variant: str) -> Matrix:
     return tuple(row if i == k else tuple(int(i == j) for j in range(v)) for i in range(v))
 
 
-def _conjugate(mats: list[Matrix], d) -> list[Matrix]:
-    """diag(d)^{-1} m diag(d) per m, as E_i = diag(d)^{-1} A_i diag(d); mats if d is constant."""
-    return mats if len(set(d)) <= 1 else [
-        tuple(tuple(x * dj // di for x, dj in zip(row, d)) for row, di in zip(m, d)) for m in mats]
+def _conjugate(m: Matrix, d) -> Matrix:
+    """diag(d)^{-1} m diag(d), as E_i = diag(d)^{-1} A_i diag(d)."""
+    return tuple(tuple(x * dj // di for x, dj in zip(row, d)) for row, di in zip(m, d))
 
 
 def _column_color(col: list[int], k: int) -> str:
@@ -149,16 +150,16 @@ class MutationTrace:
     use, and only ever added, each a function of the fields alone: a race
     builds one twice, never a wrong one, so a trace can be queried
     concurrently.  Step j's pair row is -r_j B_0, which `_pair_row` builds
-    from the r-monomial and the initial B, so the trace keeps none.
+    from the r-monomial and the initial B, so the trace keeps none.  Nor
+    does it keep a D-matrix: D_i is C_i conjugated by diag(d), so a reader
+    computes the column or entry it needs from C_i and the quiver's d.
     """
 
     quiver: GeneralizedQuiver
     seq: tuple[int, ...]
     b_mats: tuple[Matrix, ...]
     c_mats: tuple[Matrix, ...]
-    d_mats: tuple[Matrix, ...]
     cinv_mats: tuple[Matrix, ...]
-    dinv_mats: tuple[Matrix, ...]
     colors: tuple[str, ...]
     r_monomials: tuple[tuple[int, ...], ...]
 
@@ -179,12 +180,6 @@ class MutationTrace:
 
     def color(self, i: int) -> str:
         return self.colors[i - 1]
-
-    def delta(self, i: int, j: int) -> int:
-        """+1 when steps i and j have the same color; step 0 counts red."""
-        ci = "red" if i == 0 else self.color(i)
-        cj = "red" if j == 0 else self.color(j)
-        return 1 if ci == cj else -1
 
     def degree_bound(self, n: int) -> tuple[int, ...]:
         """Componentwise exponent bound for F_n, via the recurrence in max-plus.
@@ -237,11 +232,11 @@ def trace(q: GeneralizedQuiver, seq) -> MutationTrace:
     entrywise, otherwise a ConsistencyError is raised.  A step is one column
     update (C*A_i) and one row update (A_i*C^{-1}), in work proportional to
     the nonzeros of its A-kind row.  D_i and D_i^{-1} are C_i and C_i^{-1}
-    conjugated by diag(d), the same matrices on skew-symmetric quivers.  The
-    pair row of step j, row v_j of (E*_j - E_j) D_{j-1}^{-1}, is -r_j B_0 by
-    the tropical dualities (see the module docstring), so `_pair_row` reads
-    it off r_j and B_0.  A vertex that is not an int, bool included, is a
-    TypeError.
+    conjugated by diag(d), so the trace keeps none: `_d_column`, `coeff_a`
+    and `c_between` read them off C through d.  The pair row of step j, row
+    v_j of (E*_j - E_j) D_{j-1}^{-1}, is -r_j B_0 by the tropical dualities
+    (see the module docstring), so `_pair_row` reads it off r_j and B_0.  A
+    vertex that is not an int, bool included, is a TypeError.
 
     What a step takes from (B_{i-1}, vertex, color) alone is derived once
     per distinct triple: the nonzeros of the A-row, the frozen rule's
@@ -286,23 +281,22 @@ def trace(q: GeneralizedQuiver, seq) -> MutationTrace:
         cinv_mats.append(cinv)
 
     return MutationTrace(q, seq, *map(tuple, (  # the fields in declaration order
-        b_mats, c_mats, _conjugate(c_mats, q.d), cinv_mats, _conjugate(cinv_mats, q.d),
-        colors, r_monomials)))
+        b_mats, c_mats, cinv_mats, colors, r_monomials)))
 
 
 def c_between(tr: MutationTrace, m: int, n: int, kind: str = "c") -> Matrix:
     """The between-step matrix C_m^{-1} C_n (or the D analogue).
 
     Valid for any 0 <= m, n <= len(trace); n < m is allowed and simply
-    produces the inverse of the (n, m) matrix.
+    produces the inverse of the (n, m) matrix.  D_m^{-1} D_n is C_m^{-1} C_n
+    conjugated by diag(d), so both kinds share one product.
     """
     _check_step(tr, m, name="m")
     _check_step(tr, n)
-    if kind == "c":
-        return intmat.mat_mul(tr.cinv_mats[m], tr.c_mats[n])
-    if kind == "d":
-        return intmat.mat_mul(tr.dinv_mats[m], tr.d_mats[n])
-    raise ValueError("kind must be 'c' or 'd'")
+    if kind not in ("c", "d"):
+        raise ValueError("kind must be 'c' or 'd'")
+    between = intmat.mat_mul(tr.cinv_mats[m], tr.c_mats[n])
+    return between if kind == "c" else _conjugate(between, tr.quiver.d)
 
 
 def _check_step(tr: MutationTrace, n, first: int = 0, name: str = "n") -> None:
@@ -321,20 +315,22 @@ def _check_pair(tr: MutationTrace, i: int, j: int) -> None:
         raise IndexOrder(f"need i <= j, got ({i}, {j})")
 
 
-def _dot_column(row, m: Matrix, k: int) -> int:
-    """row . (column k of m)."""
-    return sum([x * r[k] for x, r in zip(row, m)])
+def _d_column(tr: MutationTrace, i: int) -> list[int]:
+    """Column v_i of D_i, C_i[r][k] * d_k // d_r for k = v_i - 1, O(v) (i not validated)."""
+    k, d = tr.vertex(i) - 1, tr.quiver.d
+    return [row[k] * d[k] // dr for row, dr in zip(tr.c_mats[i], d)]
 
 
 def coeff_a(tr: MutationTrace, i: int, j: int) -> int:
     """Pair coefficient a(i,j) = D_{i,j}^{-1}[v_j, v_i], for 1 <= i <= j.
 
-    D_{i,j}^{-1} = D_j^{-1} D_i, so the entry is one dot product: row v_j of
-    D_j^{-1} times column v_i of D_i, O(v).
+    D_{i,j}^{-1} = D_j^{-1} D_i is C_j^{-1} C_i conjugated by diag(d), so the
+    entry is row v_j of C_j^{-1} times column v_i of C_i, times
+    d_{v_i} // d_{v_j}: one dot product, O(v), and no D row is built.
     """
     _check_pair(tr, i, j)
-    row = tr.dinv_mats[j][tr.vertex(j) - 1]
-    return _dot_column(row, tr.d_mats[i], tr.vertex(i) - 1)
+    k, kj, d = tr.vertex(i) - 1, tr.vertex(j) - 1, tr.quiver.d
+    return sum([x * r[k] for x, r in zip(tr.cinv_mats[j][kj], tr.c_mats[i])]) * d[k] // d[kj]
 
 
 def _pair_row(tr: MutationTrace, j: int) -> tuple[int, ...]:
@@ -354,12 +350,13 @@ def pair_term(tr: MutationTrace, i: int, j: int) -> int:
 
     E_j is an involution, so E*_j E_j D_j^{-1} = E*_j D_{j-1}^{-1}, and the
     term is row v_j of (E*_j - E_j) D_{j-1}^{-1}, that is -r_j B_0
-    (`_pair_row`), times column v_i of D_i, O(v).
+    (`_pair_row`), times column v_i of D_i, which `_d_column` reads off
+    C_i through d, O(v).
     """
     _check_pair(tr, i, j)
     if i == j:
         return -1
-    return _dot_column(_pair_row(tr, j), tr.d_mats[i], tr.vertex(i) - 1)
+    return sum(map(mul, _pair_row(tr, j), _d_column(tr, i)))
 
 
 def coeff_b(tr: MutationTrace, i: int, j: int) -> int:

@@ -45,8 +45,8 @@ from operator import add, le
 
 from clusterforge import LaurentPolynomial, exact_divide
 from clusterforge import intmat
-from clusterforge.cmatrix import (MutationTrace, _check_step, _column_color, _conjugate,
-                                  _step_rows, coeff_a, pair_term)
+from clusterforge.cmatrix import (MutationTrace, _check_step, _column_color, _step_rows,
+                                  coeff_a, pair_term)
 from clusterforge.errors import ConsistencyError, InexactDivision, NotSkewSymmetrizable
 from clusterforge.families import FamilySpec, SSequence, _family_params, _family_sum
 from clusterforge.quiver import (FramedState, GeneralizedQuiver, _check_symmetrizer,
@@ -357,6 +357,4 @@ def reference_trace(q: GeneralizedQuiver, seq) -> MutationTrace:
         b_mats.append(b)
         c_mats.append(c)
         cinv_mats.append(cinv)
-    return MutationTrace(q, seq, *map(tuple, (
-        b_mats, c_mats, _conjugate(c_mats, q.d), cinv_mats, _conjugate(cinv_mats, q.d),
-        colors, r_monomials)))
+    return MutationTrace(q, seq, *map(tuple, (b_mats, c_mats, cinv_mats, colors, r_monomials)))

@@ -59,7 +59,7 @@ def test_a_equals_e_for_skew_symmetric(k2, a3_path):
         tr = trace(q, tuple(1 + (i % q.v) for i in range(6)))
         for b, k, color in zip(tr.b_mats, tr.seq, tr.colors):
             assert step_matrix(b, k, "a", color) == step_matrix(b, k, "e", color)
-        assert tr.c_mats == tr.d_mats
+        assert all(c_between(tr, 0, i, "d") == tr.c_mats[i] for i in range(tr.n + 1))
 
 
 def test_trace_k2_golden(k2):
@@ -72,7 +72,7 @@ def test_trace_k2_golden(k2):
 def test_trace_empty(k2):
     tr = trace(k2, ())
     assert tr.c_mats == (identity(2),)
-    assert tr.d_mats == (identity(2),)
+    assert c_between(tr, 0, 0, "d") == identity(2)
     assert tr.r_monomials == ()
 
 
@@ -146,8 +146,8 @@ def test_d_matrices_are_the_c_matrices_on_skew_symmetric_quivers(k2, g723):
     for q in (k2, g723):
         tr = trace(q, tuple(1 + (i % q.v) for i in range(2 * q.v)))
         for i in range(tr.n + 1):
-            assert tr.d_mats[i] is tr.c_mats[i]
-            assert tr.dinv_mats[i] is tr.cinv_mats[i]
+            assert c_between(tr, 0, i, "d") == tr.c_mats[i]
+            assert c_between(tr, i, 0, "d") == tr.cinv_mats[i]
 
 
 def test_trace_rejects_a_symmetrizer_that_does_not_symmetrize():
@@ -166,15 +166,15 @@ def test_coeff_index_order(k2):
 
 
 def test_delta_signs(k2):
-    tr = trace(k2, (1, 2, 1))
-    # all green: opposite color to "mutation zero counts as red"
-    assert tr.delta(0, 1) == -1
-    assert tr.delta(1, 3) == 1
-    # the delta sign matches the column sign of C_i at the mutated vertex
-    for i in range(1, 4):
-        col = [row[tr.vertex(i) - 1] for row in tr.c_mats[i]]
-        sign = 1 if all(x >= 0 for x in col) else -1
-        assert sign == tr.delta(0, i)
+    # the paper's sign delta(0, i) is -1 at a green step and +1 at a red one:
+    # step i is red exactly when column v_i of C_i is nonnegative
+    sk3 = make_quiver([[0, 0, -2], [0, 0, -2], [1, 1, 0]])
+    traces = (trace(k2, (1, 2, 1)), trace(sk3, (1, 3, 2, 1, 2, 1, 2)))
+    assert [tr.colors.count("red") for tr in traces] == [0, 4]
+    for tr in traces:
+        for i in range(1, tr.n + 1):
+            col = [row[tr.vertex(i) - 1] for row in tr.c_mats[i]]
+            assert (tr.color(i) == "red") == all(x >= 0 for x in col)
 
 
 def test_sign_coherence_report(k2, dp1):
@@ -241,17 +241,30 @@ def _reference_step_matrix(b, k, kind, variant):
     )
 
 
-def _reference_coeff_a(tr, i, j):
-    m = mat_mul(tr.dinv_mats[j], tr.d_mats[i])
+def _reference_d_mats(tr):
+    """D_i = E_1...E_i and D_i^{-1} = E_i...E_1 for i in 0..n, products of the
+    definitional step matrices, so no D is read off C through d."""
+    d_mats, dinv_mats = [identity(tr.v)], [identity(tr.v)]
+    for i in range(1, tr.n + 1):
+        e_i = _reference_step_matrix(tr.b_mats[i - 1], tr.vertex(i) - 1, "e", tr.color(i))
+        d_mats.append(mat_mul(d_mats[-1], e_i))
+        dinv_mats.append(mat_mul(e_i, dinv_mats[-1]))
+    return d_mats, dinv_mats
+
+
+def _reference_coeff_a(tr, ref, i, j):
+    d_mats, dinv_mats = ref
+    m = mat_mul(dinv_mats[j], d_mats[i])
     return m[tr.vertex(j) - 1][tr.vertex(i) - 1]
 
 
-def _reference_coeff_b(tr, i, j):
+def _reference_coeff_b(tr, ref, i, j):
     if i == j:
         return 0
     b, k = tr.b_mats[j - 1], tr.vertex(j) - 1
     other = "red" if tr.color(j) == "green" else "green"
-    m = mat_mul(tr.dinv_mats[j], tr.d_mats[i])
+    d_mats, dinv_mats = ref
+    m = mat_mul(dinv_mats[j], d_mats[i])
     m = mat_mul(_reference_step_matrix(b, k, "e", tr.color(j)), m)
     m = mat_mul(_reference_step_matrix(b, k, "e", other), m)
     return m[k][tr.vertex(i) - 1]
@@ -279,6 +292,7 @@ def symmetrizable_traces(draw):
 def test_trace_and_pair_coefficients_match_matrix_products(case):
     q, seq = case
     tr = trace(q, seq)
+    d_mats, dinv_mats = ref = _reference_d_mats(tr)
     for i, k in enumerate(seq, start=1):
         b = tr.b_mats[i - 1]
         color = tr.color(i)
@@ -294,16 +308,17 @@ def test_trace_and_pair_coefficients_match_matrix_products(case):
         assert tr.r(i) == tuple(abs(row[k - 1]) for row in c_i)
         # the definitional pair row, row v_i of (E*_i - E_i) D_{i-1}^{-1}, is -r_i B_0
         diff = tuple(x - y for x, y in zip(estar_i[k - 1], e_i[k - 1]))
-        assert _pair_row(tr, i) == mat_mul((diff,), tr.dinv_mats[i - 1])[0]
+        assert _pair_row(tr, i) == mat_mul((diff,), dinv_mats[i - 1])[0]
         assert tr.c_mats[i] == mat_mul(tr.c_mats[i - 1], a_i)
-        assert tr.d_mats[i] == mat_mul(tr.d_mats[i - 1], e_i)
         assert tr.cinv_mats[i] == mat_mul(a_i, tr.cinv_mats[i - 1])
-        assert tr.dinv_mats[i] == mat_mul(e_i, tr.dinv_mats[i - 1])
+        # D_i and D_i^{-1}, read off C through d, against the products of E's
+        assert c_between(tr, 0, i, "d") == d_mats[i]
+        assert c_between(tr, i, 0, "d") == dinv_mats[i]
     for j in range(1, tr.n + 1):
         for i in range(1, j + 1):
-            assert coeff_a(tr, i, j) == _reference_coeff_a(tr, i, j)
-            assert coeff_b(tr, i, j) == _reference_coeff_b(tr, i, j)
-            expected = -_reference_coeff_a(tr, i, j) + _reference_coeff_b(tr, i, j)
+            assert coeff_a(tr, i, j) == _reference_coeff_a(tr, ref, i, j)
+            assert coeff_b(tr, i, j) == _reference_coeff_b(tr, ref, i, j)
+            expected = -_reference_coeff_a(tr, ref, i, j) + _reference_coeff_b(tr, ref, i, j)
             assert pair_term(tr, i, j) == expected
         assert pair_term(tr, j, j) == -1
 

@@ -4,8 +4,8 @@ Each case is one `clusterforge` invocation; its exact stdout is stored as
 tests/golden/<name>.out.  The files were captured before the closed-form
 sums moved onto the shared sequence-sum kernel, and the product-form,
 `cmatrix` and `verify` cases before the trace recorded the pair rows.  The
-b21 `cmatrix` cases, the only ones where D differs from C, were captured
-while the trace still built D by its own step products.  The gr cases
+b21 `cmatrix` cases, where D differs from C, were captured while the trace
+still built D by its own step products.  The gr cases
 where two lags coincide (v = 2r in gr421, v = 2t in gr412) were captured
 while `SSequence` still stated s and s' as rule closures, and the b21
 revisit case while the trace still derived every step afresh from its
@@ -16,8 +16,10 @@ captured while the trace still recorded each step's pair row as the
 product (E*_j - E_j) D_{j-1}^{-1}, before every pair term read -r_j B_0.
 The b23 case, whose deformed sums run on a skew-symmetrizable trace, was
 captured while the sum kernel still kept each state's vector sum U beside
-its monomial.  So a diff here means a kernel changed an answer or its
-printing.
+its monomial.  The sk3 `cmatrix` cases, where D differs from C on three
+vertices, were captured while the trace still stored every D_i and
+D_i^{-1} beside C_i and C_i^{-1}.  So a diff here means a kernel changed
+an answer or its printing.
 """
 
 from pathlib import Path
@@ -120,6 +122,9 @@ CASES = {
     "fpoly-formula-sk3": ["fpoly", *SK3, *FORMULA],
     "fpoly-product-sk3": ["fpoly", *SK3, "--method", "product"],
     "verify-sk3": ["verify", *SK3],
+    # d = (1, 1, 2), so D differs from C on a 3-vertex trace with red steps
+    "cmatrix-sk3": ["cmatrix", *SK3],
+    "cmatrix-sk3-between": ["cmatrix", *SK3, "--between", "2", "6"],
 }
 
 
