@@ -29,13 +29,14 @@ by the tropical dualities G_t B_t = B_0 C_t and D^{-1} G_t^T D C_t = I
 Hacking, Keel and Kontsevich, JAMS 2018); in deformed space, whose steps
 are -C_n^{-1} r, omega_c = C_n^T B_0 w_c.  A family's omega_c is a
 functional on the windows of its scalar sequence (`families._family_sum`).
-`_plan` packs the steps once for every sum within a box that fits them,
-and F_n's plan is memoized on its trace.  phi(w) is the
-paper's notation for 1 over the product of the factorials of the
-multiplicities in w; no function computes it.  The diagonal pair term
--a(i,i) + b(i,i) is -1 in every sum, so phi times the factors of a run of
-m equal indices is the binomial C(f, m): all arithmetic is in integers,
-and no weight can fail to cancel.
+`_plan` packs the steps once for every sum within a box that fits them
+and computes each kept candidate's factors there, once, so the kernel
+reads its candidates as data; F_n's plan is memoized on its trace and
+never changes after it is built.  phi(w) is the paper's notation for 1
+over the product of the factorials of the multiplicities in w; no function
+computes it.  The diagonal pair term -a(i,i) + b(i,i) is -1 in every sum,
+so phi times the factors of a run of m equal indices is the binomial
+C(f, m): all arithmetic is in integers, and no weight can fail to cancel.
 """
 
 from __future__ import annotations
@@ -51,16 +52,16 @@ from .laurent import LaurentPolynomial, _mul_within, _Packing
 
 
 def _trace_candidates(tr: MutationTrace, n: int):
-    """F_n's candidates for _sequence_sum, latest step first (n not validated).
+    """F_n's candidates for _plan, latest step first (n not validated).
 
-    Returns (order, steps, factor): candidate c is step order[c] = n - c,
-    steps[c] is its r-monomial and factor(c) its factors (tail_c, omega_c).
-    The tail is a(i, n), row v_n of D_n^{-1} times w_i, column v_i of D_i.
+    Returns (steps, factor): candidate c is step n - c, steps[c] is its
+    r-monomial and factor(c) its factors (tail_c, omega_c).  The tail is
+    a(i, n), row v_n of D_n^{-1} times w_i, column v_i of D_i.
     pair_term(i, j) = u_j . w_i for the pair row u_j = -r_j B_0 of step j
     (`cmatrix._pair_row`), so the entries e taken before candidate c add
     sum_e u_e . w_c = -key . B_0 w_c to its factor, key = sum_e r_e being
     the state's monomial: omega_c = -B_0 w_c.  The trace keeps no D, so
-    the row of D_n^{-1} is read off C_n^{-1} through d once per F_n (F_0
+    the row of D_n^{-1} is read off C_n^{-1} through d once per call (F_0
     has no candidates and no row), and w_i is `cmatrix._d_column`.
     """
     if n:
@@ -71,54 +72,61 @@ def _trace_candidates(tr: MutationTrace, n: int):
         w = _d_column(tr, n - c)
         return sum(map(mul, row_n, w)), [-sum(map(mul, row, w)) for row in tr.quiver.b]
 
-    return range(n, 0, -1), tr.r_monomials[:n][::-1], factor
+    return tr.r_monomials[:n][::-1], factor
 
 
 def _trace_plan(tr: MutationTrace, n: int, bound):
-    """(plan, factor) of F_n, for a validated n and F_n's degree bound.
+    """F_n's plan, for a validated n and F_n's degree bound.
 
-    The plan is built once per trace and n and kept in tr._plans; factor
-    closes over the trace, so it is made per call and never kept there.
+    It is built, its factors with it, once per trace and n and kept in
+    tr._plans; `_trace_candidates` runs only then.
     """
-    _, steps, factor = _trace_candidates(tr, n)
     plan = tr._plans.get(n)
     if plan is None:
-        plan = tr._plans[n] = _plan(steps, bound)
-    return plan, factor
+        plan = tr._plans[n] = _plan(*_trace_candidates(tr, n), bound)
+    return plan
 
 
-def _plan(steps, span):
-    """The candidates of _sequence_sum, packed once for sums within any bound <= span.
+def _plan(steps, factor, span, cap=None):
+    """The candidates of _sequence_sum, as data for sums within any bound <= span.
 
-    Returns (layout, stages, factors).  layout is the _Packing of span.
-    stages holds (c, key, raised) for each step c that fits span: key is
-    the packed step, raised the slots where it is nonzero.  factors[c]
-    keeps factor(c) once a sum has computed it.  A zero or negative step is
-    a ValueError, one that does not fit span included.
+    Returns (layout, stages).  layout is the _Packing of span.  stages
+    holds (c, key, raised, tail, reads) for each step c that fits span and
+    is within cap (default sum(span)) in total degree, in increasing c: key
+    is the packed step, raised the slots where it is nonzero, and (tail,
+    reads) is factor(c) = (tail_c, omega_c), with reads the nonzero
+    (shift, mask, omega_i) of omega_c.  factor runs once per kept step,
+    here, and the plan is never written after.  Every step is checked
+    before any factor runs: a zero or negative step is a ValueError, one
+    that does not fit span included.
     """
     layout = _Packing(span)
-    slots = [m << s for s, m in zip(layout.shifts, layout.masks)]
-    stages = []
+    cap = sum(layout.span) if cap is None else cap
     for c, step in enumerate(steps):
         if min(step) < 0 or not any(step):
             raise ValueError(f"step {c} is {tuple(step)}; steps must be nonnegative and nonzero")
-        if all(map(le, step, layout.span)):
-            stages.append((c, layout.pack(step), sum(compress(slots, step))))
-    return layout, stages, [None] * len(steps)
+    slots = [m << s for s, m in zip(layout.shifts, layout.masks)]
+    stages = []
+    for c, step in enumerate(steps):
+        if sum(step) <= cap and all(map(le, step, layout.span)):
+            tail, omega = factor(c)
+            reads = tuple((s, m, x) for s, m, x in zip(layout.shifts, layout.masks, omega) if x)
+            stages.append((c, layout.pack(step), sum(compress(slots, step)), tail, reads))
+    return layout, tuple(stages)
 
 
-def _sequence_sum(plan, factor, bound, cap=None, point=False, marks=None):
+def _sequence_sum(plan, bound, cap=None, point=False, marks=None):
     """Sum phi(c) * prod_i f_i over nondecreasing sequences c of candidates.
 
     phi(c), the paper's notation, is never computed: the run weights below
     fold it into binomials.  The candidates are the indices of the steps of
-    plan, a `_plan` whose span covers bound; factor(c) gives (tail_c,
-    omega_c), computed on first use and kept in the plan, so a plan serves
-    only one factor.  Entry c_i has f_i = tail(c_i) + sum_{j<i} pair(c_i,
-    c_j), where pair(c, c) = -1 and, for e < c, pair(c, e) = omega_c .
-    steps[e], and the sequence lands on sum_i steps[c_i].  Only monomials
-    within bound and within cap (default sum(bound)) in total degree count.
-    With point, returns only the coefficient of bound itself.
+    plan, a `_plan` whose span covers bound, which holds each kept
+    candidate's factors (tail_c, omega_c) and is only read.  Entry c_i has
+    f_i = tail(c_i) + sum_{j<i} pair(c_i, c_j), where pair(c, c) = -1 and,
+    for e < c, pair(c, e) = omega_c . steps[e], and the sequence lands on
+    sum_i steps[c_i].  Only monomials within bound and within cap (default
+    sum(bound)) in total degree count.  With point, returns only the
+    coefficient of bound itself.
 
     Stagewise, candidates in order: the entries taken before c add
     omega_c . e to its factor, e the exponent vector of their monomial, so
@@ -126,11 +134,10 @@ def _sequence_sum(plan, factor, bound, cap=None, point=False, marks=None):
     group of sequences.  Taking c m times, with f = tail_c + omega_c . e,
     read off the key's slots, multiplies the weight by
     prod_{j<m} (f - j) / m!, the binomial C(f, m), built one entry at a
-    time as weight * (f - m) // (m + 1), which is exact.  factor(c) is
-    called only when a state fits c, and a state with no room left for a
-    later candidate leaves the stages.  A stage is kept when its step is
-    within bound, by one guard test on the packed keys, and within cap in
-    degree.
+    time as weight * (f - m) // (m + 1), which is exact.  A state with no
+    room left for a later candidate leaves the stages.  A stage is kept
+    when its step is within bound, by one guard test on the packed keys,
+    and within cap in degree.
 
     With point, a state walks on only while it can still reach bound.  A
     candidate raises the slots where its step is nonzero, and each stage
@@ -145,17 +152,17 @@ def _sequence_sum(plan, factor, bound, cap=None, point=False, marks=None):
     is the running total just before the first stage of a candidate c >=
     mark (or at the end): done plus every waiting state.
     """
-    layout, planned, factors = plan
+    layout, planned = plan
     bound = tuple(bound)
     cap = sum(bound) if cap is None else cap
-    guards, top, shifts, masks = layout.guards, layout.top, layout.shifts, layout.masks
+    guards, top = layout.guards, layout.top
     goal = layout.pack(bound)
     limit = guards + goal  # the box of bound, which the plan's span covers
     over = (cap + 1) << top  # keys from here on exceed the cap
     stages = [stage for stage in planned
               if stage[1] >> top <= cap and (limit - stage[1]) & guards == guards]
     # rooms[s]: keys from here on have no room for the candidates of stage s on
-    least = accumulate([key >> top for _, key, _ in reversed(stages)], min, initial=cap + 1)
+    least = accumulate([stage[1] >> top for stage in reversed(stages)], min, initial=cap + 1)
     rooms = [(cap - d + 1) << top for d in least][::-1]
     # finals[s]: keys formed at stage s from here on are final; with point
     # that is goal, bound's key, as a key of the box >= goal is goal
@@ -163,7 +170,7 @@ def _sequence_sum(plan, factor, bound, cap=None, point=False, marks=None):
     if point:
         # deads[s]: the slots no candidate from stage s on raises; a key of the
         # box lies below goal in every slot, so goal - key holds the gaps
-        raised = accumulate([r for _, _, r in reversed(stages)], or_, initial=0)
+        raised = accumulate([stage[2] for stage in reversed(stages)], or_, initial=0)
         finals, deads = [goal] * len(stages), [layout.below & ~r for r in raised][::-1]
     done, states, totals = {}, {0: 1}, []
 
@@ -172,10 +179,9 @@ def _sequence_sum(plan, factor, bound, cap=None, point=False, marks=None):
             acc[key] = acc.get(key, 0) + weight
         return layout.poly(acc, (0,) * len(bound))
 
-    for (c, sk, _), room, final, dead in zip(stages, rooms, finals, deads):
+    for (c, sk, _, tail, reads), room, final, dead in zip(stages, rooms, finals, deads):
         while marks and len(totals) < len(marks) and marks[len(totals)] <= c:
             totals.append(total(dict(done)))
-        tail = None
         for key, weight in list(states.items()):
             if key >= room or dead and (goal - key) & dead:
                 # final, as this stage merges only below the next room <= room;
@@ -187,11 +193,6 @@ def _sequence_sum(plan, factor, bound, cap=None, point=False, marks=None):
             k = key + sk
             if k >= over or (limit - k) & guards != guards:
                 continue
-            if tail is None:
-                if factors[c] is None:
-                    factors[c] = factor(c)
-                tail, omega = factors[c]
-                reads = [(s, mask, x) for s, mask, x in zip(shifts, masks, omega) if x]
             f, m = tail + sum([x * (key >> s & mask) for s, mask, x in reads]), 0
             while k < over and (limit - k) & guards == guards:
                 weight = weight * (f - m) // (m + 1)
@@ -217,7 +218,7 @@ def fpoly_formula(tr: MutationTrace, n: int) -> LaurentPolynomial:
     contributes the constant term 1.
     """
     bound = tr.degree_bound(n)
-    return _sequence_sum(*_trace_plan(tr, n, bound), bound)
+    return _sequence_sum(_trace_plan(tr, n, bound), bound)
 
 
 def coefficient_of(tr: MutationTrace, n: int, monomial) -> int:
@@ -229,8 +230,8 @@ def coefficient_of(tr: MutationTrace, n: int, monomial) -> int:
     once its exponent of some variable falls short of the monomial's and no
     remaining r-monomial raises that variable.  F_n's candidates are packed
     in its degree box, and their factors computed, once per trace and n,
-    in the trace's plan memo that `fpoly_formula` shares; n is validated
-    before the memo is read.
+    when the plan that `fpoly_formula` shares is built and stored on the
+    trace; n is validated before the memo is read.
 
     >>> from clusterforge import make_quiver, trace
     >>> coefficient_of(trace(make_quiver([[0, 2], [-2, 0]]), (1, 2, 1)), 3, (3, 1))
@@ -242,7 +243,7 @@ def coefficient_of(tr: MutationTrace, n: int, monomial) -> int:
         raise ValueError(f"monomial {monomial} needs {tr.v} exponents")
     if not all(0 <= x <= b for x, b in zip(monomial, bound)):
         return 0
-    return _sequence_sum(*_trace_plan(tr, n, bound), monomial, point=True)
+    return _sequence_sum(_trace_plan(tr, n, bound), monomial, point=True)
 
 
 def _binomial_series(layout: _Packing, powers: list[dict], e: int) -> dict[int, int]:
@@ -351,13 +352,13 @@ def _deformed_sums(tr: MutationTrace, n: int, cutoff: int, indices) -> list[dict
     _check_step(tr, n, 1)
     intmat.check_count(cutoff, "cutoff")
     _require_green(tr, n)
-    order, steps, factor = _trace_candidates(tr, n)
+    steps, factor = _trace_candidates(tr, n)
     rhos = list(zip(*intmat.mat_mul(deform_matrix(tr, n), tuple(zip(*steps)))))
     if min(map(min, rhos)) < 0 or not all(map(any, rhos)):
-        for i, rho in zip(order, rhos):
+        for w, rho in enumerate(rhos):
             if min(rho) < 0 or not any(rho):
-                raise SignCoherenceViolation(f"deformed r-monomial of step {i} (vertex "
-                                             f"{tr.vertex(i)}) is not positive: {rho}")
+                raise SignCoherenceViolation(f"deformed r-monomial of step {n - w} (vertex "
+                                             f"{tr.vertex(n - w)}) is not positive: {rho}")
     kept = [w for w, rho in enumerate(rhos) if sum(rho) <= cutoff]
     box = (cutoff,) * tr.v
 
@@ -365,6 +366,6 @@ def _deformed_sums(tr: MutationTrace, n: int, cutoff: int, indices) -> list[dict
         tail, omega = factor(kept[c])
         return tail, [-sum(map(mul, col, omega)) for col in zip(*tr.c_mats[n])]
 
-    polys = _sequence_sum(_plan([rhos[w] for w in kept], box), deformed,
-                          box, cutoff, marks=[bisect_left(kept, m) for m in indices])
+    polys = _sequence_sum(_plan([rhos[w] for w in kept], deformed, box), box, cutoff,
+                          marks=[bisect_left(kept, m) for m in indices])
     return [dict(poly.terms) for poly in polys]

@@ -145,13 +145,13 @@ class MutationTrace:
 
     Index 0 of the matrix lists is the initial state; entry i corresponds to
     the framed quiver after i mutations.  All fields are immutable, and so
-    is the cached tuple of degree bounds.  The closed formula's packed
-    candidates of F_n and their factors are built once per n, on first
-    use, and only ever added, each a function of the fields alone: a race
-    builds one twice, never a wrong one, so a trace can be queried
-    concurrently.  Step j's pair row is -r_j B_0, which `_pair_row` builds
-    from the r-monomial and the initial B, so the trace keeps none.  Nor
-    does it keep a D-matrix: D_i is C_i conjugated by diag(d), so a reader
+    is the cached tuple of degree bounds.  The closed formula's plan of F_n,
+    its packed candidates with their factors, is built whole once per n, on
+    first use, and never written after; each is a function of the fields
+    alone: a race builds one twice, never a wrong one, so a trace can be
+    queried concurrently.  Step j's pair row is -r_j B_0, which `_pair_row`
+    builds from the r-monomial and the initial B, so the trace keeps none.
+    Nor does it keep a D-matrix: D_i is C_i conjugated by diag(d), so a reader
     computes the column or entry it needs from C_i and the quiver's d.
     """
 
@@ -218,9 +218,10 @@ class MutationTrace:
 
     @cached_property
     def _plans(self) -> dict:
-        """closedform's plan of F_n by n, each added on first use.  It holds
-        data only, no closure over the trace, so a dropped trace is freed by
-        reference counting.  `dataclasses.replace` starts a new trace without it."""
+        """closedform's plan of F_n by n, each added whole on first use and
+        never changed.  It holds data only, the factors already computed and
+        no closure over the trace, so a dropped trace is freed by reference
+        counting.  `dataclasses.replace` starts a new trace without it."""
         return {}
 
 

@@ -283,8 +283,8 @@ def _family_sum(ss: SSequence, steps, bound, cap=None) -> LaurentPolynomial:
     omega_c . steps[e] = p(c - e).  With omega_{c+1} = omega_c R, O(v) per
     candidate, omega_c . steps[e] = omega_{c-e} . steps[0], so one check
     per candidate, omega_d . steps[0] = p(d), covers every pair
-    (ConsistencyError otherwise), and p(0) is checked to be the kernel's
-    diagonal -1.
+    (ConsistencyError otherwise, raised as `_plan` computes the factors,
+    before any sum), and p(0) is checked to be the kernel's diagonal -1.
 
     omega_0 needs no solve.  By palindromy, s_{-v-k} = -s_k, so
     p(d) = pi . (s_{d-1}, ..., s_{d-v}), pi_j the companion's minus the
@@ -314,7 +314,7 @@ def _family_sum(ss: SSequence, steps, bound, cap=None) -> LaurentPolynomial:
                 raise ConsistencyError(f"p({d}) is off the recurrence {ss.recurrence}")
         return ss.s(c), omegas[c]
 
-    return _sequence_sum(_plan(steps, bound), factor, bound, cap)
+    return _sequence_sum(_plan(steps, factor, bound, cap), bound, cap)
 
 
 def _certified_formula(q: GeneralizedQuiver, ss: SSequence, n: int) -> LaurentPolynomial:

@@ -88,9 +88,35 @@ def test_sequence_sum_rejects_zero_or_negative_step():
     # every factor is 1: tail 1, every pair term off the diagonal 0
     one = lambda c: (1, (0,) * 2)  # noqa: E731
     with pytest.raises(ValueError):
-        _sequence_sum(_plan([(1, 0), (0, 0)], (3, 3)), one, (3, 3))
+        _sequence_sum(_plan([(1, 0), (0, 0)], one, (3, 3)), (3, 3))
     with pytest.raises(ValueError):
-        _sequence_sum(_plan([(2, -1)], (3, 3)), one, (3, 3))
+        _sequence_sum(_plan([(2, -1)], one, (3, 3)), (3, 3))
+
+
+def test_plan_factors_each_kept_step_once_in_candidate_order():
+    # (3, 0) is past the span and (2, 2) past the cap, so neither is
+    # factored; a bad step anywhere raises before the first factor call
+    calls = []
+
+    def factor(c):
+        calls.append(c)
+        return -c, (0, c)
+
+    steps = [(1, 0), (3, 0), (0, 2), (1, 1), (2, 2), (0, 1)]
+    layout, stages = _plan(steps, factor, (2, 2), cap=3)
+    assert calls == [0, 2, 3, 5]
+    assert [(c, tail) for c, _, _, tail, _ in stages] == [(0, 0), (2, -2), (3, -3), (5, -5)]
+    assert [reads for *_, reads in stages][1:] == [
+        ((layout.shifts[1], layout.masks[1], c),) for c in (2, 3, 5)]
+    assert stages[0][4] == ()
+    calls.clear()
+    assert [stage[0] for stage in _plan(steps, factor, (2, 2))[1]] == [0, 2, 3, 4, 5]
+    assert calls == [0, 2, 3, 4, 5]
+    calls.clear()
+    for bad in ([(1, 0), (0, 0)], [(1, 0), (1, 1), (2, -1)], [(1, 0), (9, 9), (0, 0)]):
+        with pytest.raises(ValueError):
+            _plan(bad, factor, (2, 2), cap=3)
+    assert calls == []
 
 
 def test_sequence_sum_counts_multisets():
@@ -109,25 +135,27 @@ def test_sequence_sum_counts_multisets():
                 for a in range(4) for b in range(4) if a + b <= cap}
 
     assert box(7)[2, 3] == -12
-    assert _sequence_sum(_plan(steps, (4, 3)), factor, (4, 3)).terms == box(7)
-    assert _sequence_sum(_plan(steps, (4, 3)), factor, (4, 3), cap=2).terms == box(2)
-    assert _sequence_sum(_plan(steps, (2, 3)), factor, (2, 3), point=True) == -12
-    assert _sequence_sum(_plan(steps, (4, 1)), factor, (4, 1), point=True) == 0
-    assert _sequence_sum(_plan(steps, (0, 0)), factor, (0, 0), point=True) == 1
+    assert _sequence_sum(_plan(steps, factor, (4, 3)), (4, 3)).terms == box(7)
+    assert _sequence_sum(_plan(steps, factor, (4, 3)), (4, 3), cap=2).terms == box(2)
+    assert _sequence_sum(_plan(steps, factor, (2, 3)), (2, 3), point=True) == -12
+    assert _sequence_sum(_plan(steps, factor, (4, 1)), (4, 1), point=True) == 0
+    assert _sequence_sum(_plan(steps, factor, (0, 0)), (0, 0), point=True) == 1
 
 
 def test_point_query_drops_states_that_cannot_reach_the_target():
     # y1*y2*y3 from the steps (1,0,1), (1,0,0), (0,1,0) is only candidates 0
     # and 2.  The empty state still waits at stage 1 and fits step (1,0,0),
     # but no candidate from 1 on raises y3, so it is dropped there, and
-    # factor(1), which only that state would call, never runs.
+    # candidate 1's tail, which only that state would read, is never read.
+    class Unread:
+        def __add__(self, other):
+            raise AssertionError("stage 1 ran for a state that cannot reach the target")
+
     def factor(c):
-        if c == 1:
-            raise AssertionError("factor(1) ran for a state that cannot reach the target")
-        return 1, (0,) * 3
+        return Unread() if c == 1 else 1, (0,) * 3
 
     steps = [(1, 0, 1), (1, 0, 0), (0, 1, 0)]
-    assert _sequence_sum(_plan(steps, (1, 1, 1)), factor, (1, 1, 1), point=True) == 1
+    assert _sequence_sum(_plan(steps, factor, (1, 1, 1)), (1, 1, 1), point=True) == 1
 
 
 def test_pruned_point_query_keeps_its_coefficient(dp1):
@@ -164,8 +192,8 @@ def test_coefficient_of(k2):
 @pytest.mark.parametrize("monomial", [(4, 2), (5, 3)])
 def test_sequence_sum_cancels_exactly_past_the_support(k2, monomial):
     # the sum itself, run on a box past F_3's support, lands on 0
-    _, steps, factor = _trace_candidates(trace(k2, (1, 2, 1)), 3)
-    assert _sequence_sum(_plan(steps, monomial), factor, monomial, point=True) == 0
+    steps, factor = _trace_candidates(trace(k2, (1, 2, 1)), 3)
+    assert _sequence_sum(_plan(steps, factor, monomial), monomial, point=True) == 0
 
 
 def test_coefficient_of_outside_the_box_runs_no_sum(k2, monkeypatch):
@@ -272,12 +300,12 @@ def test_deformed_coefficients_is_one_product_and_a_filtered_sum(a12, monkeypatc
         rhos = [intmat.mat_vec(deform_matrix(tr, n), tr.r(n - w)) for w in range(n)]
         kept = [w for w, rho in enumerate(rhos) if sum(rho) <= cutoff]
         frame = intmat.neg(intmat.transpose(tr.c_mats[n]))
-        factor = _trace_candidates(tr, n)[2]
+        factor = _trace_candidates(tr, n)[1]
         expected[n] = kept, rhos, [(t, list(intmat.mat_vec(frame, omega)))
                                    for t, omega in map(factor, kept)]
     calls = []
     real_mat_mul, real_mat_vec = intmat.mat_mul, intmat.mat_vec
-    real_plan, real_sum = clusterforge.closedform._plan, clusterforge.closedform._sequence_sum
+    real_plan = clusterforge.closedform._plan
 
     def mat_mul(a, b):
         calls[-1]["mat_mul"] += 1
@@ -287,18 +315,14 @@ def test_deformed_coefficients_is_one_product_and_a_filtered_sum(a12, monkeypatc
         calls[-1]["mat_vec"] += 1
         return real_mat_vec(a, v)
 
-    def plan(steps, span):
+    def plan(steps, factor, *args):
         calls[-1]["steps"].append(list(steps))
-        return real_plan(steps, span)
-
-    def sequence_sum(plan, factor, *args, **kwargs):
-        calls[-1]["factors"] = [factor(c) for c in range(len(calls[-1]["steps"][-1]))]
-        return real_sum(plan, factor, *args, **kwargs)
+        calls[-1]["factors"] = [factor(c) for c in range(len(steps))]
+        return real_plan(steps, factor, *args)
 
     monkeypatch.setattr(intmat, "mat_mul", mat_mul)
     monkeypatch.setattr(intmat, "mat_vec", mat_vec)
     monkeypatch.setattr(clusterforge.closedform, "_plan", plan)
-    monkeypatch.setattr(clusterforge.closedform, "_sequence_sum", sequence_sum)
     dropped = 0
     for n in range(1, tr.n + 1):
         calls.append({"mat_mul": 0, "mat_vec": 0, "steps": []})

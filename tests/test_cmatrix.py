@@ -1,3 +1,4 @@
+import copy
 import dataclasses
 import random
 import weakref
@@ -348,15 +349,45 @@ def test_degree_bounds_are_walked_once_per_trace_and_never_by_trace(k2):
     assert fresh.degree_bound(1) == (2, 0)
 
 
+def test_point_queries_build_the_factors_of_f_n_once(k2, monkeypatch):
+    # 24 queries on one (trace, n) build F_n's candidates and factors once,
+    # with its plan; the stored plan is data that no later query or formula
+    # writes to
+    expected = closedform.fpoly_formula(trace(k2, (1, 2) * 3), 6)
+    real_candidates, built = closedform._trace_candidates, []
+
+    def candidates(tr, n):
+        built.append(n)
+        return real_candidates(tr, n)
+
+    def contents(plan):
+        layout, stages = plan
+        return [getattr(layout, name) for name in layout.__slots__], stages
+
+    monkeypatch.setattr(closedform, "_trace_candidates", candidates)
+    tr = trace(k2, (1, 2) * 3)
+    box = [(a, b) for a in range(6) for b in range(4)]
+    assert closedform.coefficient_of(tr, 6, box[0]) == expected.coefficient(box[0])
+    plan = tr._plans[6]
+    snapshot = copy.deepcopy(contents(plan))
+    assert [closedform.coefficient_of(tr, 6, m) for m in box[1:]] == [
+        expected.coefficient(m) for m in box[1:]]
+    assert contents(plan) == snapshot
+    assert closedform.fpoly_formula(tr, 6) == expected
+    assert contents(plan) == snapshot
+    assert tr._plans[6] is plan
+    assert built == [6]
+
+
 def test_point_queries_plan_once_per_trace_and_n(k2, monkeypatch):
     # 24 queries on one (trace, n) pack F_n's candidates once; another n
     # packs its own, and a replaced trace starts with no plan
     expected = closedform.fpoly_formula(trace(k2, (1, 2) * 3), 6)
     real_plan, spans = closedform._plan, []
 
-    def plan(steps, span):
+    def plan(steps, factor, span):
         spans.append(span)
-        return real_plan(steps, span)
+        return real_plan(steps, factor, span)
 
     monkeypatch.setattr(closedform, "_plan", plan)
     tr = trace(k2, (1, 2) * 4)

@@ -6,6 +6,7 @@ from clusterforge import (FamilySpec, LaurentPolynomial, SSequence, build_family
                           fpoly_formula, fpoly_gale_robinson, fpoly_kr, fpoly_recurrence,
                           family_sequence, fpoly_symmetric, s_values, trace)
 from clusterforge.errors import BadParameters, ConsistencyError, NotSymmetric
+from clusterforge import families
 from clusterforge.families import _family_sum
 from oracles import gale_robinson_splittings
 
@@ -215,6 +216,19 @@ def test_family_sum_rejects_a_wrong_recurrence():
     with pytest.raises(ConsistencyError, match=r"p\(1\) is off the recurrence"):
         _family_sum(ss, [rho[::-1] for rho in rhos], (30, 30), 30)
     ss.recurrence = {1: 2, 2: -1}
+    with pytest.raises(ConsistencyError, match=r"p\(1\) is off the recurrence"):
+        _family_sum(ss, rhos, (30, 30), 30)
+
+
+def test_family_sum_checks_its_pair_terms_before_any_sum(monkeypatch):
+    # the windows read in descending index fail at p(1) while the plan is
+    # built, so the kernel never runs
+    def no_sum(*args, **kwargs):
+        raise AssertionError("_sequence_sum ran")
+
+    monkeypatch.setattr(families, "_sequence_sum", no_sum)
+    ss = SSequence.kronecker(3)
+    rhos = [(ss.s(w), ss.s(w - 1)) for w in range(4)]
     with pytest.raises(ConsistencyError, match=r"p\(1\) is off the recurrence"):
         _family_sum(ss, rhos, (30, 30), 30)
 
