@@ -361,10 +361,11 @@ def _deformed_sums(tr: MutationTrace, n: int, cutoff: int, indices) -> list[dict
                                              f"{tr.vertex(n - w)}) is not positive: {rho}")
     kept = [w for w, rho in enumerate(rhos) if sum(rho) <= cutoff]
     box = (cutoff,) * tr.v
+    c_cols = tuple(zip(*tr.c_mats[n]))
 
     def deformed(c: int):  # the key sums rho = -C_n^{-1} r, so omega_c = -C_n^T (F_n's omega_c)
         tail, omega = factor(kept[c])
-        return tail, [-sum(map(mul, col, omega)) for col in zip(*tr.c_mats[n])]
+        return tail, [-sum(map(mul, col, omega)) for col in c_cols]
 
     polys = _sequence_sum(_plan([rhos[w] for w in kept], deformed, box), box, cutoff,
                           marks=[bisect_left(kept, m) for m in indices])

@@ -21,15 +21,16 @@ Hacking, Keel and Kontsevich, "Canonical bases for cluster algebras",
 JAMS 2018); `_pair_row` builds it so, and the tests check it against the
 definitional row.  Colors are read off the sign of the mutated column of
 the previous C-matrix, which sign coherence keeps well-defined.  Every
-trace is cross-checked entrywise against the direct frozen-arrow
-simulation from the quiver module.
+step of a trace is cross-checked entrywise against the direct frozen-arrow
+rule from the quiver module, applied to the verified C_{i-1}.
 
 Everything a step takes from B_{i-1}, its vertex and its color alone (the
 nonzeros of its A-kind step row, the frozen rule's add-vectors and B_i) is
 built once per distinct triple, in a memo keyed by B_{i-1} itself.  A
 period that returns the quiver thus derives its steps in its first pass
-only; every step still reads its color, updates C, C^{-1} and the
-simulated C, and compares the two C.
+only; every step still reads its color, updates C and C^{-1}, applies the
+frozen rule to C_{i-1}, and compares the rule's C_i with the product's,
+which share every row the step leaves alone.
 """
 
 from __future__ import annotations
@@ -228,23 +229,29 @@ class MutationTrace:
 def trace(q: GeneralizedQuiver, seq) -> MutationTrace:
     """Run a mutation sequence, accumulating B, C, C^{-1} and the r-monomials.
 
-    The C-matrix is accumulated as a product of A-kind step matrices and,
-    independently, by the direct frozen-arrow rule; the two must agree
-    entrywise, otherwise a ConsistencyError is raised.  A step is one column
-    update (C*A_i) and one row update (A_i*C^{-1}), in work proportional to
-    the nonzeros of its A-kind row.  D_i and D_i^{-1} are C_i and C_i^{-1}
-    conjugated by diag(d), so the trace keeps none: `_d_column`, `coeff_a`
-    and `c_between` read them off C through d.  The pair row of step j, row
-    v_j of (E*_j - E_j) D_{j-1}^{-1}, is -r_j B_0 by the tropical dualities
-    (see the module docstring), so `_pair_row` reads it off r_j and B_0.  A
-    vertex that is not an int, bool included, is a TypeError.
+    The C-matrix is accumulated as a product of A-kind step matrices, and
+    every step is checked by the direct frozen-arrow rule: the rule applied
+    to the verified C_{i-1} must give the product's C_i entrywise, otherwise
+    a ConsistencyError names the step.  After each passed check a separately
+    simulated C would equal C_{i-1}, so the rule keeps no state of its own.
+    The two are derived separately, the product from `_step_rows` and the
+    rule from `_frozen_vectors`, and both leave a row with 0 in column v_i
+    as the same tuple, so `!=` reads only the rows the step touched.  A step
+    is one column update (C*A_i) and one row update (A_i*C^{-1}), in work
+    proportional to the nonzeros of its A-kind row.  D_i and D_i^{-1} are
+    C_i and C_i^{-1} conjugated by diag(d), so the trace keeps none:
+    `_d_column`, `coeff_a` and `c_between` read them off C through d.  The
+    pair row of step j, row v_j of (E*_j - E_j) D_{j-1}^{-1}, is -r_j B_0 by
+    the tropical dualities (see the module docstring), so `_pair_row` reads
+    it off r_j and B_0.  A vertex that is not an int, bool included, is a
+    TypeError.
 
     What a step takes from (B_{i-1}, vertex, color) alone is derived once
     per distinct triple: the nonzeros of the A-row, the frozen rule's
     add-vectors, and B_i.  The memo is keyed by B_{i-1} itself, and a hit
     hands back its stored B_i.  Every step, memo hit or not, reads its color
-    off C_{i-1}, updates C, C^{-1} and the simulated C, and compares the two
-    C entrywise.
+    off C_{i-1}, updates C and C^{-1}, applies the frozen rule to C_{i-1},
+    and compares the two C_i entrywise.
     """
     seq = tuple(seq)
     v = q.v
@@ -252,7 +259,7 @@ def trace(q: GeneralizedQuiver, seq) -> MutationTrace:
         _check_vertex(k, v)
     _check_symmetrizer(q.b, q.d)
     b = q.b
-    c = cinv = c_sim = intmat.identity(v)
+    c = cinv = intmat.identity(v)
     steps = {}  # (B_{i-1}, vertex, color) -> the step's derived parts and B_i
     b_mats, c_mats, cinv_mats = [b], [c], [cinv]
     colors, r_monomials = [], []
@@ -267,10 +274,10 @@ def trace(q: GeneralizedQuiver, seq) -> MutationTrace:
             step = steps[b, kk, color] = (_nonzeros(a_row), _frozen_vectors(b, kk),
                                           mutate_b(b, kk))
         a_nonzero, (pos, neg), b = step
+        c_rule = _add_to_rows(c, kk, pos, neg)  # the frozen rule on the verified C_{i-1}
         c = _times_step(c, a_nonzero, kk)
         cinv = _step_times(a_nonzero, kk, cinv)
-        c_sim = _add_to_rows(c_sim, kk, pos, neg)
-        if c_sim != c:
+        if c_rule != c:
             raise ConsistencyError(
                 f"C-matrix product disagrees with the frozen-arrow simulation "
                 f"at step {len(colors) + 1}"

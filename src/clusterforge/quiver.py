@@ -120,13 +120,19 @@ def make_quiver(b, d=None) -> GeneralizedQuiver:
 
 def _add_to_rows(m: Matrix, k: int, pos, neg) -> Matrix:
     """m with each row r that has x = r[k] != 0 replaced by r + x * (pos if
-    x > 0 else neg), then r[k] by -x; every other row is the same tuple."""
+    x > 0 else neg), then r[k] by -x; every other row is the same tuple.
+
+    pos and neg are add-vectors given by their nonzero (j, p) pairs, none at
+    j = k, so a changed row does work in those pairs alone.
+    """
     out = []
     for row in m:
         x = row[k]
         if x:
-            new = [y + x * p for y, p in zip(row, pos if x > 0 else neg)]
+            new = list(row)
             new[k] = -x
+            for j, p in (pos if x > 0 else neg):
+                new[j] += x * p
             row = tuple(new)
         out.append(row)
     return tuple(out)
@@ -137,18 +143,23 @@ def mutate_b(b: Matrix, k: int) -> Matrix:
 
     Row k is negated; a row i with x = b[i][k] != 0 has b[i][k] negated and
     gains x * max(sign(x) b[k][j], 0) in each other column j; every other
-    row comes back unchanged, as the same tuple.
+    row comes back unchanged, as the same tuple.  The add-vectors are the
+    nonzero (j, max(±b[k][j], 0)) pairs of row k.
     """
     bk = b[k]
-    out = _add_to_rows(b, k, [x if x > 0 else 0 for x in bk], [-x if x < 0 else 0 for x in bk])
+    out = _add_to_rows(b, k, [(j, x) for j, x in enumerate(bk) if x > 0],
+                       [(j, -x) for j, x in enumerate(bk) if x < 0])
     return out[:k] + (tuple(-x for x in bk),) + out[k + 1:]
 
 
-def _frozen_vectors(b: Matrix, k: int) -> tuple[list[int], list[int]]:
-    """The add-vectors of `mutate_c` at 0-based vertex k, read off b alone:
-    max(-b[j][k], 0) for a row with c[i][k] > 0, max(b[j][k], 0) for one below 0."""
+def _frozen_vectors(b: Matrix, k: int) -> tuple[list[tuple[int, int]], list[tuple[int, int]]]:
+    """The add-vectors of `mutate_c` at 0-based vertex k, read off b alone, as
+    their nonzero (j, p) pairs: p = max(-b[j][k], 0) for a row with
+    c[i][k] > 0, max(b[j][k], 0) for one below 0.  b[k][k] = 0, so no pair
+    has j = k."""
     col = [r[k] for r in b]
-    return [-x if x < 0 else 0 for x in col], [x if x > 0 else 0 for x in col]
+    return ([(j, -x) for j, x in enumerate(col) if x < 0],
+            [(j, x) for j, x in enumerate(col) if x > 0])
 
 
 def mutate_c(c: Matrix, b: Matrix, k: int) -> Matrix:
@@ -157,7 +168,8 @@ def mutate_c(c: Matrix, b: Matrix, k: int) -> Matrix:
     This is the standard rule applied to the frozen rows of the extended
     matrix, written directly on c; it makes no use of sign coherence.  Only
     a row i with x = c[i][k] != 0 changes: c[i][k] is negated and each other
-    column j gains x * max(-sign(x) b[j][k], 0); the rest are the same tuples.
+    column j gains x * max(-sign(x) b[j][k], 0), over the nonzero pairs of
+    `_frozen_vectors` alone; the rest are the same tuples.
     """
     return _add_to_rows(c, k, *_frozen_vectors(b, k))
 

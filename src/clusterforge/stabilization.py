@@ -194,9 +194,8 @@ def stabilization_run(q: GeneralizedQuiver, seq_period, count: int,
         {m for coeffs in per_index for m in coeffs},
         key=lambda m: (sum(m), m),
     )
-    histories = {
-        m: tuple(coeffs.get(m, 0) for coeffs in per_index) for m in monomials
-    }
+    gets = [coeffs.get for coeffs in per_index]
+    histories = {m: tuple(get(m, 0) for get in gets) for m in monomials}
     verdicts = {}
     for m, hist in histories.items():
         settle = len(hist) - 1
@@ -271,17 +270,23 @@ def limit_gale_robinson(v: int, r: int, t: int, cutoff: int) -> LaurentPolynomia
     factors s_{w_i} + sum_{j<i} (-s_d - s_{d-v} + s_{d-t} + s_{d-v+t}) with
     d = w_i - w_j, on the monomial prod_i y_i^{s_{w-v+i}}.  The variables are
     framed so the result matches stabilization runs inspected at indices
-    divisible by v directly; dp1_coefficient uses the reversed frame.  The
-    sequence is read once, as s_{1-v}, ..., s_{w_max}, and rho(w) is its
-    window of v values that starts at position w.
+    divisible by v directly; dp1_coefficient uses the reversed frame.
+
+    The sequence is read once, as s_{1-v}, s_{2-v}, ..., and rho(w) is its
+    window of v values (s_{w+1-v}, ..., s_w) that starts at position w.
+    Window degrees never decrease: deg rho(w+1) - deg rho(w) is
+    s_{w+1} - s_{w+1-v}, and s_{i+v} >= s_i, because adding one r and one
+    v - r turns a splitting of i into one of i + v.  So the windows within
+    the cutoff are a prefix, and s is read only up to the first window past
+    it, which is not passed on.
     """
     v, r, t = _family_params(FamilySpec.of("gr", v=v, r=r, t=t))
     intmat.check_count(cutoff, "cutoff")
     ss = SSequence.gale_robinson(v, r, t)
-    # deg rho(w) >= floor(w/r) / (v-r), so entries beyond w_max cannot fit
-    w_max = r * (cutoff * (v - r) + 1) + v
-    s = [ss.s(i) for i in range(1 - v, w_max + 1)]  # s[w + v - 1] = s_w
-    rhos = [tuple(s[w:w + v]) for w in range(w_max + 1)]
+    s = [ss.s(i) for i in range(1 - v, 1)]  # s[w + v - 1] = s_w
+    while sum(s[-v:]) <= cutoff:  # deg rho(w) >= s_w, and s_{m r (v-r)} >= m + 1
+        s.append(ss.s(len(s) + 1 - v))
+    rhos = [tuple(s[w:w + v]) for w in range(len(s) - v)]
     return _family_sum(ss, rhos, (cutoff,) * v, cutoff)
 
 

@@ -14,7 +14,7 @@ from clusterforge import closedform, cmatrix
 from clusterforge.cmatrix import MutationTrace, _pair_row, pair_term
 from clusterforge.errors import ConsistencyError, IndexOrder, NotSkewSymmetrizable
 from clusterforge.intmat import identity, mat_mul
-from clusterforge.quiver import GeneralizedQuiver
+from clusterforge.quiver import GeneralizedQuiver, mutate_c
 from conftest import (random_sequence, random_skew_symmetric, reference_mutate_b,
                       reference_mutate_c, scaled_skew_symmetric)
 from oracles import degree_bound_walk, reference_trace
@@ -515,3 +515,44 @@ def test_a_wrong_frozen_rule_on_a_memo_hit_names_its_step(monkeypatch, a12):
     with pytest.raises(ConsistencyError, match="at step 4$"):
         trace(a12, (1, 2, 3) * 3)
     assert len(calls) == 4
+
+
+# B = [[0, 0, -2], [0, 0, -2], [1, 1, 0]] with d = (1, 1, 2); steps 4 to 7 are red
+SK3_B, SK3_SEQ = [[0, 0, -2], [0, 0, -2], [1, 1, 0]], (1, 3, 2, 1, 2, 1, 2)
+
+
+@pytest.mark.parametrize("step", [1, 2, 4])  # the steps of sk3 with a row left alone
+def test_a_wrong_frozen_rule_on_an_untouched_row_names_its_step(monkeypatch, step):
+    # the rule changes a copy of a row with 0 in column v_i, which the product
+    # keeps as it was: a check of only the touched rows would pass it
+    exact, calls = cmatrix._add_to_rows, []
+
+    def wrong_on_an_untouched_row(m, k, pos, neg):
+        calls.append(k)
+        out = exact(m, k, pos, neg)
+        if len(calls) != step:
+            return out
+        i = next(i for i, row in enumerate(m) if row[k] == 0)
+        return out[:i] + ((out[i][0] + 1,) + out[i][1:],) + out[i + 1:]
+
+    monkeypatch.setattr(cmatrix, "_add_to_rows", wrong_on_an_untouched_row)
+    with pytest.raises(ConsistencyError, match=f"at step {step}$"):
+        trace(make_quiver(SK3_B), SK3_SEQ)
+    assert len(calls) == step
+
+
+@pytest.mark.parametrize("b, seq", [
+    (SK3_B, SK3_SEQ),
+    ([[0, 1], [-2, 0]], (1, 2) * 4),  # b21, d = (2, 1)
+])
+def test_a_step_keeps_every_row_it_leaves_alone(b, seq):
+    # a row of C_{i-1} with 0 in column v_i is the same tuple in C_i and in the
+    # frozen rule's result, so the trace's check compares only the touched rows
+    q = make_quiver(b)
+    tr = trace(q, seq)
+    assert "red" in tr.colors and not q.is_skew_symmetric
+    for i in range(1, tr.n + 1):
+        k = tr.vertex(i) - 1
+        rule = mutate_c(tr.c_mats[i - 1], tr.b_mats[i - 1], k)
+        for before, after, ruled in zip(tr.c_mats[i - 1], tr.c_mats[i], rule):
+            assert (after is before and ruled is before) if before[k] == 0 else after != before

@@ -18,8 +18,12 @@ The b23 case, whose deformed sums run on a skew-symmetrizable trace, was
 captured while the sum kernel still kept each state's vector sum U beside
 its monomial.  The sk3 `cmatrix` cases, where D differs from C on three
 vertices, were captured while the trace still stored every D_i and
-D_i^{-1} beside C_i and C_i^{-1}.  So a diff here means a kernel changed
-an answer or its printing.
+D_i^{-1} beside C_i and C_i^{-1}.  The cutoff-14 cases (the g723
+`stabilize` run and the g723 and dp1 limits, at the benchmark's largest
+cutoff) were captured while the trace still kept a simulated C of its own
+beside the product, and `limit_gale_robinson` still built every window up
+to a bound of its own.  So a diff here means a kernel changed an answer or
+its printing.
 """
 
 from pathlib import Path
@@ -86,6 +90,8 @@ CASES = {
     # (3, 4, 2) does not return dP1's quiver, so every index takes its own sum
     "stabilize-dp1-period342": ["stabilize", "--family", "dp1", "--period", "3,4,2",
                                 "--count", "2", "--cutoff", "4"],
+    "stabilize-g723-cutoff14": ["stabilize", *G723, "--period", "1..7", "--count", "10",
+                                "--cutoff", "14"],
     "stabilize-b23": ["stabilize", *B23, "--period", "1,2", "--count", "4", "--cutoff", "8"],
     "stabilize-kr3-json": ["stabilize", *KR3, "--period", "1,2", "--count", "6",
                            "--cutoff", "10", *JSON],
@@ -94,7 +100,9 @@ CASES = {
                        *JSON],
     "limit-g723": ["limit", "--family", "gr", "--params", "v=7,r=2,t=3",
                    "--cutoff", "10"],
+    "limit-g723-cutoff14": ["limit", *G723, "--cutoff", "14"],
     "limit-dp1": ["limit", "--family", "dp1", "--cutoff", "8"],
+    "limit-dp1-cutoff14": ["limit", "--family", "dp1", "--cutoff", "14"],
     "limit-a1r2": ["limit", *A1R2, "--cutoff", "10"],
     "limit-gr412": ["limit", "--family", "gr", "--params", "v=4,r=1,t=2",
                     "--cutoff", "6"],

@@ -15,6 +15,7 @@ from clusterforge import (LaurentPolynomial, SSequence, build_gale_robinson, def
                           mutate, stabilization_run, trace)
 from clusterforge import closedform, stabilization
 from clusterforge.closedform import _deformed_sums, deformed_coefficients
+from clusterforge.families import _family_sum
 from clusterforge.errors import (BadParameters, ConsistencyError, RedStepEncountered,
                                  SignCoherenceViolation)
 from clusterforge.intmat import identity
@@ -383,11 +384,31 @@ GALE_ROBINSON_UP_TO_7 = [(v, r, t) for v in range(2, 8) for r in range(1, v)
 
 @pytest.mark.parametrize("v, r, t", GALE_ROBINSON_UP_TO_7)
 def test_limit_gale_robinson_windows_match_per_entry_reads(v, r, t):
-    # rho(w) is a window of one read of s; the reference reads every entry alone
-    for cutoff in range(11):
+    # rho(w) is a window of one read of s; the reference reads every entry
+    # alone, up to its w_max; 14 is the benchmark's largest cutoff
+    for cutoff in range(15):
         lim = limit_gale_robinson(v, r, t, cutoff)
         expected = limit_gale_robinson_per_entry(v, r, t, cutoff)
         assert lim == expected and list(lim.terms) == list(expected.terms)
+
+
+@pytest.mark.parametrize("v, r, t", GALE_ROBINSON_UP_TO_7)
+def test_limit_gale_robinson_sums_exactly_the_windows_within_the_cutoff(monkeypatch, v, r, t):
+    # window degrees never decrease, so the sum gets the prefix of degree <= cutoff
+    # and nothing past it; the reference windows run to the old bound w_max
+    sums = []
+
+    def recorded(ss, steps, bound, cap=None):
+        sums.append(steps)
+        return _family_sum(ss, steps, bound, cap)
+
+    monkeypatch.setattr(stabilization, "_family_sum", recorded)
+    ss = SSequence.gale_robinson(v, r, t)
+    for cutoff in range(15):
+        limit_gale_robinson(v, r, t, cutoff)
+        w_max = r * (cutoff * (v - r) + 1) + v
+        windows = [tuple(ss.s(w - v + i) for i in range(1, v + 1)) for w in range(w_max + 1)]
+        assert sums.pop() == [rho for rho in windows if sum(rho) <= cutoff]
 
 
 @pytest.mark.parametrize("params, n_terms, total, pins", [
