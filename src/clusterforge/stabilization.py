@@ -16,13 +16,13 @@ from dataclasses import dataclass
 from operator import sub
 
 from . import intmat
-from .closedform import _deformed_sums, _require_green, deformed_coefficients
+from .closedform import _deformed_sums, _require_green, coefficient_of, deformed_coefficients
 from .cmatrix import MutationTrace, _check_step, trace
 from .errors import BadParameters, ConsistencyError
 from .families import FamilySpec, SSequence, _family_params, _family_sum
 from .intmat import Matrix
 from .laurent import LaurentPolynomial
-from .quiver import GeneralizedQuiver, fpoly_recurrence
+from .quiver import GeneralizedQuiver
 
 
 def deform(f: LaurentPolynomial, c: Matrix) -> LaurentPolynomial:
@@ -66,16 +66,7 @@ def _decomposable(target, parts) -> bool:
     return False
 
 
-def _labels_after(seq, fs, v: int) -> list[LaurentPolynomial]:
-    """Labels after mutating along seq: at k, F_i of the last step i at k, else 1."""
-    labels = [LaurentPolynomial.one(v)] * v
-    for k, f in zip(seq, fs):
-        labels[k - 1] = f
-    return labels
-
-
-def fundamentals(tr: MutationTrace, n: int, verify: bool = True,
-                 fs: list[LaurentPolynomial] | None = None) -> tuple[FundamentalInfo, ...]:
+def fundamentals(tr: MutationTrace, n: int, verify: bool = True) -> tuple[FundamentalInfo, ...]:
     """Fundamental flags and color counts, one entry per distinct r-monomial.
 
     A monomial is fundamental when it is not a sum of two or more of the
@@ -85,9 +76,10 @@ def fundamentals(tr: MutationTrace, n: int, verify: bool = True,
     fundamental m the coefficients of m across all vertex labels after n
     steps must equal -(green - red) * C_n^{-1}(m).  The identity is a
     skew-symmetric statement (it needs C = D), so the check is skipped for
-    genuinely skew-symmetrizable quivers.  The labels come from fs, the
-    F-polynomials F_1..F_n of the recurrence along tr.seq, which it computes
-    only when fs is not given.
+    genuinely skew-symmetrizable quivers.  The label at vertex k is F_i for
+    the last step i <= n at k, or F_0 = 1 if k was never mutated; its
+    coefficient of m is the point query `coefficient_of(tr, i, m)` on the
+    closed formula, so the check runs wherever the formula does.
     """
     _check_step(tr, n)
     verify = verify and tr.quiver.is_skew_symmetric
@@ -96,19 +88,17 @@ def fundamentals(tr: MutationTrace, n: int, verify: bool = True,
     for i, m in enumerate(rmonos, start=1):
         tallies.setdefault(m, [i, 0, 0])[1 if tr.color(i) == "green" else 2] += 1
 
-    labels = None
-    if verify and n > 0:
-        if fs is None:
-            fs = fpoly_recurrence(tr.quiver, tr.seq[:n])
-        labels = _labels_after(tr.seq[:n], fs, tr.v)
+    last_step = [0] * tr.v
+    for i, k in enumerate(tr.seq[:n], start=1):
+        last_step[k - 1] = i
 
     entries = []
     for m, (step, green, red) in tallies.items():
         fundamental = not _decomposable(m, rmonos)
         check = None
-        if labels is not None and fundamental:
+        if verify and fundamental:
             expected = tuple(-(green - red) * x for x in intmat.mat_vec(tr.cinv_mats[n], m))
-            check = expected == tuple(label.coefficient(m) for label in labels)
+            check = expected == tuple(coefficient_of(tr, i, m) for i in last_step)
         entries.append(FundamentalInfo(m, step, fundamental, green, red, check))
     return tuple(entries)
 

@@ -18,10 +18,12 @@ def run_verification(q: GeneralizedQuiver, seq) -> dict[str, bool]:
     """Run all cross-method checks for one quiver and sequence.
 
     Shared work is done once: one trace, which also gives the degree bound
-    of F_n, and one run of the recurrence, whose labels the fundamental
-    identity reads.  The routes that check each other stay independent:
-    F_n by the recurrence, the closed formula and the product form, and
-    `deform` inverts C_n itself instead of reading C_n^{-1} off the trace.
+    of F_n, and one run of the recurrence.  The routes that check each
+    other stay independent: F_n by the recurrence, the closed formula and
+    the product form, and `deform` inverts C_n itself instead of reading
+    C_n^{-1} off the trace.  The fundamental identity reads the vertex
+    labels by point queries on the closed formula, so it checks the
+    formula; "formula equals recurrence" is the cross-method check.
     """
     seq = tuple(seq)
     n = len(seq)
@@ -82,7 +84,7 @@ def run_verification(q: GeneralizedQuiver, seq) -> dict[str, bool]:
             len(set(tr.r_monomials)) == n
         )
         results["fundamental coefficient identity"] = all(
-            e.coefficient_check is not False for e in fundamentals(tr, n, fs=fs)
+            e.coefficient_check is not False for e in fundamentals(tr, n)
         )
 
     return results

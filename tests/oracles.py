@@ -23,6 +23,9 @@
 * `recurrence_step_by_step`: the F-polynomial recurrence with a `mutate`
   call at every step, the reference for `quiver.fpoly_recurrence`, which
   skips every step that undoes the one before it.
+* `labels_after`: the vertex labels after a sequence, read off the
+  recurrence's F_1..F_n, the reference for the point queries of
+  `stabilization.fundamentals`.
 * `degree_bound_walk`: F_n's degree bound from a walk of the first n steps
   alone, the reference for the trace's one walk of every prefix.
 * `mat_mul_entrywise`: the matrix product one entry at a time, each a sum
@@ -275,6 +278,14 @@ def recurrence_step_by_step(q: GeneralizedQuiver, seq) -> list[LaurentPolynomial
             raise InexactDivision(f"F_{step} is not a positive polynomial with unit constant")
         out.append(f)
     return out
+
+
+def labels_after(seq, fs, v: int) -> list[LaurentPolynomial]:
+    """Labels after mutating along seq: at k, F_i of the last step i at k, else 1."""
+    labels = [LaurentPolynomial.one(v)] * v
+    for k, f in zip(seq, fs):
+        labels[k - 1] = f
+    return labels
 
 
 def mat_mul_entrywise(a, b):

@@ -263,8 +263,9 @@ def test_criterion_8_green_excess_probe(suite_results):
     flagged = []
     probed = 0
     for name, q, seq, checks in results:
-        report = green_excess_probe(trace(q, seq), verify=False)
+        report = green_excess_probe(trace(q, seq))
         probed += 1
+        assert report.failed_coefficient_checks == (), (name, seq)
         if not report.conjecture_consistent:
             flagged.append((name, seq, report.negative_excess))
     print(f"\n  probe: {probed} traces, {len(flagged)} with negative excess")

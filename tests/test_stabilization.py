@@ -18,10 +18,10 @@ from clusterforge.closedform import _deformed_sums, deformed_coefficients
 from clusterforge.families import _family_sum
 from clusterforge.errors import (BadParameters, ConsistencyError, RedStepEncountered,
                                  SignCoherenceViolation)
-from clusterforge.intmat import identity
-from clusterforge.stabilization import _decomposable, _labels_after
+from clusterforge.intmat import identity, mat_vec
+from clusterforge.stabilization import _decomposable
 from conftest import random_sequence, random_skew_symmetric
-from oracles import QuadraticNumber, limit_gale_robinson_per_entry
+from oracles import QuadraticNumber, labels_after, limit_gale_robinson_per_entry
 
 
 def P(nvars, terms):
@@ -127,7 +127,9 @@ def test_decomposable_many_parts():
 
 
 def test_labels_from_recurrence_match_framed_mutation():
-    # the label of vertex k after the sequence is F_i for the last step i at k
+    # the label of vertex k after the sequence is F_i for the last step i at
+    # k; the identity on those labels is what fundamentals' point queries
+    # on the formula must report, red steps included
     rng = random.Random(37)
     for _ in range(40):
         q = random_skew_symmetric(rng, 3, max_entry=1)
@@ -136,10 +138,18 @@ def test_labels_from_recurrence_match_framed_mutation():
         for k in seq:
             state = mutate(state, k)
         fs = fpoly_recurrence(q, seq)
-        assert _labels_after(seq, fs, q.v) == list(state.labels)
+        assert labels_after(seq, fs, q.v) == list(state.labels)
         tr = trace(q, seq)
         for n in range(len(seq) + 1):
-            assert fundamentals(tr, n, fs=fs) == fundamentals(tr, n)
+            labels = labels_after(seq[:n], fs, q.v)
+            for e in fundamentals(tr, n):
+                expected = None
+                if e.fundamental:
+                    identity_value = tuple(-(e.green - e.red) * x
+                                           for x in mat_vec(tr.cinv_mats[n], e.monomial))
+                    expected = identity_value == tuple(f.coefficient(e.monomial)
+                                                       for f in labels)
+                assert e.coefficient_check == expected
 
 
 def test_green_excess_probe_green_trace(k2):
@@ -148,6 +158,16 @@ def test_green_excess_probe_green_trace(k2):
     assert report.conjecture_consistent
     assert all(e.green - e.red >= 1 for e in report.entries)
     assert not report.failed_coefficient_checks
+
+
+def test_green_excess_probe_past_the_recurrence():
+    # kr r=3 at n=7: the labels are point queries on the formula; reading
+    # them off the recurrence's F_1..F_7 took about 25 s on a 2-CPU host
+    tr = trace(make_quiver([[0, 3], [-3, 0]]), (1, 2, 1, 2, 1, 2, 1))
+    report = green_excess_probe(tr)
+    assert report.entries
+    assert all(e.coefficient_check for e in report.entries)
+    assert report.failed_coefficient_checks == ()
 
 
 def test_fundamentals_and_probe_check_the_step_index(k2):
@@ -174,8 +194,9 @@ def test_green_excess_probe_random_sweep():
     for _ in range(40):
         q = random_skew_symmetric(rng, 3)
         seq = random_sequence(rng, 3, rng.randint(1, 8))
-        report = green_excess_probe(trace(q, seq), verify=False)
+        report = green_excess_probe(trace(q, seq))
         assert report.conjecture_consistent
+        assert report.failed_coefficient_checks == ()
 
 
 def test_green_excess_probe_a3_traces():
@@ -183,8 +204,9 @@ def test_green_excess_probe_a3_traces():
     rng = random.Random(31)
     for _ in range(30):
         seq = random_sequence(rng, 3, 10)
-        report = green_excess_probe(trace(q, seq), verify=False)
+        report = green_excess_probe(trace(q, seq))
         assert report.conjecture_consistent
+        assert report.failed_coefficient_checks == ()
 
 
 def test_stabilization_requires_green(a2):
