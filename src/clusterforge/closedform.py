@@ -19,8 +19,9 @@ Three evaluation routes live here:
 One stagewise kernel, `_sequence_sum`, evaluates every sum over
 nondecreasing index sequences: `fpoly_formula`, the point query
 `coefficient_of`, the family formulas, `deformed_coefficients`, `limit_kr`
-and `limit_gale_robinson`, each supplying its step vectors, each
-candidate's factors (tail_c, omega_c), bound and cap.  A state of the
+and `limit_gale_robinson`.  Each is set up one way: its step vectors, each
+candidate's factors (tail_c, omega_c) and its total-degree cap go to
+`_plan`, and the kernel gets that plan and a bound.  A state of the
 kernel is its packed monomial alone: the pair terms that the entries taken
 so far add to candidate c's factor are omega_c . e, e the state's exponent
 vector.  Off a trace, omega_c = -B_0 w_c, since every pair row is -r_j B_0
@@ -29,19 +30,18 @@ by the tropical dualities G_t B_t = B_0 C_t and D^{-1} G_t^T D C_t = I
 Hacking, Keel and Kontsevich, JAMS 2018); in deformed space, whose steps
 are -C_n^{-1} r, omega_c = C_n^T B_0 w_c.  A family's omega_c is a
 functional on the windows of its scalar sequence (`families._family_sum`).
-`_plan` packs the steps once for every sum within a box that fits them
-and computes each kept candidate's factors there, once, so the kernel
-reads its candidates as data; F_n's plan is memoized on its trace and
-never changes after it is built.  phi(w) is the paper's notation for 1
-over the product of the factorials of the multiplicities in w; no function
-computes it.  The diagonal pair term -a(i,i) + b(i,i) is -1 in every sum,
+`_plan` packs the steps once for every sum within a box that fits them,
+keeps those within its span and cap, and computes each kept candidate's
+factors there, once, so the kernel reads its candidates as data; F_n's
+plan is memoized on its trace and never changes after it is built.
+phi(w) is the paper's notation for 1 over the product of the factorials
+of the multiplicities in w; no function computes it.  The diagonal pair term -a(i,i) + b(i,i) is -1 in every sum,
 so phi times the factors of a run of m equal indices is the binomial
 C(f, m): all arithmetic is in integers, and no weight can fail to cancel.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from itertools import accumulate, compress, count
 from operator import le, mul, or_
 
@@ -90,9 +90,10 @@ def _trace_plan(tr: MutationTrace, n: int, bound):
 def _plan(steps, factor, span, cap=None):
     """The candidates of _sequence_sum, as data for sums within any bound <= span.
 
-    Returns (layout, stages).  layout is the _Packing of span.  stages
-    holds (c, key, raised, tail, reads) for each step c that fits span and
-    is within cap (default sum(span)) in total degree, in increasing c: key
+    Returns (layout, cap, stages).  layout is the _Packing of span, and cap
+    (default sum(span)) the plan's total-degree cap, the one place a sum's
+    cap is set.  stages holds (c, key, raised, tail, reads) for each step c
+    that fits span and is within cap in total degree, in increasing c: key
     is the packed step, raised the slots where it is nonzero, and (tail,
     reads) is factor(c) = (tail_c, omega_c), with reads the nonzero
     (shift, mask, omega_i) of omega_c.  factor runs once per kept step,
@@ -112,10 +113,10 @@ def _plan(steps, factor, span, cap=None):
             tail, omega = factor(c)
             reads = tuple((s, m, x) for s, m, x in zip(layout.shifts, layout.masks, omega) if x)
             stages.append((c, layout.pack(step), sum(compress(slots, step)), tail, reads))
-    return layout, tuple(stages)
+    return layout, cap, tuple(stages)
 
 
-def _sequence_sum(plan, bound, cap=None, point=False, marks=None):
+def _sequence_sum(plan, bound, point=False, marks=None):
     """Sum phi(c) * prod_i f_i over nondecreasing sequences c of candidates.
 
     phi(c), the paper's notation, is never computed: the run weights below
@@ -124,9 +125,9 @@ def _sequence_sum(plan, bound, cap=None, point=False, marks=None):
     candidate's factors (tail_c, omega_c) and is only read.  Entry c_i has
     f_i = tail(c_i) + sum_{j<i} pair(c_i, c_j), where pair(c, c) = -1 and,
     for e < c, pair(c, e) = omega_c . steps[e], and the sequence lands on
-    sum_i steps[c_i].  Only monomials within bound and within cap (default
-    sum(bound)) in total degree count.  With point, returns only the
-    coefficient of bound itself.
+    sum_i steps[c_i].  Only monomials within bound and within cap, the
+    smaller of the plan's cap and sum(bound), in total degree count.  With
+    point, returns only the coefficient of bound itself.
 
     Stagewise, candidates in order: the entries taken before c add
     omega_c . e to its factor, e the exponent vector of their monomial, so
@@ -146,15 +147,15 @@ def _sequence_sum(plan, bound, cap=None, point=False, marks=None):
     stage finds it waiting, before it forms any transition there, and only
     bound's own key is summed.
 
-    With marks, a nondecreasing list of candidate-prefix lengths and no
+    With marks, a nondecreasing sequence of candidate-prefix lengths and no
     point, returns one polynomial per mark: the sum over the sequences of
     the candidates c < mark alone.  As stages run in candidate order, that
     is the running total just before the first stage of a candidate c >=
     mark (or at the end): done plus every waiting state.
     """
-    layout, planned = plan
+    layout, cap, planned = plan
     bound = tuple(bound)
-    cap = sum(bound) if cap is None else cap
+    cap = min(cap, sum(bound))
     guards, top = layout.guards, layout.top
     goal = layout.pack(bound)
     limit = guards + goal  # the box of bound, which the plan's span covers
@@ -328,8 +329,9 @@ def deformed_coefficients(tr: MutationTrace, n: int, cutoff: int) -> dict:
     All n deformed r-monomials are one product -C_n^{-1} R_n, column w of
     R_n being r_{n-w}.  Every column is sign-checked, those above the
     cutoff too; only on a failure are they scanned one by one, to name the
-    first offending step.  Only the columns of total degree <= cutoff reach
-    the sequence sum, each with the factors of its own step.
+    first offending step.  Every column goes to the plan as candidate w,
+    with the cutoff as its cap, so only those of total degree <= cutoff
+    are factored and summed, each with the factors of its own step.
 
     The candidates w < m of that sum are S_m's sum whenever every step is
     green and the step matrices repeat with a period dividing n - m,
@@ -344,10 +346,11 @@ def deformed_coefficients(tr: MutationTrace, n: int, cutoff: int) -> dict:
 def _deformed_sums(tr: MutationTrace, n: int, cutoff: int, indices) -> list[dict]:
     """deformed_coefficients(tr, m, cutoff) for each m in indices, off S_n's sum.
 
-    The checks, the product -C_n^{-1} R_n and the cutoff filter run once,
-    at n.  Index m (nondecreasing, each <= n) takes the mark of the kept
-    candidates w < m, which is S_m's sum when the steps are periodic as
-    deformed_coefficients states; the caller guarantees that.
+    The checks, the product -C_n^{-1} R_n and the plan run once, at n.
+    Candidate w is step n - w, so index m (nondecreasing, each <= n) is
+    itself the mark of the candidates w < m, which is S_m's sum when the
+    steps are periodic as deformed_coefficients states; the caller
+    guarantees that.
     """
     _check_step(tr, n, 1)
     intmat.check_count(cutoff, "cutoff")
@@ -359,14 +362,12 @@ def _deformed_sums(tr: MutationTrace, n: int, cutoff: int, indices) -> list[dict
             if min(rho) < 0 or not any(rho):
                 raise SignCoherenceViolation(f"deformed r-monomial of step {n - w} (vertex "
                                              f"{tr.vertex(n - w)}) is not positive: {rho}")
-    kept = [w for w, rho in enumerate(rhos) if sum(rho) <= cutoff]
     box = (cutoff,) * tr.v
     c_cols = tuple(zip(*tr.c_mats[n]))
 
     def deformed(c: int):  # the key sums rho = -C_n^{-1} r, so omega_c = -C_n^T (F_n's omega_c)
-        tail, omega = factor(kept[c])
+        tail, omega = factor(c)
         return tail, [-sum(map(mul, col, omega)) for col in c_cols]
 
-    polys = _sequence_sum(_plan([rhos[w] for w in kept], deformed, box), box, cutoff,
-                          marks=[bisect_left(kept, m) for m in indices])
+    polys = _sequence_sum(_plan(rhos, deformed, box, cutoff), box, marks=indices)
     return [dict(poly.terms) for poly in polys]

@@ -140,8 +140,11 @@ def check_symmetric(q: GeneralizedQuiver, prefix_len: int = 20) -> SymmetryRepor
     """Check the four symmetric-quiver properties for the cyclic sequence.
 
     Greenness of the infinite sequence is not decidable here, so it is
-    verified empirically over prefix_len steps and reported as such.
+    verified empirically over prefix_len steps and reported as such; a
+    prefix_len that is not a nonnegative int, bool included, is
+    BadParameters.
     """
+    intmat.check_count(prefix_len, "prefix_len")
     return _symmetry(q, prefix_len)[0]
 
 
@@ -314,7 +317,7 @@ def _family_sum(ss: SSequence, steps, bound, cap=None) -> LaurentPolynomial:
                 raise ConsistencyError(f"p({d}) is off the recurrence {ss.recurrence}")
         return ss.s(c), omegas[c]
 
-    return _sequence_sum(_plan(steps, factor, bound, cap), bound, cap)
+    return _sequence_sum(_plan(steps, factor, bound, cap), bound)
 
 
 def _certified_formula(q: GeneralizedQuiver, ss: SSequence, n: int) -> LaurentPolynomial:

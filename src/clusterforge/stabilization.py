@@ -232,19 +232,19 @@ def limit_kr(r: int, cutoff: int) -> LaurentPolynomial:
     e1 - p*e2, so the test is an exact integer filter on the result's keys:
     2(e1-1) - r*e2 <= 0, or its square is at most e2^2 (r^2-4).  r = 2
     degenerates (sqrt(0)) and is routed to limit_a1r(1).
+
+    The variable frame depends on r.  For r >= 3 the result is a
+    stabilization run along (1, 2) with y1 and y2 traded
+    (`limits_match_up_to_cycle` finds shift 1); for r = 2 it is that run's
+    own frame (shift 0), as for `limit_a1r` and `limit_gale_robinson`.
     """
     (r,) = _family_params(FamilySpec.of("kr", r=r))
     intmat.check_count(cutoff, "cutoff")
     if r == 2:
         return limit_a1r(1, cutoff)
-    ss = SSequence.kronecker(r)
-    # s is strictly increasing, so the entries that fit the cutoff are 0..m-1
-    m = 0
-    while ss.s(m) + ss.s(m - 1) <= cutoff:
-        m += 1
-    # _family_sum reads windows in ascending index, so y1 and y2 trade places
-    rhos = [(ss.s(w - 1), ss.s(w)) for w in range(m)]
-    poly = _family_sum(ss, rhos, (cutoff, cutoff), cutoff)
+    # s is strictly increasing; the windows (s_{w-1}, s_w) are read in
+    # ascending index, so y1 and y2 trade places
+    poly = _family_limit(SSequence.kronecker(r), 2, cutoff)
 
     def within_norm(e2, e1):  # a key of the sum, e2 first
         x = 2 * (e1 - 1) - r * e2
@@ -262,19 +262,28 @@ def limit_gale_robinson(v: int, r: int, t: int, cutoff: int) -> LaurentPolynomia
     framed so the result matches stabilization runs inspected at indices
     divisible by v directly; dp1_coefficient uses the reversed frame.
 
-    The sequence is read once, as s_{1-v}, s_{2-v}, ..., and rho(w) is its
-    window of v values (s_{w+1-v}, ..., s_w) that starts at position w.
-    Window degrees never decrease: deg rho(w+1) - deg rho(w) is
-    s_{w+1} - s_{w+1-v}, and s_{i+v} >= s_i, because adding one r and one
-    v - r turns a splitting of i into one of i + v.  So the windows within
-    the cutoff are a prefix, and s is read only up to the first window past
-    it, which is not passed on.
+    The windows are `_family_limit`'s, whose degrees never decrease:
+    deg rho(w+1) - deg rho(w) is s_{w+1} - s_{w+1-v}, and s_{i+v} >= s_i,
+    because adding one r and one v - r turns a splitting of i into one of
+    i + v; and they pass any cutoff, as s_{m r (v-r)} >= m + 1.
     """
     v, r, t = _family_params(FamilySpec.of("gr", v=v, r=r, t=t))
     intmat.check_count(cutoff, "cutoff")
-    ss = SSequence.gale_robinson(v, r, t)
+    return _family_limit(SSequence.gale_robinson(v, r, t), v, cutoff)
+
+
+def _family_limit(ss: SSequence, v: int, cutoff: int) -> LaurentPolynomial:
+    """The family sum over the windows of ss of length v within a total-degree cutoff.
+
+    The sequence is read once, as s_{1-v}, s_{2-v}, ..., and rho(w) is its
+    window of v values (s_{w+1-v}, ..., s_w) that starts at position w,
+    candidate w of the sum.  The caller's window degrees never decrease
+    and pass any cutoff, so the windows within the cutoff are a prefix,
+    and s is read only up to the first window past it, which is not passed
+    on.
+    """
     s = [ss.s(i) for i in range(1 - v, 1)]  # s[w + v - 1] = s_w
-    while sum(s[-v:]) <= cutoff:  # deg rho(w) >= s_w, and s_{m r (v-r)} >= m + 1
+    while sum(s[-v:]) <= cutoff:
         s.append(ss.s(len(s) + 1 - v))
     rhos = [tuple(s[w:w + v]) for w in range(len(s) - v)]
     return _family_sum(ss, rhos, (cutoff,) * v, cutoff)

@@ -103,14 +103,17 @@ def test_plan_factors_each_kept_step_once_in_candidate_order():
         return -c, (0, c)
 
     steps = [(1, 0), (3, 0), (0, 2), (1, 1), (2, 2), (0, 1)]
-    layout, stages = _plan(steps, factor, (2, 2), cap=3)
+    layout, cap, stages = _plan(steps, factor, (2, 2), cap=3)
+    assert cap == 3
     assert calls == [0, 2, 3, 5]
     assert [(c, tail) for c, _, _, tail, _ in stages] == [(0, 0), (2, -2), (3, -3), (5, -5)]
     assert [reads for *_, reads in stages][1:] == [
         ((layout.shifts[1], layout.masks[1], c),) for c in (2, 3, 5)]
     assert stages[0][4] == ()
     calls.clear()
-    assert [stage[0] for stage in _plan(steps, factor, (2, 2))[1]] == [0, 2, 3, 4, 5]
+    _, cap, stages = _plan(steps, factor, (2, 2))
+    assert cap == 4  # sum(span)
+    assert [stage[0] for stage in stages] == [0, 2, 3, 4, 5]
     assert calls == [0, 2, 3, 4, 5]
     calls.clear()
     for bad in ([(1, 0), (0, 0)], [(1, 0), (1, 1), (2, -1)], [(1, 0), (9, 9), (0, 0)]):
@@ -136,7 +139,12 @@ def test_sequence_sum_counts_multisets():
 
     assert box(7)[2, 3] == -12
     assert _sequence_sum(_plan(steps, factor, (4, 3)), (4, 3)).terms == box(7)
-    assert _sequence_sum(_plan(steps, factor, (4, 3)), (4, 3), cap=2).terms == box(2)
+    # the kernel sums within the smaller of the plan's cap and sum(bound)
+    assert _sequence_sum(_plan(steps, factor, (4, 3), cap=2), (4, 3)).terms == box(2)
+    assert _sequence_sum(_plan(steps, factor, (4, 3), cap=2), (2, 3)).terms == {
+        e: c for e, c in box(2).items() if e[0] <= 2}
+    assert _sequence_sum(_plan(steps, factor, (4, 3)), (1, 1)).terms == {
+        e: c for e, c in box(2).items() if max(e) <= 1}
     assert _sequence_sum(_plan(steps, factor, (2, 3)), (2, 3), point=True) == -12
     assert _sequence_sum(_plan(steps, factor, (4, 1)), (4, 1), point=True) == 0
     assert _sequence_sum(_plan(steps, factor, (0, 0)), (0, 0), point=True) == 1
@@ -291,9 +299,10 @@ def test_deformed_coefficients_names_the_first_red_step(k2):
 
 
 def test_deformed_coefficients_is_one_product_and_a_filtered_sum(a12, monkeypatch):
-    # per call: one mat_mul, no mat_vec, and only the steps of degree <= cutoff
-    # reach the sequence sum, each with the factors of its own step: F_n's
-    # tail, and F_n's omega carried into deformed space by -C_n^T
+    # per call: one mat_mul, no mat_vec, and every deformed step goes to one
+    # plan with the cutoff as its cap, which factors exactly the steps of
+    # degree <= cutoff, in order, each with the factors of its own step:
+    # F_n's tail, and F_n's omega carried into deformed space by -C_n^T
     tr, cutoff = trace(a12, (1, 2, 3) * 4), 5
     expected = {}
     for n in range(1, tr.n + 1):
@@ -317,19 +326,27 @@ def test_deformed_coefficients_is_one_product_and_a_filtered_sum(a12, monkeypatc
 
     def plan(steps, factor, *args):
         calls[-1]["steps"].append(list(steps))
-        calls[-1]["factors"] = [factor(c) for c in range(len(steps))]
-        return real_plan(steps, factor, *args)
+        calls[-1]["args"] = args
+
+        def spy(c):
+            calls[-1]["factored"].append(c)
+            calls[-1]["factors"].append(factor(c))
+            return calls[-1]["factors"][-1]
+
+        return real_plan(steps, spy, *args)
 
     monkeypatch.setattr(intmat, "mat_mul", mat_mul)
     monkeypatch.setattr(intmat, "mat_vec", mat_vec)
     monkeypatch.setattr(clusterforge.closedform, "_plan", plan)
     dropped = 0
     for n in range(1, tr.n + 1):
-        calls.append({"mat_mul": 0, "mat_vec": 0, "steps": []})
+        calls.append({"mat_mul": 0, "mat_vec": 0, "steps": [], "factored": [], "factors": []})
         deformed_coefficients(tr, n, cutoff)
         kept, rhos, factors = expected[n]
         assert (calls[-1]["mat_mul"], calls[-1]["mat_vec"]) == (1, 0)
-        assert calls[-1]["steps"] == [[rhos[w] for w in kept]]
+        assert calls[-1]["steps"] == [rhos]
+        assert calls[-1]["args"] == ((cutoff,) * tr.v, cutoff)
+        assert calls[-1]["factored"] == kept
         assert calls[-1]["factors"] == factors
         dropped += n - len(kept)
     assert dropped > 0  # some steps did not fit the cutoff

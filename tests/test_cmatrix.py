@@ -361,8 +361,8 @@ def test_point_queries_build_the_factors_of_f_n_once(k2, monkeypatch):
         return real_candidates(tr, n)
 
     def contents(plan):
-        layout, stages = plan
-        return [getattr(layout, name) for name in layout.__slots__], stages
+        layout, cap, stages = plan
+        return [getattr(layout, name) for name in layout.__slots__], cap, stages
 
     monkeypatch.setattr(closedform, "_trace_candidates", candidates)
     tr = trace(k2, (1, 2) * 3)

@@ -99,6 +99,16 @@ def test_check_symmetric_a2_fails_on_greenness(a2):
     assert report.green_prefix == 3
 
 
+def test_check_symmetric_rejects_a_prefix_len_that_is_not_a_count(a2):
+    # a negative prefix would certify A2, which fails greenness, and True
+    # would read as 1: like n and cutoff, prefix_len is a nonnegative int
+    for bad in (-1, True, 2.5):
+        with pytest.raises(BadParameters, match="prefix_len"):
+            check_symmetric(a2, prefix_len=bad)
+    report = check_symmetric(a2, prefix_len=0)
+    assert report.ok and report.green_prefix == 0
+
+
 def test_check_symmetric_a12(a12):
     # the acyclic cycle orientation is a genuine symmetric quiver
     assert check_symmetric(a12, prefix_len=9).ok

@@ -6,7 +6,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from clusterforge import (LaurentPolynomial, SSequence, build_gale_robinson, deform,
+from clusterforge import (FamilySpec, LaurentPolynomial, SSequence, build_family,
+                          build_gale_robinson, deform,
                           dp1_coefficient, fpoly_formula, fpoly_gale_robinson,
                           fpoly_kr, fpoly_recurrence, fpoly_symmetric,
                           fundamentals, green_excess_probe,
@@ -19,7 +20,7 @@ from clusterforge.families import _family_sum
 from clusterforge.errors import (BadParameters, ConsistencyError, RedStepEncountered,
                                  SignCoherenceViolation)
 from clusterforge.intmat import identity, mat_vec
-from clusterforge.stabilization import _decomposable
+from clusterforge.stabilization import _decomposable, _family_limit
 from conftest import random_sequence, random_skew_symmetric
 from oracles import QuadraticNumber, labels_after, limit_gale_robinson_per_entry
 
@@ -223,7 +224,7 @@ def test_stabilization_k2_constant_term(k2):
 def test_stabilization_a12_matches_limit(a12):
     report = stabilization_run(a12, (1, 2, 3), 6, 6)
     assert report.all_stabilized
-    assert limits_match_up_to_cycle(report, limit_a1r(2, 6)) is not None
+    assert limits_match_up_to_cycle(report, limit_a1r(2, 6)) == 0
 
 
 def test_stabilization_verdict_needs_the_last_two_values_equal(a12):
@@ -355,6 +356,33 @@ def test_limit_a1r_closed_form():
         limit_a1r(0, 3)
 
 
+@pytest.mark.parametrize("r", range(1, 6))
+def test_limit_a1r_is_the_family_sum_over_windows(r):
+    # the hand-expanded closed form equals the one kernel's sum over the
+    # windows of the cycle's own sequence, term for term
+    ss = SSequence.from_quiver(build_family(FamilySpec.of("a1r", r=r)))
+    for cutoff in range(15):
+        assert _family_limit(ss, r + 1, cutoff) == limit_a1r(r, cutoff)
+
+
+@pytest.mark.parametrize("spec, limit, shift", [
+    (FamilySpec.of("a1r", r=2), lambda c: limit_a1r(2, c), 0),
+    (FamilySpec.of("dp1"), lambda c: limit_gale_robinson(4, 2, 1, c), 0),
+    (FamilySpec.of("gr", v=7, r=2, t=3), lambda c: limit_gale_robinson(7, 2, 3, c), 0),
+    (FamilySpec.of("gr", v=4, r=1, t=2), lambda c: limit_gale_robinson(4, 1, 2, c), 0),
+    # r = 2 is limit_a1r(1)'s frame; from r = 3 on, y1 and y2 trade places
+    (FamilySpec.of("kr", r=2), lambda c: limit_kr(2, c), 0),
+    (FamilySpec.of("kr", r=3), lambda c: limit_kr(3, c), 1),
+    (FamilySpec.of("kr", r=5), lambda c: limit_kr(5, c), 1),
+])
+def test_each_limit_has_a_fixed_variable_frame(spec, limit, shift):
+    # the exact cyclic shift from a run along (1..v) to the limit, not just some shift
+    q = build_family(spec)
+    for cutoff in (6, 10, 14):
+        report = stabilization_run(q, tuple(range(1, q.v + 1)), 10, cutoff)
+        assert limits_match_up_to_cycle(report, limit(cutoff)) == shift
+
+
 def test_limit_kr_routes_r2():
     assert limit_kr(2, 8) == limit_a1r(1, 8)
     with pytest.raises(BadParameters):
@@ -380,7 +408,7 @@ def test_limit_kr_support_law():
 def test_limit_kr_matches_k3_run(k3):
     report = stabilization_run(k3, (1, 2), 8, 6)
     assert report.all_stabilized
-    assert limits_match_up_to_cycle(report, limit_kr(3, 6)) is not None
+    assert limits_match_up_to_cycle(report, limit_kr(3, 6)) == 1
 
 
 def test_limit_gale_robinson_checks_parameters_like_build():
