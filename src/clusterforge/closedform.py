@@ -28,8 +28,10 @@ vector.  Off a trace, omega_c = -B_0 w_c, since every pair row is -r_j B_0
 by the tropical dualities G_t B_t = B_0 C_t and D^{-1} G_t^T D C_t = I
 (Nakanishi and Zelevinsky, arXiv:1101.3736), given sign coherence (Gross,
 Hacking, Keel and Kontsevich, JAMS 2018); in deformed space, whose steps
-are -C_n^{-1} r, omega_c = C_n^T B_0 w_c.  A family's omega_c is a
-functional on the windows of its scalar sequence (`families._family_sum`).
+are -C_n^{-1} r, omega_c = C_n^T B_0 w_c.  A family sum's steps are
+windows of its scalar sequence, and the same identity gives its omega_c
+as B steps[c], B the family's skew-symmetric exchange matrix
+(`families._family_sum`).
 `_plan` packs the steps once for every sum within a box that fits them,
 keeps those within its span and cap, and computes each kept candidate's
 factors there, once, so the kernel reads its candidates as data; F_n's

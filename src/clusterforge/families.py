@@ -6,7 +6,9 @@ Gale-Robinson quivers G_{v,r,t} (gr, with dP1 = G_{4,2,1}), and the
 coefficients collapse to a single scalar sequence s (with companion s'),
 and F_n becomes a sum over index sequences weighted by s-values only.
 An `SSequence` is data, s and s' as {lag: coefficient} plus a closed form
-for s where one exists; `_family_sum` factors the pair terms through it.
+for s where one exists.  `_family_sum` reads every pair term off the
+family's exchange matrix B, omega_c = B steps[c], as the trace's sums do,
+and checks it against s'_c - s_c.
 """
 
 from __future__ import annotations
@@ -40,7 +42,13 @@ class FamilySpec:
 
 
 def canonical_sequence(v: int, n: int) -> tuple[int, ...]:
-    """The cyclic sequence 1, 2, ..., v, 1, 2, ... of length n."""
+    """The cyclic sequence 1, 2, ..., v, 1, 2, ... of length n.
+
+    v must be a positive int and n a nonnegative one (BadParameters otherwise).
+    """
+    if not intmat.is_int(v) or v < 1:
+        raise BadParameters(f"v {v!r} is not a positive integer")
+    intmat.check_count(n, "n")
     return tuple(i % v + 1 for i in range(n))
 
 
@@ -93,6 +101,18 @@ def build_family(spec: FamilySpec) -> GeneralizedQuiver:
 def build_gale_robinson(v: int, r: int, t: int) -> GeneralizedQuiver:
     """The cyclic quiver driving x_n x_{n+v} = x_{n+r} x_{n+v-r} + x_{n+t} x_{n+v-t}.
 
+    Its exchange matrix is `_gale_robinson_b`'s, certified symmetric.
+    """
+    v, r, t = _family_params(FamilySpec.of("gr", v=v, r=r, t=t))
+    quiver = make_quiver(_gale_robinson_b(v, r, t))
+    if not check_symmetric(quiver, prefix_len=0).ok:
+        raise BadParameters(f"G_{{{v},{r},{t}}} is not a symmetric quiver")
+    return quiver
+
+
+def _gale_robinson_b(v: int, r: int, t: int) -> list[list[int]]:
+    """The exchange matrix of G_{v,r,t}, for checked parameters.
+
     Vertex 1 has outgoing arrows to 1+r and v+1-r and incoming arrows from
     1+t and v+1-t (multiplicities add when those collide); the remaining
     entries are filled by the one-step periodicity recursion
@@ -100,7 +120,6 @@ def build_gale_robinson(v: int, r: int, t: int) -> GeneralizedQuiver:
     exactly the condition that mutation at vertex 1 followed by the cyclic
     relabeling returns the same quiver.
     """
-    v, r, t = _family_params(FamilySpec.of("gr", v=v, r=r, t=t))
     m = [0] * (v + 1)  # m[j] = signed arrows 1 -> j, 1-based
     m[1 + r] += 1
     m[v + 1 - r] += 1
@@ -116,10 +135,7 @@ def build_gale_robinson(v: int, r: int, t: int) -> GeneralizedQuiver:
             value = b[i - 1][j - 1] + mi * max(-mj, 0) - mj * max(-mi, 0)
             b[i][j] = value
             b[j][i] = -value
-    quiver = make_quiver(b)
-    if not check_symmetric(quiver, prefix_len=0).ok:
-        raise BadParameters(f"G_{{{v},{r},{t}}} is not a symmetric quiver")
-    return quiver
+    return b
 
 
 @dataclass(frozen=True)
@@ -155,8 +171,8 @@ def _symmetry(q: GeneralizedQuiver, prefix_len: int):
     reversible = all(
         b[i][j] == -b[v - 1 - i][v - 1 - j] for i in range(v) for j in range(v)
     )
-    mutated = mutate_b(b, 0)
-    cyclic = all(
+    mutated = mutate_b(b, 0) if v else b  # a quiver with no vertex is not cyclic
+    cyclic = v > 0 and all(
         mutated[i % v][j % v] == b[i - 1][j - 1]
         for i in range(1, v + 1)
         for j in range(1, v + 1)
@@ -182,10 +198,10 @@ class SSequence:
     0 for i < 0, rule(i) when the family has a closed form, and otherwise
     s_0 = 1 and the sum of c * s_{i-lag} over `recurrence` for i >= 1; s'_i is
     that sum over `companion`.  The memo fills in ascending order, so no index
-    costs stack depth, and a rule may read s below i off the memo.
-    `_family_sum` checks a rule against the recurrence when the sequence has
-    both, as Gale-Robinson's does; A1r's has no recurrence and no family sum
-    reads it.
+    costs stack depth, and a rule may read s below i off the memo.  No
+    family sum reads the recurrence: `_family_sum` checks s against the
+    quiver's exchange matrix, and the tests check Gale-Robinson's rule, the
+    splitting count, against its recurrence.  A1r's has no recurrence.
     """
 
     def __init__(self, recurrence, companion, rule=None):
@@ -266,80 +282,71 @@ def family_sequence(spec: FamilySpec) -> SSequence:
 
 
 def s_values(spec: FamilySpec, indices) -> list[tuple[int, int]]:
-    """Pairs (s_i, s'_i) for each index; negative indices give (0, s'_i)."""
+    """Pairs (s_i, s'_i) for each index; negative indices give (0, s'_i).
+
+    An index that is not an int, bool included, is a TypeError.
+    """
     seq = family_sequence(spec)
-    return [(seq.s(i), seq.sp(i)) for i in indices]
+    return [(seq.s(i), seq.sp(i)) for i in map(intmat.exact_int, indices)]
 
 
-def _family_sum(ss: SSequence, steps, bound, cap=None) -> LaurentPolynomial:
+def _family_sum(b, ss: SSequence, steps, bound, cap=None) -> LaurentPolynomial:
     """The sequence sum with tail s_c and pair term p(c - e), p(d) = -s_d + s'_d.
 
     Every family sum has this shape: the finite formulas below and the
-    limits of `limit_kr` and `limit_gale_robinson`.  Its steps are windows
-    of v entries of s, read in ascending index, each one index past the one
-    before: steps[e] = L^e steps[0], where L drops a window's first entry
-    and appends the next one by ss.recurrence, and R = L^{-1}.  (A finite
-    formula's steps descend in index with the window read descending, which
-    is the same shift, as every family's recurrence is palindromic with
-    last coefficient -1.)  The kernel adds omega_c . key to candidate c's
-    tail s_c, key the sum of the steps e < c taken, so omega_c must give
-    omega_c . steps[e] = p(c - e).  With omega_{c+1} = omega_c R, O(v) per
-    candidate, omega_c . steps[e] = omega_{c-e} . steps[0], so one check
-    per candidate, omega_d . steps[0] = p(d), covers every pair
-    (ConsistencyError otherwise, raised as `_plan` computes the factors,
-    before any sum), and p(0) is checked to be the kernel's diagonal -1.
+    limits of `limit_kr` and `limit_gale_robinson`, b being the family's
+    exchange matrix B.  The kernel adds omega_c . key to candidate c's tail
+    s_c, key the sum of the steps e < c taken, and omega_c = B steps[c], so
+    pair(c, e) = steps[e]^T B steps[c].  This is the trace's omega_c =
+    -B_0 w_c (`closedform`): a finite formula's steps are its trace's
+    r-monomials, and on a green step of a skew-symmetric quiver w = -r.  A
+    limit's steps are rho = -C_n^{-1} r, and r_e^T B_0 r_c = rho_e^T
+    (C_n^T B_0 C_n) rho_c = rho_e^T B_n rho_c, with B_n = B_0 along a period
+    that returns B.  A quiver that `check_symmetric` certifies is
+    skew-symmetric: it is cyclic, so its symmetrizer d, which mutation
+    keeps, also symmetrizes B with d shifted by one vertex.  On a connected
+    component the two differ by one factor; the shift permutes the
+    components in orbits of some length m, each component one residue
+    class mod m, and v shifts return d, so d is invariant under a shift by
+    m and constant on each component.
 
-    omega_0 needs no solve.  By palindromy, s_{-v-k} = -s_k, so
-    p(d) = pi . (s_{d-1}, ..., s_{d-v}), pi_j the companion's minus the
-    recurrence's coefficient at lag j + 1, is -pi . (s_{1-d-v}, ..., s_{-d}),
-    and omega_c = -pi R^c on windows of s itself.  A family sum's steps
-    reach s's first window (0, ..., 0, 1) up to a sign eps at one end: a
-    limit's steps start there, and a finite formula's last step (1, 0, ...,
-    0) is one shift short of (0, ..., 0, -1).  At the first such window
-    L^a steps[0], omega_a = -eps pi, so omega_0 = -eps pi L^a.
+    p(0) is checked to be the kernel's diagonal -1, and each kept candidate
+    c >= 1 to give omega_c . steps[0] = p(c) as `_plan` computes its factor,
+    before any sum (ConsistencyError otherwise): this checks s against B.
     """
     if ss.sp(0) - ss.s(0) != -1:
         raise ConsistencyError(f"p(0) = {ss.sp(0) - ss.s(0)}, not the diagonal -1")
-    if steps:  # omega_0 = -eps pi L^a, a <= len(steps) the first with L^a steps[0] = eps e_v
-        coefs = [ss.recurrence.get(lag, 0) for lag in range(len(steps[0]), 0, -1)]
-        head = [coefs[0] * -a for a in coefs[1:]] + coefs[:1]  # row 0 of R
-        omega = [a - ss.companion.get(j + 1, 0) for j, a in enumerate(coefs[::-1])]  # -pi
-        for window in [*steps, [*steps[-1][1:], sum(map(mul, coefs, steps[-1]))]]:
-            if not any(window[:-1]):
-                break
-            omega = [omega[-1] * a + b for a, b in zip(coefs, [0, *omega[:-1]])]  # omega L
-        omegas = [[window[-1] * x for x in omega]]
 
     def factor(c: int):
-        for d in range(len(omegas), c + 1):
-            omegas.append([omegas[-1][0] * a + b for a, b in zip(head, [*omegas[-1][1:], 0])])
-            if sum(map(mul, omegas[d], steps[0])) != ss.sp(d) - ss.s(d):
-                raise ConsistencyError(f"p({d}) is off the recurrence {ss.recurrence}")
-        return ss.s(c), omegas[c]
+        omega = [sum(map(mul, row, steps[c])) for row in b]
+        if c and sum(map(mul, omega, steps[0])) != ss.sp(c) - ss.s(c):
+            raise ConsistencyError(f"p({c}) = {ss.sp(c) - ss.s(c)} is off the exchange matrix")
+        return ss.s(c), omega
 
     return _sequence_sum(_plan(steps, factor, bound, cap), bound)
 
 
-def _certified_formula(q: GeneralizedQuiver, ss: SSequence, n: int) -> LaurentPolynomial:
+def _certified_formula(q: GeneralizedQuiver, sequence, n: int) -> LaurentPolynomial:
     """F_n of a symmetric quiver under the cyclic sequence 1..v,1.., by the family sum.
 
     Refuses to run unless check_symmetric certifies the prefix of length n;
-    the degree bound is read off the trace of that same prefix.  The pair
-    coefficients are a(i,k) = s_{k-i} and b(i,k) = s'_{k-i}, and the step
-    r_w = prod y_i^{s_{w-i}}; in the candidate order c = n - w the steps are
-    the r_w, reversed.
+    the degree bound is read off the trace of that same prefix, and only
+    then is s built, as sequence(q).  The pair coefficients are a(i,k) =
+    s_{k-i} and b(i,k) = s'_{k-i}, and the step r_w = prod y_i^{s_{w-i}};
+    in the candidate order c = n - w the steps are the r_w, reversed.
     """
     intmat.check_count(n, "n")
     report, tr = _symmetry(q, n)
     if not report.ok:
         raise NotSymmetric(f"quiver is not certified symmetric for n={n}: {report}")
+    ss = sequence(q)
     rvecs = []
     for w in range(1, n + 1):
         rv = tuple(ss.s(w - i) for i in range(1, q.v + 1))
         if not any(rv):
             raise ConsistencyError(f"family r-monomial at step {w} vanished")
         rvecs.append(rv)
-    return _family_sum(ss, rvecs[::-1], tr.degree_bound(n))
+    return _family_sum(q.b, ss, rvecs[::-1], tr.degree_bound(n))
 
 
 def fpoly_symmetric(q: GeneralizedQuiver, n: int) -> LaurentPolynomial:
@@ -348,18 +355,20 @@ def fpoly_symmetric(q: GeneralizedQuiver, n: int) -> LaurentPolynomial:
     The sequence s is read off vertex 1's arrows.  Like every family F_n, it
     raises NotSymmetric unless check_symmetric certifies the prefix of length n.
     """
-    return _certified_formula(q, SSequence.from_quiver(q), n)
+    return _certified_formula(q, SSequence.from_quiver, n)
 
 
 def fpoly_kr(r: int, n: int) -> LaurentPolynomial:
     """F_n for the two-vertex quiver with r parallel arrows, alternating sequence."""
-    return _certified_formula(build_family(FamilySpec.of("kr", r=r)), SSequence.kronecker(r), n)
+    return _certified_formula(build_family(FamilySpec.of("kr", r=r)),
+                              lambda _: SSequence.kronecker(r), n)
 
 
 def fpoly_gale_robinson(v: int, r: int, t: int, n: int) -> LaurentPolynomial:
     """F_n for G_{v,r,t} under the cyclic sequence, via partition counts.
 
-    The splitting count of `SSequence.gale_robinson` is the closed form that
-    `_family_sum` checks against the recurrence.
+    s is the splitting count of `SSequence.gale_robinson`, which `_family_sum`
+    checks against the quiver's exchange matrix, pair term by pair term.
     """
-    return _certified_formula(build_gale_robinson(v, r, t), SSequence.gale_robinson(v, r, t), n)
+    return _certified_formula(build_gale_robinson(v, r, t),
+                              lambda _: SSequence.gale_robinson(v, r, t), n)

@@ -19,7 +19,8 @@ from . import intmat
 from .closedform import _deformed_sums, _require_green, coefficient_of, deformed_coefficients
 from .cmatrix import MutationTrace, _check_step, trace
 from .errors import BadParameters, ConsistencyError
-from .families import FamilySpec, SSequence, _family_params, _family_sum
+from .families import (FamilySpec, SSequence, _family_params, _family_sum, _gale_robinson_b,
+                       build_family)
 from .intmat import Matrix
 from .laurent import LaurentPolynomial
 from .quiver import GeneralizedQuiver
@@ -244,7 +245,7 @@ def limit_kr(r: int, cutoff: int) -> LaurentPolynomial:
         return limit_a1r(1, cutoff)
     # s is strictly increasing; the windows (s_{w-1}, s_w) are read in
     # ascending index, so y1 and y2 trade places
-    poly = _family_limit(SSequence.kronecker(r), 2, cutoff)
+    poly = _family_limit(build_family(FamilySpec.of("kr", r=r)).b, SSequence.kronecker(r), cutoff)
 
     def within_norm(e2, e1):  # a key of the sum, e2 first
         x = 2 * (e1 - 1) - r * e2
@@ -269,24 +270,26 @@ def limit_gale_robinson(v: int, r: int, t: int, cutoff: int) -> LaurentPolynomia
     """
     v, r, t = _family_params(FamilySpec.of("gr", v=v, r=r, t=t))
     intmat.check_count(cutoff, "cutoff")
-    return _family_limit(SSequence.gale_robinson(v, r, t), v, cutoff)
+    return _family_limit(_gale_robinson_b(v, r, t), SSequence.gale_robinson(v, r, t), cutoff)
 
 
-def _family_limit(ss: SSequence, v: int, cutoff: int) -> LaurentPolynomial:
-    """The family sum over the windows of ss of length v within a total-degree cutoff.
+def _family_limit(b, ss: SSequence, cutoff: int) -> LaurentPolynomial:
+    """The family sum over the windows of ss within a total-degree cutoff.
 
-    The sequence is read once, as s_{1-v}, s_{2-v}, ..., and rho(w) is its
-    window of v values (s_{w+1-v}, ..., s_w) that starts at position w,
-    candidate w of the sum.  The caller's window degrees never decrease
-    and pass any cutoff, so the windows within the cutoff are a prefix,
-    and s is read only up to the first window past it, which is not passed
-    on.
+    b is the family's exchange matrix, whose pair terms the sum reads, and
+    its size v is the windows' length.  The sequence is read once, as
+    s_{1-v}, s_{2-v}, ..., and rho(w) is its window of v values
+    (s_{w+1-v}, ..., s_w) that starts at position w, candidate w of the
+    sum.  The caller's window degrees never decrease and pass any cutoff,
+    so the windows within the cutoff are a prefix, and s is read only up
+    to the first window past it, which is not passed on.
     """
+    v = len(b)
     s = [ss.s(i) for i in range(1 - v, 1)]  # s[w + v - 1] = s_w
     while sum(s[-v:]) <= cutoff:
         s.append(ss.s(len(s) + 1 - v))
     rhos = [tuple(s[w:w + v]) for w in range(len(s) - v)]
-    return _family_sum(ss, rhos, (cutoff,) * v, cutoff)
+    return _family_sum(b, ss, rhos, (cutoff,) * v, cutoff)
 
 
 def dp1_coefficient(a: int, b: int, c: int, d: int) -> int:

@@ -51,7 +51,7 @@ from clusterforge import intmat
 from clusterforge.cmatrix import (MutationTrace, _check_step, _column_color, _step_rows,
                                   coeff_a, pair_term)
 from clusterforge.errors import ConsistencyError, InexactDivision, NotSkewSymmetrizable
-from clusterforge.families import FamilySpec, SSequence, _family_params, _family_sum
+from clusterforge.families import SSequence, _family_sum, build_gale_robinson
 from clusterforge.quiver import (FramedState, GeneralizedQuiver, _check_symmetrizer,
                                  _check_vertex, framed_state, mutate, mutate_b, mutate_c)
 
@@ -300,11 +300,11 @@ def mat_mul_entrywise(a, b):
 
 def limit_gale_robinson_per_entry(v: int, r: int, t: int, cutoff: int) -> LaurentPolynomial:
     """The limit of G_{v,r,t} with rho(w)_i = s_{w-v+i} read one entry at a time."""
-    v, r, t = _family_params(FamilySpec.of("gr", v=v, r=r, t=t))
+    q = build_gale_robinson(v, r, t)  # the certified quiver; checks the parameters
     ss = SSequence.gale_robinson(v, r, t)
     w_max = r * (cutoff * (v - r) + 1) + v
     rhos = [tuple(ss.s(w - v + i) for i in range(1, v + 1)) for w in range(w_max + 1)]
-    return _family_sum(ss, rhos, (cutoff,) * v, cutoff)
+    return _family_sum(q.b, ss, rhos, (cutoff,) * v, cutoff)
 
 
 def gale_robinson_splittings(v: int, r: int, i: int) -> int:

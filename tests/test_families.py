@@ -8,6 +8,7 @@ from clusterforge import (FamilySpec, LaurentPolynomial, SSequence, build_family
 from clusterforge.errors import BadParameters, ConsistencyError, NotSymmetric
 from clusterforge import families
 from clusterforge.families import _family_sum
+from clusterforge.quiver import make_quiver
 from oracles import gale_robinson_splittings
 
 G723_B = (
@@ -109,6 +110,33 @@ def test_check_symmetric_rejects_a_prefix_len_that_is_not_a_count(a2):
     assert report.ok and report.green_prefix == 0
 
 
+def test_a_quiver_with_no_vertex_is_not_symmetric():
+    # vertex 1 is neither mutated nor read: the report is not ok, and every
+    # family F_n is NotSymmetric, F_0 included
+    empty = make_quiver([])
+    for prefix_len in (0, 3):
+        report = check_symmetric(empty, prefix_len)
+        assert not report.ok and not report.cyclic
+    for n in (0, 2):
+        with pytest.raises(NotSymmetric):
+            fpoly_symmetric(empty, n)
+
+
+def test_canonical_sequence_takes_a_positive_v_and_a_count():
+    assert canonical_sequence(3, 7) == (1, 2, 3, 1, 2, 3, 1)
+    assert canonical_sequence(1, 0) == ()
+    for v, n in ((0, 3), (-2, 3), (True, 3), (2.0, 3), (2, -1), (2, True), (2, 1.5)):
+        with pytest.raises(BadParameters):
+            canonical_sequence(v, n)
+
+
+def test_s_values_reads_each_index_as_an_int():
+    spec = FamilySpec.of("kr", r=2)
+    for bad in (True, 1.5, "1", None):
+        with pytest.raises(TypeError, match="not an integer"):
+            s_values(spec, [0, bad])
+
+
 def test_check_symmetric_a12(a12):
     # the acyclic cycle orientation is a genuine symmetric quiver
     assert check_symmetric(a12, prefix_len=9).ok
@@ -197,13 +225,19 @@ def test_sseq_from_quiver_matches_family_rules(k3, dp1, g723):
         assert family.companion == generic.companion, params
 
 
+GALE_ROBINSON_UP_TO_7 = [(v, r, t) for v in range(2, 8) for r in range(1, v)
+                         for t in range(1, v) if t not in (r, v - r)]
+FIRST_GALE_ROBINSON = ((4, 2, 1), (7, 2, 3), (5, 1, 2), (6, 3, 1))
 RECURRENT_SEQUENCES = (
     [(f"kr{r}", SSequence.kronecker(r)) for r in range(2, 7)]
-    + [(f"gr{v}{r}{t}", SSequence.gale_robinson(v, r, t))
-       for v, r, t in ((4, 2, 1), (7, 2, 3), (5, 1, 2), (6, 3, 1))]
+    + [(f"gr{v}{r}{t}", SSequence.gale_robinson(v, r, t)) for v, r, t in FIRST_GALE_ROBINSON]
     + [(f"quiver-{name}", SSequence.from_quiver(build_family(spec))) for name, spec in (
         ("k3", FamilySpec.of("kr", r=3)), ("dp1", FamilySpec.of("dp1")),
         ("g723", FamilySpec.of("gr", v=7, r=2, t=3)), ("a12", FamilySpec.of("a1r", r=2)))]
+    # no family sum compares the splitting count with the recurrence, so
+    # every valid G_{v,r,t} with v <= 7 is checked here
+    + [(f"gr{v}{r}{t}", SSequence.gale_robinson(v, r, t)) for v, r, t in GALE_ROBINSON_UP_TO_7
+       if (v, r, t) not in FIRST_GALE_ROBINSON]
 )
 
 
@@ -215,19 +249,21 @@ def test_sseq_recurrence_reproduces_s(name, ss, i):
     assert ss.s(i) == sum(a * ss.s(i - lag) for lag, a in ss.recurrence.items())
 
 
+KR2_B, KR3_B = ((0, 2), (-2, 0)), ((0, 3), (-3, 0))
+
+
 def test_family_sum_rejects_a_wrong_recurrence():
-    # limit_kr's sum for r = 3 at cutoff 30; under the recurrence of r = 2
-    # omega_1 gives p(1) = -2 on s's first window, where s gives -3
+    # limit_kr's sum for r = 3 at cutoff 30; under the matrix of r = 2, whose
+    # recurrence is r = 2's, omega_1 gives p(1) = -2 on s's first window,
+    # where s gives -3
     ss = SSequence.kronecker(3)
     rhos = [(ss.s(w - 1), ss.s(w)) for w in range(4)]
-    assert (8, 21) in _family_sum(ss, rhos, (30, 30), 30).terms  # candidate 3 is taken
-    # the same windows read in descending index step by R, not L, from one
-    # candidate to the next
-    with pytest.raises(ConsistencyError, match=r"p\(1\) is off the recurrence"):
-        _family_sum(ss, [rho[::-1] for rho in rhos], (30, 30), 30)
-    ss.recurrence = {1: 2, 2: -1}
-    with pytest.raises(ConsistencyError, match=r"p\(1\) is off the recurrence"):
-        _family_sum(ss, rhos, (30, 30), 30)
+    assert (8, 21) in _family_sum(KR3_B, ss, rhos, (30, 30), 30).terms  # candidate 3 is taken
+    # the same windows read in descending index give p(1) = 3 on kr3's matrix
+    with pytest.raises(ConsistencyError, match=r"p\(1\) = -3 is off the exchange matrix"):
+        _family_sum(KR3_B, ss, [rho[::-1] for rho in rhos], (30, 30), 30)
+    with pytest.raises(ConsistencyError, match=r"p\(1\) = -3 is off the exchange matrix"):
+        _family_sum(KR2_B, ss, rhos, (30, 30), 30)
 
 
 def test_family_sum_checks_its_pair_terms_before_any_sum(monkeypatch):
@@ -239,8 +275,8 @@ def test_family_sum_checks_its_pair_terms_before_any_sum(monkeypatch):
     monkeypatch.setattr(families, "_sequence_sum", no_sum)
     ss = SSequence.kronecker(3)
     rhos = [(ss.s(w), ss.s(w - 1)) for w in range(4)]
-    with pytest.raises(ConsistencyError, match=r"p\(1\) is off the recurrence"):
-        _family_sum(ss, rhos, (30, 30), 30)
+    with pytest.raises(ConsistencyError, match=r"p\(1\) = -3 is off the exchange matrix"):
+        _family_sum(KR3_B, ss, rhos, (30, 30), 30)
 
 
 def test_family_sum_rejects_a_diagonal_other_than_minus_one():
@@ -248,7 +284,32 @@ def test_family_sum_rejects_a_diagonal_other_than_minus_one():
     ss = SSequence.kronecker(3)
     ss.companion = {0: 1}
     with pytest.raises(ConsistencyError, match=r"p\(0\) = 0, not the diagonal -1"):
-        _family_sum(ss, [(1, 0)], (3, 3))
+        _family_sum(KR3_B, ss, [(1, 0)], (3, 3))
+
+
+def test_family_pair_terms_are_read_off_the_exchange_matrix():
+    # _family_sum's omega_c = B steps[c] rests on steps[e]^T B steps[c] =
+    # s'_{c-e} - s_{c-e} for every e < c, on a finite formula's windows
+    # (s_{w-1}, ..., s_{w-v}) in descending w and on a limit's windows
+    # (s_{w+1-v}, ..., s_w) in ascending w; every such B is skew-symmetric
+    cases = [(f"kr{r}", build_family(FamilySpec.of("kr", r=r)), SSequence.kronecker(r))
+             for r in range(2, 7)]
+    cases += [(f"gr{v}{r}{t}", build_gale_robinson(v, r, t), SSequence.gale_robinson(v, r, t))
+              for v, r, t in GALE_ROBINSON_UP_TO_7]
+    a1r = [build_family(FamilySpec.of("a1r", r=r)) for r in range(1, 6)]
+    cases += [(f"a1r{q.v - 1}", q, SSequence.from_quiver(q)) for q in a1r]
+    assert len(cases) == 62
+    for name, q, ss in cases:
+        assert q.is_skew_symmetric and check_symmetric(q, 30).ok, name
+        v, n = q.v, 30
+        finite = [tuple(ss.s(w - i) for i in range(1, v + 1)) for w in range(n, 0, -1)]
+        limit = [tuple(ss.s(w - v + i) for i in range(1, v + 1)) for w in range(n)]
+        for steps in (finite, limit):
+            omegas = [[sum(x * y for x, y in zip(row, step)) for row in q.b] for step in steps]
+            for c in range(n):
+                for e in range(c):
+                    pair = sum(x * y for x, y in zip(steps[e], omegas[c]))
+                    assert pair == ss.sp(c - e) - ss.s(c - e), (name, e, c)
 
 
 def test_symmetric_r_monomials_follow_s(k3, dp1):
@@ -299,8 +360,8 @@ def test_fpoly_gale_robinson_matches_recurrence(dp1, g723):
 
 
 def test_fpoly_gale_robinson_matches_formula_past_one_window_shift(dp1, g723):
-    # the family sum's omega_c is c shifts past its v x v solve, and F_n by
-    # formula reads no s at all: 8,604 and 7,111 terms
+    # the family sum reads every pair term off B and s, and F_n by formula
+    # reads no s at all: 8,604 and 7,111 terms
     for (v, r, t), q, n in (((4, 2, 1), dp1, 12), ((7, 2, 3), g723, 16)):
         expected = fpoly_formula(trace(q, canonical_sequence(v, n)), n)
         assert fpoly_gale_robinson(v, r, t, n) == expected

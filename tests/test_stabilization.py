@@ -360,9 +360,10 @@ def test_limit_a1r_closed_form():
 def test_limit_a1r_is_the_family_sum_over_windows(r):
     # the hand-expanded closed form equals the one kernel's sum over the
     # windows of the cycle's own sequence, term for term
-    ss = SSequence.from_quiver(build_family(FamilySpec.of("a1r", r=r)))
+    q = build_family(FamilySpec.of("a1r", r=r))
+    ss = SSequence.from_quiver(q)
     for cutoff in range(15):
-        assert _family_limit(ss, r + 1, cutoff) == limit_a1r(r, cutoff)
+        assert _family_limit(q.b, ss, cutoff) == limit_a1r(r, cutoff)
 
 
 @pytest.mark.parametrize("spec, limit, shift", [
@@ -448,9 +449,9 @@ def test_limit_gale_robinson_sums_exactly_the_windows_within_the_cutoff(monkeypa
     # and nothing past it; the reference windows run to the old bound w_max
     sums = []
 
-    def recorded(ss, steps, bound, cap=None):
+    def recorded(b, ss, steps, bound, cap=None):
         sums.append(steps)
-        return _family_sum(ss, steps, bound, cap)
+        return _family_sum(b, ss, steps, bound, cap)
 
     monkeypatch.setattr(stabilization, "_family_sum", recorded)
     ss = SSequence.gale_robinson(v, r, t)
