@@ -202,6 +202,8 @@ class SSequence:
     family sum reads the recurrence: `_family_sum` checks s against the
     quiver's exchange matrix, and the tests check Gale-Robinson's rule, the
     splitting count, against its recurrence.  A1r's has no recurrence.
+    An index that is not an int, bool included, is a TypeError, raised
+    before the memo grows.
     """
 
     def __init__(self, recurrence, companion, rule=None):
@@ -211,6 +213,8 @@ class SSequence:
         self._s_memo: list[int] = []
 
     def s(self, i: int) -> int:
+        if type(i) is not int:  # the exact type first: no call on the sums' path
+            intmat.exact_int(i)
         if i < 0:
             return 0
         memo = self._s_memo
@@ -219,6 +223,8 @@ class SSequence:
         return memo[i]
 
     def sp(self, i: int) -> int:
+        if type(i) is not int:
+            intmat.exact_int(i)
         return self._shifted(self.companion, i)
 
     def _by_recurrence(self, i: int) -> int:
@@ -284,10 +290,10 @@ def family_sequence(spec: FamilySpec) -> SSequence:
 def s_values(spec: FamilySpec, indices) -> list[tuple[int, int]]:
     """Pairs (s_i, s'_i) for each index; negative indices give (0, s'_i).
 
-    An index that is not an int, bool included, is a TypeError.
+    An index that is not an int, bool included, is a TypeError (`SSequence.s`).
     """
     seq = family_sequence(spec)
-    return [(seq.s(i), seq.sp(i)) for i in map(intmat.exact_int, indices)]
+    return [(seq.s(i), seq.sp(i)) for i in indices]
 
 
 def _family_sum(b, ss: SSequence, steps, bound, cap=None) -> LaurentPolynomial:

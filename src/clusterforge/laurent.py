@@ -2,8 +2,11 @@
 
 A polynomial in y1..yv is a finite map from integer exponent vectors to
 nonzero integers.  Negative exponents are allowed (deformed polynomials use
-them), coefficients never overflow, and printing follows a fixed graded
-lexicographic order so output is byte-stable across runs.
+them), coefficients never overflow, and printing follows a fixed order,
+ascending total degree, then descending lexicographic, so output is
+byte-stable across runs.  The text is built column by column: each
+variable's exponents map through one table of factor strings, and the
+columns then join into the monomials.
 
 >>> p = LaurentPolynomial.variable(2, 1) + LaurentPolynomial.one(2)
 >>> (p * p).to_text()
@@ -42,12 +45,27 @@ def _shift(nvars: int, terms, exps: Exponents, coeff: int) -> "LaurentPolynomial
     return _from_clean(nvars, {tuple(map(add, e, exps)): c * coeff for e, c in terms.items()})
 
 
-class _Powers(dict):
-    """Factor strings of one variable by exponent, from {1: name}, each built on first use."""
+class _Factors(dict):
+    """Factor text of one variable by exponent, from {0: "", 1: "*y3"}:
+    "*y3^e" for any other e, each built on first use."""
 
     def __missing__(self, e: int) -> str:
         text = self[e] = f"{self[1]}^{e}"
         return text
+
+
+def _factor_texts(exponents) -> list[str]:
+    """Each exponent vector's factors, e.g. "*y1^2*y3" ("" for the zero
+    vector), built column-wise: one map per variable through its _Factors,
+    then one join per vector.  With no variables there are no columns."""
+    columns = [map(_Factors({0: "", 1: f"*y{i}"}).__getitem__, column)
+               for i, column in enumerate(zip(*exponents), 1)]
+    return list(map("".join, zip(*columns))) if columns else [""] * len(exponents)
+
+
+def monomial_names(exponents) -> list[str]:
+    """The text of each monomial, e.g. "y1^2*y3", and "1" for the zero vector."""
+    return [text[1:] or "1" for text in _factor_texts(exponents)]
 
 
 class _Packing:
@@ -193,11 +211,15 @@ class LaurentPolynomial:
         """True when no exponent is negative."""
         return all(e >= 0 for exps in self.terms for e in exps)
 
-    def sorted_terms(self) -> list[tuple[Exponents, int]]:
+    def _print_order(self) -> list[Exponents]:
         """Ascending total degree, then descending lexicographic: two stable sorts."""
         order = sorted(self.terms, reverse=True)
         order.sort(key=sum)
-        return [(e, self.terms[e]) for e in order]
+        return order
+
+    def sorted_terms(self) -> list[tuple[Exponents, int]]:
+        """The terms in print order."""
+        return [(e, self.terms[e]) for e in self._print_order()]
 
     # -- arithmetic ---------------------------------------------------------
 
@@ -320,22 +342,24 @@ class LaurentPolynomial:
     # -- formatting ----------------------------------------------------------
 
     def to_text(self) -> str:
-        """Canonical text, e.g. '1 + 3*y1 + y1^3*y2^2'; each factor string
-        is built once per (variable, exponent).
+        """Canonical text, e.g. '1 + 3*y1 + y1^3*y2^2', in print order:
+        ascending total degree, then descending lexicographic.
+
+        The monomials are built column-wise (`_factor_texts`): one map per
+        variable through its table of factor texts, then one join per term.
+        One pass then adds each sign and magnitude; a coefficient of 1 or -1
+        prints no magnitude unless the term is the constant.
 
         >>> LaurentPolynomial(2, {(-1, 2): -3, (0, 0): 1, (2, 0): 1}).to_text()
         '1 - 3*y1^-1*y2^2 + y1^2'
         """
         if not self.terms:
             return "0"
-        powers = [_Powers({1: f"y{i + 1}"}) for i in range(self.nvars)]
+        order = self._print_order()
         parts = []
-        for exps, coeff in self.sorted_terms():
-            factors = [p[e] for p, e in zip(powers, exps) if e]
-            mag = abs(coeff)
-            if mag != 1 or not factors:
-                factors.insert(0, str(mag))
-            parts.append(("- " if coeff < 0 else "+ ") + "*".join(factors))
+        for factors, coeff in zip(_factor_texts(order), map(self.terms.__getitem__, order)):
+            sign, mag = ("- ", -coeff) if coeff < 0 else ("+ ", coeff)
+            parts.append(sign + factors[1:] if mag == 1 and factors else f"{sign}{mag}{factors}")
         text = " ".join(parts)
         return "-" + text[2:] if text[0] == "-" else text[2:]
 

@@ -39,6 +39,8 @@
 * `reference_trace`: the trace with every step derived afresh from
   B_{i-1}, the vertex and the color, on dense step rows, the reference for
   `cmatrix.trace`, which derives each distinct step once.
+* `text_per_term`: the canonical text with one factor list per term, the
+  reference for the column-wise `LaurentPolynomial.to_text`.
 """
 
 from dataclasses import dataclass
@@ -369,3 +371,28 @@ def reference_trace(q: GeneralizedQuiver, seq) -> MutationTrace:
         c_mats.append(c)
         cinv_mats.append(cinv)
     return MutationTrace(q, seq, *map(tuple, (b_mats, c_mats, cinv_mats, colors, r_monomials)))
+
+
+class _Powers(dict):
+    """Factor strings of one variable by exponent, from {1: name}, each built on first use."""
+
+    def __missing__(self, e: int) -> str:
+        text = self[e] = f"{self[1]}^{e}"
+        return text
+
+
+def text_per_term(p: LaurentPolynomial) -> str:
+    """Canonical text, e.g. '1 + 3*y1 + y1^3*y2^2'; each factor string
+    is built once per (variable, exponent)."""
+    if not p.terms:
+        return "0"
+    powers = [_Powers({1: f"y{i + 1}"}) for i in range(p.nvars)]
+    parts = []
+    for exps, coeff in p.sorted_terms():
+        factors = [pw[e] for pw, e in zip(powers, exps) if e]
+        mag = abs(coeff)
+        if mag != 1 or not factors:
+            factors.insert(0, str(mag))
+        parts.append(("- " if coeff < 0 else "+ ") + "*".join(factors))
+    text = " ".join(parts)
+    return "-" + text[2:] if text[0] == "-" else text[2:]

@@ -137,6 +137,18 @@ def test_s_values_reads_each_index_as_an_int():
             s_values(spec, [0, bad])
 
 
+def test_sseq_rejects_a_non_int_index_before_the_memo_grows():
+    # a bool was read as 0 or 1, a float failed on the list index after the
+    # memo had filled, and a negative float read as a negative index
+    ss = SSequence.kronecker(3)
+    ss.s(1)
+    for read, bad in ((ss.s, True), (ss.s, 2.5), (ss.sp, -1.0)):
+        with pytest.raises(TypeError, match=f"entry {bad!r} is not an integer"):
+            read(bad)
+        assert len(ss._s_memo) == 2
+    assert (ss.s(-1), ss.sp(-1), ss.s(2)) == (0, 0, 8)
+
+
 def test_check_symmetric_a12(a12):
     # the acyclic cycle orientation is a genuine symmetric quiver
     assert check_symmetric(a12, prefix_len=9).ok

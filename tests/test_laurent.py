@@ -14,6 +14,7 @@ from clusterforge import (LaurentPolynomial, exact_divide, fpoly_formula,
 from clusterforge.errors import InexactDivision, ParseError
 from clusterforge.laurent import _mul_within, _Packing
 from conftest import truncate
+from oracles import text_per_term
 
 
 def P(nvars, terms):
@@ -279,6 +280,40 @@ def test_print_order_matches_reference_key(case):
     assert p.sorted_terms() == [(e, p.terms[e]) for e in order]
     assert p.to_json_terms() == [{"exponents": list(e), "coeff": str(p.terms[e])}
                                  for e in order]
+
+
+@st.composite
+def printable_polys(draw):
+    nvars = draw(st.integers(0, 4))
+    exps = st.tuples(*[st.integers(-3, 6)] * nvars)
+    coeffs = st.integers(-9, 9) | st.sampled_from((10 ** 30, -10 ** 30))
+    return P(nvars, draw(st.dictionaries(exps, coeffs, max_size=12)))
+
+
+@example(P(3, {}))
+@example(P(0, {(): -1}))
+@example(P(2, {(0, 0): 10 ** 30}))
+@given(printable_polys())
+def test_text_matches_the_per_term_reference(p):
+    # the column-wise text equals the one-list-per-term reference, and its
+    # terms read back as the JSON terms: sign, magnitude and monomial
+    text = p.to_text()
+    assert text == text_per_term(p)
+    json_terms = p.to_json_terms()
+    order = sorted(p.terms, key=lambda e: (sum(e), tuple(-x for x in e)))
+    assert json_terms == [{"exponents": list(e), "coeff": str(p.terms[e])} for e in order]
+    if not p:
+        assert text == "0"
+        return
+    terms = text.replace(" - ", " + -").split(" + ")
+    assert len(terms) == len(json_terms)
+    for term, expected in zip(terms, json_terms):
+        sign, body = (-1, term[1:]) if term.startswith("-") else (1, term)
+        head, _, rest = body.partition("*")
+        assert not (head == "1" and rest)  # a unit coefficient prints no magnitude
+        mag, monomial = (int(head), rest) if head.isdigit() else (1, body)
+        assert str(sign * mag) == expected["coeff"]
+        assert list(parse_monomial(monomial, p.nvars)) == expected["exponents"]
 
 
 def test_recurrence_matches_formula_k3_n6(k3):
