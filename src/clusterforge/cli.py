@@ -20,7 +20,7 @@ from .cmatrix import c_between, trace
 from .errors import ClusterForgeError, ParseError
 from .families import (_FAMILIES, FamilySpec, _family_params, build_family,
                        fpoly_gale_robinson, fpoly_kr, fpoly_symmetric)
-from .laurent import LaurentPolynomial, decimal_int, monomial_names, parse_monomial
+from .laurent import LaurentPolynomial, decimal_int, parse_monomial
 from .quiver import GeneralizedQuiver, fpoly_recurrence, framed_state, make_quiver, mutate
 from .stabilization import (limit_a1r, limit_gale_robinson, limit_kr,
                             stabilization_run)
@@ -239,13 +239,13 @@ def _cmd_cmatrix(args) -> int:
         return 0
     _print_matrix("C", tr.c_mats[-1], args.format)
     _print_matrix("D", c_between(tr, 0, tr.n, "d"), args.format)
-    r_texts = monomial_names(tr.r_monomials)
     for i in range(1, tr.n + 1):
         if args.format == "json":
             print(json.dumps({"step": i, "vertex": tr.vertex(i), "color": tr.color(i),
                               "r": list(tr.r(i))}))
         else:
-            print(f"step {i}: vertex {tr.vertex(i)} {tr.color(i)} r = {r_texts[i - 1]}")
+            r_text = LaurentPolynomial.monomial(tr.r(i)).to_text()
+            print(f"step {i}: vertex {tr.vertex(i)} {tr.color(i)} r = {r_text}")
     return 0
 
 
@@ -294,7 +294,8 @@ def _cmd_stabilize(args) -> int:
         }))
         return 0
     print("n = " + ", ".join(str(i) for i in report.indices))
-    for name, (m, hist) in zip(monomial_names(report.histories), report.histories.items()):
+    for m, hist in report.histories.items():
+        name = LaurentPolynomial.monomial(m).to_text()
         verdict = report.verdicts[m]
         status = f"stabilized at n={verdict}" if verdict is not None else "still changing"
         print(f"{name}: {list(hist)} ({status})")

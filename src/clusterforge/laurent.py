@@ -63,11 +63,6 @@ def _factor_texts(exponents) -> list[str]:
     return list(map("".join, zip(*columns))) if columns else [""] * len(exponents)
 
 
-def monomial_names(exponents) -> list[str]:
-    """The text of each monomial, e.g. "y1^2*y3", and "1" for the zero vector."""
-    return [text[1:] or "1" for text in _factor_texts(exponents)]
-
-
 class _Packing:
     """Exponent vectors as ints: one slot per variable, degree on top.
 
