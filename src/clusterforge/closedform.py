@@ -24,10 +24,12 @@ candidate's factors (tail_c, omega_c) and its total-degree cap go to
 `_plan`, and the kernel gets that plan and a bound.  A state of the
 kernel is its packed monomial alone: the pair terms that the entries taken
 so far add to candidate c's factor are omega_c . e, e the state's exponent
-vector.  Off a trace, omega_c = -B_0 w_c, since every pair row is -r_j B_0
-by the tropical dualities G_t B_t = B_0 C_t and D^{-1} G_t^T D C_t = I
+vector.  Off a trace, tail_c is a(i, n) (`cmatrix.coeff_a`) and omega_c
+is -B_0 w_c (`cmatrix._omega`), since every pair row is -r_j B_0 by the
+tropical dualities G_t B_t = B_0 C_t and D^{-1} G_t^T D C_t = I
 (Nakanishi and Zelevinsky, arXiv:1101.3736), given sign coherence (Gross,
-Hacking, Keel and Kontsevich, JAMS 2018); in deformed space, whose steps
+Hacking, Keel and Kontsevich, JAMS 2018): `cmatrix` is the one home of
+both, and this module computes neither.  In deformed space, whose steps
 are -C_n^{-1} r, omega_c = C_n^T B_0 w_c.  A family sum's steps are
 windows of its scalar sequence, and the same identity gives its omega_c
 as B steps[c], B the family's skew-symmetric exchange matrix
@@ -48,7 +50,7 @@ from itertools import accumulate, compress, count
 from operator import le, mul, or_
 
 from . import intmat
-from .cmatrix import MutationTrace, _check_step, _d_column, coeff_a, pair_term
+from .cmatrix import MutationTrace, _check_step, _omega, coeff_a, pair_term
 from .errors import RedStepEncountered, SignCoherenceViolation
 from .laurent import LaurentPolynomial, _mul_within, _Packing
 
@@ -56,25 +58,13 @@ from .laurent import LaurentPolynomial, _mul_within, _Packing
 def _trace_candidates(tr: MutationTrace, n: int):
     """F_n's candidates for _plan, latest step first (n not validated).
 
-    Returns (steps, factor): candidate c is step n - c, steps[c] is its
-    r-monomial and factor(c) its factors (tail_c, omega_c).  The tail is
-    a(i, n), row v_n of D_n^{-1} times w_i, column v_i of D_i.
-    pair_term(i, j) = u_j . w_i for the pair row u_j = -r_j B_0 of step j
-    (`cmatrix._pair_row`), so the entries e taken before candidate c add
-    sum_e u_e . w_c = -key . B_0 w_c to its factor, key = sum_e r_e being
-    the state's monomial: omega_c = -B_0 w_c.  The trace keeps no D, so
-    the row of D_n^{-1} is read off C_n^{-1} through d once per call (F_0
-    has no candidates and no row), and w_i is `cmatrix._d_column`.
+    Returns (steps, factor): candidate c is step i = n - c, steps[c] is its
+    r-monomial and factor(c) its factors (tail_c, omega_c) =
+    (a(i, n), omega_i), both read off `cmatrix`.  pair_term(i, j) =
+    r_j . omega_i, so the entries e taken before candidate c add
+    key . omega_i to its factor, key = sum_e r_e being the state's monomial.
     """
-    if n:
-        k, d = tr.seq[n - 1] - 1, tr.quiver.d
-        row_n = [x * dr // d[k] for x, dr in zip(tr.cinv_mats[n][k], d)]
-
-    def factor(c: int):
-        w = _d_column(tr, n - c)
-        return sum(map(mul, row_n, w)), [-sum(map(mul, row, w)) for row in tr.quiver.b]
-
-    return tr.r_monomials[:n][::-1], factor
+    return tr.r_monomials[:n][::-1], lambda c: (coeff_a(tr, n - c, n), _omega(tr, n - c))
 
 
 def _trace_plan(tr: MutationTrace, n: int, bound):

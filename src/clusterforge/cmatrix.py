@@ -13,13 +13,17 @@ quivers.  The trace keeps no D: a reader computes what it needs of one
 from C through d where it reads it.  Each pair coefficient is one entry of
 a product of these matrices, so it is one row-column dot product.
 `verify` checks that each step matrix is an involution on its step row
-alone.  Every pair term -a(i,j) + b(i,j) reads row v_j of
-(E*_j - E_j) D_{j-1}^{-1}, which is -r_j B_0 by the tropical dualities
-G_t B_t = B_0 C_t and D^{-1} G_t^T D C_t = I (Nakanishi and Zelevinsky, "On tropical dualities
+alone.  Every pair term -a(i,j) + b(i,j) is row v_j of
+(E*_j - E_j) D_{j-1}^{-1} times w_i, column v_i of D_i.  That row is
+-r_j B_0 by the tropical dualities G_t B_t = B_0 C_t and
+D^{-1} G_t^T D C_t = I (Nakanishi and Zelevinsky, "On tropical dualities
 in cluster algebras", arXiv:1101.3736), given sign coherence (Gross,
 Hacking, Keel and Kontsevich, "Canonical bases for cluster algebras",
-JAMS 2018); `_pair_row` builds it so, and the tests check it against the
-definitional row.  Colors are read off the sign of the mutated column of
+JAMS 2018), so the term is r_j . omega_i with omega_i = -B_0 w_i; the
+tests check the identity against the definitional row.  This module is
+the one home of a trace's sum inputs: `_omega` builds omega_i, which
+`pair_term` and the closed formula's candidates read, and `coeff_a` the
+tails a(i, n).  Colors are read off the sign of the mutated column of
 the previous C-matrix, which sign coherence keeps well-defined.  Every
 step of a trace is cross-checked entrywise against the direct frozen-arrow
 rule from the quiver module, applied to the verified C_{i-1}.
@@ -54,7 +58,7 @@ def _step_rows(b: Matrix, k: int, sign: int) -> tuple[list[int], list[int]]:
     attached to the far endpoint; green uses the arrows opposing the frozen
     ones (outgoing), red the incoming ones.  The diagonal entry is -1.  E*
     is the E-kind of the other color, so E* - E is -sign * b[k]; the pair
-    terms read -r_j B_0 in its place, as `_pair_row` states.
+    terms read -r_j B_0 in its place, through `_omega`.
     """
     a_row, e_row = [], []
     for r, x in zip(b, b[k]):
@@ -150,8 +154,9 @@ class MutationTrace:
     its packed candidates with their factors, is built whole once per n, on
     first use, and never written after; each is a function of the fields
     alone: a race builds one twice, never a wrong one, so a trace can be
-    queried concurrently.  Step j's pair row is -r_j B_0, which `_pair_row`
-    builds from the r-monomial and the initial B, so the trace keeps none.
+    queried concurrently.  Step j's pair row is -r_j B_0, so a pair term is
+    r_j . omega_i (`_omega`), off the r-monomial and the initial B, and the
+    trace keeps no pair row.
     Nor does it keep a D-matrix: D_i is C_i conjugated by diag(d), so a reader
     computes the column or entry it needs from C_i and the quiver's d.
     """
@@ -242,7 +247,7 @@ def trace(q: GeneralizedQuiver, seq) -> MutationTrace:
     C_i and C_i^{-1} conjugated by diag(d), so the trace keeps none:
     `_d_column`, `coeff_a` and `c_between` read them off C through d.  The
     pair row of step j, row v_j of (E*_j - E_j) D_{j-1}^{-1}, is -r_j B_0 by
-    the tropical dualities (see the module docstring), so `_pair_row` reads
+    the tropical dualities (see the module docstring), so `pair_term` reads
     it off r_j and B_0.  A vertex that is not an int, bool included, is a
     TypeError.
 
@@ -334,37 +339,40 @@ def coeff_a(tr: MutationTrace, i: int, j: int) -> int:
 
     D_{i,j}^{-1} = D_j^{-1} D_i is C_j^{-1} C_i conjugated by diag(d), so the
     entry is row v_j of C_j^{-1} times column v_i of C_i, times
-    d_{v_i} // d_{v_j}: one dot product, O(v), and no D row is built.
+    d_{v_i} // d_{v_j}: one dot product, O(v), and no D row is built.  It
+    is the one home of a(i, j): the closed formula's tails a(i, n) and the
+    product form's exponents read it.
     """
     _check_pair(tr, i, j)
     k, kj, d = tr.vertex(i) - 1, tr.vertex(j) - 1, tr.quiver.d
     return sum([x * r[k] for x, r in zip(tr.cinv_mats[j][kj], tr.c_mats[i])]) * d[k] // d[kj]
 
 
-def _pair_row(tr: MutationTrace, j: int) -> tuple[int, ...]:
-    """Row v_j of (E*_j - E_j) D_{j-1}^{-1}, which is -r_j B_0 (j not validated).
+def _omega(tr: MutationTrace, i: int) -> list[int]:
+    """omega_i = -B_0 w_i, w_i = `_d_column(tr, i)` (i not validated).
 
-    The identity follows from the tropical dualities G_t B_t = B_0 C_t and
-    D^{-1} G_t^T D C_t = I (Nakanishi and Zelevinsky, arXiv:1101.3736),
-    which hold given sign coherence (Gross, Hacking, Keel and Kontsevich,
-    JAMS 2018); the tests check it against the definitional row.  It is a
-    sum over only the rows of B_0 that r_j selects.
+    The pair term of steps i < j is r_j . omega_i: row v_j of
+    (E*_j - E_j) D_{j-1}^{-1} is -r_j B_0 by the tropical dualities G_t B_t
+    = B_0 C_t and D^{-1} G_t^T D C_t = I (Nakanishi and Zelevinsky,
+    arXiv:1101.3736), which hold given sign coherence (Gross, Hacking, Keel
+    and Kontsevich, JAMS 2018); the tests check it against the definitional
+    row.  One vector per i serves every later j, O(v^2).
     """
-    return _row_times([(a, -x) for a, x in enumerate(tr.r(j)) if x], tr.quiver.b)
+    w = _d_column(tr, i)
+    return [-sum(map(mul, row, w)) for row in tr.quiver.b]
 
 
 def pair_term(tr: MutationTrace, i: int, j: int) -> int:
     """The pair term -a(i,j) + b(i,j), for 1 <= i <= j; -1 when i = j.
 
     E_j is an involution, so E*_j E_j D_j^{-1} = E*_j D_{j-1}^{-1}, and the
-    term is row v_j of (E*_j - E_j) D_{j-1}^{-1}, that is -r_j B_0
-    (`_pair_row`), times column v_i of D_i, which `_d_column` reads off
-    C_i through d, O(v).
+    term is row v_j of (E*_j - E_j) D_{j-1}^{-1}, that is -r_j B_0, times
+    column v_i of D_i: r_j . omega_i (`_omega`).
     """
     _check_pair(tr, i, j)
     if i == j:
         return -1
-    return sum(map(mul, _pair_row(tr, j), _d_column(tr, i)))
+    return sum(map(mul, tr.r(j), _omega(tr, i)))
 
 
 def coeff_b(tr: MutationTrace, i: int, j: int) -> int:

@@ -6,9 +6,12 @@ Gale-Robinson quivers G_{v,r,t} (gr, with dP1 = G_{4,2,1}), and the
 coefficients collapse to a single scalar sequence s (with companion s'),
 and F_n becomes a sum over index sequences weighted by s-values only.
 An `SSequence` is data, s and s' as {lag: coefficient} plus a closed form
-for s where one exists.  `_family_sum` reads every pair term off the
-family's exchange matrix B, omega_c = B steps[c], as the trace's sums do,
-and checks it against s'_c - s_c.
+for s where one exists.  Every family F_n runs through `fpoly_symmetric`,
+which reads s off the quiver (`SSequence.from_quiver`) and checks each
+r-monomial it gives against the certifying trace's; `fpoly_kr` and
+`fpoly_gale_robinson` only build their quiver.  `_family_sum` reads every
+pair term off the family's exchange matrix B, omega_c = B steps[c], as
+the trace's sums do, and checks it against s'_c - s_c.
 """
 
 from __future__ import annotations
@@ -198,10 +201,11 @@ class SSequence:
     0 for i < 0, rule(i) when the family has a closed form, and otherwise
     s_0 = 1 and the sum of c * s_{i-lag} over `recurrence` for i >= 1; s'_i is
     that sum over `companion`.  The memo fills in ascending order, so no index
-    costs stack depth, and a rule may read s below i off the memo.  No
-    family sum reads the recurrence: `_family_sum` checks s against the
-    quiver's exchange matrix, and the tests check Gale-Robinson's rule, the
-    splitting count, against its recurrence.  A1r's has no recurrence.
+    costs stack depth, and a rule may read s below i off the memo.  The
+    finite family formulas read `from_quiver`'s recurrence; the limits and
+    `s_values` read the family rules, and the tests check Gale-Robinson's
+    rule, the splitting count, against its recurrence.  A1r's has no
+    recurrence.
     An index that is not an int, bool included, is a TypeError, raised
     before the memo grows.
     """
@@ -332,49 +336,39 @@ def _family_sum(b, ss: SSequence, steps, bound, cap=None) -> LaurentPolynomial:
     return _sequence_sum(_plan(steps, factor, bound, cap), bound)
 
 
-def _certified_formula(q: GeneralizedQuiver, sequence, n: int) -> LaurentPolynomial:
-    """F_n of a symmetric quiver under the cyclic sequence 1..v,1.., by the family sum.
+def fpoly_symmetric(q: GeneralizedQuiver, n: int) -> LaurentPolynomial:
+    """F_n for a symmetric quiver under the cyclic sequence 1..v,1.., by the family sum.
 
-    Refuses to run unless check_symmetric certifies the prefix of length n;
-    the degree bound is read off the trace of that same prefix, and only
-    then is s built, as sequence(q).  The pair coefficients are a(i,k) =
-    s_{k-i} and b(i,k) = s'_{k-i}, and the step r_w = prod y_i^{s_{w-i}};
-    in the candidate order c = n - w the steps are the r_w, reversed.
+    Every family F_n runs here.  It raises NotSymmetric unless
+    check_symmetric certifies the prefix of length n, and reads the degree
+    bound off the trace of that same prefix.  Only then is s read off
+    vertex 1's arrows (`SSequence.from_quiver`).  The pair coefficients are
+    a(i,k) = s_{k-i} and b(i,k) = s'_{k-i}, and the step r_w =
+    prod y_i^{s_{w-i}}: each is checked against the trace's r-monomial
+    before any sum, and the first step that differs is a ConsistencyError.
+    In the candidate order c = n - w the steps are the r_w, reversed.
     """
     intmat.check_count(n, "n")
     report, tr = _symmetry(q, n)
     if not report.ok:
         raise NotSymmetric(f"quiver is not certified symmetric for n={n}: {report}")
-    ss = sequence(q)
-    rvecs = []
-    for w in range(1, n + 1):
+    ss = SSequence.from_quiver(q)
+    for w, r in enumerate(tr.r_monomials, 1):
         rv = tuple(ss.s(w - i) for i in range(1, q.v + 1))
-        if not any(rv):
-            raise ConsistencyError(f"family r-monomial at step {w} vanished")
-        rvecs.append(rv)
-    return _family_sum(q.b, ss, rvecs[::-1], tr.degree_bound(n))
-
-
-def fpoly_symmetric(q: GeneralizedQuiver, n: int) -> LaurentPolynomial:
-    """F_n for a symmetric quiver under the cyclic sequence 1..v,1..
-
-    The sequence s is read off vertex 1's arrows.  Like every family F_n, it
-    raises NotSymmetric unless check_symmetric certifies the prefix of length n.
-    """
-    return _certified_formula(q, SSequence.from_quiver, n)
+        if rv != r:
+            raise ConsistencyError(f"family r-monomial at step {w} is {rv}, not the trace's {r}")
+    return _family_sum(q.b, ss, tr.r_monomials[::-1], tr.degree_bound(n))
 
 
 def fpoly_kr(r: int, n: int) -> LaurentPolynomial:
     """F_n for the two-vertex quiver with r parallel arrows, alternating sequence."""
-    return _certified_formula(build_family(FamilySpec.of("kr", r=r)),
-                              lambda _: SSequence.kronecker(r), n)
+    return fpoly_symmetric(build_family(FamilySpec.of("kr", r=r)), n)
 
 
 def fpoly_gale_robinson(v: int, r: int, t: int, n: int) -> LaurentPolynomial:
-    """F_n for G_{v,r,t} under the cyclic sequence, via partition counts.
+    """F_n for G_{v,r,t} under the cyclic sequence, by `fpoly_symmetric`.
 
-    s is the splitting count of `SSequence.gale_robinson`, which `_family_sum`
-    checks against the quiver's exchange matrix, pair term by pair term.
+    s is read off the quiver, the same recurrence whose closed form, the
+    splitting count, `SSequence.gale_robinson` gives.
     """
-    return _certified_formula(build_gale_robinson(v, r, t),
-                              lambda _: SSequence.gale_robinson(v, r, t), n)
+    return fpoly_symmetric(build_gale_robinson(v, r, t), n)

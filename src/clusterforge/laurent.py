@@ -34,6 +34,14 @@ def _from_clean(nvars: int, terms: dict[Exponents, int]) -> "LaurentPolynomial":
     return poly
 
 
+def _check_nvars(nvars) -> int:
+    """nvars itself when it is a nonnegative int: a non-int, bool included,
+    is a TypeError (`exact_int`), and a negative count a ValueError."""
+    if exact_int(nvars) < 0:
+        raise ValueError(f"variable count {nvars} is negative")
+    return nvars
+
+
 def _span(terms) -> tuple[Exponents, Exponents]:
     """Componentwise minimum and maximum exponent vectors of nonempty terms."""
     columns = tuple(zip(*terms))
@@ -127,11 +135,17 @@ class _Packing:
 
 
 class LaurentPolynomial:
-    """Immutable sparse Laurent polynomial over the integers."""
+    """Immutable sparse Laurent polynomial over the integers.
+
+    The variable count, a variable index and every exponent and coefficient
+    are ints, bool excluded (TypeError otherwise); a negative count is a
+    ValueError.
+    """
 
     __slots__ = ("nvars", "terms")
 
     def __init__(self, nvars: int, terms: Mapping[Exponents, int] | None = None):
+        _check_nvars(nvars)
         clean: dict[Exponents, int] = {}
         for exps, coeff in (terms or {}).items():
             if len(exps) != nvars:
@@ -152,7 +166,7 @@ class LaurentPolynomial:
 
     @classmethod
     def one(cls, nvars: int) -> "LaurentPolynomial":
-        return _from_clean(nvars, {(0,) * nvars: 1})
+        return _from_clean(_check_nvars(nvars), {(0,) * nvars: 1})
 
     @classmethod
     def constant(cls, nvars: int, value: int) -> "LaurentPolynomial":
@@ -166,7 +180,8 @@ class LaurentPolynomial:
     @classmethod
     def variable(cls, nvars: int, index: int) -> "LaurentPolynomial":
         """The variable y_index, 1-based."""
-        if not 1 <= index <= nvars:
+        _check_nvars(nvars)
+        if not 1 <= exact_int(index) <= nvars:
             raise ValueError(f"variable index {index} out of range 1..{nvars}")
         exps = tuple(1 if i == index - 1 else 0 for i in range(nvars))
         return _from_clean(nvars, {exps: 1})

@@ -2,6 +2,7 @@ import copy
 import dataclasses
 import random
 import weakref
+from operator import mul
 
 import pytest
 from hypothesis import example, given, settings
@@ -11,7 +12,7 @@ from clusterforge import (FamilySpec, build_family, build_gale_robinson, c_betwe
                           check_sign_coherence, coeff_a, coeff_b, fpoly_recurrence,
                           framed_state, make_quiver, mutate, step_matrix, trace)
 from clusterforge import closedform, cmatrix
-from clusterforge.cmatrix import MutationTrace, _pair_row, pair_term
+from clusterforge.cmatrix import MutationTrace, pair_term
 from clusterforge.errors import ConsistencyError, IndexOrder, NotSkewSymmetrizable
 from clusterforge.intmat import identity, mat_mul
 from clusterforge.quiver import GeneralizedQuiver, mutate_c
@@ -306,22 +307,34 @@ def test_trace_and_pair_coefficients_match_matrix_products(case):
         assert step_matrix(b, k, "e", other) == estar_i
         assert tr.b_mats[i] == reference_mutate_b(b, k - 1)
         c_i = reference_mutate_c(tr.c_mats[i - 1], b, k - 1)
-        assert tr.r(i) == tuple(abs(row[k - 1]) for row in c_i)
+        r_i = tuple(abs(row[k - 1]) for row in c_i)
+        assert tr.r(i) == r_i
         # the definitional pair row, row v_i of (E*_i - E_i) D_{i-1}^{-1}, is -r_i B_0
         diff = tuple(x - y for x, y in zip(estar_i[k - 1], e_i[k - 1]))
-        assert _pair_row(tr, i) == mat_mul((diff,), dinv_mats[i - 1])[0]
+        assert mat_mul((diff,), dinv_mats[i - 1])[0] == mat_mul((tuple(-x for x in r_i),), q.b)[0]
         assert tr.c_mats[i] == mat_mul(tr.c_mats[i - 1], a_i)
         assert tr.cinv_mats[i] == mat_mul(a_i, tr.cinv_mats[i - 1])
         # D_i and D_i^{-1}, read off C through d, against the products of E's
         assert c_between(tr, 0, i, "d") == d_mats[i]
         assert c_between(tr, i, 0, "d") == dinv_mats[i]
+    pairs = {}
     for j in range(1, tr.n + 1):
         for i in range(1, j + 1):
             assert coeff_a(tr, i, j) == _reference_coeff_a(tr, ref, i, j)
             assert coeff_b(tr, i, j) == _reference_coeff_b(tr, ref, i, j)
             expected = -_reference_coeff_a(tr, ref, i, j) + _reference_coeff_b(tr, ref, i, j)
             assert pair_term(tr, i, j) == expected
+            pairs[i, j] = expected
         assert pair_term(tr, j, j) == -1
+    # F_n's candidate c is step i = n - c: its tail is a(i, n), and r_j . omega
+    # is the pair term of (i, j) for every later step j <= n
+    for n in range(tr.n + 1):
+        factor = closedform._trace_candidates(tr, n)[1]
+        for c in range(n):
+            tail, omega = factor(c)
+            assert tail == _reference_coeff_a(tr, ref, n - c, n)
+            for j in range(n - c + 1, n + 1):
+                assert sum(map(mul, tr.r(j), omega)) == pairs[n - c, j]
 
 
 @given(st.data())

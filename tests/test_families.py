@@ -403,3 +403,44 @@ def test_fpoly_symmetric_rejects_asymmetric(a2, a3_path):
     with pytest.raises(NotSymmetric):
         fpoly_symmetric(a2, 6)
     assert fpoly_symmetric(a2, 3) == fpoly_recurrence(a2, (1, 2, 1))[-1]
+
+
+def _spy_family_sums(monkeypatch) -> list:
+    """Record each _family_sum that the family F_n run, and run it."""
+    ran, real = [], families._family_sum
+
+    def spy(*args):
+        ran.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(families, "_family_sum", spy)
+    return ran
+
+
+def test_family_r_monomials_are_checked_against_the_trace(k2, monkeypatch):
+    # kr r = 3's s on the r = 2 quiver: r_1 = (s_0, s_-1) = (1, 0) agrees,
+    # r_2 = (s_1, s_0) is (3, 1) where the trace's is (2, 1)
+    ran = _spy_family_sums(monkeypatch)
+    assert fpoly_kr(2, 4) == fpoly_recurrence(k2, (1, 2, 1, 2))[-1]
+    assert len(ran) == 1  # the spy sees a sum that runs
+    monkeypatch.setattr(families.SSequence, "from_quiver", lambda q: SSequence.kronecker(3))
+    for run in (lambda: fpoly_symmetric(k2, 4), lambda: fpoly_kr(2, 4)):
+        with pytest.raises(ConsistencyError,
+                           match=r"step 2 is \(3, 1\), not the trace's \(2, 1\)"):
+            run()
+    assert len(ran) == 1
+
+
+def test_gale_robinson_r_monomials_are_checked_against_the_trace(monkeypatch):
+    # G_{4,2,1}'s s has lags {2: 2, 4: -1}; with lag 4 read as 5, s_0..s_3 =
+    # 1, 0, 2, 0 agree and s_4 is 4, not 3, so r_5 = (s_4, ..., s_1) is the
+    # first r-monomial that differs
+    real = SSequence.from_quiver(build_gale_robinson(4, 2, 1))
+    assert real.recurrence == {2: 2, 4: -1}
+    off = SSequence({2: 2, 5: -1}, real.companion)
+    ran = _spy_family_sums(monkeypatch)
+    monkeypatch.setattr(families.SSequence, "from_quiver", lambda q: off)
+    with pytest.raises(ConsistencyError,
+                       match=r"step 5 is \(4, 0, 2, 0\), not the trace's \(3, 0, 2, 0\)"):
+        fpoly_gale_robinson(4, 2, 1, 6)
+    assert ran == []

@@ -97,6 +97,26 @@ def test_non_integer_terms_rejected():
         LaurentPolynomial.one(1) * True
 
 
+def test_variable_counts_and_indices_are_checked():
+    # a count or index that is not an int, bool included, is a TypeError, a
+    # negative count a ValueError; True used to pass as 1 and -1 as a count
+    bad = [(TypeError, lambda: LaurentPolynomial(True, {(1,): 1})),
+           (TypeError, lambda: LaurentPolynomial(2.0)),
+           (TypeError, lambda: LaurentPolynomial.one(True)),
+           (TypeError, lambda: LaurentPolynomial.variable(2, True)),
+           (TypeError, lambda: LaurentPolynomial.variable(2, 1.0)),
+           (TypeError, lambda: LaurentPolynomial.variable(True, 1)),
+           (ValueError, lambda: LaurentPolynomial(-1)),
+           (ValueError, lambda: LaurentPolynomial.one(-1)),
+           (ValueError, lambda: LaurentPolynomial.variable(-1, 1)),
+           (ValueError, lambda: LaurentPolynomial.variable(2, 3))]
+    for error, build in bad:
+        with pytest.raises(error):
+            build()
+    assert LaurentPolynomial(0).nvars == LaurentPolynomial.one(0).nvars == 0
+    assert LaurentPolynomial.variable(2, 2).terms == {(0, 1): 1}
+
+
 def test_inexact_division_raises():
     y1 = LaurentPolynomial.variable(1, 1)
     with pytest.raises(InexactDivision):
