@@ -10,7 +10,8 @@ Three evaluation routes live here:
 * `fpoly_product_form` expands prod_j L_j^{a(j,n)} for the truncated power
   series L_j = 1 + r_j * prod_{i<j} L_i^{-a(i,j)+b(i,j)}, on packed keys of
   one laurent._Packing of the degree bound, every product by the in-box
-  kernel laurent._mul_within.
+  kernel laurent._mul_within.  It reads omega_i once per i, and each pair
+  term -a(i,j) + b(i,j) is one dot product r_j . omega_i.
 * `deformed_coefficients` evaluates the deformed polynomial S_n directly in
   deformed exponent space under a total-degree cutoff, which stays cheap
   even when F_n itself would be astronomically large: one matrix product
@@ -24,8 +25,9 @@ candidate's factors (tail_c, omega_c) and its total-degree cap go to
 `_plan`, and the kernel gets that plan and a bound.  A state of the
 kernel is its packed monomial alone: the pair terms that the entries taken
 so far add to candidate c's factor are omega_c . e, e the state's exponent
-vector.  Off a trace, tail_c is a(i, n) (`cmatrix.coeff_a`) and omega_c
-is -B_0 w_c (`cmatrix._omega`), since every pair row is -r_j B_0 by the
+vector.  Off a trace, tail_c is a(i, n) (`cmatrix._a`, which takes the
+checked n with no check per candidate) and omega_c is -B_0 w_c
+(`cmatrix._omega`), since every pair row is -r_j B_0 by the
 tropical dualities G_t B_t = B_0 C_t and D^{-1} G_t^T D C_t = I
 (Nakanishi and Zelevinsky, arXiv:1101.3736), given sign coherence (Gross,
 Hacking, Keel and Kontsevich, JAMS 2018): `cmatrix` is the one home of
@@ -50,7 +52,7 @@ from itertools import accumulate, compress, count
 from operator import le, mul, or_
 
 from . import intmat
-from .cmatrix import MutationTrace, _check_step, _omega, coeff_a, pair_term
+from .cmatrix import MutationTrace, _a, _check_step, _omega, coeff_a
 from .errors import RedStepEncountered, SignCoherenceViolation
 from .laurent import LaurentPolynomial, _mul_within, _Packing
 
@@ -60,11 +62,12 @@ def _trace_candidates(tr: MutationTrace, n: int):
 
     Returns (steps, factor): candidate c is step i = n - c, steps[c] is its
     r-monomial and factor(c) its factors (tail_c, omega_c) =
-    (a(i, n), omega_i), both read off `cmatrix`.  pair_term(i, j) =
-    r_j . omega_i, so the entries e taken before candidate c add
-    key . omega_i to its factor, key = sum_e r_e being the state's monomial.
+    (a(i, n), omega_i), both read off `cmatrix`'s private readers `_a` and
+    `_omega`, which take the checked n.  pair_term(i, j) = r_j . omega_i,
+    so the entries e taken before candidate c add key . omega_i to its
+    factor, key = sum_e r_e being the state's monomial.
     """
-    return tr.r_monomials[:n][::-1], lambda c: (coeff_a(tr, n - c, n), _omega(tr, n - c))
+    return tr.r_monomials[:n][::-1], lambda c: (_a(tr, n - c, n), _omega(tr, n - c))
 
 
 def _trace_plan(tr: MutationTrace, n: int, bound):
@@ -230,10 +233,17 @@ def coefficient_of(tr: MutationTrace, n: int, monomial) -> int:
     >>> coefficient_of(trace(make_quiver([[0, 2], [-2, 0]]), (1, 2, 1)), 3, (3, 1))
     2
     """
-    bound = tr.degree_bound(n)
+    _check_step(tr, n)
     monomial = tuple(map(intmat.exact_int, monomial))
     if len(monomial) != tr.v:
         raise ValueError(f"monomial {monomial} needs {tr.v} exponents")
+    return _coefficient(tr, n, monomial)
+
+
+def _coefficient(tr: MutationTrace, n: int, monomial) -> int:
+    """`coefficient_of` for a checked n and monomial (not validated): the box
+    test, then the point sum."""
+    bound = tr._degree_bounds[n]
     if not all(0 <= x <= b for x, b in zip(monomial, bound)):
         return 0
     return _sequence_sum(_trace_plan(tr, n, bound), monomial, point=True)
@@ -271,22 +281,25 @@ def fpoly_product_form(tr: MutationTrace, n: int) -> LaurentPolynomial:
     lossless for the in-bound terms.  Each power L_i^e is one binomial
     series over the powers of x_i = L_i - 1, one list per i within the
     call, shared by every exponent e.  All of it is packed keys of one
-    _Packing of the bound, unpacked once at the end.
+    _Packing of the bound, unpacked once at the end.  omega_i (`_omega`)
+    is built once per i, and the pair term of i < j is r_j . omega_i; the
+    tails a(j, n) are `coeff_a`'s.
     """
     layout = _Packing(tr.degree_bound(n))
     xpowers: list[list[dict]] = []  # xpowers[i-1] = [x_i, x_i^2, ...]
+    omegas = [_omega(tr, i) for i in range(1, n)]
 
     def times_power(poly: dict, i: int, e: int) -> dict:
         if not e:
             return poly
         return _mul_within(layout, poly, _binomial_series(layout, xpowers[i - 1], e))
 
-    for j in range(1, n + 1):
-        term = layout.pack_within({tr.r(j): 1})
+    for j, r in enumerate(tr.r_monomials[:n], 1):
+        term = layout.pack_within({r: 1})
         for i in range(1, j):
             if not term:
                 break
-            term = times_power(term, i, pair_term(tr, i, j))
+            term = times_power(term, i, sum(map(mul, r, omegas[i - 1])))
         xpowers.append([term])
     result = {0: 1}
     for j in range(1, n + 1):
@@ -348,7 +361,7 @@ def _deformed_sums(tr: MutationTrace, n: int, cutoff: int, indices) -> list[dict
     intmat.check_count(cutoff, "cutoff")
     _require_green(tr, n)
     steps, factor = _trace_candidates(tr, n)
-    rhos = list(zip(*intmat.mat_mul(deform_matrix(tr, n), tuple(zip(*steps)))))
+    rhos = list(zip(*intmat.mat_mul(intmat.neg(tr.cinv_mats[n]), tuple(zip(*steps)))))
     if min(map(min, rhos)) < 0 or not all(map(any, rhos)):
         for w, rho in enumerate(rhos):
             if min(rho) < 0 or not any(rho):

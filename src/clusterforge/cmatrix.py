@@ -22,11 +22,15 @@ Hacking, Keel and Kontsevich, "Canonical bases for cluster algebras",
 JAMS 2018), so the term is r_j . omega_i with omega_i = -B_0 w_i; the
 tests check the identity against the definitional row.  This module is
 the one home of a trace's sum inputs: `_omega` builds omega_i, which
-`pair_term` and the closed formula's candidates read, and `coeff_a` the
-tails a(i, n).  Colors are read off the sign of the mutated column of
-the previous C-matrix, which sign coherence keeps well-defined.  Every
-step of a trace is cross-checked entrywise against the direct frozen-arrow
-rule from the quiver module, applied to the verified C_{i-1}.
+`pair_term`, the product form and the closed formula's candidates read,
+and `_a` the tails a(i, n).  The public readers (`coeff_a`, `coeff_b`,
+`pair_term`, the step methods of a trace) check their indices on entry;
+the private ones (`_a`, `_omega`, `_d_column`) take checked indices, so
+the closed formula's candidates read `_a` with no check per candidate.
+Colors are read off the sign of the mutated column of the previous
+C-matrix, which sign coherence keeps well-defined.  Every step of a trace
+is cross-checked entrywise against the direct frozen-arrow rule from the
+quiver module, applied to the verified C_{i-1}.
 
 Everything a step takes from B_{i-1}, its vertex and its color alone (the
 nonzeros of its A-kind step row, the frozen rule's add-vectors and B_i) is
@@ -179,12 +183,17 @@ class MutationTrace:
 
     def vertex(self, i: int) -> int:
         """1-based vertex mutated at step i (1-based)."""
+        _check_step(self, i, 1, "i")
         return self.seq[i - 1]
 
     def r(self, i: int) -> tuple[int, ...]:
+        """r-monomial of step i (1-based)."""
+        _check_step(self, i, 1, "i")
         return self.r_monomials[i - 1]
 
     def color(self, i: int) -> str:
+        """Color of step i (1-based), "green" or "red"."""
+        _check_step(self, i, 1, "i")
         return self.colors[i - 1]
 
     def degree_bound(self, n: int) -> tuple[int, ...]:
@@ -245,7 +254,7 @@ def trace(q: GeneralizedQuiver, seq) -> MutationTrace:
     is one column update (C*A_i) and one row update (A_i*C^{-1}), in work
     proportional to the nonzeros of its A-kind row.  D_i and D_i^{-1} are
     C_i and C_i^{-1} conjugated by diag(d), so the trace keeps none:
-    `_d_column`, `coeff_a` and `c_between` read them off C through d.  The
+    `_d_column`, `_a` and `c_between` read them off C through d.  The
     pair row of step j, row v_j of (E*_j - E_j) D_{j-1}^{-1}, is -r_j B_0 by
     the tropical dualities (see the module docstring), so `pair_term` reads
     it off r_j and B_0.  A vertex that is not an int, bool included, is a
@@ -330,21 +339,29 @@ def _check_pair(tr: MutationTrace, i: int, j: int) -> None:
 
 def _d_column(tr: MutationTrace, i: int) -> list[int]:
     """Column v_i of D_i, C_i[r][k] * d_k // d_r for k = v_i - 1, O(v) (i not validated)."""
-    k, d = tr.vertex(i) - 1, tr.quiver.d
+    k, d = tr.seq[i - 1] - 1, tr.quiver.d
     return [row[k] * d[k] // dr for row, dr in zip(tr.c_mats[i], d)]
 
 
 def coeff_a(tr: MutationTrace, i: int, j: int) -> int:
     """Pair coefficient a(i,j) = D_{i,j}^{-1}[v_j, v_i], for 1 <= i <= j.
 
+    The pair is checked here, once; `_a` computes the entry.
+    """
+    _check_pair(tr, i, j)
+    return _a(tr, i, j)
+
+
+def _a(tr: MutationTrace, i: int, j: int) -> int:
+    """a(i, j) for 1 <= i <= j (not validated).
+
     D_{i,j}^{-1} = D_j^{-1} D_i is C_j^{-1} C_i conjugated by diag(d), so the
     entry is row v_j of C_j^{-1} times column v_i of C_i, times
     d_{v_i} // d_{v_j}: one dot product, O(v), and no D row is built.  It
-    is the one home of a(i, j): the closed formula's tails a(i, n) and the
-    product form's exponents read it.
+    is the one home of a(i, j): `coeff_a`, the closed formula's tails
+    a(i, n) and the product form's exponents read it.
     """
-    _check_pair(tr, i, j)
-    k, kj, d = tr.vertex(i) - 1, tr.vertex(j) - 1, tr.quiver.d
+    k, kj, d = tr.seq[i - 1] - 1, tr.seq[j - 1] - 1, tr.quiver.d
     return sum([x * r[k] for x, r in zip(tr.cinv_mats[j][kj], tr.c_mats[i])]) * d[k] // d[kj]
 
 
@@ -372,15 +389,16 @@ def pair_term(tr: MutationTrace, i: int, j: int) -> int:
     _check_pair(tr, i, j)
     if i == j:
         return -1
-    return sum(map(mul, tr.r(j), _omega(tr, i)))
+    return sum(map(mul, tr.r_monomials[j - 1], _omega(tr, i)))
 
 
 def coeff_b(tr: MutationTrace, i: int, j: int) -> int:
     """Pair coefficient b(i,j) = (E*_j E_j D_{i,j}^{-1})[v_j, v_i]; 0 when i=j.
 
-    It is pair_term + a(i,j), which at i = j is -1 + 1 = 0.
+    It is pair_term + a(i,j), which at i = j is -1 + 1 = 0; `pair_term`
+    checks the pair.
     """
-    return pair_term(tr, i, j) + coeff_a(tr, i, j)
+    return pair_term(tr, i, j) + _a(tr, i, j)
 
 
 @dataclass(frozen=True)

@@ -18,8 +18,9 @@ Matrix = tuple[tuple[int, ...], ...]
 
 
 def is_int(x) -> bool:
-    """True for an int; False for anything else, bool included."""
-    return isinstance(x, int) and not isinstance(x, bool)
+    """True for an int; False for anything else, bool included.  An exact int
+    is tested first, as it is the common case."""
+    return type(x) is int or isinstance(x, int) and not isinstance(x, bool)
 
 
 def check_count(x, name: str) -> int:

@@ -266,9 +266,6 @@ class LaurentPolynomial:
             return NotImplemented
         return self + (-other)
 
-    def __rsub__(self, other) -> "LaurentPolynomial":
-        return (-self) + other
-
     def __mul__(self, other) -> "LaurentPolynomial":
         """The product; a square (both operands on one terms dict) forms each
         unordered pair of terms once: c_i^2 at 2*k_i and 2*c_i*c_j at k_i + k_j.
@@ -336,18 +333,6 @@ class LaurentPolynomial:
             if not power:
                 return result
             base = base * base
-
-    def map_exponents(self, fn) -> "LaurentPolynomial":
-        """Apply fn to every exponent vector; colliding images are summed."""
-        terms: dict[Exponents, int] = {}
-        for exps, coeff in self.terms.items():
-            image = tuple(fn(exps))
-            new = terms.get(image, 0) + coeff
-            if new:
-                terms[image] = new
-            else:
-                terms.pop(image, None)
-        return LaurentPolynomial(self.nvars, terms)
 
     # -- formatting ----------------------------------------------------------
 
@@ -442,8 +427,12 @@ def exact_divide(p: LaurentPolynomial, q: LaurentPolynomial) -> LaurentPolynomia
     subtractions check each quotient term against it, which also keeps
     every remainder key within deg(p') and so inside its slots.  The three
     rejections are a slot below the divisor's leading term, a slot past the
-    box, and a coefficient that does not divide.
+    box, and a coefficient that does not divide.  An operand that is not a
+    LaurentPolynomial, an int included, is a TypeError.
     """
+    if not (isinstance(p, LaurentPolynomial) and isinstance(q, LaurentPolynomial)):
+        raise TypeError(f"exact_divide needs two LaurentPolynomial operands, "
+                        f"not {type(p).__name__} and {type(q).__name__}")
     if p.nvars != q.nvars:
         raise ValueError("variable counts differ")
     if not q:

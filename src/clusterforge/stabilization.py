@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from operator import sub
 
 from . import intmat
-from .closedform import _deformed_sums, _require_green, coefficient_of, deformed_coefficients
+from .closedform import _coefficient, _deformed_sums, _require_green, deformed_coefficients
 from .cmatrix import MutationTrace, _check_step, trace
 from .errors import BadParameters, ConsistencyError
 from .families import (FamilySpec, SSequence, _family_params, _family_sum, _gale_robinson_b,
@@ -27,11 +27,15 @@ from .quiver import GeneralizedQuiver
 
 
 def deform(f: LaurentPolynomial, c: Matrix) -> LaurentPolynomial:
-    """Send every exponent vector of f through -C^{-1}; coefficients unchanged."""
-    cinv = intmat.inverse_unimodular(c)
-    return f.map_exponents(
-        lambda exps: tuple(-x for x in intmat.mat_vec(cinv, exps))
-    )
+    """Send every exponent vector of f through -C^{-1}; coefficients unchanged.
+
+    C is a square unimodular matrix (`inverse_unimodular` checks that
+    det C is a unit), so -C^{-1} is a bijection of exponent vectors and no
+    two terms of f land on one.
+    """
+    deformation = intmat.neg(intmat.inverse_unimodular(c))
+    return LaurentPolynomial(f.nvars, {intmat.mat_vec(deformation, e): x
+                                       for e, x in f.terms.items()})
 
 
 @dataclass(frozen=True)
@@ -79,15 +83,17 @@ def fundamentals(tr: MutationTrace, n: int, verify: bool = True) -> tuple[Fundam
     skew-symmetric statement (it needs C = D), so the check is skipped for
     genuinely skew-symmetrizable quivers.  The label at vertex k is F_i for
     the last step i <= n at k, or F_0 = 1 if k was never mutated; its
-    coefficient of m is the point query `coefficient_of(tr, i, m)` on the
-    closed formula, so the check runs wherever the formula does.
+    coefficient of m is the point query on the closed formula behind
+    `coefficient_of(tr, i, m)` (`closedform._coefficient`, which takes the
+    checked i and the trace's own monomials unchecked), so the check runs
+    wherever the formula does.
     """
     _check_step(tr, n)
     verify = verify and tr.quiver.is_skew_symmetric
     tallies: dict[tuple[int, ...], list[int]] = {}  # m -> [first step, green, red]
-    rmonos = [tr.r(j) for j in range(1, n + 1)]
-    for i, m in enumerate(rmonos, start=1):
-        tallies.setdefault(m, [i, 0, 0])[1 if tr.color(i) == "green" else 2] += 1
+    rmonos = tr.r_monomials[:n]
+    for i, (m, color) in enumerate(zip(rmonos, tr.colors), start=1):
+        tallies.setdefault(m, [i, 0, 0])[1 if color == "green" else 2] += 1
 
     last_step = [0] * tr.v
     for i, k in enumerate(tr.seq[:n], start=1):
@@ -99,7 +105,7 @@ def fundamentals(tr: MutationTrace, n: int, verify: bool = True) -> tuple[Fundam
         check = None
         if verify and fundamental:
             expected = tuple(-(green - red) * x for x in intmat.mat_vec(tr.cinv_mats[n], m))
-            check = expected == tuple(coefficient_of(tr, i, m) for i in last_step)
+            check = expected == tuple(_coefficient(tr, i, m) for i in last_step)
         entries.append(FundamentalInfo(m, step, fundamental, green, red, check))
     return tuple(entries)
 

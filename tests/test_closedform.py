@@ -10,9 +10,11 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import clusterforge.closedform
+from clusterforge import cmatrix, closedform, stabilization
 from clusterforge import (LaurentPolynomial, canonical_sequence, coeff_a, coeff_b,
                           coefficient_of, deform, degree_bounds, fpoly_formula,
-                          fpoly_product_form, fpoly_recurrence, intmat, make_quiver, trace)
+                          fpoly_product_form, fpoly_recurrence, fundamentals, intmat,
+                          make_quiver, stabilization_run, trace)
 from clusterforge.closedform import (_binomial_series, _plan, _sequence_sum, _trace_candidates,
                                      deform_matrix, deformed_coefficients)
 from clusterforge.errors import BadParameters, RedStepEncountered, SignCoherenceViolation
@@ -418,6 +420,40 @@ def test_product_form_golden(k2):
     tr = trace(k2, (1, 2, 1, 2))
     assert fpoly_product_form(tr, 3) == LaurentPolynomial(2, GOLDEN_F3)
     assert fpoly_product_form(tr, 4) == fpoly_recurrence(k2, (1, 2, 1, 2))[-1]
+
+
+def test_sums_and_product_form_read_checked_pair_inputs(monkeypatch, dp1, k2):
+    # a public entry checks its steps once: the candidates of a sum read the
+    # private a(i, n), and the product form's pair terms are r_j . omega_i
+    calls = dict.fromkeys(("_check_pair", "pair_term"), 0)
+    for name in calls:
+        original = getattr(cmatrix, name)
+
+        def spy(*args, name=name, original=original):
+            calls[name] += 1
+            return original(*args)
+
+        for module in (cmatrix, closedform, stabilization):
+            if getattr(module, name, None) is original:
+                monkeypatch.setattr(module, name, spy)
+
+    seq = (1, 2, 3, 4, 1, 2)  # all green
+    runs = {
+        "fpoly_formula": lambda: fpoly_formula(trace(dp1, seq), 6),
+        "coefficient_of": lambda: coefficient_of(trace(dp1, seq), 6, (1, 1, 1, 1)),
+        "deformed_coefficients": lambda: deformed_coefficients(trace(dp1, seq), 6, 4),
+        "stabilization_run": lambda: stabilization_run(k2, (1, 2), 3, 6),
+        "fundamentals": lambda: fundamentals(trace(dp1, seq), 6),
+        "fpoly_product_form": lambda: fpoly_product_form(trace(dp1, seq), 6),
+    }
+    counts = {}
+    for name, run in runs.items():
+        calls.update(dict.fromkeys(calls, 0))
+        run()
+        counts[name] = dict(calls)
+    none = {"_check_pair": 0, "pair_term": 0}
+    assert counts == {**dict.fromkeys(runs, none),
+                      "fpoly_product_form": {"_check_pair": 6, "pair_term": 0}}  # its n tails
 
 
 def test_product_form_single_step(k2):

@@ -144,6 +144,20 @@ def test_pair_indices_and_vertices_must_be_ints(k2):
             step_matrix(k2.b, vertex, "a", "green")
 
 
+def test_step_methods_check_their_step(k2):
+    # tr.r(0) used to read r_2 and tr.color(-1) step 1's color; tr.r(3) was a bare IndexError
+    tr = trace(k2, (1, 2))
+    for method in (tr.vertex, tr.r, tr.color):
+        for i in (0, -1, 3):
+            with pytest.raises(ValueError, match=rf"^i out of trace range: {i} is not in 1\.\.2$"):
+                method(i)
+        for i in (True, 1.0):
+            with pytest.raises(TypeError, match=rf"^i {i!r} is not an integer$"):
+                method(i)
+    assert [(tr.vertex(i), tr.r(i), tr.color(i)) for i in (1, 2)] == [
+        (1, (1, 0), "green"), (2, (2, 1), "green")]
+
+
 def test_d_matrices_are_the_c_matrices_on_skew_symmetric_quivers(k2, g723):
     for q in (k2, g723):
         tr = trace(q, tuple(1 + (i % q.v) for i in range(2 * q.v)))

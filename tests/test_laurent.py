@@ -1,7 +1,7 @@
 import random
 import re
 from fractions import Fraction
-from operator import add, le, sub
+from operator import add, le, mul, sub
 
 import pytest
 import sympy
@@ -117,6 +117,36 @@ def test_variable_counts_and_indices_are_checked():
     assert LaurentPolynomial.variable(2, 2).terms == {(0, 1): 1}
 
 
+def test_wrong_shapes_and_operands_are_rejected():
+    p = P(2, {(1, 0): 1, (0, 0): 1})
+    with pytest.raises(ValueError, match=r"^exponent vector \(1,\) has wrong length$"):
+        P(2, {(1,): 1})
+    with pytest.raises(AttributeError, match="^LaurentPolynomial is immutable$"):
+        p.nvars = 3
+    assert p.nvars == 2
+    # an operand that is neither a polynomial nor an int is NotImplemented
+    assert p != "1 + y1" and p != 1.0
+    for combine in (add, sub, mul, lambda a, b: b + a, lambda a, b: b * a):
+        with pytest.raises(TypeError):
+            combine(p, "y1")
+    for combine in (add, sub, mul):
+        with pytest.raises(ValueError, match="^variable counts differ$"):
+            combine(p, P(3, {(0, 0, 0): 1}))
+    with pytest.raises(ValueError, match="^variable counts differ$"):
+        exact_divide(p, P(1, {(0,): 1}))
+
+
+def test_exact_divide_rejects_an_operand_that_is_not_a_polynomial():
+    # an int operand used to be a bare AttributeError: 'int' object has no attribute 'nvars'
+    p = P(1, {(1,): 2})
+    for a, b, names in ((p, 2, "LaurentPolynomial and int"),
+                        (2, p, "int and LaurentPolynomial"),
+                        (p, None, "LaurentPolynomial and NoneType")):
+        with pytest.raises(TypeError, match=rf"^exact_divide needs two LaurentPolynomial operands, "
+                                            rf"not {names}$"):
+            exact_divide(a, b)
+
+
 def test_inexact_division_raises():
     y1 = LaurentPolynomial.variable(1, 1)
     with pytest.raises(InexactDivision):
@@ -182,11 +212,15 @@ def test_json_terms_are_decimal_strings():
 def test_parse_monomial():
     assert parse_monomial("y1^3*y2", 2) == (3, 1)
     assert parse_monomial("1", 3) == (0, 0, 0)
+    assert parse_monomial("1*y2", 2) == parse_monomial("y2 * 1", 2) == (0, 1)
     assert parse_monomial("y2^-2", 2) == (0, -2)
     with pytest.raises(ParseError):
         parse_monomial("x1", 2)
     with pytest.raises(ParseError):
         parse_monomial("y9", 2)
+    for text in ("y1^x", "y+1", "y1^1_0"):  # not an ASCII decimal
+        with pytest.raises(ParseError, match="bad monomial factor"):
+            parse_monomial(text, 2)
 
 
 def test_degree_helpers():
