@@ -114,10 +114,13 @@ def inverse_unimodular(a: Matrix) -> Matrix:
 
     Fraction-free Gauss-Jordan on [a | I], dividing exactly as in `det`,
     ends with d*I on the left (d = +-det(a)) and d * a^{-1} on the right.
-    Raises ValueError when the matrix is singular or the inverse is not
-    integral (i.e. det is not a unit).
+    Raises ValueError when the matrix is not square (a ragged one
+    included), singular, or the inverse is not integral (i.e. det is not a
+    unit).
     """
     n = len(a)
+    if any(len(row) != n for row in a):
+        raise ValueError(f"matrix is not square: rows of lengths {[len(row) for row in a]}")
     m = [list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(a)]
     prev = 1
     for k in range(n):

@@ -8,6 +8,15 @@ byte-stable across runs.  The text is built column by column: each
 variable's exponents map through one table of factor strings, and the
 columns then join into the monomials.
 
+A product and an exact quotient each have two accumulators: a flat list
+over the exponent box, one cell per exponent vector at its mixed-radix
+position with the first variable most significant, and a dict keyed by
+packed exponents (`_Packing`).  The list is taken when the box has no more
+cells than the term pairs the kernel forms, so that the box costs no more
+than the pairs, each of which updates a list cell for less than a dict
+entry; otherwise the dict, which never allocates a box, so sparse inputs
+and huge exponents cost only their terms.
+
 >>> p = LaurentPolynomial.variable(2, 1) + LaurentPolynomial.one(2)
 >>> (p * p).to_text()
 '1 + 2*y1 + y1^2'
@@ -17,7 +26,9 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from heapq import heapify, heappop, heappush
-from operator import add, le, mul, sub
+from itertools import compress, product
+from math import prod
+from operator import add, gt, le, lt, mul, sub
 from typing import Iterable, Mapping
 
 from .errors import InexactDivision, ParseError
@@ -51,6 +62,22 @@ def _span(terms) -> tuple[Exponents, Exponents]:
 def _shift(nvars: int, terms, exps: Exponents, coeff: int) -> "LaurentPolynomial":
     """terms times the single term coeff*y^exps; a shift, so nothing collides."""
     return _from_clean(nvars, {tuple(map(add, e, exps)): c * coeff for e, c in terms.items()})
+
+
+def _cells(span) -> int:
+    """The number of exponent vectors in the box 0..span."""
+    return prod(x + 1 for x in span)
+
+
+def _strides(span) -> list[int]:
+    """Mixed-radix strides of the box 0..span, the first variable most
+    significant: the position of e is sum(e_i * stride_i), linear in e, and
+    on the box descending position is descending lexicographic order."""
+    strides, size = [], 1
+    for x in reversed(span):
+        strides.append(size)
+        size *= x + 1
+    return strides[::-1]
 
 
 class _Factors(dict):
@@ -272,6 +299,11 @@ class LaurentPolynomial:
 
         A product by the one-term 1 is the other operand itself, the twin of
         `__pow__`'s first power.
+
+        The accumulator is chosen once, from the product's exponent box (the
+        sum of the operands' spans): a list over the box (`_mul_dense`) when
+        the box has no more cells than the pairs formed, len(a)*len(b) or
+        n(n+1)/2 for a square, and a dict of packed keys otherwise.
         """
         other = self._coerce(other)
         if other is NotImplemented:
@@ -288,28 +320,9 @@ class LaurentPolynomial:
             return _shift(self.nvars, a, exps, coeff)
         low_a, high_a = _span(a)
         low_b, high_b = (low_a, high_a) if a is b else _span(b)
-        layout = _Packing(tuple(ha - la + hb - lb for la, ha, lb, hb in
-                                zip(low_a, high_a, low_b, high_b)))
-        pack = layout.pack
-        base = pack(low_a) + pack(low_b)
-        packed_b = [(pack(e), c) for e, c in b.items()]
-        terms: dict[int, int] = {}
-        get = terms.get
-        if a is b:
-            for i, (k1, c1) in enumerate(packed_b):
-                k = k1 + k1 - base
-                terms[k] = get(k, 0) + c1 * c1
-                k1, c1 = k1 - base, c1 + c1
-                for k2, c2 in packed_b[:i]:
-                    k = k1 + k2
-                    terms[k] = get(k, 0) + c1 * c2
-        else:
-            for e, c1 in a.items():
-                k1 = pack(e) - base
-                for k2, c2 in packed_b:
-                    k = k1 + k2
-                    terms[k] = get(k, 0) + c1 * c2
-        return layout.poly(terms, tuple(map(add, low_a, low_b)))
+        span = tuple(ha - la + hb - lb for la, ha, lb, hb in zip(low_a, high_a, low_b, high_b))
+        pairs = len(a) * (len(a) + 1) // 2 if a is b else len(a) * len(b)
+        return (_mul_dense if _cells(span) <= pairs else _mul_packed)(a, b, low_a, low_b, span)
 
     __rmul__ = __mul__
 
@@ -368,6 +381,62 @@ class LaurentPolynomial:
         return f"LaurentPolynomial({self.to_text()!r})"
 
 
+def _read_off(cells: list, low, span) -> dict[Exponents, int]:
+    """{low + e: coefficient} of the nonzero cells of a list over the box
+    0..span; product() walks the box in position order."""
+    exps = product(*[range(x, x + s + 1) for x, s in zip(low, span)])
+    return dict(zip(compress(exps, cells), filter(None, cells)))
+
+
+def _mul_dense(a: dict, b: dict, low_a, low_b, span) -> "LaurentPolynomial":
+    """The product of two terms dicts (a is b for a square) in a list over
+    its box low_a + low_b + (0..span): a pair adds into the cell at the sum
+    of its operands' positions."""
+    strides = _strides(span)
+    base_a = sum(map(mul, low_a, strides))
+    cells_a = [(sum(map(mul, e, strides)) - base_a, c) for e, c in a.items()]
+    acc = [0] * _cells(span)
+    if a is b:
+        for i, (k1, c1) in enumerate(cells_a):
+            acc[k1 + k1] += c1 * c1
+            c1 += c1
+            for k2, c2 in cells_a[:i]:
+                acc[k1 + k2] += c1 * c2
+    else:
+        base_b = sum(map(mul, low_b, strides))
+        cells_b = [(sum(map(mul, e, strides)) - base_b, c) for e, c in b.items()]
+        for k1, c1 in cells_a:
+            for k2, c2 in cells_b:
+                acc[k1 + k2] += c1 * c2
+    return _from_clean(len(span), _read_off(acc, map(add, low_a, low_b), span))
+
+
+def _mul_packed(a: dict, b: dict, low_a, low_b, span) -> "LaurentPolynomial":
+    """The product of two terms dicts (a is b for a square) in a dict keyed
+    by the packed exponents of its box low_a + low_b + (0..span)."""
+    layout = _Packing(span)
+    pack = layout.pack
+    base = pack(low_a) + pack(low_b)
+    packed_b = [(pack(e), c) for e, c in b.items()]
+    terms: dict[int, int] = {}
+    get = terms.get
+    if a is b:
+        for i, (k1, c1) in enumerate(packed_b):
+            k = k1 + k1 - base
+            terms[k] = get(k, 0) + c1 * c1
+            k1, c1 = k1 - base, c1 + c1
+            for k2, c2 in packed_b[:i]:
+                k = k1 + k2
+                terms[k] = get(k, 0) + c1 * c2
+    else:
+        for e, c1 in a.items():
+            k1 = pack(e) - base
+            for k2, c2 in packed_b:
+                k = k1 + k2
+                terms[k] = get(k, 0) + c1 * c2
+    return layout.poly(terms, tuple(map(add, low_a, low_b)))
+
+
 def _mul_within(layout: _Packing, outer: dict, inner: dict) -> dict[int, int]:
     """The in-box part of the product of two dicts of in-box keys of layout.
 
@@ -421,14 +490,29 @@ def exact_divide(p: LaurentPolynomial, q: LaurentPolynomial) -> LaurentPolynomia
     step adds lies below the term it cancels, and each key enters the heap
     once.
 
+    Dense division (`_divide_dense`) replaces the dict and the heap by a
+    list over p''s box, 0..max(deg p', deg q'), when that box has no more
+    cells than len(p)*len(q).  An exact quotient Q forms len(Q)*len(q)
+    pairs, at least len(p) as p = Q*q, so the scan costs at most len(q)
+    cells per pair.  The list is scanned from the top position down, and
+    the divisor's leading term is its lexicographically largest.  Positions
+    are mixed-radix with the first variable most significant, so they add
+    like the exponents in the box and order them lexicographically: lex is
+    a monomial order, one that multiplication preserves, so each step
+    writes only below the cell it cancels, and each nonzero cell met is
+    the remainder's leading term.  A division may use any monomial order.
+    The quotient goes into a second list, read off once at the end, and a
+    nonzero cell left below the divisor's lead is a remainder.
+
     Box check: in an integral domain deg_i(AB) = deg_i(A) + deg_i(B), and
     likewise for minimum exponents, so every term m of an exact quotient
-    lies in the box 0 <= m <= deg(p') - deg(q').  Two guard-bit
-    subtractions check each quotient term against it, which also keeps
-    every remainder key within deg(p') and so inside its slots.  The three
-    rejections are a slot below the divisor's leading term, a slot past the
-    box, and a coefficient that does not divide.  An operand that is not a
-    LaurentPolynomial, an int included, is a TypeError.
+    lies in the box 0 <= m <= deg(p') - deg(q').  Each quotient term is
+    checked against it, by two guard-bit subtractions on packed keys and by
+    its exponents in the list, which also keeps every remainder term within
+    deg(p') and so inside its slots or its list.  The three rejections, on
+    either path, are an exponent below the divisor's leading term, one
+    past the box, and a coefficient that does not divide.  An operand that
+    is not a LaurentPolynomial, an int included, is a TypeError.
     """
     if not (isinstance(p, LaurentPolynomial) and isinstance(q, LaurentPolynomial)):
         raise TypeError(f"exact_divide needs two LaurentPolynomial operands, "
@@ -449,12 +533,57 @@ def exact_divide(p: LaurentPolynomial, q: LaurentPolynomial) -> LaurentPolynomia
     q_low, q_high = _span(q.terms)
     p_deg = tuple(map(sub, p_high, p_low))
     q_deg = tuple(map(sub, q_high, q_low))
-    layout = _Packing(tuple(map(max, p_deg, q_deg)))
+    dense = _cells(map(max, p_deg, q_deg)) <= len(p.terms) * len(q.terms)
+    return (_divide_dense if dense else _divide_packed)(p.terms, q.terms, p_low, q_low, p_deg, q_deg)
+
+
+def _divide_dense(p: dict, q: dict, p_low, q_low, p_deg, q_deg) -> "LaurentPolynomial":
+    """p/q for terms dicts, q of two or more terms: the remainder of p' in a
+    list over the box 0..max(p_deg, q_deg), scanned from the top position
+    down, and the quotient in a second list (see `exact_divide`)."""
+    span = tuple(map(max, p_deg, q_deg))
+    strides = _strides(span)
+    radices = [x + 1 for x in span]
+    acc, quotient = [0] * _cells(span), [0] * _cells(span)
+    p_base, q_base = sum(map(mul, p_low, strides)), sum(map(mul, q_low, strides))
+    for e, c in p.items():
+        acc[sum(map(mul, e, strides)) - p_base] = c
+    lead = max(q)
+    lead_coeff = q[lead]
+    div = [(sum(map(mul, e, strides)) - q_base, c) for e, c in q.items() if e != lead]
+    floor = tuple(map(sub, lead, q_low))
+    ceiling = tuple(map(add, floor, map(sub, p_deg, q_deg)))
+    top = sum(map(mul, floor, strides))
+    for key in range(len(acc) - 1, top - 1, -1):
+        coeff = acc[key]
+        if not coeff:
+            continue
+        e = [key // s % r for s, r in zip(strides, radices)]
+        if any(map(lt, e, floor)):
+            raise InexactDivision("leading monomial is not divisible")
+        if any(map(gt, e, ceiling)):
+            raise InexactDivision("quotient term lies outside the degree box")
+        coeff, remainder = divmod(coeff, lead_coeff)
+        if remainder:
+            raise InexactDivision("leading coefficient is not divisible")
+        m = key - top
+        quotient[m] = coeff
+        for k, c in div:
+            acc[m + k] -= coeff * c
+    if any(acc[:top]):
+        raise InexactDivision("leading monomial is not divisible")
+    return _from_clean(len(span), _read_off(quotient, map(sub, p_low, q_low), span))
+
+
+def _divide_packed(p: dict, q: dict, p_low, q_low, p_deg, q_deg) -> LaurentPolynomial:
+    """p/q for terms dicts, q of two or more terms, by heap-ordered division
+    of packed keys (see `exact_divide`)."""
+    layout = _Packing(map(max, p_deg, q_deg))
     pack = layout.pack
     box = pack(p_deg) - pack(q_deg)
     p_base, q_base = pack(p_low), pack(q_low)
-    rem = {pack(e) - p_base: c for e, c in p.terms.items()}
-    div = {pack(e) - q_base: c for e, c in q.terms.items()}
+    rem = {pack(e) - p_base: c for e, c in p.items()}
+    div = {pack(e) - q_base: c for e, c in q.items()}
     lead = max(div)
     lead_coeff = div.pop(lead)
     heap = [-k for k in rem]

@@ -29,10 +29,13 @@ from .quiver import GeneralizedQuiver
 def deform(f: LaurentPolynomial, c: Matrix) -> LaurentPolynomial:
     """Send every exponent vector of f through -C^{-1}; coefficients unchanged.
 
-    C is a square unimodular matrix (`inverse_unimodular` checks that
-    det C is a unit), so -C^{-1} is a bijection of exponent vectors and no
-    two terms of f land on one.
+    C is a square unimodular matrix of size f.nvars (ValueError otherwise:
+    `inverse_unimodular` checks that C is square and det C a unit), so
+    -C^{-1} is a bijection of exponent vectors and no two terms of f land
+    on one.
     """
+    if len(c) != f.nvars:
+        raise ValueError(f"C has {len(c)} rows, not one per variable of f ({f.nvars})")
     deformation = intmat.neg(intmat.inverse_unimodular(c))
     return LaurentPolynomial(f.nvars, {intmat.mat_vec(deformation, e): x
                                        for e, x in f.terms.items()})

@@ -102,6 +102,14 @@ def test_integer_elimination_edge_cases():
         inverse_unimodular(((2, 0), (0, 1)))
 
 
+@pytest.mark.parametrize("a", [((1, 0),), ((1,), (0, 1)), ((1, 0), (0,)), ((1, 0), (0, 1), (0, 0))])
+def test_inverse_unimodular_rejects_a_matrix_that_is_not_square(a):
+    # a 1x2 matrix used to come back as ((0, 1),), and a ragged one as a
+    # wrong inverse
+    with pytest.raises(ValueError, match="^matrix is not square: rows of lengths"):
+        inverse_unimodular(a)
+
+
 # small, negative, and wider than 64 bits
 ENTRIES = st.integers(-3, 3) | st.integers(-2**80, 2**80)
 

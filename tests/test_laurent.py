@@ -1,5 +1,6 @@
 import random
 import re
+from collections import Counter
 from fractions import Fraction
 from operator import add, le, mul, sub
 
@@ -8,11 +9,12 @@ import sympy
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from clusterforge import (LaurentPolynomial, exact_divide, fpoly_formula,
-                          fpoly_product_form, fpoly_recurrence, make_quiver,
-                          parse_monomial, trace)
+from clusterforge import (FamilySpec, LaurentPolynomial, build_family, canonical_sequence,
+                          exact_divide, fpoly_formula, fpoly_product_form, fpoly_recurrence,
+                          laurent, make_quiver, parse_monomial, trace)
 from clusterforge.errors import InexactDivision, ParseError
-from clusterforge.laurent import _mul_within, _Packing
+from clusterforge.laurent import (_divide_dense, _divide_packed, _mul_dense, _mul_packed,
+                                  _mul_within, _Packing, _span)
 from conftest import truncate
 from oracles import text_per_term
 
@@ -159,7 +161,7 @@ def test_inexact_division_raises():
     # the second quotient term y1 lies past deg p - deg q = (0, 1) in y1
     with pytest.raises(InexactDivision, match="degree box"):
         exact_divide(P(2, {(1, 0): 1, (0, 2): 1}), P(2, {(1, 0): 2, (0, 1): 1}))
-    # the heap path's coefficient test: 3*y1 over the leading term 2*y1
+    # 3*y1 over the leading term 2*y1
     with pytest.raises(InexactDivision, match="^leading coefficient is not divisible$"):
         exact_divide(1 + 3 * y1, 1 + 2 * y1)
 
@@ -470,6 +472,110 @@ def test_poly_unpacks_like_unpack_in_key_order(case):
     poly = layout.poly(terms, low)
     assert poly.nvars == len(low)
     assert list(poly.terms.items()) == expected
+
+
+# -- the two accumulators: a list over the box, and a dict of packed keys ----
+
+
+def _product_args(a, b):
+    """The kernel arguments of the product of two nonempty terms dicts."""
+    (low_a, high_a), (low_b, high_b) = _span(a), _span(b)
+    return a, b, low_a, low_b, tuple(map(add, map(sub, high_a, low_a), map(sub, high_b, low_b)))
+
+
+def _division_args(p, q):
+    """The kernel arguments of the quotient of two nonempty terms dicts."""
+    (p_low, p_high), (q_low, q_high) = _span(p), _span(q)
+    return p, q, p_low, q_low, tuple(map(sub, p_high, p_low)), tuple(map(sub, q_high, q_low))
+
+
+def _naive_product(p, q):
+    terms = {}
+    for e1, c1 in p.terms.items():
+        for e2, c2 in q.terms.items():
+            e = tuple(map(add, e1, e2))
+            terms[e] = terms.get(e, 0) + c1 * c2
+    return P(p.nvars, terms)
+
+
+@st.composite
+def accumulator_operands(draw):
+    # 0-4 variables, negative exponents, signed coefficients, both nonempty;
+    # a unit monomial to add to a product, which makes it indivisible
+    nvars = draw(st.integers(0, 4))
+    exps = st.tuples(*[st.integers(-3, 3)] * nvars)
+    coeffs = (st.integers(-9, 9) | st.integers(-10 ** 30, 10 ** 30)).filter(bool)
+    polys = st.dictionaries(exps, coeffs, min_size=1, max_size=8).map(lambda t: P(nvars, t))
+    return draw(polys), draw(polys), LaurentPolynomial.monomial(draw(exps), draw(coeffs))
+
+
+@example((P(2, {(0, 0): 1, (3, 3): 1}), P(2, {(0, 0): 1, (-3, 3): 1}), P(2, {(0, 0): 1})))
+@example((P(0, {(): -2}), P(0, {(): 3}), P(0, {(): 1})))
+@given(accumulator_operands())
+def test_product_accumulators_agree(case):
+    # the product and the square, each by both kernels called directly
+    p, q, _ = case
+    for a, b in ((p, q), (p, p)):
+        expected = _naive_product(a, b)
+        args = _product_args(a.terms, a.terms if b is a else b.terms)
+        assert _mul_dense(*args) == _mul_packed(*args) == expected
+
+
+@example((P(1, {(0,): 1, (1,): 1}), P(1, {(0,): 1, (1,): 1}), P(1, {(0,): 1})))
+@example((P(2, {(0, 0): 1}), P(2, {(0, 0): 2, (1, -1): 3, (-1, 2): 1}), P(2, {(2, 0): 5})))
+@given(accumulator_operands())
+def test_division_accumulators_agree(case):
+    # p*q / q on both kernels; (p*q + m) / q for a unit monomial m is never
+    # exact, as q of two or more terms is not a unit, and raises on both
+    p, q, m = case
+    if len(q.terms) < 2:
+        return
+    product = p * q
+    exact = _division_args(product.terms, q.terms)
+    assert _divide_dense(*exact) == _divide_packed(*exact) == p
+    inexact = _division_args((product + m).terms, q.terms)
+    for kernel in (_divide_dense, _divide_packed):
+        with pytest.raises(InexactDivision):
+            kernel(*inexact)
+
+
+@pytest.mark.parametrize("kernel", [_divide_dense, _divide_packed])
+@pytest.mark.parametrize("p, q, message", [
+    # (1 + y1^2) - (y1 - 1)(1 + y1) leaves 2, below the divisor's leading y1
+    (P(1, {(0,): 1, (2,): 1}), P(1, {(0,): 1, (1,): 1}), "leading monomial is not divisible"),
+    # the leading y1^2, in either order, lacks the y2 of the divisor's lead
+    # y1*y2; the list positions of y2 * (1 + y1*y2) are those of y1^2 + y2
+    (P(2, {(2, 0): 1, (0, 1): 1}), P(2, {(1, 1): 1, (0, 0): 1}), "leading monomial is not divisible"),
+    # the first quotient term, y2^2 in lex order or y1*y2 in the packed graded
+    # order, lies past deg p' - deg q' = (0, 1)
+    (P(2, {(1, 2): 1, (0, 1): 1, (0, 0): 1, (1, 0): 1}), P(2, {(1, 0): 1, (0, 1): 1}),
+     "quotient term lies outside the degree box"),
+    (P(1, {(0,): 1, (1,): 3}), P(1, {(0,): 1, (1,): 2}), "leading coefficient is not divisible"),
+])
+def test_each_kernel_names_its_rejection(kernel, p, q, message):
+    with pytest.raises(InexactDivision, match=f"^{message}$"):
+        kernel(*_division_args(p.terms, q.terms))
+
+
+def test_kernel_choice_by_box_and_pairs(monkeypatch):
+    # the recurrence's large products and quotients fill their boxes, so they
+    # take the lists; a square with an exponent of 10^30 and its quotient
+    # form a handful of pairs in a box of 2*10^30 + 1 cells, so they take
+    # the packed dicts and never allocate the box
+    calls = Counter()
+    for name in ("_mul_dense", "_mul_packed", "_divide_dense", "_divide_packed"):
+        def spy(*args, kernel=getattr(laurent, name), name=name):
+            calls[name] += 1
+            return kernel(*args)
+        monkeypatch.setattr(laurent, name, spy)
+    q = build_family(FamilySpec.of("kr", r=2))
+    f19 = fpoly_recurrence(q, canonical_sequence(2, 19))[-1]
+    assert len(f19.terms) == 191
+    assert calls == {"_mul_dense": 16, "_mul_packed": 2, "_divide_dense": 17}
+    calls.clear()
+    f = 1 + LaurentPolynomial.monomial((10 ** 30,))
+    assert exact_divide(f ** 2, f) == f
+    assert calls == {"_mul_packed": 1, "_divide_packed": 1}
 
 
 def test_zero_vertices():

@@ -36,6 +36,18 @@ def test_deform_trivial_cases():
     assert deform(p, ((-1, 0), (0, -1))) == p
 
 
+def test_deform_rejects_a_c_of_the_wrong_shape():
+    # each of these used to return the polynomial 1
+    y1 = LaurentPolynomial.variable(1, 1)
+    with pytest.raises(ValueError, match="^matrix is not square"):
+        deform(1 + y1, ((1, 0),))
+    with pytest.raises(ValueError, match="^matrix is not square"):
+        deform(LaurentPolynomial.variable(2, 1), ((1,), (0, 1)))
+    for f, c in ((1 + y1, identity(2)), (LaurentPolynomial.zero(2), identity(1))):
+        with pytest.raises(ValueError, match=r"^C has \d rows, not one per variable of f \(\d\)$"):
+            deform(f, c)
+
+
 def test_deform_k2_example(k2):
     tr = trace(k2, (1, 2, 1))
     s3 = deform(P(2, {(3, 2): 1}), tr.c_mats[3])
