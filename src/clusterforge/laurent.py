@@ -492,17 +492,19 @@ def exact_divide(p: LaurentPolynomial, q: LaurentPolynomial) -> LaurentPolynomia
 
     Dense division (`_divide_dense`) replaces the dict and the heap by a
     list over p''s box, 0..max(deg p', deg q'), when that box has no more
-    cells than len(p)*len(q).  An exact quotient Q forms len(Q)*len(q)
-    pairs, at least len(p) as p = Q*q, so the scan costs at most len(q)
-    cells per pair.  The list is scanned from the top position down, and
-    the divisor's leading term is its lexicographically largest.  Positions
-    are mixed-radix with the first variable most significant, so they add
-    like the exponents in the box and order them lexicographically: lex is
-    a monomial order, one that multiplication preserves, so each step
-    writes only below the cell it cancels, and each nonzero cell met is
-    the remainder's leading term.  A division may use any monomial order.
-    The quotient goes into a second list, read off once at the end, and a
-    nonzero cell left below the divisor's lead is a remainder.
+    cells than len(p)*len(q), which stands in for the pairs the kernel
+    forms, len(Q)*len(q) for the quotient Q: as p = Q*q these are at least
+    len(p), so the box has at most len(q) cells per pair, and a sparse p
+    never allocates one.  The list is scanned from the top position down,
+    and the divisor's leading term is its lexicographically largest.
+    Positions are mixed-radix with the first variable most significant, so
+    they add like the exponents in the box and order them
+    lexicographically: lex is a monomial order, one that multiplication
+    preserves, so each step writes only below the cell it cancels, and
+    each nonzero cell met is the remainder's leading term.  A division may
+    use any monomial order.  The quotient goes into a second list, read
+    off once at the end, and a nonzero cell left below the divisor's lead
+    is a remainder.
 
     Box check: in an integral domain deg_i(AB) = deg_i(A) + deg_i(B), and
     likewise for minimum exponents, so every term m of an exact quotient
@@ -534,7 +536,8 @@ def exact_divide(p: LaurentPolynomial, q: LaurentPolynomial) -> LaurentPolynomia
     p_deg = tuple(map(sub, p_high, p_low))
     q_deg = tuple(map(sub, q_high, q_low))
     dense = _cells(map(max, p_deg, q_deg)) <= len(p.terms) * len(q.terms)
-    return (_divide_dense if dense else _divide_packed)(p.terms, q.terms, p_low, q_low, p_deg, q_deg)
+    kernel = _divide_dense if dense else _divide_packed
+    return kernel(p.terms, q.terms, p_low, q_low, p_deg, q_deg)
 
 
 def _divide_dense(p: dict, q: dict, p_low, q_low, p_deg, q_deg) -> "LaurentPolynomial":

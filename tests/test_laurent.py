@@ -545,7 +545,8 @@ def test_division_accumulators_agree(case):
     (P(1, {(0,): 1, (2,): 1}), P(1, {(0,): 1, (1,): 1}), "leading monomial is not divisible"),
     # the leading y1^2, in either order, lacks the y2 of the divisor's lead
     # y1*y2; the list positions of y2 * (1 + y1*y2) are those of y1^2 + y2
-    (P(2, {(2, 0): 1, (0, 1): 1}), P(2, {(1, 1): 1, (0, 0): 1}), "leading monomial is not divisible"),
+    (P(2, {(2, 0): 1, (0, 1): 1}), P(2, {(1, 1): 1, (0, 0): 1}),
+     "leading monomial is not divisible"),
     # the first quotient term, y2^2 in lex order or y1*y2 in the packed graded
     # order, lies past deg p' - deg q' = (0, 1)
     (P(2, {(1, 2): 1, (0, 1): 1, (0, 0): 1, (1, 0): 1}), P(2, {(1, 0): 1, (0, 1): 1}),
